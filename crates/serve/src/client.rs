@@ -44,10 +44,7 @@ pub fn request(
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-
+    let mut stream = open(addr)?;
     write_request(&mut stream, method, target, content_type, body, false)?;
     read_response(&mut BufReader::new(stream))
 }
@@ -71,9 +68,7 @@ pub struct Connection {
 impl Connection {
     /// Opens a connection with the default I/O timeouts.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        let stream = open(addr)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self { stream, reader })
     }
@@ -98,6 +93,17 @@ impl Connection {
     }
 }
 
+/// Connects with the default I/O timeouts and `TCP_NODELAY`, so a request
+/// never waits on Nagle's algorithm for the server's delayed ACK.
+fn open(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    Ok(stream)
+}
+
+/// Sends head and body together in one `write_all`.
 fn write_request(
     stream: &mut TcpStream,
     method: &str,
@@ -106,21 +112,21 @@ fn write_request(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(stream, "{method} {target} HTTP/1.1\r\nhost: dr-serve\r\n")?;
+    let mut request = format!("{method} {target} HTTP/1.1\r\nhost: dr-serve\r\n");
     if !body.is_empty() {
-        write!(
-            stream,
+        request.push_str(&format!(
             "content-type: {content_type}\r\ncontent-length: {}\r\n",
             body.len()
-        )?;
+        ));
     }
-    write!(
-        stream,
-        "connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    stream.write_all(body)?;
-    stream.flush()
+    request.push_str(if keep_alive {
+        "connection: keep-alive\r\n\r\n"
+    } else {
+        "connection: close\r\n\r\n"
+    });
+    let mut request = request.into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)
 }
 
 fn invalid(message: impl Into<String>) -> std::io::Error {

@@ -35,7 +35,9 @@ pub struct Response {
 pub enum Body {
     /// One buffer, sent with `content-length`.
     Full(Vec<u8>),
-    /// NDJSON lines, streamed with chunked encoding (one chunk per line).
+    /// NDJSON lines, sent with chunked encoding (one chunk per line)
+    /// through the connection's response buffer: the socket sees one
+    /// write per buffer-full and a final flush, not one per line.
     Lines(Vec<String>),
 }
 

@@ -17,8 +17,13 @@
 //! header block is `431`; everything else malformed is `400`. A peer that
 //! connects and never sends a byte is closed silently — that is a probe or
 //! an idle keep-alive connection, not an error.
+//!
+//! Responses are written into a fixed-size [`response_buffer`] and leave
+//! with one `flush` each, on a `TCP_NODELAY` socket: a response that fits
+//! the buffer is one socket write, so no small trailing segment waits on
+//! Nagle's algorithm for the client's delayed ACK.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,6 +37,18 @@ const MAX_HEAD_BYTES: usize = 64 << 10;
 /// Socket read/write timeout: a stalled client must not pin a worker
 /// thread forever.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Capacity of a connection's response buffer (64 KiB). Responses up to
+/// this size leave in one socket write; bigger ones go out in writes of at
+/// most this size, so a connection's memory stays bounded whatever it
+/// streams.
+pub const RESPONSE_BUFFER_BYTES: usize = 64 << 10;
+
+/// Wraps a connection's write half in its response buffer, allocated once
+/// and reused by every response on the connection.
+pub fn response_buffer<W: Write>(inner: W) -> BufWriter<W> {
+    BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, inner)
+}
 
 /// A parsed request.
 #[derive(Debug)]
@@ -263,80 +280,171 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-fn write_head(
-    stream: &mut TcpStream,
+fn write_head<W: Write>(
+    out: &mut W,
     status: u16,
     content_type: &str,
     keep_alive: bool,
     extra_headers: &[(&'static str, String)],
 ) -> std::io::Result<()> {
     write!(
-        stream,
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
         status,
         status_text(status),
         content_type,
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(out, "{name}: {value}\r\n")?;
     }
     write!(
-        stream,
+        out,
         "connection: {}\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     )
 }
 
-/// Writes a complete, fixed-length response.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes a complete, fixed-length response and flushes it once.
+pub fn write_response<W: Write>(
+    out: &mut W,
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     extra_headers: &[(&'static str, String)],
 ) -> std::io::Result<()> {
-    write_head(stream, status, content_type, keep_alive, extra_headers)?;
-    write!(stream, "content-length: {}\r\n\r\n", body.len())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write_head(out, status, content_type, keep_alive, extra_headers)?;
+    write!(out, "content-length: {}\r\n\r\n", body.len())?;
+    out.write_all(body)?;
+    out.flush()
 }
 
-/// A chunked-transfer response in progress: the header block is already on
-/// the wire, so each [`chunk`](Self::chunk) streams straight to the client
-/// — repaired tuples go out as they are serialized, not buffered whole.
-pub struct ChunkedResponse<'a> {
-    stream: &'a mut TcpStream,
+/// A chunked-transfer response in progress. Head, chunk framing and the
+/// terminating chunk all go into `out` — the connection's
+/// [`response_buffer`] — which reaches the socket whenever it fills and
+/// once more at [`finish`](Self::finish): a response that fits the buffer
+/// leaves in a single write, a bigger one in buffer-sized writes.
+pub struct ChunkedResponse<'a, W: Write> {
+    out: &'a mut W,
 }
 
-impl<'a> ChunkedResponse<'a> {
-    /// Sends the status line + headers and switches to chunked encoding.
+impl<'a, W: Write> ChunkedResponse<'a, W> {
+    /// Writes the status line + headers and switches to chunked encoding.
     pub fn begin(
-        stream: &'a mut TcpStream,
+        out: &'a mut W,
         status: u16,
         content_type: &str,
         keep_alive: bool,
         extra_headers: &[(&'static str, String)],
     ) -> std::io::Result<Self> {
-        write_head(stream, status, content_type, keep_alive, extra_headers)?;
-        write!(stream, "transfer-encoding: chunked\r\n\r\n")?;
-        Ok(Self { stream })
+        write_head(out, status, content_type, keep_alive, extra_headers)?;
+        out.write_all(b"transfer-encoding: chunked\r\n\r\n")?;
+        Ok(Self { out })
     }
 
-    /// Streams one chunk (empty input is skipped — an empty chunk would
-    /// terminate the encoding).
-    pub fn chunk(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")
+    /// Writes one NDJSON line, with its `\n` terminator, as one chunk.
+    /// The chunk is never empty, so it cannot end the encoding early.
+    pub fn line(&mut self, line: &str) -> std::io::Result<()> {
+        write!(self.out, "{:x}\r\n", line.len() + 1)?;
+        self.out.write_all(line.as_bytes())?;
+        self.out.write_all(b"\n\r\n")
     }
 
     /// Terminates the chunked body and flushes.
     pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        self.out.write_all(b"0\r\n\r\n")?;
+        self.out.flush()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An inner writer that records every `write` and `flush` it sees.
+    #[derive(Debug, Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn ndjson<W: Write>(out: &mut W, lines: &[String]) {
+        let mut chunked =
+            ChunkedResponse::begin(out, 200, "application/x-ndjson", true, &[]).unwrap();
+        for line in lines {
+            chunked.line(line).unwrap();
+        }
+        chunked.finish().unwrap();
+    }
+
+    #[test]
+    fn buffered_ndjson_response_is_one_write_and_one_flush() {
+        let lines: Vec<String> = (0..60).map(|i| format!("{{\"row\":{i}}}")).collect();
+        let mut out = response_buffer(CountingWriter::default());
+        ndjson(&mut out, &lines);
+        let inner = out.into_inner().unwrap();
+        assert_eq!(inner.writes.len(), 1, "writes: {:?}", inner.writes);
+        assert_eq!(inner.flushes, 1);
+
+        let mut golden = String::from(
+            "HTTP/1.1 200 OK\r\n\
+             content-type: application/x-ndjson\r\n\
+             connection: keep-alive\r\n\
+             transfer-encoding: chunked\r\n\r\n",
+        );
+        for i in 0..60 {
+            // `{"row":N}\n` is 10 bytes for one digit, 11 for two.
+            let size = if i < 10 { "a" } else { "b" };
+            golden.push_str(&format!("{size}\r\n{{\"row\":{i}}}\n\r\n"));
+        }
+        golden.push_str("0\r\n\r\n");
+        assert_eq!(String::from_utf8(inner.bytes).unwrap(), golden);
+    }
+
+    #[test]
+    fn buffered_fixed_response_is_one_write_and_one_flush() {
+        let mut out = response_buffer(CountingWriter::default());
+        let headers = [("retry-after", "1".to_owned())];
+        write_response(&mut out, 429, "application/json", b"{}", false, &headers).unwrap();
+        let inner = out.into_inner().unwrap();
+        assert_eq!(inner.writes.len(), 1);
+        assert_eq!(inner.flushes, 1);
+        assert_eq!(
+            inner.bytes,
+            b"HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+              retry-after: 1\r\nconnection: close\r\ncontent-length: 2\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn oversized_response_streams_in_buffer_sized_writes() {
+        let line = "x".repeat(999);
+        let lines = vec![line; 3 * RESPONSE_BUFFER_BYTES / 1000];
+        let mut direct = CountingWriter::default();
+        ndjson(&mut direct, &lines);
+
+        let mut out = response_buffer(CountingWriter::default());
+        ndjson(&mut out, &lines);
+        let buffered = out.into_inner().unwrap();
+        assert!(buffered.bytes == direct.bytes, "framing differs");
+        // Just over three buffers' worth: four writes, none above the cap.
+        assert!(buffered.bytes.len() > 3 * RESPONSE_BUFFER_BYTES);
+        assert_eq!(buffered.writes.len(), 4, "writes: {:?}", buffered.writes);
+        assert!(buffered.writes.iter().all(|&n| n <= RESPONSE_BUFFER_BYTES));
+        assert_eq!(buffered.flushes, 1);
     }
 }

@@ -59,7 +59,7 @@ pub mod handlers;
 pub mod http;
 pub mod state;
 
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -196,14 +196,19 @@ impl Server {
 /// Serves one connection: a keep-alive loop of parse → handle → serialize,
 /// until the client closes, asks to close, idles out, hits the
 /// per-connection request cap, or the server starts draining.
-fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpStream) {
+///
+/// Responses go through one [`http::response_buffer`] per connection and
+/// are flushed once each, on a `TCP_NODELAY` socket.
+fn serve_connection(state: &ServerState, shutdown: &AtomicBool, stream: TcpStream) {
     let metrics = state.obs.metrics();
     metrics.counter("serve_connections_total", &[]).inc();
+    stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(http::IO_TIMEOUT)).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
+    let mut out = http::response_buffer(stream);
     let mut served = 0usize;
 
     loop {
@@ -215,20 +220,21 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
         } else {
             state.config.idle_timeout
         };
-        stream.set_read_timeout(Some(read_timeout)).ok();
+        reader.get_ref().set_read_timeout(Some(read_timeout)).ok();
 
         let request = match http::read_request(&mut reader) {
             Ok(Some(request)) => request,
             Ok(None) => return, // probe, clean close, or idle timeout
             Err(e) => {
                 let _ = http::write_response(
-                    &mut stream,
+                    &mut out,
                     e.status,
                     "application/json",
                     format!("{{\"error\":{:?}}}", e.message).as_bytes(),
                     false,
                     &[],
                 );
+                discard(out);
                 return;
             }
         };
@@ -246,7 +252,7 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
             && !shutdown.load(Ordering::Acquire);
         let result = match &response.body {
             Body::Full(bytes) => http::write_response(
-                &mut stream,
+                &mut out,
                 response.status,
                 response.content_type,
                 bytes,
@@ -255,29 +261,36 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
             ),
             Body::Lines(lines) => (|| {
                 let mut chunked = http::ChunkedResponse::begin(
-                    &mut stream,
+                    &mut out,
                     response.status,
                     response.content_type,
                     keep_alive,
                     &response.headers,
                 )?;
                 for line in lines {
-                    let mut framed = Vec::with_capacity(line.len() + 1);
-                    framed.extend_from_slice(line.as_bytes());
-                    framed.push(b'\n');
-                    chunked.chunk(&framed)?;
+                    chunked.line(line)?;
                 }
                 chunked.finish()
             })(),
         };
         if let Err(_e) = result {
             // A client hanging up mid-stream is its business; count it,
-            // close, and this worker moves on to the next connection.
+            // close, and this worker moves on to the next connection. The
+            // error may surface on any buffer-sized write or only at the
+            // final flush; either way it lands here.
             metrics.counter("serve_client_disconnect_total", &[]).inc();
+            discard(out);
             return;
         }
         if !keep_alive {
             return;
         }
     }
+}
+
+/// Closes a connection whose last write may have failed without retrying
+/// the unsent bytes: dropping a `BufWriter` would flush them again and
+/// could wait out a second write timeout on a stalled peer.
+fn discard(out: BufWriter<TcpStream>) {
+    drop(out.into_parts());
 }

@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use dr_core::RegistryConfig;
 use dr_obs::{json, AttrValue, JsonValue, Obs, StoredTrace};
-use dr_serve::{build_state, client, KbSpec, ServeConfig, Server};
+use dr_serve::http::Request;
+use dr_serve::{build_state, client, handle, Body, KbSpec, ServeConfig, Server};
 
 const CSV: &str = "Name,DOB,Country,Prize,Institution,City\n\
      Avram Hershko,1937-12-31,Israel,Albert Lasker Award for Medicine,Israel Institute of Technology,Karcag\n";
@@ -245,18 +246,35 @@ fn traceparent_header_adopts_the_callers_trace_id() {
     server.join();
 }
 
+/// The `"kind":"tuple"` lines of an NDJSON repair stream, in order.
+fn tuple_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<String> {
+    lines
+        .filter(|l| l.contains("\"kind\":\"tuple\""))
+        .map(str::to_owned)
+        .collect()
+}
+
 #[test]
 fn keepalive_pipeline_counts_each_request_exactly_once() {
     const N: usize = 7;
     let server = boot(ServeConfig::default());
     let addr = server.addr();
 
+    // Bodies grow from one row to a few hundred, so later responses
+    // outgrow the connection's response buffer and span several writes.
+    let (head, row) = CSV.split_once('\n').expect("header line");
+    let bodies: Vec<String> = (0..N)
+        .map(|i| format!("{head}\n{}", row.repeat(1 + 60 * i)))
+        .collect();
+
     let mut conn = client::Connection::connect(addr).expect("connect");
-    for i in 0..N {
+    let mut served = Vec::new();
+    for (i, body) in bodies.iter().enumerate() {
         let resp = conn
-            .request("POST", "/v1/repair/nobel-mini", "text/csv", CSV.as_bytes())
+            .request("POST", "/v1/repair/nobel-mini", "text/csv", body.as_bytes())
             .unwrap_or_else(|e| panic!("keep-alive request {i}: {e}"));
         assert_eq!(resp.status, 200);
+        served.push(tuple_lines(resp.text().lines()));
     }
     let metrics = conn.get("/metrics").expect("metrics on the same socket");
     let text = metrics.text();
@@ -282,6 +300,31 @@ fn keepalive_pipeline_counts_each_request_exactly_once() {
         "{text}"
     );
 
+    // Buffered framing on a reused socket decodes to exactly what the
+    // handler produced: each response's tuple lines equal those of the
+    // same body run through `handle` in process (after the metric checks,
+    // since `handle` counts its requests too).
+    for (i, (body, served)) in bodies.iter().zip(&served).enumerate() {
+        let request = Request {
+            method: "POST".into(),
+            path: "/v1/repair/nobel-mini".into(),
+            query: String::new(),
+            headers: vec![("content-type".into(), "text/csv".into())],
+            body: body.as_bytes().to_vec(),
+            http11: true,
+        };
+        let response = handle(server.state(), &request);
+        assert_eq!(response.status, 200);
+        let Body::Lines(lines) = &response.body else {
+            panic!("repair responds with NDJSON lines");
+        };
+        let expected = tuple_lines(lines.iter().map(String::as_str));
+        assert_eq!(expected.len(), 1 + 60 * i, "one tuple line per row");
+        assert!(*served == expected, "response {i} differs from handle()");
+    }
+
+    // Close the socket first, or `join` waits out the idle timeout.
+    drop(conn);
     server.shutdown();
     server.join();
 }
