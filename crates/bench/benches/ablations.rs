@@ -13,11 +13,7 @@
 //! 5. **Cache persistence** — a stream of same-schema relations repaired
 //!    cold (fresh value cache per relation) vs warm (one `CacheRegistry`
 //!    shared across the stream).
-//! 6. **Batch claiming** — the work-stealing scheduler claiming one row per
-//!    `fetch_add` vs an auto-tuned batch of rows; also prints the
-//!    per-worker `rows_claimed` / `steal_attempts` counters from the
-//!    metric registry for each regime.
-//! 7. **Observability overhead** — repair with no `Obs` handle vs an
+//! 6. **Observability overhead** — repair with no `Obs` handle vs an
 //!    attached registry + tracer at sampling rates 0 / 1% / 100%
 //!    (DESIGN.md §4d's "pay only for what you sample" claim).
 
@@ -228,7 +224,6 @@ fn bench_cache_persistence(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_cache_persistence");
     group.sample_size(10);
     let (workload, stream) = nobel_stream_workload(1_000, 5, KbFlavor::YagoLike);
-    let repairer = dr_core::FastRepairer::new(&workload.rules);
     let opts = ApplyOptions::default();
 
     // Both regimes share `workload`'s match context indexes; only the value
@@ -238,7 +233,7 @@ fn bench_cache_persistence(c: &mut Criterion) {
         b.iter(|| {
             for dirty in &stream {
                 let mut working = dirty.clone();
-                repairer.repair_relation(&ctx, &mut working, &opts);
+                fast_repair(&ctx, &workload.rules, &mut working, &opts);
             }
         })
     });
@@ -252,52 +247,10 @@ fn bench_cache_persistence(c: &mut Criterion) {
             let ctx = workload.ctx_with_registry(registry);
             for dirty in &stream {
                 let mut working = dirty.clone();
-                repairer.repair_relation(&ctx, &mut working, &opts);
+                fast_repair(&ctx, &workload.rules, &mut working, &opts);
             }
         })
     });
-    group.finish();
-}
-
-fn bench_batch_claim(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_batch_claim");
-    group.sample_size(10);
-    // UIS is narrow (arity 6), the shape batch claiming targets.
-    let workload = uis_workload(1_000, KbFlavor::YagoLike);
-    let ctx = workload.ctx();
-    for (label, batch_claim) in [("single_row_claim", false), ("batch_claim(auto)", true)] {
-        let par_opts = dr_core::ParallelOptions {
-            threads: 4,
-            batch_claim,
-            ..Default::default()
-        };
-        // Probe run with a metric registry attached: surface the per-worker
-        // claim/steal counters the regimes differ by (outside timing).
-        let obs = std::sync::Arc::new(dr_obs::Obs::new());
-        let obs_ctx = workload.ctx().with_obs(std::sync::Arc::clone(&obs));
-        let mut probe = workload.dirty.clone();
-        dr_core::parallel_repair(&obs_ctx, &workload.rules, &mut probe, &par_opts);
-        let snap = obs.metrics().snapshot();
-        let series = |name: &str| -> String {
-            snap.counters
-                .iter()
-                .filter(|c| c.name == name)
-                .map(|c| format!("{}={}", c.labels, c.value))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        eprintln!(
-            "{label}: rows_claimed [{}], steal_attempts [{}]",
-            series("scheduler_rows_claimed_total"),
-            series("scheduler_steal_attempts_total"),
-        );
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut working = workload.dirty.clone();
-                dr_core::parallel_repair(&ctx, &workload.rules, &mut working, &par_opts)
-            })
-        });
-    }
     group.finish();
 }
 
@@ -343,7 +296,6 @@ criterion_group!(
     bench_value_cache,
     bench_signature_index,
     bench_cache_persistence,
-    bench_batch_claim,
     bench_obs_overhead
 );
 criterion_main!(benches);

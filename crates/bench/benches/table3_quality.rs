@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dr_bench::{nobel_workload, uis_workload};
-use dr_core::{ApplyOptions, FastRepairer};
+use dr_core::{fast_repair, ApplyOptions};
 use dr_datasets::KbFlavor;
 use dr_eval::katara_pattern;
 
@@ -17,14 +17,18 @@ fn bench_table3(c: &mut Criterion) {
             ("uis-1000", uis_workload(1_000, flavor)),
         ] {
             let ctx = workload.ctx();
-            let repairer = FastRepairer::new(&workload.rules);
             group.bench_with_input(
                 BenchmarkId::new(format!("drs/{name}"), flavor.label()),
                 &(),
                 |b, ()| {
                     b.iter(|| {
                         let mut working = workload.dirty.clone();
-                        repairer.repair_relation(&ctx, &mut working, &ApplyOptions::default())
+                        fast_repair(
+                            &ctx,
+                            &workload.rules,
+                            &mut working,
+                            &ApplyOptions::default(),
+                        )
                     })
                 },
             );

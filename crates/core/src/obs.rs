@@ -79,9 +79,10 @@ fn cause_label(cause: ExhaustCause) -> &'static str {
 }
 
 /// Records a finished relation repair into the metric registry. Called
-/// once at the end of each relation-level entry point (basic / fast /
-/// parallel), after [`RelationReport::tally_resilience`], so every counter
-/// advance mirrors exactly what the report carries.
+/// once at the end of each relation driver (`basic` for Algorithm 1,
+/// `fast` for the Algorithm 2 scheduler at any thread count), after
+/// [`RelationReport::tally_resilience`], so every counter advance mirrors
+/// exactly what the report carries.
 pub(crate) fn record_relation(obs: &Obs, algo: &str, report: &RelationReport) {
     let m = obs.metrics();
     let (mut completed, mut degraded, mut failed) = (0u64, 0u64, 0u64);

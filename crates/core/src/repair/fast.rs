@@ -1,5 +1,9 @@
 //! The fast repair algorithm — Algorithm 2 of the paper (§IV-B).
 //!
+//! [`FastRepairer`] is the per-tuple kernel; the relation loop around it
+//! is [`parallel_repair`], which [`fast_repair`] runs with one worker on
+//! the calling thread.
+//!
 //! Three optimizations over the basic chase, all observable in the Exp-3
 //! benchmarks:
 //!
@@ -15,17 +19,17 @@
 //!    rules; entries are invalidated only when a repair rewrites their
 //!    column.
 
-use crate::context::{FootprintRecorder, MatchContext};
-use crate::repair::basic::{PhaseTimings, RelationReport, RepairStep, TupleReport};
+use crate::context::MatchContext;
+use crate::repair::basic::{RelationReport, RepairStep, TupleReport};
 use crate::repair::budget::BudgetMeter;
 use crate::repair::cache::ElementCache;
+use crate::repair::parallel::{parallel_repair, ParallelOptions};
 use crate::repair::resilience::TupleOutcome;
 use crate::repair::rule_graph::RuleGraph;
 use crate::repair::value_cache::ValueCache;
 use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
 use crate::rule::DetectiveRule;
 use dr_relation::{Relation, Tuple};
-use std::time::Instant;
 
 /// A prepared fast repairer: rule set + precomputed check order.
 ///
@@ -62,8 +66,7 @@ impl<'r> FastRepairer<'r> {
 
     /// [`Self::repair_tuple`] with the per-tuple overlay backed by a
     /// relation-scoped [`ValueCache`], so element checks also share across
-    /// tuples (and across threads — see
-    /// [`parallel_repair`](crate::repair::parallel::parallel_repair)).
+    /// tuples (and across threads — see [`parallel_repair`]).
     pub fn repair_tuple_shared(
         &self,
         ctx: &MatchContext<'_>,
@@ -72,32 +75,18 @@ impl<'r> FastRepairer<'r> {
         shared: &ValueCache,
     ) -> TupleReport {
         let meter = ctx.budget().meter();
-        self.repair_tuple_shared_metered(ctx, tuple, opts, shared, &meter)
-    }
-
-    /// [`Self::repair_tuple_shared`] spending a caller-owned
-    /// [`BudgetMeter`] — the entry point for callers that need to observe
-    /// or pre-trip the meter (the parallel scheduler, fault injection).
-    pub fn repair_tuple_shared_metered(
-        &self,
-        ctx: &MatchContext<'_>,
-        tuple: &mut Tuple,
-        opts: &ApplyOptions,
-        shared: &ValueCache,
-        meter: &BudgetMeter,
-    ) -> TupleReport {
         self.repair_tuple_with(
             ctx,
             tuple,
             opts,
             &mut ElementCache::with_shared(shared),
-            meter,
+            &meter,
         )
     }
 
     /// Innermost entry point: repairs one tuple through a caller-owned
-    /// element cache. Crate-visible so relation-level drivers (the loop
-    /// below, the parallel scheduler) can keep the cache after the call and
+    /// element cache and budget meter. Crate-visible so the relation
+    /// driver ([`parallel_repair`]) can keep the cache after the call and
     /// read its per-tuple [`level_stats`](ElementCache::level_stats) for
     /// trace events.
     pub(crate) fn repair_tuple_with(
@@ -214,163 +203,26 @@ impl<'r> FastRepairer<'r> {
         });
         Ok(true)
     }
-
-    /// Repairs every tuple of `relation`, sharing a relation-scoped
-    /// [`ValueCache`] across tuples: identical cell values recur across rows
-    /// (duplicate-heavy columns), and their element checks are computed
-    /// once. When the context carries a
-    /// [`CacheRegistry`](crate::repair::registry::CacheRegistry), the cache
-    /// is the registry's persistent, schema-keyed instance and this repair
-    /// warm-starts from earlier same-schema relations. The cache counters
-    /// (this repair's delta, not the cache's lifetime totals) and per-phase
-    /// timings land in the report.
-    pub fn repair_relation(
-        &self,
-        ctx: &MatchContext<'_>,
-        relation: &mut Relation,
-        opts: &ApplyOptions,
-    ) -> RelationReport {
-        let shared = ctx.value_cache_for(relation.schema());
-        self.repair_relation_with_cache(ctx, relation, opts, &shared)
-    }
-
-    /// [`Self::repair_relation`] against an explicit shared cache (the
-    /// building block the parallel repairer and benches drive directly).
-    pub fn repair_relation_with_cache(
-        &self,
-        ctx: &MatchContext<'_>,
-        relation: &mut Relation,
-        opts: &ApplyOptions,
-        shared: &ValueCache,
-    ) -> RelationReport {
-        let obs = ctx.obs();
-        let tracer = obs.and_then(|o| o.tracer());
-        // Live span surface, mirroring the parallel scheduler's topology:
-        // prewarm and repair phase spans under the request, one row span
-        // per tuple, rule spans beneath (opened inside `try_rule`).
-        let live = ctx.span().cloned();
-        if let Some(t) = tracer {
-            crate::obs::trace_relation_start(t, "fast", relation.len(), self.rules.len());
-            crate::obs::trace_phase(t, "prewarm", true);
-        }
-        let tuple_hist = obs.map(|o| {
-            (
-                o.metrics().histogram("repair_tuple_seconds", &[]),
-                o.metrics()
-                    .window_histogram("repair_tuple_seconds_window", &[]),
-            )
-        });
-        let before = shared.stats();
-        let prewarm_span = live.as_ref().map(|s| s.child("prewarm"));
-        let prewarm_start = Instant::now();
-        match &prewarm_span {
-            Some(sp) => ctx.fork().with_span(sp.ctx()).prewarm(self.rules),
-            None => ctx.prewarm(self.rules),
-        }
-        let prewarm = prewarm_start.elapsed();
-        if let Some(sp) = prewarm_span {
-            sp.finish();
-        }
-        if let Some(t) = tracer {
-            crate::obs::trace_phase(t, "prewarm", false);
-            crate::obs::trace_phase(t, "repair", true);
-        }
-        let repair_span = live.as_ref().map(|s| s.child("repair"));
-        let row_parent = repair_span.as_ref().map(|s| s.ctx());
-        // Speculative captures (tail sampling armed, not forced) keep the
-        // row path to two clock reads: spans are recorded retroactively
-        // and only for rows above `SPECULATIVE_ROW_FLOOR`. Forced captures
-        // open a full guard per row with attributes and rule children.
-        let detailed = live.as_ref().is_some_and(|s| s.detailed());
-        let repair_start = Instant::now();
-        let mut report = RelationReport::default();
-        for row in 0..relation.len() {
-            let meter = ctx.budget().meter();
-            let mut cache = ElementCache::with_shared(shared);
-            // A fresh recorder per row captures this tuple's KB reads as its
-            // footprint — the provenance selective re-repair intersects with
-            // later KB deltas.
-            let recorder = std::sync::Arc::new(FootprintRecorder::new());
-            let row_span = if detailed {
-                row_parent.as_ref().map(|s| {
-                    let mut sp = s.child("row");
-                    sp.attr_num("row", row as u64);
-                    sp
-                })
-            } else {
-                None
-            };
-            let spec_row_start = match (&row_parent, detailed) {
-                (Some(_), false) => Some(Instant::now()),
-                _ => None,
-            };
-            let row_ctx = ctx
-                .fork()
-                .with_recorder(std::sync::Arc::clone(&recorder))
-                .with_span_opt(row_span.as_ref().map(|s| s.ctx()));
-            let started = tuple_hist.as_ref().map(|_| Instant::now());
-            let tuple_report =
-                self.repair_tuple_with(&row_ctx, relation.tuple_mut(row), opts, &mut cache, &meter);
-            if let (Some((hist, window)), Some(started)) = (&tuple_hist, started) {
-                let elapsed = started.elapsed();
-                hist.record(elapsed);
-                window.record(elapsed);
-            }
-            if let Some(mut sp) = row_span {
-                let cache_stats = cache.level_stats();
-                sp.attr_static("outcome", crate::obs::outcome_label(&tuple_report.outcome));
-                sp.attr_num("steps", tuple_report.steps.len() as u64);
-                sp.attr_num(
-                    "cache_hits",
-                    (cache_stats.local_hits + cache_stats.shared_hits) as u64,
-                );
-                sp.attr_num(
-                    "cache_misses",
-                    (cache_stats.local_misses + cache_stats.shared_misses) as u64,
-                );
-                sp.finish();
-            } else if let (Some(parent), Some(started)) = (&row_parent, spec_row_start) {
-                let took = started.elapsed();
-                if took >= crate::obs::SPECULATIVE_ROW_FLOOR {
-                    parent.record_completed("row", started, took);
-                }
-            }
-            if let Some(o) = obs {
-                crate::obs::trace_tuple(o, row, &tuple_report, Some(cache.level_stats()));
-            }
-            report.tuples.push(tuple_report);
-            report.footprints.push(recorder.take());
-        }
-        if let Some(mut sp) = repair_span {
-            sp.attr_num("rows", relation.len() as u64);
-            sp.attr_num("value_cache_entries", shared.len() as u64);
-            sp.finish();
-        }
-        report.cache = shared.stats().delta_since(&before);
-        report.timing = PhaseTimings {
-            prewarm,
-            repair: repair_start.elapsed(),
-        };
-        report.tally_resilience();
-        if let Some(obs) = obs {
-            crate::obs::record_relation(obs, "fast", &report);
-        }
-        if let Some(t) = tracer {
-            crate::obs::trace_phase(t, "repair", false);
-            crate::obs::trace_relation_end(t, relation.len());
-        }
-        report
-    }
 }
 
-/// One-shot convenience: prepare a [`FastRepairer`] and repair `relation`.
+/// Repairs every tuple of `relation` with Algorithm 2 on the calling
+/// thread: [`parallel_repair`] with one worker.
 pub fn fast_repair(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
     relation: &mut Relation,
     opts: &ApplyOptions,
 ) -> RelationReport {
-    FastRepairer::new(rules).repair_relation(ctx, relation, opts)
+    parallel_repair(
+        ctx,
+        rules,
+        relation,
+        &ParallelOptions {
+            apply: opts.clone(),
+            threads: 1,
+            ..Default::default()
+        },
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Parallel relation repair.
+//! Relation repair: the one driver of Algorithm 2 at any thread count.
 //!
 //! The paper's scalability argument (§V summary) is that "repairing one
 //! tuple is irrelevant to any other tuple": tuples share nothing mutable —
@@ -7,13 +7,13 @@
 //! [`ValueCache`] whose value-keyed entries are pure functions of the KB.
 //!
 //! Scheduling is work-stealing by atomic counter: every worker claims the
-//! next unclaimed row (or, with batch claiming enabled, the next `k` rows)
-//! with a `fetch_add`, so a worker that lands on cheap rows simply claims
-//! more of them — no fixed partitioning, no stragglers pinned to an
-//! expensive chunk. Per-tuple reports are written into row-indexed slots,
-//! so the stitched report is in row order and the whole result is
-//! bit-identical to the sequential [`FastRepairer`] regardless of claim
-//! granularity.
+//! next unclaimed row with a `fetch_add`, so a worker that lands on cheap
+//! rows simply claims more of them — no fixed partitioning, no stragglers
+//! pinned to an expensive chunk. The calling thread is worker 0; only
+//! workers `1..n` are spawned, so a one-worker repair runs entirely on the
+//! caller. Per-tuple reports are written into row-indexed slots, so the
+//! stitched report is in row order and the result is bit-identical at
+//! every thread count.
 //!
 //! Rows whose worker panicked are re-run under a configurable
 //! [`RetryPolicy`] (DESIGN.md §4c/§9), on fresh worker threads spawned
@@ -41,53 +41,28 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Parallel repair configuration.
+/// Relation repair configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelOptions {
     /// Rule-application options.
     pub apply: ApplyOptions,
-    /// Worker threads (0 = one per available core).
+    /// Worker threads (0 = one per available core). The calling thread is
+    /// one of them.
     pub threads: usize,
-    /// Claim `batch_size` rows per `fetch_add` instead of one. Cuts claim
-    /// counter traffic on narrow relations, where per-row repair work is
-    /// small relative to a contended atomic RMW; measured by the
-    /// `ablation_batch_claim` bench, hence a flag rather than the default.
-    pub batch_claim: bool,
-    /// Rows per claim when `batch_claim` is set (`0` = auto-tune from the
-    /// relation width: narrow relations take bigger batches).
-    pub batch_size: usize,
     /// Retry/backoff policy for rows whose worker panicked. The default is
     /// the historical one-shot retry with no backoff.
     pub retry: RetryPolicy,
     /// Deterministic per-row faults to inject (tests/chaos harnesses only;
     /// see [`FaultPlan`](crate::repair::fault::FaultPlan)). `None` injects
-    /// nothing. With a plan set, the scheduler path runs even for one
-    /// thread or tiny relations, so injection behaves identically at every
-    /// thread count.
+    /// nothing. Every thread count runs the same scheduler, so injection
+    /// behaves identically at all of them.
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<std::sync::Arc<crate::repair::fault::FaultPlan>>,
 }
 
-impl ParallelOptions {
-    /// The rows-per-claim this configuration yields for `relation`.
-    ///
-    /// Auto-tuning is by relation width: per-claim work scales with arity
-    /// (each column can host rule nodes), so narrow relations amortize the
-    /// claim counter over more rows while wide ones stay near
-    /// single-row claiming to preserve stealing granularity.
-    pub fn effective_batch(&self, relation: &Relation) -> usize {
-        if !self.batch_claim {
-            return 1;
-        }
-        if self.batch_size != 0 {
-            return self.batch_size.max(1);
-        }
-        (32 / relation.schema().arity().max(1)).clamp(1, 8)
-    }
-}
-
-/// Repairs `relation` with `threads` workers. Equivalent to
-/// [`FastRepairer::repair_relation`], row for row.
+/// Repairs `relation` with up to `threads` workers, the calling thread
+/// being worker 0. The result is row for row the same at every thread
+/// count.
 pub fn parallel_repair(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
@@ -102,18 +77,6 @@ pub fn parallel_repair(
         opts.threads
     };
     let repairer = FastRepairer::new(rules);
-    #[allow(unused_mut)] // mut only with fault-injection
-    let mut sequential = threads <= 1 || relation.len() < 2;
-    #[cfg(feature = "fault-injection")]
-    {
-        // A fault plan must be honored even where the sequential fallback
-        // would apply, so faulted runs behave identically at every thread
-        // count (the recovery proptests sweep threads = 1, 2, 4, 8).
-        sequential = sequential && opts.fault_plan.is_none();
-    }
-    if sequential {
-        return repairer.repair_relation(ctx, relation, &opts.apply);
-    }
 
     let obs = ctx.obs();
     let tracer = obs.and_then(|o| o.tracer());
@@ -123,7 +86,7 @@ pub fn parallel_repair(
     // hook below is one branch.
     let live = ctx.span().cloned();
     if let Some(t) = tracer {
-        crate::obs::trace_relation_start(t, "parallel", relation.len(), rules.len());
+        crate::obs::trace_relation_start(t, "fast", relation.len(), rules.len());
         crate::obs::trace_phase(t, "prewarm", true);
     }
     let prewarm_span = live.as_ref().map(|s| s.child("prewarm"));
@@ -150,7 +113,6 @@ pub fn parallel_repair(
         )
     });
 
-    let batch = opts.effective_batch(relation);
     let shared = ctx.value_cache_for(relation.schema());
     let before = shared.stats();
     // One "repair" phase span covers the scheduler passes and retries;
@@ -158,11 +120,10 @@ pub fn parallel_repair(
     let repair_span = live.as_ref().map(|s| s.child("repair"));
     let row_span = repair_span.as_ref().map(|s| s.ctx());
     let repair_start = Instant::now();
-    // Each row index is claimed exactly once via `fetch_add` (in batches of
-    // `batch` consecutive rows), so the per-row mutexes are never contended
-    // — they exist to hand a `&mut Tuple` through a `Sync` type. A claimed
-    // row's report lands in its row-indexed slot, keeping the stitched
-    // report in row order whatever the claim granularity.
+    // Each row index is claimed exactly once via `fetch_add`, so the
+    // per-row mutexes are never contended — they exist to hand a
+    // `&mut Tuple` through a `Sync` type. A claimed row's report lands in
+    // its row-indexed slot, keeping the stitched report in row order.
     let rows: Vec<Mutex<&mut Tuple>> = relation.tuples_mut().iter_mut().map(Mutex::new).collect();
     let slots: Vec<Mutex<Option<(TupleReport, KbFootprint)>>> =
         (0..rows.len()).map(|_| Mutex::new(None)).collect();
@@ -174,36 +135,32 @@ pub fn parallel_repair(
     let claimed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let attempts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let next = AtomicUsize::new(0);
+    let work = |w: usize| loop {
+        attempts[w].fetch_add(1, Ordering::Relaxed);
+        let row = next.fetch_add(1, Ordering::Relaxed);
+        if row >= rows.len() {
+            break;
+        }
+        claimed[w].fetch_add(1, Ordering::Relaxed);
+        *slots[row].lock() = Some(repair_row(
+            &repairer,
+            ctx,
+            opts,
+            &shared,
+            &rows,
+            row,
+            row_span.as_ref(),
+            tuple_hist.as_ref(),
+        ));
+    };
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (claimed, attempts) = (&claimed, &attempts);
-            let (rows, slots, next) = (&rows, &slots, &next);
-            let (repairer, shared, tuple_hist) = (&repairer, &shared, &tuple_hist);
-            let row_span = &row_span;
-            scope.spawn(move || loop {
-                attempts[w].fetch_add(1, Ordering::Relaxed);
-                let start = next.fetch_add(batch, Ordering::Relaxed);
-                if start >= rows.len() {
-                    break;
-                }
-                let end = (start + batch).min(rows.len());
-                claimed[w].fetch_add((end - start) as u64, Ordering::Relaxed);
-                // `row` indexes two slices at once (`slots` and `rows`), so
-                // a range loop is clearer than a zipped iterator chain.
-                #[allow(clippy::needless_range_loop)]
-                for row in start..end {
-                    *slots[row].lock() = Some(repair_row(
-                        repairer,
-                        ctx,
-                        opts,
-                        shared,
-                        rows,
-                        row,
-                        row_span.as_ref(),
-                        tuple_hist.as_ref(),
-                    ));
-                }
-            });
+        let work = &work;
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        // The caller is worker 0: a one-worker repair spawns no thread.
+        if workers > 0 {
+            work(0);
         }
     });
 
@@ -329,7 +286,6 @@ pub fn parallel_repair(
     if let Some(obs) = obs {
         let m = obs.metrics();
         m.gauge("scheduler_workers", &[]).set(workers as u64);
-        m.gauge("scheduler_batch_rows", &[]).set(batch as u64);
         for w in 0..workers {
             let label = w.to_string();
             let labels = [("worker", label.as_str())];
@@ -345,7 +301,7 @@ pub fn parallel_repair(
             m.counter("retry_attempts_total", &[("attempt", label.as_str())])
                 .add(*n as u64);
         }
-        crate::obs::record_relation(obs, "parallel", &report);
+        crate::obs::record_relation(obs, "fast", &report);
     }
     if let Some(t) = tracer {
         crate::obs::trace_phase(t, "repair", false);
@@ -391,10 +347,9 @@ pub fn parallel_repair_selective(
         })
         .collect();
 
-    // Repair the selected rows as their own sub-relation through the full
-    // parallel path (which itself falls back to the sequential repairer
-    // for tiny selections) — tuple independence makes the sub-run
-    // indistinguishable from those rows' share of a full re-repair.
+    // Repair the selected rows as their own sub-relation through the same
+    // scheduler — tuple independence makes the sub-run indistinguishable
+    // from those rows' share of a full re-repair.
     let mut sub = Relation::new(Arc::clone(relation.schema()));
     for &row in &selected {
         sub.push(relation.tuple(row).clone());
@@ -457,8 +412,10 @@ fn repair_row(
     // (a panicked attempt keeps whatever was recorded before the unwind —
     // conservative, since failed rows are always re-selected anyway).
     let recorder = Arc::new(FootprintRecorder::new());
-    // Speculative captures record rows retroactively, above a duration
-    // floor only — see the matching branch in `FastRepairer`.
+    // Speculative captures (tail sampling armed, not forced) keep the row
+    // path to two clock reads: spans are recorded retroactively and only
+    // for rows above `SPECULATIVE_ROW_FLOOR`. Forced captures open a full
+    // guard per row with attributes and rule children.
     let detailed = span.is_some_and(|s| s.detailed());
     let row_span = if detailed {
         span.map(|s| {
@@ -571,7 +528,7 @@ mod tests {
         let mut sequential = table1_dirty();
         let seq_report = fast_repair(&ctx, &rules, &mut sequential, &ApplyOptions::default());
 
-        for threads in [1, 2, 4] {
+        for threads in [2, 4, 8] {
             let mut parallel = table1_dirty();
             let par_report = parallel_repair(
                 &ctx,
@@ -615,16 +572,34 @@ mod tests {
         assert!(report.tuples.is_empty());
     }
 
+    /// One row needs one worker whatever the thread count: the caller
+    /// claims it, and the scheduler metrics say so.
     #[test]
-    fn single_row_uses_sequential_path() {
+    fn single_row_runs_one_worker() {
         let kb = nobel_mini_kb();
         let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
+        let obs = Arc::new(dr_obs::Obs::new());
+        let ctx = MatchContext::new(&kb).with_obs(Arc::clone(&obs));
         let mut relation = dr_relation::Relation::new(crate::fixtures::nobel_schema());
         relation.push(table1_dirty().tuple(0).clone());
-        let report = parallel_repair(&ctx, &rules, &mut relation, &ParallelOptions::default());
+        let report = parallel_repair(
+            &ctx,
+            &rules,
+            &mut relation,
+            &ParallelOptions {
+                threads: 4,
+                ..Default::default()
+            },
+        );
         assert_eq!(report.tuples.len(), 1);
         assert_eq!(report.tuples[0].steps.len(), 4);
+        let snap = obs.metrics().snapshot();
+        let workers = snap.gauges.iter().find(|g| g.name == "scheduler_workers");
+        assert_eq!(workers.map(|g| g.value), Some(1));
+        assert_eq!(
+            snap.counter("scheduler_rows_claimed_total", "worker=\"0\""),
+            Some(1)
+        );
     }
 
     /// Duplicated rows make the shared `ValueCache` pay off across tuples:
@@ -668,94 +643,6 @@ mod tests {
         // needs exists, and the timing phases are populated.
         assert!(ctx.index_count() > 0);
         assert!(report.timing.repair > std::time::Duration::ZERO);
-    }
-
-    /// Batch claiming must be invisible in results: k=1 and k=8 claiming
-    /// agree on every tuple report and on the aggregated totals the
-    /// `PhaseTimings`/cache counters are derived over.
-    #[test]
-    fn batch_claiming_agrees_with_single_row_claiming() {
-        let kb = nobel_mini_kb();
-        let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
-        let mut relation = dr_relation::Relation::new(crate::fixtures::nobel_schema());
-        let base = table1_dirty();
-        for _ in 0..6 {
-            for t in base.tuples() {
-                relation.push(t.clone());
-            }
-        }
-
-        let run = |batch_claim: bool, batch_size: usize| {
-            let mut working = relation.clone();
-            let report = parallel_repair(
-                &ctx,
-                &rules,
-                &mut working,
-                &ParallelOptions {
-                    threads: 4,
-                    batch_claim,
-                    batch_size,
-                    ..Default::default()
-                },
-            );
-            (working, report)
-        };
-
-        let (rel_k1, rep_k1) = run(false, 0);
-        for (label, batch_claim, batch_size) in [
-            ("k=8", true, 8),
-            ("k=auto", true, 0),
-            ("k>rows", true, 1000),
-        ] {
-            let (rel_k, rep_k) = run(batch_claim, batch_size);
-            for cell in rel_k1.cell_refs() {
-                assert_eq!(
-                    rel_k1.value(cell),
-                    rel_k.value(cell),
-                    "{label} diverged at {cell:?}"
-                );
-            }
-            assert_eq!(rep_k1.tuples, rep_k.tuples, "{label}: reports differ");
-            assert_eq!(
-                rep_k1.total_applications(),
-                rep_k.total_applications(),
-                "{label}: totals differ"
-            );
-            assert_eq!(rep_k1.total_changes(), rep_k.total_changes());
-            // Timing phases are populated either way (values are wall-clock
-            // and machine-dependent, but the aggregation shape is fixed).
-            assert!(rep_k.timing.repair > std::time::Duration::ZERO);
-        }
-    }
-
-    /// Auto-tuned batch size scales inversely with relation width and stays
-    /// within [1, 8].
-    #[test]
-    fn batch_size_auto_tunes_from_width() {
-        let narrow = dr_relation::Relation::new(dr_relation::Schema::new("N", &["A", "B"]));
-        let nobel = dr_relation::Relation::new(crate::fixtures::nobel_schema()); // 6 cols
-        let wide_schema: Vec<String> = (0..40).map(|i| format!("C{i}")).collect();
-        let wide_refs: Vec<&str> = wide_schema.iter().map(String::as_str).collect();
-        let wide = dr_relation::Relation::new(dr_relation::Schema::new("W", &wide_refs));
-
-        let off = ParallelOptions::default();
-        assert_eq!(off.effective_batch(&nobel), 1, "flag off: single-row");
-
-        let auto = ParallelOptions {
-            batch_claim: true,
-            ..Default::default()
-        };
-        assert_eq!(auto.effective_batch(&narrow), 8);
-        assert_eq!(auto.effective_batch(&nobel), 5);
-        assert_eq!(auto.effective_batch(&wide), 1);
-
-        let fixed = ParallelOptions {
-            batch_claim: true,
-            batch_size: 3,
-            ..Default::default()
-        };
-        assert_eq!(fixed.effective_batch(&wide), 3);
     }
 
     /// A delta that touches nothing any row read selects zero rows: the

@@ -363,17 +363,11 @@ fn retry_policy_caps_attempts_and_reconciles_metrics() {
     let res = &report.resilience;
     // res d/f/q/r ↔ outcome counters.
     assert_eq!(
-        snap.counter(
-            "repair_tuples_total",
-            "algo=\"parallel\",outcome=\"completed\""
-        ),
+        snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"completed\""),
         Some((relation.len() - res.failed - res.degraded) as u64)
     );
     assert_eq!(
-        snap.counter(
-            "repair_tuples_total",
-            "algo=\"parallel\",outcome=\"failed\""
-        ),
+        snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"failed\""),
         Some(res.failed as u64)
     );
     assert_eq!(res.degraded, 0);

@@ -41,14 +41,8 @@ fn assert_reconciles(obs: &Obs, report: &RelationReport, threads: usize) {
     );
     let completed = tuples - report.resilience.degraded as u64 - report.resilience.failed as u64;
     assert_eq!(
-        snap.counter(
-            "repair_tuples_total",
-            &format!(
-                "algo=\"{}\",outcome=\"completed\"",
-                if threads <= 1 { "fast" } else { "parallel" }
-            )
-        )
-        .unwrap_or(0),
+        snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"completed\"")
+            .unwrap_or(0),
         completed,
         "threads={threads}"
     );
@@ -89,22 +83,32 @@ fn assert_reconciles(obs: &Obs, report: &RelationReport, threads: usize) {
             .unwrap_or(0),
         report.timing.repair.as_nanos() as u64
     );
-    if threads > 1 {
-        // The scheduler path ran: every row was claimed exactly once, and
-        // the per-tuple latency histogram saw every row.
-        assert_eq!(
-            rows_claimed(&snap),
-            tuples + report.resilience.retried as u64
-        );
-        let steals = snap.counter_total("scheduler_steal_attempts_total");
-        assert!(steals > 0, "threads={threads}: workers made claim attempts");
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "repair_tuple_seconds")
-            .expect("tuple latency histogram registered");
-        assert_eq!(hist.count, tuples + report.resilience.retried as u64);
-    }
+    // One scheduler runs at every thread count: `min(threads, rows)`
+    // workers, every row claimed exactly once, and the per-tuple latency
+    // histogram saw every row.
+    let workers = snap
+        .gauges
+        .iter()
+        .find(|g| g.name == "scheduler_workers")
+        .map(|g| g.value);
+    assert_eq!(
+        workers,
+        Some(threads.min(report.tuples.len()) as u64),
+        "threads={threads}"
+    );
+    assert_eq!(
+        rows_claimed(&snap),
+        tuples + report.resilience.retried as u64,
+        "threads={threads}"
+    );
+    let steals = snap.counter_total("scheduler_steal_attempts_total");
+    assert!(steals > 0, "threads={threads}: workers made claim attempts");
+    let hist = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "repair_tuple_seconds")
+        .expect("tuple latency histogram registered");
+    assert_eq!(hist.count, tuples + report.resilience.retried as u64);
 }
 
 #[test]

@@ -12,8 +12,7 @@
 //!   shows what warm-starting the value cache is worth.
 
 use crate::metrics::{evaluate, Quality, RepairExtras};
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{ApplyOptions, MatchContext};
+use dr_core::{fast_repair, ApplyOptions, MatchContext};
 use dr_datasets::{KbProfile, NobelWorld, UisWorld};
 use dr_relation::noise::{inject, NoiseSpec};
 use std::sync::Arc;
@@ -70,7 +69,7 @@ fn run_with_options(
 ) -> AblationRow {
     let ctx = MatchContext::new(kb).with_obs_opt(obs);
     let mut working = dirty.clone();
-    let report = FastRepairer::new(rules).repair_relation(&ctx, &mut working, opts);
+    let report = fast_repair(&ctx, rules, &mut working, opts);
     let extras = RepairExtras::from_report(&report);
     let flagged = report
         .tuples
@@ -219,7 +218,6 @@ pub fn cache_persistence_ablation(
         .collect();
     let kb = world.kb(&KbProfile::yago());
     let rules = NobelWorld::rules(&kb);
-    let repairer = FastRepairer::new(&rules);
     let opts = ApplyOptions::default();
 
     let mut rows = Vec::new();
@@ -249,7 +247,7 @@ pub fn cache_persistence_ablation(
         for dirty in &stream {
             let mut working = dirty.clone();
             let start = std::time::Instant::now();
-            let report = repairer.repair_relation(&ctx, &mut working, &opts);
+            let report = fast_repair(&ctx, &rules, &mut working, &opts);
             row.seconds += start.elapsed().as_secs_f64();
             row.cache += report.cache;
             row.timing += report.timing;
@@ -307,7 +305,6 @@ pub fn snapshot_warm_start_ablation(
         .collect();
     let kb = world.kb(&KbProfile::yago());
     let rules = NobelWorld::rules(&kb);
-    let repairer = FastRepairer::new(&rules);
     let opts = ApplyOptions::default();
 
     let mut rows = Vec::new();
@@ -328,7 +325,7 @@ pub fn snapshot_warm_start_ablation(
         for dirty in &stream {
             let mut working = dirty.clone();
             let start = std::time::Instant::now();
-            let report = repairer.repair_relation(&ctx, &mut working, &opts);
+            let report = fast_repair(&ctx, &rules, &mut working, &opts);
             row.seconds += start.elapsed().as_secs_f64();
             row.cache += report.cache;
             row.changes += report.total_changes();

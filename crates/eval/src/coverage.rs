@@ -7,8 +7,7 @@
 //! Yago (0.95) / DBpedia (0.75) profiles should land on the same curve.
 
 use crate::metrics::{evaluate, Quality, RepairExtras};
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{ApplyOptions, MatchContext};
+use dr_core::{fast_repair, ApplyOptions, MatchContext};
 use dr_datasets::{KbProfile, NobelWorld};
 use dr_relation::noise::{inject, NoiseSpec};
 
@@ -62,11 +61,7 @@ pub fn coverage_sweep(coverages: &[f64], cfg: &CoverageConfig) -> Vec<CoveragePo
             let rules = NobelWorld::rules(&kb);
             let ctx = MatchContext::new(&kb);
             let mut working = dirty.clone();
-            let report = FastRepairer::new(&rules).repair_relation(
-                &ctx,
-                &mut working,
-                &ApplyOptions::default(),
-            );
+            let report = fast_repair(&ctx, &rules, &mut working, &ApplyOptions::default());
             let extras = RepairExtras::from_report(&report);
             CoveragePoint {
                 coverage,

@@ -217,12 +217,11 @@ fn run_drs_masked(
     mask: &[bool],
 ) -> Quality {
     use dr_core::repair::basic::basic_repair;
-    use dr_core::repair::fast::FastRepairer;
     let opts = dr_core::ApplyOptions::default();
     let mut working = dirty.clone();
     let report = match algo {
         DrAlgo::Basic => basic_repair(ctx, rules, &mut working, &opts),
-        DrAlgo::Fast => FastRepairer::new(rules).repair_relation(ctx, &mut working, &opts),
+        DrAlgo::Fast => dr_core::fast_repair(ctx, rules, &mut working, &opts),
         DrAlgo::Parallel(threads) => dr_core::parallel_repair(
             ctx,
             rules,

@@ -8,8 +8,9 @@ use dr_baselines::llunatic::{llunatic_repair, LlunaticConfig};
 use dr_baselines::Fd;
 use dr_core::graph::schema::{SchemaGraph, SchemaNode};
 use dr_core::repair::basic::basic_repair;
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{parallel_repair, ApplyOptions, DetectiveRule, MatchContext, ParallelOptions};
+use dr_core::{
+    fast_repair, parallel_repair, ApplyOptions, DetectiveRule, MatchContext, ParallelOptions,
+};
 use dr_relation::Relation;
 use dr_simmatch::SimFn;
 use std::time::Instant;
@@ -93,7 +94,7 @@ pub fn run_drs(
     let start = Instant::now();
     let report = match algo {
         DrAlgo::Basic => basic_repair(ctx, rules, &mut working, &opts),
-        DrAlgo::Fast => FastRepairer::new(rules).repair_relation(ctx, &mut working, &opts),
+        DrAlgo::Fast => fast_repair(ctx, rules, &mut working, &opts),
         DrAlgo::Parallel(threads) => parallel_repair(
             ctx,
             rules,

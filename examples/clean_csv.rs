@@ -11,8 +11,9 @@
 //! Table I data) into a temporary directory and cleans it, showing the full
 //! file-based workflow end to end.
 
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{parse_rules, rules_to_text, ApplyOptions, MatchContext, RuleApplication};
+use dr_core::{
+    fast_repair, parse_rules, rules_to_text, ApplyOptions, MatchContext, RuleApplication,
+};
 use dr_kb::ntriples;
 use dr_relation::csv;
 use std::path::PathBuf;
@@ -77,8 +78,7 @@ fn main() -> ExitCode {
     );
 
     let ctx = MatchContext::new(&kb);
-    let repairer = FastRepairer::new(&rules);
-    let report = repairer.repair_relation(&ctx, &mut relation, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut relation, &ApplyOptions::default());
 
     let mut repairs = 0usize;
     for (row, tuple_report) in report.tuples.iter().enumerate() {

@@ -7,8 +7,7 @@
 //! Run with: `cargo run -p dr-examples --bin quickstart`
 
 use dr_core::fixtures::{figure4_rules, nobel_schema, table1_clean, table1_dirty};
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{ApplyOptions, MatchContext, RuleApplication};
+use dr_core::{fast_repair, ApplyOptions, MatchContext, RuleApplication};
 use dr_kb::fixtures::nobel_mini_kb;
 use dr_relation::GroundTruth;
 
@@ -35,8 +34,7 @@ fn main() {
 
     // 4. Repair with the fast algorithm (Algorithm 2).
     let ctx = MatchContext::new(&kb);
-    let repairer = FastRepairer::new(&rules);
-    let report = repairer.repair_relation(&ctx, &mut relation, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut relation, &ApplyOptions::default());
 
     println!("\nrepair trace:");
     for (row, tuple_report) in report.tuples.iter().enumerate() {

@@ -7,8 +7,7 @@
 
 use dr_baselines::{llunatic_repair, mine_constant_cfds, LlunaticConfig};
 use dr_core::repair::basic::basic_repair;
-use dr_core::repair::fast::FastRepairer;
-use dr_core::{ApplyOptions, MatchContext};
+use dr_core::{fast_repair, ApplyOptions, MatchContext};
 use dr_datasets::{KbProfile, UisWorld};
 use dr_eval::runner::fds;
 use dr_relation::noise::{inject, NoiseSpec};
@@ -51,9 +50,8 @@ fn main() {
         let basic_time = t0.elapsed();
 
         let mut b = dirty.clone();
-        let repairer = FastRepairer::new(&rules);
         let t0 = Instant::now();
-        repairer.repair_relation(&ctx, &mut b, &opts);
+        fast_repair(&ctx, &rules, &mut b, &opts);
         let fast_time = t0.elapsed();
 
         // The two algorithms must agree cell-for-cell (Church–Rosser).

@@ -1,8 +1,8 @@
 //! Cross-crate property tests: randomized worlds and noise, checking the
 //! invariants DESIGN.md §7 lists at the whole-pipeline level.
 
+use dr_core::fast_repair;
 use dr_core::repair::basic::basic_repair;
-use dr_core::repair::fast::FastRepairer;
 use dr_core::{parallel_repair, ApplyOptions, MatchContext, ParallelOptions};
 use dr_datasets::{KbFlavor, KbProfile, NobelWorld, UisWorld};
 use dr_relation::noise::{inject, NoiseSpec};
@@ -36,7 +36,7 @@ proptest! {
         let mut a = dirty.clone();
         basic_repair(&ctx, &rules, &mut a, &ApplyOptions::default());
         let mut b = dirty.clone();
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut b, &ApplyOptions::default());
+        fast_repair(&ctx, &rules, &mut b, &ApplyOptions::default());
         for cell in dirty.cell_refs() {
             prop_assert_eq!(a.value(cell), b.value(cell), "diverged at {:?}", cell);
         }
@@ -59,8 +59,7 @@ proptest! {
         let rules = UisWorld::rules(&kb);
         let ctx = MatchContext::new(&kb);
         let mut repaired = dirty.clone();
-        let report = FastRepairer::new(&rules)
-            .repair_relation(&ctx, &mut repaired, &ApplyOptions::default());
+        let report = fast_repair(&ctx, &rules, &mut repaired, &ApplyOptions::default());
 
         // Every rewrite targets an injected-dirty cell (UIS has no
         // multi-version sources, so no cascades).
@@ -108,8 +107,7 @@ proptest! {
         let ctx = MatchContext::new(&kb);
 
         let mut sequential = heavy.clone();
-        let seq_report = FastRepairer::new(&rules)
-            .repair_relation(&ctx, &mut sequential, &ApplyOptions::default());
+        let seq_report = fast_repair(&ctx, &rules, &mut sequential, &ApplyOptions::default());
 
         for threads in [1usize, 2, 4, 8] {
             let mut parallel = heavy.clone();
@@ -180,12 +178,10 @@ proptest! {
 
         for dirty in &stream {
             let mut baseline = dirty.clone();
-            let base_report = FastRepairer::new(&rules)
-                .repair_relation(&plain_ctx, &mut baseline, &ApplyOptions::default());
+            let base_report = fast_repair(&plain_ctx, &rules, &mut baseline, &ApplyOptions::default());
 
             let mut warm = dirty.clone();
-            let warm_report = FastRepairer::new(&rules)
-                .repair_relation(&reg_ctx, &mut warm, &ApplyOptions::default());
+            let warm_report = fast_repair(&reg_ctx, &rules, &mut warm, &ApplyOptions::default());
             for cell in baseline.cell_refs() {
                 prop_assert_eq!(
                     baseline.value(cell),
@@ -246,8 +242,7 @@ proptest! {
         let rules = NobelWorld::rules(&kb);
         let ctx = MatchContext::new(&kb);
         let mut working = clean.clone();
-        let report = FastRepairer::new(&rules)
-            .repair_relation(&ctx, &mut working, &ApplyOptions::default());
+        let report = fast_repair(&ctx, &rules, &mut working, &ApplyOptions::default());
         prop_assert_eq!(report.total_changes(), 0);
         for cell in clean.cell_refs() {
             prop_assert_eq!(working.value(cell), clean.value(cell));

@@ -2,7 +2,7 @@
 //! and table must stay loadable and must clean end to end, exactly like
 //! `clean_csv` consumes them.
 
-use dr_core::repair::fast::FastRepairer;
+use dr_core::fast_repair;
 use dr_core::{parse_rules, ApplyOptions, MatchContext};
 use dr_kb::ntriples;
 use dr_relation::csv;
@@ -30,8 +30,7 @@ fn committed_artifacts_clean_table1() {
     assert_eq!(rules.len(), 4);
 
     let ctx = MatchContext::new(&kb);
-    let report =
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut relation, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut relation, &ApplyOptions::default());
     assert!(report.total_changes() >= 6, "Table I has repairs to make");
 
     // The cleaned table matches the published corrections.

@@ -8,12 +8,13 @@
 //! * **basic vs fast** — the chase is Church–Rosser, so the *fixpoint* is
 //!   shared but the per-tuple step order may differ. Compared on final
 //!   values, positive marks, and the set of rewritten cells.
-//! * **fast vs parallel** — the parallel repairer runs the fast repairer
-//!   per row, so the full [`RelationReport`] (steps included) must match.
+//! * **fast vs parallel** — `fRepair` is the work-stealing scheduler with
+//!   one worker, so at any worker count the full [`RelationReport`] (steps
+//!   included) must match.
 
 use dr_core::repair::basic::basic_repair;
 use dr_core::{
-    parallel_repair, ApplyOptions, FastRepairer, MatchContext, ParallelOptions, RelationReport,
+    fast_repair, parallel_repair, ApplyOptions, MatchContext, ParallelOptions, RelationReport,
 };
 use dr_datasets::{KbFlavor, KbProfile, NobelWorld, UisWorld};
 use dr_kb::KnowledgeBase;
@@ -55,7 +56,7 @@ fn differential_check(kb: &KnowledgeBase, rules: &[dr_core::DetectiveRule], dirt
     let basic_report = basic_repair(&ctx, rules, &mut basic, &opts);
 
     let mut fast = dirty.clone();
-    let fast_report = FastRepairer::new(rules).repair_relation(&ctx, &mut fast, &opts);
+    let fast_report = fast_repair(&ctx, rules, &mut fast, &opts);
 
     // Tier 1: same fixpoint, same marks, same rewritten cells.
     assert_same_relation(&basic, &fast, "basic vs fast");
@@ -76,27 +77,24 @@ fn differential_check(kb: &KnowledgeBase, rules: &[dr_core::DetectiveRule], dirt
     );
 
     // Tier 2: the parallel repairer must reproduce the fast repairer's
-    // report verbatim, at several worker counts and claim granularities.
+    // report verbatim, at several worker counts.
     for threads in [2usize, 4] {
-        for batch_claim in [false, true] {
-            let mut parallel = dirty.clone();
-            let par_report = parallel_repair(
-                &ctx,
-                rules,
-                &mut parallel,
-                &ParallelOptions {
-                    threads,
-                    batch_claim,
-                    ..Default::default()
-                },
-            );
-            let label = format!("fast vs parallel({threads} threads, batch={batch_claim})");
-            assert_same_relation(&fast, &parallel, &label);
-            assert_eq!(
-                fast_report.tuples, par_report.tuples,
-                "{label}: reports diverged"
-            );
-        }
+        let mut parallel = dirty.clone();
+        let par_report = parallel_repair(
+            &ctx,
+            rules,
+            &mut parallel,
+            &ParallelOptions {
+                threads,
+                ..Default::default()
+            },
+        );
+        let label = format!("fast vs parallel({threads} threads)");
+        assert_same_relation(&fast, &parallel, &label);
+        assert_eq!(
+            fast_report.tuples, par_report.tuples,
+            "{label}: reports diverged"
+        );
     }
 }
 

@@ -2,8 +2,8 @@
 //! its KBs, inject noise, check consistency, repair with both algorithms,
 //! and score — the complete §V methodology at test scale.
 
+use dr_core::fast_repair;
 use dr_core::repair::basic::basic_repair;
-use dr_core::repair::fast::FastRepairer;
 use dr_core::rule::consistency::{check_consistency, ConsistencyOptions};
 use dr_core::{ApplyOptions, MatchContext};
 use dr_datasets::{KbFlavor, KbProfile, NobelWorld, UisWorld};
@@ -28,7 +28,7 @@ fn nobel_pipeline_both_algorithms_agree_cell_for_cell() {
         let mut via_basic = dirty.clone();
         basic_repair(&ctx, &rules, &mut via_basic, &ApplyOptions::default());
         let mut via_fast = dirty.clone();
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut via_fast, &ApplyOptions::default());
+        fast_repair(&ctx, &rules, &mut via_fast, &ApplyOptions::default());
 
         for cell in dirty.cell_refs() {
             assert_eq!(
@@ -63,8 +63,7 @@ fn uis_pipeline_quality_and_consistency() {
     assert!(verdict.is_consistent(), "{verdict:?}");
 
     let mut repaired = dirty.clone();
-    let report =
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut repaired, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut repaired, &ApplyOptions::default());
     let extras = RepairExtras::from_report(&report);
     let quality = evaluate(&clean, &dirty, &repaired, &extras);
     assert!(quality.precision > 0.98, "{quality:?}");
@@ -89,10 +88,9 @@ fn repair_is_idempotent() {
     let ctx = MatchContext::new(&kb);
 
     let mut once = dirty.clone();
-    FastRepairer::new(&rules).repair_relation(&ctx, &mut once, &ApplyOptions::default());
+    fast_repair(&ctx, &rules, &mut once, &ApplyOptions::default());
     let mut twice = once.clone();
-    let second_report =
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut twice, &ApplyOptions::default());
+    let second_report = fast_repair(&ctx, &rules, &mut twice, &ApplyOptions::default());
     for cell in once.cell_refs() {
         assert_eq!(once.value(cell), twice.value(cell));
     }
@@ -116,8 +114,7 @@ fn marks_only_grow_and_are_never_overwritten() {
     let ctx = MatchContext::new(&kb);
 
     let mut relation = dirty.clone();
-    let report =
-        FastRepairer::new(&rules).repair_relation(&ctx, &mut relation, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut relation, &ApplyOptions::default());
     // Every repair step's rewritten column must not have been positive
     // before that step within the same tuple.
     for (row, tuple_report) in report.tuples.iter().enumerate() {

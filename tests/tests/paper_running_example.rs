@@ -2,8 +2,8 @@
 //! Table I (relation), Figure 4 (rules), Examples 5–10 (semantics), scored
 //! with the §V metrics.
 
+use dr_core::fast_repair;
 use dr_core::fixtures::{figure4_rules, nobel_schema, table1_clean, table1_dirty};
-use dr_core::repair::fast::FastRepairer;
 use dr_core::repair::multi::{multi_repair_tuple, MultiOptions};
 use dr_core::rule::consistency::{check_consistency, ConsistencyOptions};
 use dr_core::{ApplyOptions, MatchContext};
@@ -19,8 +19,7 @@ fn table1_repairs_with_perfect_quality() {
     let clean = table1_clean();
     let dirty = table1_dirty();
     let mut repaired = dirty.clone();
-    let repairer = FastRepairer::new(&rules);
-    let report = repairer.repair_relation(&ctx, &mut repaired, &ApplyOptions::default());
+    let report = fast_repair(&ctx, &rules, &mut repaired, &ApplyOptions::default());
 
     let extras = RepairExtras::from_report(&report);
     let quality = evaluate(&clean, &dirty, &repaired, &extras);

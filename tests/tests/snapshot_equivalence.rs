@@ -4,7 +4,7 @@
 //! run at every thread count — while its stats prove the snapshot was
 //! actually loaded rather than silently cold-started.
 
-use dr_core::repair::fast::FastRepairer;
+use dr_core::fast_repair;
 use dr_core::{
     parallel_repair, ApplyOptions, CacheRegistry, MatchContext, ParallelOptions, RegistryConfig,
 };
@@ -77,8 +77,7 @@ proptest! {
         // Cold baseline: registry-free sequential repair.
         let plain_ctx = MatchContext::new(&kb);
         let mut baseline = dirty.clone();
-        let base_report = FastRepairer::new(&rules)
-            .repair_relation(&plain_ctx, &mut baseline, &ApplyOptions::default());
+        let base_report = fast_repair(&plain_ctx, &rules, &mut baseline, &ApplyOptions::default());
 
         // "Process one": repair through a persisting registry, then flush
         // its value cache to disk.
@@ -87,8 +86,7 @@ proptest! {
         ));
         let writer_ctx = MatchContext::with_registry(&kb, Arc::clone(&writer));
         let mut first = dirty.clone();
-        FastRepairer::new(&rules)
-            .repair_relation(&writer_ctx, &mut first, &ApplyOptions::default());
+        fast_repair(&writer_ctx, &rules, &mut first, &ApplyOptions::default());
         let saved = writer.persist();
         prop_assert!(saved >= 1, "repair populated a cache worth persisting");
         prop_assert_eq!(writer.stats().snapshot.saves, saved as u64);
@@ -117,8 +115,7 @@ proptest! {
         // thread count, sequential and parallel.
         let reader_ctx = MatchContext::with_registry(&kb2, Arc::clone(&reader));
         let mut warm_seq = dirty.clone();
-        let warm_report = FastRepairer::new(&rules2)
-            .repair_relation(&reader_ctx, &mut warm_seq, &ApplyOptions::default());
+        let warm_report = fast_repair(&reader_ctx, &rules2, &mut warm_seq, &ApplyOptions::default());
         for cell in baseline.cell_refs() {
             prop_assert_eq!(
                 baseline.value(cell),
@@ -177,7 +174,7 @@ fn different_kb_content_cold_starts_cleanly() {
     ));
     let ctx = MatchContext::with_registry(&kb, Arc::clone(&writer));
     let mut first = dirty.clone();
-    FastRepairer::new(&rules).repair_relation(&ctx, &mut first, &ApplyOptions::default());
+    fast_repair(&ctx, &rules, &mut first, &ApplyOptions::default());
     assert!(writer.persist() >= 1);
 
     // A different world ⇒ different KB content ⇒ different snapshot key.
