@@ -266,7 +266,8 @@ impl KbDelta {
     }
 
     /// Renders the delta back to the TSV wire format parsed by
-    /// [`KbDelta::parse_tsv`].
+    /// [`KbDelta::parse_tsv`], which reads it back unchanged as long as no
+    /// name is empty or contains a tab, CR or LF.
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         for op in &self.ops {
@@ -430,6 +431,89 @@ fn intersect_sets<T: Eq + std::hash::Hash>(a: &FxHashSet<T>, b: &FxHashSet<T>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    const OPS: [&str; 9] = [
+        "insert", "retract", "type+", "type-", "sub+", "sub-", "#", "", "Insert",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes on the delta ingress parse or fail with a typed
+        /// error naming a real line; they never panic.
+        #[test]
+        fn parse_tsv_on_arbitrary_text_is_ok_or_a_located_error(
+            text in "[\t\r\n -~ßД🦀]{0,80}",
+        ) {
+            check_parse(&text)?;
+        }
+
+        /// Near-miss lines: real and bogus op names, wrong field counts,
+        /// empty fields, bad object prefixes, stray CRs and tabs.
+        #[test]
+        fn parse_tsv_on_near_miss_lines_is_ok_or_a_located_error(
+            lines in prop::collection::vec(
+                (0usize..9, 0usize..5, "[a-z:# ]{0,4}", "[il]?:?[a-z\t\r]{0,3}"),
+                0..10,
+            ),
+        ) {
+            let text: Vec<String> = lines
+                .iter()
+                .map(|(op, fields, name, object)| {
+                    let mut line = OPS[*op].to_owned();
+                    for f in 0..*fields {
+                        line.push('\t');
+                        line.push_str(if f + 1 == *fields { object } else { name });
+                    }
+                    line
+                })
+                .collect();
+            check_parse(&text.join("\n"))?;
+        }
+
+        /// `parse_tsv(to_tsv(d)) == d` for deltas whose names are non-empty
+        /// and free of tabs, CRs and LFs.
+        #[test]
+        fn to_tsv_round_trips_through_parse_tsv(
+            ops in prop::collection::vec(
+                (0u8..6, "\\PC{1,6}", "\\PC{1,6}", "\\PC{1,6}", any::<bool>()),
+                0..10,
+            ),
+        ) {
+            let mut d = KbDelta::new();
+            for (kind, a, b, c, literal) in &ops {
+                let object = if *literal {
+                    DeltaNode::Literal(c.clone())
+                } else {
+                    DeltaNode::Instance(c.clone())
+                };
+                match kind {
+                    0 => d.insert(a, b, object),
+                    1 => d.retract(a, b, object),
+                    2 => d.add_type(a, b),
+                    3 => d.remove_type(a, b),
+                    4 => d.add_subclass(a, b),
+                    _ => d.remove_subclass(a, b),
+                };
+            }
+            prop_assert_eq!(KbDelta::parse_tsv(&d.to_tsv()), Ok(d));
+        }
+    }
+
+    fn check_parse(text: &str) -> Result<(), TestCaseError> {
+        let lines = text.lines().count();
+        match KbDelta::parse_tsv(text) {
+            Ok(d) => prop_assert!(d.len() <= lines),
+            Err(e) => prop_assert!(
+                (1..=lines).contains(&e.line),
+                "error line {} outside 1..={lines}: {e}",
+                e.line
+            ),
+        }
+        Ok(())
+    }
 
     #[test]
     fn tsv_roundtrip() {

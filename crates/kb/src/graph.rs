@@ -7,9 +7,22 @@
 //! rules need on the hot path:
 //!
 //! * type index with taxonomy closure (`instances_of`),
-//! * forward adjacency (`objects`), backward adjacency (`subjects`),
+//! * SPO sorted runs — per subject its ascending predicates, per
+//!   `(subject, predicate)` its ascending objects (`preds_of`, `objects`,
+//!   `edges_from`, `triples`),
+//! * OSP sorted runs — per object node its ascending predicates, per
+//!   `(object, predicate)` its ascending subjects (`subjects`),
 //! * O(log n) membership (`has_edge`),
 //! * exact-label lookup (`instances_labeled`).
+//!
+//! The runs are flat CSR arrays, the same shape as the SPO/OSP sections of
+//! a `.drkb` image (DESIGN.md §8), cut into reference-counted blocks of
+//! consecutive keys. The dictionary (interned names), the typing (class
+//! lists, taxonomy, class extents) and the adjacency each sit behind an
+//! `Arc`, so a [`KnowledgeBase::clone`] shares all three and
+//! [`KnowledgeBase::apply_delta`] copies only what a delta writes: the
+//! dictionary if it names something new, the typing if it edits types or
+//! the taxonomy, and the adjacency blocks holding a changed key.
 
 use crate::delta::{DeltaNode, DeltaOp, KbDelta, KbFootprint};
 use crate::hash::FxHashMap;
@@ -17,8 +30,9 @@ use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
 use crate::symbol::{Symbol, SymbolTable};
 use crate::taxonomy::Taxonomy;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide counter behind [`KnowledgeBase::generation`]. Starts at 1 so
 /// generation 0 can act as a "no KB" sentinel in cache keys.
@@ -48,10 +62,483 @@ impl fmt::Display for KbError {
 
 impl std::error::Error for KbError {}
 
-#[derive(Debug, Clone)]
-struct InstanceMeta {
-    label: Symbol,
-    classes: Vec<ClassId>,
+/// The dictionary: every interned name and the id it was assigned.
+/// Ids are dense and assigned in interning order.
+#[derive(Default, Clone)]
+struct Names {
+    symbols: SymbolTable,
+    class_names: Vec<Symbol>,
+    class_by_name: FxHashMap<Symbol, ClassId>,
+    pred_names: Vec<Symbol>,
+    pred_by_name: FxHashMap<Symbol, PredId>,
+    instance_labels: Vec<Symbol>,
+    instance_by_label: FxHashMap<Symbol, Vec<InstanceId>>,
+    literal_values: Vec<Symbol>,
+    literal_by_value: FxHashMap<Symbol, LiteralId>,
+}
+
+impl Names {
+    fn class_id(&self, name: &str) -> Option<ClassId> {
+        let sym = self.symbols.get(name)?;
+        self.class_by_name.get(&sym).copied()
+    }
+
+    fn pred_id(&self, name: &str) -> Option<PredId> {
+        let sym = self.symbols.get(name)?;
+        self.pred_by_name.get(&sym).copied()
+    }
+
+    /// The first instance labeled `label`, the one [`KbBuilder::instance`]
+    /// resolves to.
+    fn instance_id(&self, label: &str) -> Option<InstanceId> {
+        self.instances_labeled(label).first().copied()
+    }
+
+    fn instances_labeled(&self, label: &str) -> &[InstanceId] {
+        self.symbols
+            .get(label)
+            .and_then(|s| self.instance_by_label.get(&s))
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    fn literal_id(&self, value: &str) -> Option<LiteralId> {
+        let sym = self.symbols.get(value)?;
+        self.literal_by_value.get(&sym).copied()
+    }
+
+    /// Assigns the next class id to `name`, which must not name a class yet.
+    fn push_class(&mut self, name: &str) -> ClassId {
+        let sym = self.symbols.intern(name);
+        let id = ClassId::from_index(self.class_names.len());
+        self.class_names.push(sym);
+        self.class_by_name.insert(sym, id);
+        id
+    }
+
+    /// Assigns the next predicate id to `name`, which must not name one yet.
+    fn push_pred(&mut self, name: &str) -> PredId {
+        let sym = self.symbols.intern(name);
+        let id = PredId::from_index(self.pred_names.len());
+        self.pred_names.push(sym);
+        self.pred_by_name.insert(sym, id);
+        id
+    }
+
+    /// Creates a fresh instance, even if `label` already names another one.
+    fn push_instance(&mut self, label: &str) -> InstanceId {
+        let sym = self.symbols.intern(label);
+        let id = InstanceId::from_index(self.instance_labels.len());
+        self.instance_labels.push(sym);
+        // The new id is the maximum, so pushing keeps the per-label list
+        // sorted.
+        self.instance_by_label.entry(sym).or_default().push(id);
+        id
+    }
+
+    /// Assigns the next literal id to `value`, which must not be one yet.
+    fn push_literal(&mut self, value: &str) -> LiteralId {
+        let sym = self.symbols.intern(value);
+        let id = LiteralId::from_index(self.literal_values.len());
+        self.literal_values.push(sym);
+        self.literal_by_value.insert(sym, id);
+        id
+    }
+
+    fn class_name(&self, c: ClassId) -> Option<&str> {
+        self.class_names
+            .get(c.index())
+            .map(|&s| self.symbols.resolve(s))
+    }
+}
+
+/// Typing: each instance's direct classes, the taxonomy, and the class
+/// extents derived from both.
+#[derive(Clone)]
+struct Types {
+    /// Direct classes per instance, in the order they were added. Instances
+    /// created after the last type edit may have no entry (no classes).
+    instance_classes: Vec<Vec<ClassId>>,
+    taxonomy: Taxonomy,
+    /// Instances typed directly with each class, sorted.
+    direct: Vec<Vec<InstanceId>>,
+    /// Instances of each class or any subclass, sorted.
+    closed: Vec<Vec<InstanceId>>,
+}
+
+impl Types {
+    fn new(instance_classes: Vec<Vec<ClassId>>, taxonomy: Taxonomy, num_classes: usize) -> Types {
+        let mut direct: Vec<Vec<InstanceId>> = vec![Vec::new(); num_classes];
+        // Ascending instance order keeps every list sorted.
+        for (idx, classes) in instance_classes.iter().enumerate() {
+            for &c in classes {
+                direct[c.index()].push(InstanceId::from_index(idx));
+            }
+        }
+        let mut types = Types {
+            instance_classes,
+            taxonomy,
+            direct,
+            closed: Vec::new(),
+        };
+        types.recompute_closed(num_classes);
+        types
+    }
+
+    fn classes_of(&self, i: InstanceId) -> &[ClassId] {
+        self.instance_classes
+            .get(i.index())
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    fn recompute_closed(&mut self, num_classes: usize) {
+        let n = num_classes.max(self.taxonomy.num_classes());
+        self.closed = (0..n)
+            .map(|c| {
+                let mut acc: Vec<InstanceId> = Vec::new();
+                for &d in self.taxonomy.descendants(ClassId::from_index(c)) {
+                    if let Some(direct) = self.direct.get(d.index()) {
+                        acc.extend_from_slice(direct);
+                    }
+                }
+                acc.sort_unstable();
+                acc.dedup();
+                acc
+            })
+            .collect();
+    }
+
+    /// Types `i` with `c`, which it does not have yet.
+    fn add(&mut self, i: InstanceId, c: ClassId) {
+        if self.instance_classes.len() <= i.index() {
+            self.instance_classes.resize_with(i.index() + 1, Vec::new);
+        }
+        self.instance_classes[i.index()].push(c);
+        if self.direct.len() <= c.index() {
+            self.direct.resize_with(c.index() + 1, Vec::new);
+        }
+        let direct = &mut self.direct[c.index()];
+        if let Err(pos) = direct.binary_search(&i) {
+            direct.insert(pos, i);
+        }
+    }
+
+    /// Removes the direct type `c`, which `i` has, from `i`. Other classes
+    /// of `i` keep their relative order.
+    fn remove(&mut self, i: InstanceId, c: ClassId) {
+        self.instance_classes[i.index()].retain(|&d| d != c);
+        let direct = &mut self.direct[c.index()];
+        if let Ok(pos) = direct.binary_search(&i) {
+            direct.remove(pos);
+        }
+    }
+}
+
+/// Converts a run length or offset to the `u32` the runs store.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("more than u32::MAX triples in one block")
+}
+
+/// One edit of the runs, `(key, pred, value, insert)`: the insert of an
+/// absent triple or the removal of a present one.
+type Edit<V> = (usize, PredId, V, bool);
+
+/// Consecutive keys per adjacency block. A delta rewrites only the blocks
+/// holding a key it changes and shares the rest with the generation it
+/// was cloned from, so small blocks keep a small delta's copy small; each
+/// block costs a few hundred bytes of bookkeeping.
+const BLOCK_KEYS: usize = 32;
+
+/// Two-level sorted runs in CSR form over the `BLOCK_KEYS` keys of one
+/// block, numbered from the block's first key: local key `k` owns
+/// `preds[key_start[k]..key_start[k + 1]]`, ascending, and the group at
+/// position `g` of `preds` owns `vals[group_start[g]..group_start[g + 1]]`,
+/// ascending.
+struct Runs<V> {
+    key_start: Vec<u32>,
+    preds: Vec<PredId>,
+    group_start: Vec<u32>,
+    vals: Vec<V>,
+}
+
+impl<V: Copy + Ord> Runs<V> {
+    /// An empty block to be filled in ascending order and sealed by
+    /// `finish`; `capacity` sizes the arrays for that many triples.
+    fn with_capacity(capacity: usize) -> Self {
+        Runs {
+            key_start: Vec::with_capacity(BLOCK_KEYS + 1),
+            preds: Vec::with_capacity(capacity),
+            group_start: Vec::with_capacity(capacity + 1),
+            vals: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Starts every local key below `keys` at the current end of `preds`.
+    fn pad_to(&mut self, keys: usize) {
+        while self.key_start.len() < keys {
+            self.key_start.push(offset(self.preds.len()));
+        }
+    }
+
+    fn open_group(&mut self, p: PredId) {
+        self.preds.push(p);
+        self.group_start.push(offset(self.vals.len()));
+    }
+
+    /// Appends group `g` of `from` unchanged.
+    fn copy_group(&mut self, from: &Self, g: usize) {
+        self.open_group(from.preds[g]);
+        self.vals.extend_from_slice(from.group(g));
+    }
+
+    /// Appends local keys `keys` of `from` unchanged: four slice copies,
+    /// with the offsets shifted to their new positions.
+    fn copy_keys(&mut self, from: &Self, keys: Range<usize>) {
+        if keys.is_empty() {
+            return;
+        }
+        self.pad_to(keys.start);
+        let (p0, p1) = (from.key_start[keys.start], from.key_start[keys.end]);
+        let (v0, v1) = (from.group_start[p0 as usize], from.group_start[p1 as usize]);
+        let pred_shift = offset(self.preds.len()).wrapping_sub(p0);
+        let val_shift = offset(self.vals.len()).wrapping_sub(v0);
+        self.key_start.extend(
+            from.key_start[keys]
+                .iter()
+                .map(|&x| x.wrapping_add(pred_shift)),
+        );
+        let groups = p0 as usize..p1 as usize;
+        self.group_start.extend(
+            from.group_start[groups.clone()]
+                .iter()
+                .map(|&x| x.wrapping_add(val_shift)),
+        );
+        self.preds.extend_from_slice(&from.preds[groups]);
+        self.vals
+            .extend_from_slice(&from.vals[v0 as usize..v1 as usize]);
+    }
+
+    fn finish(mut self) -> Self {
+        self.pad_to(BLOCK_KEYS + 1);
+        self.group_start.push(offset(self.vals.len()));
+        self
+    }
+
+    /// Positions in `preds` owned by local key `key`.
+    fn key_range(&self, key: usize) -> Range<usize> {
+        self.key_start[key] as usize..self.key_start[key + 1] as usize
+    }
+
+    /// The values of the group at position `g` of `preds`.
+    fn group(&self, g: usize) -> &[V] {
+        &self.vals[self.group_start[g] as usize..self.group_start[g + 1] as usize]
+    }
+
+    fn values(&self, key: usize, p: PredId) -> &[V] {
+        let range = self.key_range(key);
+        match self.preds[range.clone()].binary_search(&p) {
+            Ok(k) => self.group(range.start + k),
+            Err(_) => &[],
+        }
+    }
+
+    /// `(pred, value)` pairs of local key `key`, ascending.
+    fn pairs_of(&self, key: usize) -> impl Iterator<Item = (PredId, V)> + '_ {
+        self.key_range(key)
+            .flat_map(move |g| self.group(g).iter().map(move |&v| (self.preds[g], v)))
+    }
+
+    /// Every `(key, pred, value)` of the block whose first key is `base`,
+    /// ascending.
+    fn iter(&self, base: usize) -> impl Iterator<Item = (usize, PredId, V)> + '_ {
+        (0..BLOCK_KEYS).flat_map(move |k| self.pairs_of(k).map(move |(p, v)| (base + k, p, v)))
+    }
+
+    /// This block, whose first key is `base`, with `changes` applied: edits
+    /// of keys in this block, ascending. Keys and groups no change names
+    /// are copied whole; a changed group is spliced between its change
+    /// points.
+    fn merged(&self, base: usize, changes: &[Edit<V>]) -> Self {
+        let mut out = Runs::with_capacity(self.vals.len() + changes.len());
+        let mut next_key = 0;
+        for key_changes in changes.chunk_by(|a, b| a.0 == b.0) {
+            let key = key_changes[0].0 - base;
+            out.copy_keys(self, next_key..key);
+            out.pad_to(key + 1);
+            let groups = self.key_range(key);
+            let mut g = groups.start;
+            for pred_changes in key_changes.chunk_by(|a, b| a.1 == b.1) {
+                let p = pred_changes[0].1;
+                while g < groups.end && self.preds[g] < p {
+                    out.copy_group(self, g);
+                    g += 1;
+                }
+                let old: &[V] = if g < groups.end && self.preds[g] == p {
+                    g += 1;
+                    self.group(g - 1)
+                } else {
+                    &[]
+                };
+                let start = out.vals.len();
+                let mut i = 0;
+                for &(_, _, v, insert) in pred_changes {
+                    let pos = i + old[i..].partition_point(|&x| x < v);
+                    debug_assert_eq!(old.get(pos) == Some(&v), !insert, "no-op edit");
+                    out.vals.extend_from_slice(&old[i..pos]);
+                    if insert {
+                        out.vals.push(v);
+                        i = pos;
+                    } else {
+                        i = pos + 1;
+                    }
+                }
+                out.vals.extend_from_slice(&old[i..]);
+                if out.vals.len() > start {
+                    out.preds.push(p);
+                    out.group_start.push(offset(start));
+                }
+            }
+            for g in g..groups.end {
+                out.copy_group(self, g);
+            }
+            next_key = key + 1;
+        }
+        out.copy_keys(self, next_key..BLOCK_KEYS);
+        out.finish()
+    }
+}
+
+/// Sorted runs over all keys, split into reference-counted blocks of
+/// `BLOCK_KEYS` consecutive keys. Keys past the last block have no
+/// triples.
+struct Blocked<V> {
+    blocks: Vec<Arc<Runs<V>>>,
+    /// Number of triples.
+    len: usize,
+}
+
+impl<V: Copy + Ord> Blocked<V> {
+    fn empty() -> Self {
+        Blocked {
+            blocks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The block holding `key` and `key`'s number within it.
+    fn locate(&self, key: usize) -> Option<(&Runs<V>, usize)> {
+        let block = self.blocks.get(key / BLOCK_KEYS)?;
+        Some((block, key % BLOCK_KEYS))
+    }
+
+    fn preds_of(&self, key: usize) -> &[PredId] {
+        self.locate(key)
+            .map_or(&[], |(runs, k)| &runs.preds[runs.key_range(k)])
+    }
+
+    fn values(&self, key: usize, p: PredId) -> &[V] {
+        self.locate(key).map_or(&[], |(runs, k)| runs.values(k, p))
+    }
+
+    fn pairs_of(&self, key: usize) -> impl Iterator<Item = (PredId, V)> + '_ {
+        self.locate(key)
+            .into_iter()
+            .flat_map(|(runs, k)| runs.pairs_of(k))
+    }
+
+    /// Every `(key, pred, value)`, ascending.
+    fn iter(&self) -> impl Iterator<Item = (usize, PredId, V)> + '_ {
+        self.blocks
+            .iter()
+            .enumerate()
+            .flat_map(|(b, runs)| runs.iter(b * BLOCK_KEYS))
+    }
+
+    /// These runs with `changes` applied, given ascending. Only the blocks
+    /// they name are rebuilt; the others are shared with `self`.
+    fn merged(&self, changes: &[Edit<V>]) -> Self {
+        let mut blocks = self.blocks.clone();
+        for block_changes in changes.chunk_by(|a, b| a.0 / BLOCK_KEYS == b.0 / BLOCK_KEYS) {
+            let b = block_changes[0].0 / BLOCK_KEYS;
+            while blocks.len() <= b {
+                blocks.push(Arc::new(Runs::with_capacity(0).finish()));
+            }
+            blocks[b] = Arc::new(blocks[b].merged(b * BLOCK_KEYS, block_changes));
+        }
+        let inserts = changes.iter().filter(|c| c.3).count();
+        Blocked {
+            blocks,
+            len: self.len + inserts - (changes.len() - inserts),
+        }
+    }
+}
+
+/// A triple as the SPO runs order it.
+type Triple = (InstanceId, PredId, Node);
+
+/// Adjacency in sorted runs: SPO keyed by subject, OSP keyed by object
+/// (instance objects and literal objects in runs of their own, so that
+/// interning a new instance never renumbers a literal key).
+struct Adjacency {
+    spo: Blocked<Node>,
+    osp_instances: Blocked<InstanceId>,
+    osp_literals: Blocked<InstanceId>,
+}
+
+impl Adjacency {
+    /// Indexes `edges`, in any order and with duplicates.
+    fn build(mut edges: Vec<Triple>) -> Adjacency {
+        edges.sort_unstable();
+        edges.dedup();
+        let inserts: Vec<(Triple, bool)> = edges.into_iter().map(|t| (t, true)).collect();
+        let empty = Adjacency {
+            spo: Blocked::empty(),
+            osp_instances: Blocked::empty(),
+            osp_literals: Blocked::empty(),
+        };
+        empty.merged(&inserts)
+    }
+
+    /// This adjacency with `changes` applied: ascending `(triple, insert)`
+    /// edits, each an insert of an absent triple or a removal of a present
+    /// one.
+    fn merged(&self, changes: &[(Triple, bool)]) -> Adjacency {
+        let spo: Vec<Edit<Node>> = changes
+            .iter()
+            .map(|&((s, p, o), insert)| (s.index(), p, o, insert))
+            .collect();
+        let mut osp_instances: Vec<Edit<InstanceId>> = Vec::new();
+        let mut osp_literals: Vec<Edit<InstanceId>> = Vec::new();
+        for &((s, p, o), insert) in changes {
+            match o {
+                Node::Instance(i) => osp_instances.push((i.index(), p, s, insert)),
+                Node::Literal(l) => osp_literals.push((l.index(), p, s, insert)),
+            }
+        }
+        osp_instances.sort_unstable();
+        osp_literals.sort_unstable();
+        Adjacency {
+            spo: self.spo.merged(&spo),
+            osp_instances: self.osp_instances.merged(&osp_instances),
+            osp_literals: self.osp_literals.merged(&osp_literals),
+        }
+    }
+
+    fn objects(&self, s: InstanceId, p: PredId) -> &[Node] {
+        self.spo.values(s.index(), p)
+    }
+
+    fn subjects(&self, o: Node, p: PredId) -> &[InstanceId] {
+        match o {
+            Node::Instance(i) => self.osp_instances.values(i.index(), p),
+            Node::Literal(l) => self.osp_literals.values(l.index(), p),
+        }
+    }
+
+    fn has_edge(&self, (s, p, o): Triple) -> bool {
+        self.objects(s, p).binary_search(&o).is_ok()
+    }
 }
 
 /// Incremental constructor for a [`KnowledgeBase`].
@@ -60,17 +547,10 @@ struct InstanceMeta {
 /// `"city"` twice yields the same [`ClassId`].
 #[derive(Default)]
 pub struct KbBuilder {
-    symbols: SymbolTable,
-    class_names: Vec<Symbol>,
-    class_by_name: FxHashMap<Symbol, ClassId>,
-    pred_names: Vec<Symbol>,
-    pred_by_name: FxHashMap<Symbol, PredId>,
-    instances: Vec<InstanceMeta>,
-    instance_by_label: FxHashMap<Symbol, Vec<InstanceId>>,
-    literal_values: Vec<Symbol>,
-    literal_by_value: FxHashMap<Symbol, LiteralId>,
+    names: Names,
+    instance_classes: Vec<Vec<ClassId>>,
     taxonomy: Taxonomy,
-    edges: Vec<(InstanceId, PredId, Node)>,
+    edges: Vec<Triple>,
 }
 
 impl KbBuilder {
@@ -81,27 +561,19 @@ impl KbBuilder {
 
     /// Interns a class by name.
     pub fn class(&mut self, name: &str) -> ClassId {
-        let sym = self.symbols.intern(name);
-        if let Some(&c) = self.class_by_name.get(&sym) {
+        if let Some(c) = self.names.class_id(name) {
             return c;
         }
-        let id = ClassId::from_index(self.class_names.len());
-        self.class_names.push(sym);
-        self.class_by_name.insert(sym, id);
+        let id = self.names.push_class(name);
         self.taxonomy.ensure(id);
         id
     }
 
     /// Interns a predicate (relationship or property) by name.
     pub fn pred(&mut self, name: &str) -> PredId {
-        let sym = self.symbols.intern(name);
-        if let Some(&p) = self.pred_by_name.get(&sym) {
-            return p;
-        }
-        let id = PredId::from_index(self.pred_names.len());
-        self.pred_names.push(sym);
-        self.pred_by_name.insert(sym, id);
-        id
+        self.names
+            .pred_id(name)
+            .unwrap_or_else(|| self.names.push_pred(name))
     }
 
     /// Returns the instance labeled `label`, creating it if absent.
@@ -109,49 +581,31 @@ impl KbBuilder {
     /// Labels are treated as entity keys by this convenience constructor; use
     /// [`KbBuilder::new_instance`] to create homonymous entities.
     pub fn instance(&mut self, label: &str) -> InstanceId {
-        let sym = self.symbols.intern(label);
-        if let Some(ids) = self.instance_by_label.get(&sym) {
-            if let Some(&first) = ids.first() {
-                return first;
-            }
+        match self.names.instance_id(label) {
+            Some(i) => i,
+            None => self.new_instance(label),
         }
-        self.push_instance(sym)
     }
 
     /// Creates a fresh instance with `label`, even if the label already names
     /// another entity.
     pub fn new_instance(&mut self, label: &str) -> InstanceId {
-        let sym = self.symbols.intern(label);
-        self.push_instance(sym)
-    }
-
-    fn push_instance(&mut self, sym: Symbol) -> InstanceId {
-        let id = InstanceId::from_index(self.instances.len());
-        self.instances.push(InstanceMeta {
-            label: sym,
-            classes: Vec::new(),
-        });
-        self.instance_by_label.entry(sym).or_default().push(id);
-        id
+        self.instance_classes.push(Vec::new());
+        self.names.push_instance(label)
     }
 
     /// Interns a literal by value.
     pub fn literal(&mut self, value: &str) -> LiteralId {
-        let sym = self.symbols.intern(value);
-        if let Some(&l) = self.literal_by_value.get(&sym) {
-            return l;
-        }
-        let id = LiteralId::from_index(self.literal_values.len());
-        self.literal_values.push(sym);
-        self.literal_by_value.insert(sym, id);
-        id
+        self.names
+            .literal_id(value)
+            .unwrap_or_else(|| self.names.push_literal(value))
     }
 
     /// Types instance `i` with class `c` (an `rdf:type` edge).
     pub fn set_type(&mut self, i: InstanceId, c: ClassId) {
-        let meta = &mut self.instances[i.index()];
-        if !meta.classes.contains(&c) {
-            meta.classes.push(c);
+        let classes = &mut self.instance_classes[i.index()];
+        if !classes.contains(&c) {
+            classes.push(c);
         }
     }
 
@@ -175,7 +629,7 @@ impl KbBuilder {
     /// Removes the `rdf:type` edge typing `i` with `c`, if present. Other
     /// classes of `i` keep their relative order.
     pub fn remove_type(&mut self, i: InstanceId, c: ClassId) {
-        self.instances[i.index()].classes.retain(|&d| d != c);
+        self.instance_classes[i.index()].retain(|&d| d != c);
     }
 
     /// Retracts the direct `sub ⊑ sup` taxonomy edge, if present.
@@ -185,7 +639,7 @@ impl KbBuilder {
 
     /// Number of instances created so far.
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.names.instance_labels.len()
     }
 
     /// Seals the builder into an immutable, fully indexed KB.
@@ -193,88 +647,22 @@ impl KbBuilder {
     /// # Errors
     /// Fails if the taxonomy is cyclic.
     pub fn finalize(mut self) -> Result<KnowledgeBase, KbError> {
+        let names = self.names;
         self.taxonomy.finalize().map_err(|c| {
             KbError::TaxonomyCycle(
-                self.class_names
-                    .get(c.index())
-                    .map(|&s| self.symbols.resolve(s).to_owned())
+                names
+                    .class_name(c)
+                    .map(str::to_owned)
                     .unwrap_or_else(|| format!("{c:?}")),
             )
         })?;
-
-        // Forward and backward adjacency, sorted + deduped for binary search.
-        let mut out: FxHashMap<(InstanceId, PredId), Vec<Node>> = FxHashMap::default();
-        let mut inn: FxHashMap<(Node, PredId), Vec<InstanceId>> = FxHashMap::default();
-        for &(s, p, o) in &self.edges {
-            out.entry((s, p)).or_default().push(o);
-            inn.entry((o, p)).or_default().push(s);
-        }
-        for v in out.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        for v in inn.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        let edge_count = out.values().map(Vec::len).sum();
-
-        // Per-instance predicate lists: which predicates have out-edges from
-        // each instance (for neighbourhood enumeration without scanning the
-        // whole predicate vocabulary).
-        let mut preds_of: Vec<Vec<PredId>> = vec![Vec::new(); self.instances.len()];
-        for &(s, p) in out.keys() {
-            preds_of[s.index()].push(p);
-        }
-        for v in &mut preds_of {
-            v.sort_unstable();
-            v.dedup();
-        }
-
-        // Per-class instance lists, direct and with taxonomy closure.
-        let num_classes = self.class_names.len().max(self.taxonomy.num_classes());
-        let mut direct: Vec<Vec<InstanceId>> = vec![Vec::new(); num_classes];
-        for (idx, meta) in self.instances.iter().enumerate() {
-            for &c in &meta.classes {
-                direct[c.index()].push(InstanceId::from_index(idx));
-            }
-        }
-        let mut closed: Vec<Vec<InstanceId>> = Vec::with_capacity(num_classes);
-        for c in 0..num_classes {
-            let class = ClassId::from_index(c);
-            let mut acc: Vec<InstanceId> = Vec::new();
-            for &d in self.taxonomy.descendants(class) {
-                acc.extend_from_slice(&direct[d.index()]);
-            }
-            acc.sort_unstable();
-            acc.dedup();
-            closed.push(acc);
-        }
-        for v in &mut direct {
-            v.sort_unstable();
-        }
-
-        for v in self.instance_by_label.values_mut() {
-            v.sort_unstable();
-        }
-
+        let adjacency = Adjacency::build(self.edges);
+        let num_classes = names.class_names.len().max(self.taxonomy.num_classes());
+        let types = Types::new(self.instance_classes, self.taxonomy, num_classes);
         Ok(KnowledgeBase {
-            symbols: self.symbols,
-            class_names: self.class_names,
-            class_by_name: self.class_by_name,
-            pred_names: self.pred_names,
-            pred_by_name: self.pred_by_name,
-            instances: self.instances,
-            instance_by_label: self.instance_by_label,
-            literal_values: self.literal_values,
-            literal_by_value: self.literal_by_value,
-            taxonomy: self.taxonomy,
-            out,
-            inn,
-            preds_of,
-            direct_instances: direct,
-            closed_instances: closed,
-            edge_count,
+            names: Arc::new(names),
+            types: Arc::new(types),
+            adjacency: Arc::new(adjacency),
             generation: alloc_generation(),
             content_hash: OnceLock::new(),
         })
@@ -283,22 +671,9 @@ impl KbBuilder {
 
 /// An immutable RDF knowledge base with matching-oriented indexes.
 pub struct KnowledgeBase {
-    symbols: SymbolTable,
-    class_names: Vec<Symbol>,
-    class_by_name: FxHashMap<Symbol, ClassId>,
-    pred_names: Vec<Symbol>,
-    pred_by_name: FxHashMap<Symbol, PredId>,
-    instances: Vec<InstanceMeta>,
-    instance_by_label: FxHashMap<Symbol, Vec<InstanceId>>,
-    literal_values: Vec<Symbol>,
-    literal_by_value: FxHashMap<Symbol, LiteralId>,
-    taxonomy: Taxonomy,
-    out: FxHashMap<(InstanceId, PredId), Vec<Node>>,
-    inn: FxHashMap<(Node, PredId), Vec<InstanceId>>,
-    preds_of: Vec<Vec<PredId>>,
-    direct_instances: Vec<Vec<InstanceId>>,
-    closed_instances: Vec<Vec<InstanceId>>,
-    edge_count: usize,
+    names: Arc<Names>,
+    types: Arc<Types>,
+    adjacency: Arc<Adjacency>,
     generation: u64,
     content_hash: OnceLock<u64>,
 }
@@ -327,36 +702,38 @@ impl KnowledgeBase {
 
     /// Resolves a class by name.
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
-        self.symbols
-            .get(name)
-            .and_then(|s| self.class_by_name.get(&s).copied())
+        self.names.class_id(name)
     }
 
     /// Resolves a predicate by name.
     pub fn pred_named(&self, name: &str) -> Option<PredId> {
-        self.symbols
-            .get(name)
-            .and_then(|s| self.pred_by_name.get(&s).copied())
+        self.names.pred_id(name)
     }
 
     /// The name of class `c`.
     pub fn class_name(&self, c: ClassId) -> &str {
-        self.symbols.resolve(self.class_names[c.index()])
+        self.names
+            .symbols
+            .resolve(self.names.class_names[c.index()])
     }
 
     /// The name of predicate `p`.
     pub fn pred_name(&self, p: PredId) -> &str {
-        self.symbols.resolve(self.pred_names[p.index()])
+        self.names.symbols.resolve(self.names.pred_names[p.index()])
     }
 
     /// The human-readable label of instance `i`.
     pub fn instance_label(&self, i: InstanceId) -> &str {
-        self.symbols.resolve(self.instances[i.index()].label)
+        self.names
+            .symbols
+            .resolve(self.names.instance_labels[i.index()])
     }
 
     /// The value of literal `l`.
     pub fn literal_value(&self, l: LiteralId) -> &str {
-        self.symbols.resolve(self.literal_values[l.index()])
+        self.names
+            .symbols
+            .resolve(self.names.literal_values[l.index()])
     }
 
     /// The textual value of any node (instance label or literal value).
@@ -369,39 +746,34 @@ impl KnowledgeBase {
 
     /// Instances whose label is exactly `label` (sorted by id).
     pub fn instances_labeled(&self, label: &str) -> &[InstanceId] {
-        self.symbols
-            .get(label)
-            .and_then(|s| self.instance_by_label.get(&s))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.names.instances_labeled(label)
     }
 
     /// The literal with exactly this value, if present.
     pub fn literal_with_value(&self, value: &str) -> Option<LiteralId> {
-        self.symbols
-            .get(value)
-            .and_then(|s| self.literal_by_value.get(&s).copied())
+        self.names.literal_id(value)
     }
 
     // ----- typing -------------------------------------------------------
 
     /// Direct classes of instance `i` (no taxonomy closure).
     pub fn instance_classes(&self, i: InstanceId) -> &[ClassId] {
-        &self.instances[i.index()].classes
+        self.types.classes_of(i)
     }
 
     /// Whether `i` is typed with `c` or any subclass of `c`.
     pub fn has_type(&self, i: InstanceId, c: ClassId) -> bool {
-        self.instances[i.index()]
-            .classes
+        self.types
+            .classes_of(i)
             .iter()
-            .any(|&d| self.taxonomy.subsumes(c, d))
+            .any(|&d| self.types.taxonomy.subsumes(c, d))
     }
 
     /// All instances of class `c`, **including** instances of subclasses.
     /// Sorted by id.
     pub fn instances_of(&self, c: ClassId) -> &[InstanceId] {
-        self.closed_instances
+        self.types
+            .closed
             .get(c.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -409,7 +781,8 @@ impl KnowledgeBase {
 
     /// Instances typed directly with `c` (no closure). Sorted by id.
     pub fn direct_instances_of(&self, c: ClassId) -> &[InstanceId] {
-        self.direct_instances
+        self.types
+            .direct
             .get(c.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -419,86 +792,85 @@ impl KnowledgeBase {
 
     /// Objects `o` with a triple `(s, p, o)`. Sorted.
     pub fn objects(&self, s: InstanceId, p: PredId) -> &[Node] {
-        self.out.get(&(s, p)).map(Vec::as_slice).unwrap_or(&[])
+        self.adjacency.objects(s, p)
     }
 
     /// Subjects `s` with a triple `(s, p, o)`. Sorted.
     pub fn subjects(&self, o: Node, p: PredId) -> &[InstanceId] {
-        self.inn.get(&(o, p)).map(Vec::as_slice).unwrap_or(&[])
+        self.adjacency.subjects(o, p)
     }
 
     /// Whether the triple `(s, p, o)` is in the KB.
     pub fn has_edge(&self, s: InstanceId, p: PredId, o: Node) -> bool {
-        self.objects(s, p).binary_search(&o).is_ok()
+        self.adjacency.has_edge((s, p, o))
     }
 
     /// The predicates with at least one out-edge from `s`. Sorted.
     pub fn preds_of(&self, s: InstanceId) -> &[PredId] {
-        self.preds_of
-            .get(s.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.adjacency.spo.preds_of(s.index())
     }
 
-    /// Iterates over all out-edges of `s` as `(pred, object)` pairs.
+    /// Iterates over all out-edges of `s` as `(pred, object)` pairs,
+    /// ascending.
     pub fn edges_from(&self, s: InstanceId) -> impl Iterator<Item = (PredId, Node)> + '_ {
-        self.preds_of(s)
-            .iter()
-            .flat_map(move |&p| self.objects(s, p).iter().map(move |&o| (p, o)))
+        self.adjacency.spo.pairs_of(s.index())
     }
 
     // ----- sizes ----------------------------------------------------------
 
     /// Number of instances.
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.names.instance_labels.len()
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.class_names.len()
+        self.names.class_names.len()
     }
 
     /// Number of predicates.
     pub fn num_preds(&self) -> usize {
-        self.pred_names.len()
+        self.names.pred_names.len()
     }
 
     /// Number of literals.
     pub fn num_literals(&self) -> usize {
-        self.literal_values.len()
+        self.names.literal_values.len()
     }
 
     /// Number of distinct triples.
     pub fn num_edges(&self) -> usize {
-        self.edge_count
+        self.adjacency.spo.len
     }
 
     /// The class taxonomy.
     pub fn taxonomy(&self) -> &Taxonomy {
-        &self.taxonomy
+        &self.types.taxonomy
     }
 
     /// Iterates over all class ids.
     pub fn classes(&self) -> impl Iterator<Item = ClassId> {
-        (0..self.class_names.len()).map(ClassId::from_index)
+        (0..self.num_classes()).map(ClassId::from_index)
     }
 
     /// Iterates over all predicate ids.
     pub fn preds(&self) -> impl Iterator<Item = PredId> {
-        (0..self.pred_names.len()).map(PredId::from_index)
+        (0..self.num_preds()).map(PredId::from_index)
     }
 
     /// Iterates over all instance ids.
     pub fn instances(&self) -> impl Iterator<Item = InstanceId> {
-        (0..self.instances.len()).map(InstanceId::from_index)
+        (0..self.num_instances()).map(InstanceId::from_index)
     }
 
-    /// Iterates over all triples `(s, p, o)` in unspecified order.
+    /// Iterates over all triples `(s, p, o)` in strictly ascending order:
+    /// by subject id, then predicate id, then object (instances before
+    /// literals, each by id).
     pub fn triples(&self) -> impl Iterator<Item = (InstanceId, PredId, Node)> + '_ {
-        self.out
+        self.adjacency
+            .spo
             .iter()
-            .flat_map(|(&(s, p), objs)| objs.iter().map(move |&o| (s, p, o)))
+            .map(|(s, p, o)| (InstanceId::from_index(s), p, o))
     }
 
     // ----- incremental edits (DESIGN.md §10) ------------------------------
@@ -509,6 +881,14 @@ impl KnowledgeBase {
     /// pairs, and literal state the delta touched — which cache layers
     /// intersect against recorded read footprints to invalidate only
     /// stale entries.
+    ///
+    /// Names are interned in op order, lookup first: the shared dictionary
+    /// is copied only if the delta names something new, and the typing only
+    /// if it edits types or the taxonomy. Edge ops are resolved, in op
+    /// order, to one net change per triple and then merged into fresh runs
+    /// in one pass, so the cost is O(edges + d log d) for d edge ops. The
+    /// footprint is that of applying the ops one at a time: every op that
+    /// changed the edge set marks its pairs, even if a later op undoes it.
     ///
     /// The result is byte-identical to rebuilding the KB from scratch
     /// with the delta's ops appended to the original construction
@@ -523,7 +903,7 @@ impl KnowledgeBase {
         // mutating, so taxonomy edits can be cycle-checked up front and a
         // rejected delta leaves the KB untouched.
         let mut planned: FxHashMap<Box<str>, ClassId> = FxHashMap::default();
-        let mut next_class = self.class_names.len();
+        let mut next_class = self.num_classes();
         fn plan_class(
             kb: &KnowledgeBase,
             planned: &mut FxHashMap<Box<str>, ClassId>,
@@ -567,16 +947,17 @@ impl KnowledgeBase {
         // hierarchy changes or new classes appear, so `descendants` covers
         // every class. Finalize before touching `self`: a cycle aborts the
         // whole delta.
-        let needs_tax_rebuild = taxonomy_changed || next_class > self.class_names.len();
+        let needs_tax_rebuild = taxonomy_changed || next_class > self.num_classes();
         let new_taxonomy = if needs_tax_rebuild {
+            let taxonomy = self.taxonomy();
             let mut t = Taxonomy::new();
-            let total = next_class.max(self.taxonomy.num_classes());
+            let total = next_class.max(taxonomy.num_classes());
             if total > 0 {
                 t.ensure(ClassId::from_index(total - 1));
             }
-            for c in 0..self.taxonomy.num_classes() {
+            for c in 0..taxonomy.num_classes() {
                 let c = ClassId::from_index(c);
-                for &p in self.taxonomy.parents(c) {
+                for &p in taxonomy.parents(c) {
                     t.add_subclass(c, p);
                 }
             }
@@ -589,9 +970,9 @@ impl KnowledgeBase {
             }
             t.finalize().map_err(|c| {
                 let name = self
-                    .class_names
-                    .get(c.index())
-                    .map(|&s| self.symbols.resolve(s).to_owned())
+                    .names
+                    .class_name(c)
+                    .map(str::to_owned)
                     .or_else(|| {
                         planned
                             .iter()
@@ -606,95 +987,45 @@ impl KnowledgeBase {
             None
         };
 
-        // --- mutate: ops in order. Entities are interned even by retract
-        // ops (id parity with the rebuild oracle); the footprint records
-        // only regions that actually changed.
+        // --- mutate: names and types in op order (entities are interned
+        // even by retract ops, for id parity with the rebuild oracle); edge
+        // ops are collected and merged after the loop. The footprint
+        // records only regions that actually changed.
         let mut fp = KbFootprint::new();
         let mut types_changed = false;
+        let mut edge_ops: Vec<(Triple, bool)> = Vec::new();
         for op in delta.ops() {
             match op {
                 DeltaOp::InsertTriple {
                     subject,
                     pred,
                     object,
-                } => {
-                    let s = self.intern_instance_mut(subject);
-                    let p = self.intern_pred_mut(pred);
-                    let o = self.intern_node_mut(object, &mut fp);
-                    let objs = self.out.entry((s, p)).or_default();
-                    if let Err(pos) = objs.binary_search(&o) {
-                        objs.insert(pos, o);
-                        let subs = self.inn.entry((o, p)).or_default();
-                        if let Err(sp) = subs.binary_search(&s) {
-                            subs.insert(sp, s);
-                        }
-                        let preds = &mut self.preds_of[s.index()];
-                        if let Err(pp) = preds.binary_search(&p) {
-                            preds.insert(pp, p);
-                        }
-                        self.edge_count += 1;
-                        fp.out_pairs.insert((s, p));
-                        fp.in_pairs.insert((o, p));
-                    }
                 }
-                DeltaOp::RetractTriple {
+                | DeltaOp::RetractTriple {
                     subject,
                     pred,
                     object,
                 } => {
-                    let s = self.intern_instance_mut(subject);
-                    let p = self.intern_pred_mut(pred);
-                    let o = self.intern_node_mut(object, &mut fp);
-                    let Some(objs) = self.out.get_mut(&(s, p)) else {
-                        continue;
-                    };
-                    let Ok(pos) = objs.binary_search(&o) else {
-                        continue;
-                    };
-                    objs.remove(pos);
-                    if objs.is_empty() {
-                        self.out.remove(&(s, p));
-                        let preds = &mut self.preds_of[s.index()];
-                        if let Ok(pp) = preds.binary_search(&p) {
-                            preds.remove(pp);
-                        }
-                    }
-                    if let Some(subs) = self.inn.get_mut(&(o, p)) {
-                        if let Ok(sp) = subs.binary_search(&s) {
-                            subs.remove(sp);
-                        }
-                        if subs.is_empty() {
-                            self.inn.remove(&(o, p));
-                        }
-                    }
-                    self.edge_count -= 1;
-                    fp.out_pairs.insert((s, p));
-                    fp.in_pairs.insert((o, p));
+                    let s = self.intern_instance(subject);
+                    let p = self.intern_pred(pred);
+                    let o = self.intern_node(object, &mut fp);
+                    let insert = matches!(op, DeltaOp::InsertTriple { .. });
+                    edge_ops.push(((s, p, o), insert));
                 }
                 DeltaOp::AddType { instance, class } => {
-                    let i = self.intern_instance_mut(instance);
-                    let c = self.intern_class_mut(class);
-                    let meta = &mut self.instances[i.index()];
-                    if !meta.classes.contains(&c) {
-                        meta.classes.push(c);
-                        let direct = &mut self.direct_instances[c.index()];
-                        if let Err(pos) = direct.binary_search(&i) {
-                            direct.insert(pos, i);
-                        }
+                    let i = self.intern_instance(instance);
+                    let c = self.intern_class(class);
+                    if !self.types.classes_of(i).contains(&c) {
+                        Arc::make_mut(&mut self.types).add(i, c);
                         types_changed = true;
                         fp.classes.insert(c);
                     }
                 }
                 DeltaOp::RemoveType { instance, class } => {
-                    let i = self.intern_instance_mut(instance);
-                    let c = self.intern_class_mut(class);
-                    let meta = &mut self.instances[i.index()];
-                    if let Some(pos) = meta.classes.iter().position(|&d| d == c) {
-                        meta.classes.remove(pos);
-                        let direct = &mut self.direct_instances[c.index()];
-                        if let Ok(dp) = direct.binary_search(&i) {
-                            direct.remove(dp);
-                        }
+                    let i = self.intern_instance(instance);
+                    let c = self.intern_class(class);
+                    if self.types.classes_of(i).contains(&c) {
+                        Arc::make_mut(&mut self.types).remove(i, c);
                         types_changed = true;
                         fp.classes.insert(c);
                     }
@@ -703,28 +1034,30 @@ impl KnowledgeBase {
                     // Edge set already folded into `new_taxonomy`; intern
                     // here so class-id assignment matches the plan (and
                     // the rebuild oracle).
-                    self.intern_class_mut(sub);
-                    self.intern_class_mut(sup);
+                    self.intern_class(sub);
+                    self.intern_class(sup);
                 }
             }
         }
-        debug_assert_eq!(self.class_names.len(), next_class, "plan/mutation id drift");
+        debug_assert_eq!(self.num_classes(), next_class, "plan/mutation id drift");
 
-        if let Some(t) = new_taxonomy {
-            self.taxonomy = t;
+        if new_taxonomy.is_some() || types_changed {
+            let num_classes = self.num_classes();
+            let types = Arc::make_mut(&mut self.types);
+            if let Some(t) = new_taxonomy {
+                types.taxonomy = t;
+            }
+            types.recompute_closed(num_classes);
         }
-        if types_changed || needs_tax_rebuild {
-            self.recompute_closed_instances();
-        }
+        self.apply_edge_ops(edge_ops, &mut fp);
 
         // Ancestor expansion against the *installed* taxonomy: a type edit
         // on `c` changes the closed extent of `c` and every class above it.
         fp.all_classes = taxonomy_changed;
         if !fp.classes.is_empty() {
-            let direct: Vec<ClassId> = fp.classes.iter().copied().collect();
-            let mut stack = direct;
+            let mut stack: Vec<ClassId> = fp.classes.iter().copied().collect();
             while let Some(c) = stack.pop() {
-                for &p in self.taxonomy.parents(c) {
+                for &p in self.taxonomy().parents(c) {
                     if fp.classes.insert(p) {
                         stack.push(p);
                     }
@@ -737,115 +1070,85 @@ impl KnowledgeBase {
         Ok(fp)
     }
 
-    fn recompute_closed_instances(&mut self) {
-        let n = self.class_names.len().max(self.taxonomy.num_classes());
-        let mut closed: Vec<Vec<InstanceId>> = Vec::with_capacity(n);
-        for c in 0..n {
-            let class = ClassId::from_index(c);
-            let mut acc: Vec<InstanceId> = Vec::new();
-            for &d in self.taxonomy.descendants(class) {
-                if let Some(direct) = self.direct_instances.get(d.index()) {
-                    acc.extend_from_slice(direct);
+    /// Lands edge ops, given in op order, as one merge into fresh runs.
+    fn apply_edge_ops(&mut self, mut ops: Vec<(Triple, bool)>, fp: &mut KbFootprint) {
+        // A stable sort groups the ops on each triple and keeps their order.
+        ops.sort_by_key(|&(t, _)| t);
+        let mut changes: Vec<(Triple, bool)> = Vec::new();
+        for run in ops.chunk_by(|a, b| a.0 == b.0) {
+            let t @ (s, p, o) = run[0].0;
+            let before = self.adjacency.has_edge(t);
+            let mut present = before;
+            let mut changed = false;
+            for &(_, insert) in run {
+                if insert != present {
+                    present = insert;
+                    changed = true;
                 }
             }
-            acc.sort_unstable();
-            acc.dedup();
-            closed.push(acc);
-        }
-        self.closed_instances = closed;
-    }
-
-    fn intern_class_mut(&mut self, name: &str) -> ClassId {
-        let sym = self.symbols.intern(name);
-        if let Some(&c) = self.class_by_name.get(&sym) {
-            return c;
-        }
-        let id = ClassId::from_index(self.class_names.len());
-        self.class_names.push(sym);
-        self.class_by_name.insert(sym, id);
-        // Keep the per-class indexes dense; closures are recomputed after
-        // the op loop.
-        if self.direct_instances.len() < id.index() + 1 {
-            self.direct_instances.resize_with(id.index() + 1, Vec::new);
-        }
-        if self.closed_instances.len() < id.index() + 1 {
-            self.closed_instances.resize_with(id.index() + 1, Vec::new);
-        }
-        id
-    }
-
-    fn intern_pred_mut(&mut self, name: &str) -> PredId {
-        let sym = self.symbols.intern(name);
-        if let Some(&p) = self.pred_by_name.get(&sym) {
-            return p;
-        }
-        let id = PredId::from_index(self.pred_names.len());
-        self.pred_names.push(sym);
-        self.pred_by_name.insert(sym, id);
-        id
-    }
-
-    fn intern_instance_mut(&mut self, label: &str) -> InstanceId {
-        let sym = self.symbols.intern(label);
-        if let Some(ids) = self.instance_by_label.get(&sym) {
-            if let Some(&first) = ids.first() {
-                return first;
+            if changed {
+                fp.out_pairs.insert((s, p));
+                fp.in_pairs.insert((o, p));
+            }
+            if present != before {
+                changes.push((t, present));
             }
         }
-        let id = InstanceId::from_index(self.instances.len());
-        self.instances.push(InstanceMeta {
-            label: sym,
-            classes: Vec::new(),
-        });
-        // New id is the maximum, so pushing keeps the per-label list sorted.
-        self.instance_by_label.entry(sym).or_default().push(id);
-        self.preds_of.push(Vec::new());
-        id
+        if !changes.is_empty() {
+            self.adjacency = Arc::new(self.adjacency.merged(&changes));
+        }
     }
 
-    fn intern_node_mut(&mut self, node: &DeltaNode, fp: &mut KbFootprint) -> Node {
+    fn intern_class(&mut self, name: &str) -> ClassId {
+        match self.names.class_id(name) {
+            Some(c) => c,
+            None => Arc::make_mut(&mut self.names).push_class(name),
+        }
+    }
+
+    fn intern_pred(&mut self, name: &str) -> PredId {
+        match self.names.pred_id(name) {
+            Some(p) => p,
+            None => Arc::make_mut(&mut self.names).push_pred(name),
+        }
+    }
+
+    fn intern_instance(&mut self, label: &str) -> InstanceId {
+        match self.names.instance_id(label) {
+            Some(i) => i,
+            None => Arc::make_mut(&mut self.names).push_instance(label),
+        }
+    }
+
+    fn intern_node(&mut self, node: &DeltaNode, fp: &mut KbFootprint) -> Node {
         match node {
-            DeltaNode::Instance(label) => Node::Instance(self.intern_instance_mut(label)),
+            DeltaNode::Instance(label) => Node::Instance(self.intern_instance(label)),
             DeltaNode::Literal(value) => {
-                let sym = self.symbols.intern(value);
-                if let Some(&l) = self.literal_by_value.get(&sym) {
+                if let Some(l) = self.names.literal_id(value) {
                     return Node::Literal(l);
                 }
-                let id = LiteralId::from_index(self.literal_values.len());
-                self.literal_values.push(sym);
-                self.literal_by_value.insert(sym, id);
                 // A reader that resolved this value before the delta saw a
                 // miss; flag literal state as changed.
                 fp.literals = true;
-                Node::Literal(id)
+                Node::Literal(Arc::make_mut(&mut self.names).push_literal(value))
             }
         }
     }
 }
 
 impl Clone for KnowledgeBase {
-    /// Deep-copies the KB content under a **fresh generation**: generations
-    /// are process-unique identities, never shared — cache state keyed to
-    /// the source KB must not leak onto the clone. The cached content hash
-    /// carries over (content is identical).
+    /// Shares the content of `self` — dictionary, typing and adjacency are
+    /// reference-counted, so nothing is copied — under a **fresh
+    /// generation**: generations are process-unique identities, never
+    /// shared, so cache state keyed to the source KB must not leak onto the
+    /// clone. [`KnowledgeBase::apply_delta`] on either side copies only the
+    /// parts it writes; the other side never sees the edit. The cached
+    /// content hash carries over (content is identical).
     fn clone(&self) -> Self {
         KnowledgeBase {
-            symbols: self.symbols.clone(),
-            class_names: self.class_names.clone(),
-            class_by_name: self.class_by_name.clone(),
-            pred_names: self.pred_names.clone(),
-            pred_by_name: self.pred_by_name.clone(),
-            instances: self.instances.clone(),
-            instance_by_label: self.instance_by_label.clone(),
-            literal_values: self.literal_values.clone(),
-            literal_by_value: self.literal_by_value.clone(),
-            taxonomy: self.taxonomy.clone(),
-            out: self.out.clone(),
-            inn: self.inn.clone(),
-            preds_of: self.preds_of.clone(),
-            direct_instances: self.direct_instances.clone(),
-            closed_instances: self.closed_instances.clone(),
-            edge_count: self.edge_count,
+            names: Arc::clone(&self.names),
+            types: Arc::clone(&self.types),
+            adjacency: Arc::clone(&self.adjacency),
             generation: alloc_generation(),
             content_hash: self.content_hash.clone(),
         }
@@ -868,6 +1171,7 @@ impl fmt::Debug for KnowledgeBase {
 mod tests {
     use super::*;
     use crate::fixtures::figure1_kb;
+    use crate::hash::FxHashSet;
 
     #[test]
     fn figure1_basic_lookups() {
@@ -1171,6 +1475,82 @@ mod tests {
         assert_eq!(live.num_classes(), rebuilt.num_classes());
         assert_eq!(live.num_instances(), rebuilt.num_instances());
         assert_eq!(live.num_literals(), rebuilt.num_literals());
+    }
+
+    #[test]
+    fn batched_edge_ops_honour_op_order() {
+        let inst = |l: &str| DeltaNode::Instance(l.into());
+        let mut d = KbDelta::new();
+        // A new edge inserted, retracted and inserted again: present.
+        d.insert("Ada Yonath", "worksAt", inst("Haifa"))
+            .retract("Ada Yonath", "worksAt", inst("Haifa"))
+            .insert("Ada Yonath", "worksAt", inst("Haifa"))
+            // An existing edge retracted and restored: present.
+            .retract("Israel Institute of Technology", "locatedIn", inst("Haifa"))
+            .insert("Israel Institute of Technology", "locatedIn", inst("Haifa"))
+            // A new edge inserted then retracted: absent.
+            .insert("Haifa", "locatedIn", inst("Karcag"))
+            .retract("Haifa", "locatedIn", inst("Karcag"))
+            // An existing edge retracted twice: absent, second op a no-op.
+            .retract("Karcag", "locatedIn", inst("Hungary"))
+            .retract("Karcag", "locatedIn", inst("Hungary"))
+            // Re-inserting an existing edge: a no-op.
+            .insert(
+                "Avram Hershko",
+                "worksAt",
+                inst("Israel Institute of Technology"),
+            );
+
+        let mut kb = figure1_kb();
+        let edges = kb.num_edges();
+        let fp = kb.apply_delta(&d).unwrap();
+
+        let id = |l: &str| kb.instances_labeled(l)[0];
+        let works_at = kb.pred_named("worksAt").unwrap();
+        let located_in = kb.pred_named("locatedIn").unwrap();
+        let (ada, haifa, karcag) = (id("Ada Yonath"), id("Haifa"), id("Karcag"));
+        let (technion, hungary) = (id("Israel Institute of Technology"), id("Hungary"));
+        let hershko = id("Avram Hershko");
+        assert!(kb.has_edge(ada, works_at, Node::Instance(haifa)));
+        assert!(kb.has_edge(technion, located_in, Node::Instance(haifa)));
+        assert!(!kb.has_edge(haifa, located_in, Node::Instance(karcag)));
+        assert!(!kb.has_edge(karcag, located_in, Node::Instance(hungary)));
+        assert_eq!(kb.num_edges(), edges, "one edge in, one edge out");
+        assert_eq!(kb.triples().count(), edges);
+        assert_eq!(kb.subjects(Node::Instance(haifa), works_at), &[ada]);
+        assert!(kb.subjects(Node::Instance(hungary), located_in).is_empty());
+
+        // Every op that changed the edge set marks its pairs, even when a
+        // later op undid it; the no-ops mark nothing.
+        let out: FxHashSet<_> = [ada, technion, haifa, karcag]
+            .into_iter()
+            .map(|s| (s, if s == ada { works_at } else { located_in }))
+            .collect();
+        assert_eq!(fp.out_pairs, out);
+        let inn: FxHashSet<_> = [
+            (Node::Instance(haifa), works_at),
+            (Node::Instance(haifa), located_in),
+            (Node::Instance(karcag), located_in),
+            (Node::Instance(hungary), located_in),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(fp.in_pairs, inn);
+        assert!(!fp.out_pairs.contains(&(hershko, works_at)));
+
+        // The same ops applied one delta at a time reach the same KB and,
+        // merged, the same footprint.
+        let mut one_by_one = figure1_kb();
+        let mut merged = KbFootprint::new();
+        for op in d.ops() {
+            let mut single = KbDelta::new();
+            single.push(op.clone());
+            merged.merge(&one_by_one.apply_delta(&single).unwrap());
+        }
+        assert_eq!(one_by_one.content_hash(), kb.content_hash());
+        assert_eq!(merged.out_pairs, fp.out_pairs);
+        assert_eq!(merged.in_pairs, fp.in_pairs);
+        assert_eq!(merged.literals, fp.literals);
     }
 
     #[test]

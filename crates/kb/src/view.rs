@@ -269,8 +269,7 @@ impl<'a> KbRef<'a> {
         (0..self.num_instances()).map(InstanceId::from_index)
     }
 
-    /// Every triple. Order is backend-specific (unspecified, as for the
-    /// in-memory KB); compare as sets.
+    /// Every triple. Order is backend-specific; compare as sets.
     pub fn triples(self) -> Vec<(InstanceId, PredId, Node)> {
         match self {
             KbRef::Mem(kb) => kb.triples().collect(),

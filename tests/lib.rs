@@ -141,7 +141,9 @@ pub mod differential {
     /// of edge inserts/retracts, type edits, and taxonomy edits, naming
     /// mostly entities that exist in `kb` (so ops actually land) plus a few
     /// fresh names (so interning-order parity is exercised). Retracts are
-    /// biased toward real triples of `kb`. Taxonomy edits may propose a
+    /// biased toward real triples of `kb`. Some ops re-emit an earlier edge
+    /// op's triple with the opposite polarity (insert → retract → insert),
+    /// so the result depends on op order. Taxonomy edits may propose a
     /// cycle — callers handle the `apply_delta` error branch.
     pub fn random_delta(seed: u64, kb: &KnowledgeBase) -> KbDelta {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_de17a);
@@ -175,7 +177,19 @@ pub mod differential {
         }
 
         let mut delta = KbDelta::new();
+        // Edge ops emitted so far: (subject, pred, object, is_insert).
+        let mut edge_ops: Vec<(String, String, DeltaNode, bool)> = Vec::new();
         for _ in 0..rng.gen_range(1..14usize) {
+            if !edge_ops.is_empty() && rng.gen_bool(0.25) {
+                let (s, p, o, insert) = edge_ops[rng.gen_range(0..edge_ops.len())].clone();
+                if insert {
+                    delta.retract(&s, &p, o.clone());
+                } else {
+                    delta.insert(&s, &p, o.clone());
+                }
+                edge_ops.push((s, p, o, !insert));
+                continue;
+            }
             match rng.gen_range(0..8u32) {
                 0 | 1 => {
                     let object = if rng.gen_bool(0.4) {
@@ -185,20 +199,22 @@ pub mod differential {
                     };
                     let subject = pick(&mut rng, &labels, "inst");
                     let pred = pick(&mut rng, &preds, "pred");
-                    delta.insert(&subject, &pred, object);
+                    delta.insert(&subject, &pred, object.clone());
+                    edge_ops.push((subject, pred, object, true));
                 }
                 2 | 3 => {
                     // Bias retracts toward triples that exist, so they are
                     // not all no-ops.
-                    if !triples.is_empty() && rng.gen_bool(0.7) {
-                        let (s, p, o) = triples[rng.gen_range(0..triples.len())].clone();
-                        delta.retract(&s, &p, o);
+                    let (s, p, o) = if !triples.is_empty() && rng.gen_bool(0.7) {
+                        triples[rng.gen_range(0..triples.len())].clone()
                     } else {
                         let subject = pick(&mut rng, &labels, "inst");
                         let pred = pick(&mut rng, &preds, "pred");
                         let object = DeltaNode::Instance(pick(&mut rng, &labels, "inst"));
-                        delta.retract(&subject, &pred, object);
-                    }
+                        (subject, pred, object)
+                    };
+                    delta.retract(&s, &p, o.clone());
+                    edge_ops.push((s, p, o, false));
                 }
                 4 => {
                     let i = pick(&mut rng, &labels, "inst");
@@ -286,8 +302,14 @@ pub mod differential {
     /// Asserts a delta applied in place equals rebuilding from scratch:
     /// identical content hash, byte-identical packed image, and agreement
     /// on every query surface. `live` is the `apply_delta` result;
-    /// `rebuilt` is the replayed-construction oracle.
+    /// `rebuilt` is the replayed-construction oracle. `live.triples()` must
+    /// also come out strictly ascending.
     pub fn assert_delta_equals_rebuild(live: &KnowledgeBase, rebuilt: &KnowledgeBase) {
+        let triples: Vec<_> = live.triples().collect();
+        assert!(
+            triples.windows(2).all(|w| w[0] < w[1]),
+            "delta: triples() must be strictly ascending"
+        );
         assert_eq!(
             live.content_hash(),
             rebuilt.content_hash(),

@@ -5,7 +5,9 @@
 //! hash, byte-identical packed image, agreement on every query surface,
 //! and byte-identical `parallel_repair` outputs at one and four worker
 //! threads. A rejected delta (taxonomy cycle) must leave the KB — and its
-//! generation — untouched.
+//! generation — untouched. Clones share their content copy-on-write, so a
+//! delta applied to a clone must never show through to the KB it was
+//! cloned from, or to any other live generation.
 //!
 //! Set `DR_QUICK=1` to shrink the property-test case counts for CI smoke
 //! legs.
@@ -15,7 +17,7 @@ use dr_integration_tests::differential::{
     proptest_cases, random_delta, random_kb, random_kb_builder, replay_delta,
 };
 use dr_kb::fixtures::{nobel_mini_builder, nobel_mini_kb};
-use dr_kb::{DeltaNode, KbDelta};
+use dr_kb::{pack, DeltaNode, KbDelta, KnowledgeBase};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,6 +47,54 @@ proptest! {
                 prop_assert_eq!(live.content_hash(), hash_before, "rejected delta must not mutate");
                 assert_delta_equals_rebuild(&live, &random_kb(seed));
             }
+        }
+    }
+
+    /// Copy-on-write isolation: a chain of generations, each a clone of
+    /// the last with a random delta applied, plus a clone of the source
+    /// hit by a rejected (cyclic) delta. All stay alive together; the
+    /// source keeps its packed bytes and content hash, and every
+    /// generation still equals the rebuild of exactly the deltas it took.
+    #[test]
+    fn deltas_on_clones_leave_every_other_generation_untouched(
+        seed in any::<u64>(),
+        delta_seeds in prop::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let source = random_kb(seed);
+        let source_pack = pack(&source);
+        let source_hash = source.content_hash();
+
+        let mut generations: Vec<(KnowledgeBase, Vec<KbDelta>)> =
+            vec![(source.clone(), Vec::new())];
+        for &delta_seed in &delta_seeds {
+            let (previous, applied) = generations.last().expect("starts non-empty");
+            let mut next = previous.clone();
+            let mut applied = applied.clone();
+            let delta = random_delta(delta_seed, &next);
+            if next.apply_delta(&delta).is_ok() {
+                applied.push(delta);
+            }
+            generations.push((next, applied));
+        }
+        let mut rejected = source.clone();
+        let mut cyclic = KbDelta::new();
+        cyclic
+            .insert("cow-subject", "cow-pred", DeltaNode::Literal("cow-value".into()))
+            .add_subclass("cow-a", "cow-b")
+            .add_subclass("cow-b", "cow-a");
+        prop_assert!(rejected.apply_delta(&cyclic).is_err(), "cyclic delta must be rejected");
+
+        prop_assert_eq!(pack(&source), source_pack, "source bytes changed under a clone's delta");
+        prop_assert_eq!(source.content_hash(), source_hash);
+        assert_delta_equals_rebuild(&source, &random_kb(seed));
+        assert_delta_equals_rebuild(&rejected, &source);
+        for (kb, applied) in &generations {
+            let mut b = random_kb_builder(seed);
+            for delta in applied {
+                replay_delta(&mut b, delta);
+            }
+            let rebuilt = b.finalize().expect("every applied delta was acyclic");
+            assert_delta_equals_rebuild(kb, &rebuilt);
         }
     }
 
