@@ -1,17 +1,20 @@
-//! Quality ablations (see `dr_eval::ablation`): what typo normalization,
-//! detection-without-repair, cross-relation cache persistence, and
-//! cross-process snapshot warm starts are worth.
+//! Ablations (see `dr_eval::ablation`): what the paper's §IV-B speed
+//! optimisations, typo normalization, detection-without-repair,
+//! cross-relation cache persistence, and cross-process snapshot warm
+//! starts are worth.
 //!
 //! Usage: `cargo run -p dr-eval --bin exp_ablation --release [-- --quick]
 //! [--cache-dir <dir>] [--metrics] [--trace <path>]`
 //!
-//! The snapshot warm-start ablation needs a disk directory; without
+//! The speed ablation asserts that its variants agree before it reports
+//! a time, then prints a greppable `speed-ablations-agree: ok`. The
+//! snapshot warm-start ablation needs a disk directory; without
 //! `--cache-dir` it uses (and cleans up) a scratch directory under the
 //! system temp dir.
 
 use dr_eval::ablation::{
     cache_persistence_ablation, detection_ablation, normalization_ablation,
-    snapshot_warm_start_ablation, AblationConfig,
+    snapshot_warm_start_ablation, speed_ablation, AblationConfig,
 };
 use dr_eval::obsflags::ObsCli;
 use dr_eval::report::{
@@ -32,6 +35,29 @@ fn main() {
         obs: obs_cli.obs.clone(),
         ..Default::default()
     };
+
+    let reps = if quick { 3 } else { 5 };
+    let rows: Vec<Vec<String>> = speed_ablation(&cfg, reps)
+        .iter()
+        .map(|r| {
+            vec![
+                r.workload.clone(),
+                r.config.clone(),
+                secs(r.seconds),
+                r.hit_rate
+                    .map_or_else(|| "-".to_owned(), |h| format!("{:.1}%", h * 100.0)),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &format!("ABLATION: SPEED (§IV-B, best of {reps})"),
+            &["workload", "config", "time", "cache hit rate"],
+            &rows,
+        )
+    );
+    println!("speed-ablations-agree: ok\n");
 
     let typo_cfg = AblationConfig {
         typo_share: 1.0,

@@ -1,30 +1,39 @@
-//! Overhead gate for live span capture (DESIGN.md §11): a request that is
-//! *armed* for tracing — spans created end to end, then discarded by tail
-//! sampling — must cost less than 2% over the same repair with capture
-//! off. This is the production steady state: `dr-serve` arms every repair
-//! request, and the tail policy keeps almost none of them.
+//! Overhead gate for the two tracing surfaces. Each leg compares the same
+//! repair on the paper's running example (Table I ×128) with the surface
+//! off and on, and must stay within +2%:
+//!
+//! 1. **Rate-0 JSONL tracing** (DESIGN.md §4d): an attached `Obs` handle
+//!    whose `Tracer` samples at rate 0 must be nearly free — counters are
+//!    padded per-thread atomics and unsampled rows skip event
+//!    construction entirely ("pay only for what you sample").
+//! 2. **Armed live span capture** (DESIGN.md §11): spans created end to
+//!    end, then discarded by tail sampling. This is the production steady
+//!    state: `dr-serve` arms every repair request, and the tail policy
+//!    keeps almost none of them.
 //!
 //! Usage: `cargo run -p dr-eval --bin exp_trace_overhead --release
-//! [-- --quick] [--out <path>]`
+//! [-- --out <path>]`
 //!
-//! Methodology mirrors `tests/tests/obs_overhead.rs`: the two paths are
-//! interleaved round-robin (clock drift and CPU contention hit both
-//! minima equally) and the gate accepts as soon as the running minima land
-//! inside the budget. Exits 1 when the budget is exceeded.
+//! Each leg interleaves its two paths round-robin (clock drift and CPU
+//! contention hit both minima equally) and accepts as soon as the running
+//! minima land inside the budget, from round 5 on. Exits 1 when either
+//! leg exceeds the budget after 60 rounds.
 
-use dr_core::{fast_repair, ApplyOptions, MatchContext};
+use dr_core::{fast_repair, ApplyOptions, DetectiveRule, MatchContext};
 use dr_kb::fixtures::nobel_mini_kb;
-use dr_obs::{ActiveTrace, SpanCtx, TraceId, DEFAULT_MAX_SPANS};
+use dr_obs::{ActiveTrace, Obs, Sampler, SpanCtx, TraceId, Tracer, DEFAULT_MAX_SPANS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BUDGET: f64 = 1.02;
+const COPIES: usize = 128;
+const ROUNDS: usize = 60;
 
 /// Table I duplicated until per-tuple work dominates setup.
-fn table1_workload(copies: usize) -> dr_relation::Relation {
+fn table1_workload() -> dr_relation::Relation {
     let mut relation = dr_relation::Relation::new(dr_core::fixtures::nobel_schema());
     let base = dr_core::fixtures::table1_dirty();
-    for _ in 0..copies {
+    for _ in 0..COPIES {
         for t in base.tuples() {
             relation.push(t.clone());
         }
@@ -32,21 +41,19 @@ fn table1_workload(copies: usize) -> dr_relation::Relation {
     relation
 }
 
-/// One repair pass with capture off.
-fn pass_bare(ctx: &MatchContext<'_>, rules: &[dr_core::DetectiveRule], copies: usize) -> Duration {
-    let opts = ApplyOptions::default();
-    let mut relation = table1_workload(copies);
+/// One timed repair pass under `ctx`.
+fn pass(ctx: &MatchContext<'_>, rules: &[DetectiveRule]) -> Duration {
+    let mut relation = table1_workload();
     let start = Instant::now();
-    fast_repair(ctx, rules, &mut relation, &opts);
+    fast_repair(ctx, rules, &mut relation, &ApplyOptions::default());
     start.elapsed()
 }
 
 /// One repair pass armed exactly like a served request: fresh trace, root
 /// span, span ctx forked through the repair — and the whole capture
 /// dropped unretained at the end (the tail-sampling "no" path).
-fn pass_armed(ctx: &MatchContext<'_>, rules: &[dr_core::DetectiveRule], copies: usize) -> Duration {
-    let opts = ApplyOptions::default();
-    let mut relation = table1_workload(copies);
+fn pass_armed(ctx: &MatchContext<'_>, rules: &[DetectiveRule]) -> Duration {
+    let mut relation = table1_workload();
     let start = Instant::now();
     let trace = Arc::new(ActiveTrace::new(
         TraceId::generate(),
@@ -55,63 +62,87 @@ fn pass_armed(ctx: &MatchContext<'_>, rules: &[dr_core::DetectiveRule], copies: 
     ));
     let root = SpanCtx::root(Arc::clone(&trace)).child("request");
     let armed = ctx.fork().with_span(root.ctx());
-    fast_repair(&armed, rules, &mut relation, &opts);
+    fast_repair(&armed, rules, &mut relation, &ApplyOptions::default());
     root.finish();
     drop(trace); // discarded, not retained
     start.elapsed()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let copies = if quick { 32 } else { 128 };
-    let rounds = if quick { 30 } else { 60 };
-
-    let kb = nobel_mini_kb();
-    let rules = dr_core::fixtures::figure4_rules(&kb);
-    let ctx = MatchContext::new(&kb);
-
+/// Times one leg and renders its report block; returns whether it passed.
+fn leg(
+    report: &mut String,
+    title: &str,
+    labels: [&str; 2],
+    mut off: impl FnMut() -> Duration,
+    mut on: impl FnMut() -> Duration,
+) -> bool {
     // Warm indexes and the allocator on both paths before timing.
-    pass_bare(&ctx, &rules, copies);
-    pass_armed(&ctx, &rules, copies);
-
-    let (mut bare, mut armed) = (Duration::MAX, Duration::MAX);
-    let mut used = rounds;
-    for round in 1..=rounds {
-        bare = bare.min(pass_bare(&ctx, &rules, copies));
-        armed = armed.min(pass_armed(&ctx, &rules, copies));
-        if round >= 5 && armed.as_secs_f64() <= bare.as_secs_f64() * BUDGET {
+    off();
+    on();
+    let (mut bare, mut with) = (Duration::MAX, Duration::MAX);
+    let mut used = ROUNDS;
+    for round in 1..=ROUNDS {
+        bare = bare.min(off());
+        with = with.min(on());
+        if round >= 5 && with.as_secs_f64() <= bare.as_secs_f64() * BUDGET {
             used = round;
             break;
         }
     }
-    let ratio = armed.as_secs_f64() / bare.as_secs_f64();
+    let ratio = with.as_secs_f64() / bare.as_secs_f64();
     let pass = ratio <= BUDGET;
-
-    let mut report = String::from("TRACE CAPTURE OVERHEAD (armed, tail-sampled away)\n");
-    report.push_str(&format!(
-        "workload: Table I x{copies} ({} rows), rounds used: {used}/{rounds}\n",
-        copies * 4
-    ));
-    report.push_str(&format!(
-        "capture off (min): {:>10.3}ms\n",
-        bare.as_secs_f64() * 1e3
-    ));
-    report.push_str(&format!(
-        "armed, unretained: {:>10.3}ms\n",
-        armed.as_secs_f64() * 1e3
-    ));
+    report.push_str(&format!("\n{title}, rounds used: {used}/{ROUNDS}\n"));
+    for (label, time) in labels.iter().zip([bare, with]) {
+        report.push_str(&format!(
+            "{:<19}{:>10.3}ms\n",
+            format!("{label}:"),
+            time.as_secs_f64() * 1e3
+        ));
+    }
     report.push_str(&format!(
         "overhead: {:+.2}%  (budget {:+.0}%)  -> {}\n",
         (ratio - 1.0) * 100.0,
         (BUDGET - 1.0) * 100.0,
         if pass { "PASS" } else { "FAIL" }
     ));
+    pass
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned();
+
+    let kb = nobel_mini_kb();
+    let rules = dr_core::fixtures::figure4_rules(&kb);
+    let bare = MatchContext::new(&kb);
+    let rate0 = MatchContext::new(&kb).with_obs(Arc::new(Obs::with_tracer(Tracer::new(
+        Box::new(std::io::sink()),
+        Sampler::new(42, 0.0),
+    ))));
+
+    let mut report = format!(
+        "TRACE OVERHEAD (Table I x{COPIES}, {} rows; budget {:+.0}% per leg)\n",
+        COPIES * 4,
+        (BUDGET - 1.0) * 100.0
+    );
+    let rate0_pass = leg(
+        &mut report,
+        "JSONL tracer at sampling rate 0",
+        ["no Obs (min)", "tracer, rate 0"],
+        || pass(&bare, &rules),
+        || pass(&rate0, &rules),
+    );
+    let armed_pass = leg(
+        &mut report,
+        "live span capture, armed and tail-sampled away",
+        ["capture off (min)", "armed, unretained"],
+        || pass(&bare, &rules),
+        || pass_armed(&bare, &rules),
+    );
     print!("{report}");
 
     if let Some(path) = out {
@@ -120,7 +151,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if !pass {
+    if !(rate0_pass && armed_pass) {
         std::process::exit(1);
     }
 }

@@ -72,4 +72,4 @@ pub use quarantine::{strip_bom, Diagnostic, LenientOptions, Quarantine};
 pub use stats::{pred_kind, stats, KbStats, PredKind};
 pub use symbol::{Symbol, SymbolTable};
 pub use taxonomy::Taxonomy;
-pub use view::{KbQuery, KbRef};
+pub use view::KbRef;

@@ -367,7 +367,8 @@ impl MappedKb {
         (0..self.num_instances()).map(InstanceId::from_index)
     }
 
-    /// Every triple, iterated in SPO-run order.
+    /// Every triple, in strictly ascending `(s, p, o)` order: the SPO keys
+    /// are sorted, and the encoded-node order within a run is `Node`'s.
     pub fn triples(&self) -> impl Iterator<Item = (InstanceId, PredId, Node)> + '_ {
         let keys = self.layout.section(&self.data, section::SPO_KEYS);
         let nodes = self.layout.section(&self.data, section::SPO_NODES);

@@ -8,10 +8,6 @@
 //! return borrowed slices from the in-memory KB return [`Cow`] here — the
 //! mapped backend has to decode its compact image records into owned
 //! vectors, the in-memory backend keeps lending slices at zero cost.
-//!
-//! [`KbQuery`] is the same surface as a trait, for code that wants to be
-//! generic over a backend it owns (the differential test harness) rather
-//! than dispatch through an enum it copies.
 
 use std::borrow::Cow;
 
@@ -269,179 +265,12 @@ impl<'a> KbRef<'a> {
         (0..self.num_instances()).map(InstanceId::from_index)
     }
 
-    /// Every triple. Order is backend-specific; compare as sets.
+    /// Every triple, in strictly ascending `(s, p, o)` order on both
+    /// backends, so two KBs with the same triples yield equal sequences.
     pub fn triples(self) -> Vec<(InstanceId, PredId, Node)> {
         match self {
             KbRef::Mem(kb) => kb.triples().collect(),
             KbRef::Mapped(kb) => kb.triples().collect(),
         }
-    }
-}
-
-/// The shared KB query surface as a trait: implemented by both backends
-/// (and by [`KbRef`] itself), with every method provided via
-/// [`KbQuery::kb_ref`]. Code generic over `K: KbQuery` — like the
-/// differential-oracle harness — runs the exact same dispatch path on
-/// either backend.
-pub trait KbQuery {
-    /// A [`KbRef`] view of this KB.
-    fn kb_ref(&self) -> KbRef<'_>;
-
-    /// See [`KbRef::generation`].
-    fn generation(&self) -> u64 {
-        self.kb_ref().generation()
-    }
-
-    /// See [`KbRef::content_hash`].
-    fn content_hash(&self) -> u64 {
-        self.kb_ref().content_hash()
-    }
-
-    /// See [`KbRef::num_instances`].
-    fn num_instances(&self) -> usize {
-        self.kb_ref().num_instances()
-    }
-
-    /// See [`KbRef::num_classes`].
-    fn num_classes(&self) -> usize {
-        self.kb_ref().num_classes()
-    }
-
-    /// See [`KbRef::num_preds`].
-    fn num_preds(&self) -> usize {
-        self.kb_ref().num_preds()
-    }
-
-    /// See [`KbRef::num_literals`].
-    fn num_literals(&self) -> usize {
-        self.kb_ref().num_literals()
-    }
-
-    /// See [`KbRef::num_edges`].
-    fn num_edges(&self) -> usize {
-        self.kb_ref().num_edges()
-    }
-
-    /// See [`KbRef::taxonomy`].
-    fn taxonomy(&self) -> &Taxonomy;
-
-    /// See [`KbRef::class_named`].
-    fn class_named(&self, name: &str) -> Option<ClassId> {
-        self.kb_ref().class_named(name)
-    }
-
-    /// See [`KbRef::pred_named`].
-    fn pred_named(&self, name: &str) -> Option<PredId> {
-        self.kb_ref().pred_named(name)
-    }
-
-    /// See [`KbRef::class_name`].
-    fn class_name(&self, c: ClassId) -> &str {
-        self.kb_ref().class_name(c)
-    }
-
-    /// See [`KbRef::pred_name`].
-    fn pred_name(&self, p: PredId) -> &str {
-        self.kb_ref().pred_name(p)
-    }
-
-    /// See [`KbRef::instance_label`].
-    fn instance_label(&self, i: InstanceId) -> &str {
-        self.kb_ref().instance_label(i)
-    }
-
-    /// See [`KbRef::literal_value`].
-    fn literal_value(&self, l: LiteralId) -> &str {
-        self.kb_ref().literal_value(l)
-    }
-
-    /// See [`KbRef::node_value`].
-    fn node_value(&self, n: Node) -> &str {
-        self.kb_ref().node_value(n)
-    }
-
-    /// See [`KbRef::literal_with_value`].
-    fn literal_with_value(&self, value: &str) -> Option<LiteralId> {
-        self.kb_ref().literal_with_value(value)
-    }
-
-    /// See [`KbRef::instances_labeled`].
-    fn instances_labeled(&self, label: &str) -> Cow<'_, [InstanceId]> {
-        self.kb_ref().instances_labeled(label)
-    }
-
-    /// See [`KbRef::instance_classes`].
-    fn instance_classes(&self, i: InstanceId) -> Cow<'_, [ClassId]> {
-        self.kb_ref().instance_classes(i)
-    }
-
-    /// See [`KbRef::has_type`].
-    fn has_type(&self, i: InstanceId, c: ClassId) -> bool {
-        self.kb_ref().has_type(i, c)
-    }
-
-    /// See [`KbRef::instances_of`].
-    fn instances_of(&self, c: ClassId) -> Cow<'_, [InstanceId]> {
-        self.kb_ref().instances_of(c)
-    }
-
-    /// See [`KbRef::direct_instances_of`].
-    fn direct_instances_of(&self, c: ClassId) -> Cow<'_, [InstanceId]> {
-        self.kb_ref().direct_instances_of(c)
-    }
-
-    /// See [`KbRef::objects`].
-    fn objects(&self, s: InstanceId, p: PredId) -> Cow<'_, [Node]> {
-        self.kb_ref().objects(s, p)
-    }
-
-    /// See [`KbRef::subjects`].
-    fn subjects(&self, o: Node, p: PredId) -> Cow<'_, [InstanceId]> {
-        self.kb_ref().subjects(o, p)
-    }
-
-    /// See [`KbRef::has_edge`].
-    fn has_edge(&self, s: InstanceId, p: PredId, o: Node) -> bool {
-        self.kb_ref().has_edge(s, p, o)
-    }
-
-    /// See [`KbRef::preds_of`].
-    fn preds_of(&self, s: InstanceId) -> Cow<'_, [PredId]> {
-        self.kb_ref().preds_of(s)
-    }
-
-    /// See [`KbRef::triples`].
-    fn all_triples(&self) -> Vec<(InstanceId, PredId, Node)> {
-        self.kb_ref().triples()
-    }
-}
-
-impl KbQuery for KnowledgeBase {
-    fn kb_ref(&self) -> KbRef<'_> {
-        KbRef::Mem(self)
-    }
-
-    fn taxonomy(&self) -> &Taxonomy {
-        KnowledgeBase::taxonomy(self)
-    }
-}
-
-impl KbQuery for MappedKb {
-    fn kb_ref(&self) -> KbRef<'_> {
-        KbRef::Mapped(self)
-    }
-
-    fn taxonomy(&self) -> &Taxonomy {
-        MappedKb::taxonomy(self)
-    }
-}
-
-impl KbQuery for KbRef<'_> {
-    fn kb_ref(&self) -> KbRef<'_> {
-        *self
-    }
-
-    fn taxonomy(&self) -> &Taxonomy {
-        KbRef::taxonomy(*self)
     }
 }

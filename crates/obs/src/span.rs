@@ -57,9 +57,9 @@ impl TraceId {
         format!("{:032x}", self.0)
     }
 
-    /// Parses a 32-hex-digit id; rejects the all-zero id.
+    /// Parses a 32-lowercase-hex-digit id; rejects the all-zero id.
     pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
+        if s.len() != 32 || !is_lower_hex(s) {
             return None;
         }
         let v = u128::from_str_radix(s, 16).ok()?;
@@ -81,9 +81,9 @@ impl SpanId {
         format!("{:016x}", self.0)
     }
 
-    /// Parses a 16-hex-digit id; rejects the all-zero id.
+    /// Parses a 16-lowercase-hex-digit id; rejects the all-zero id.
     pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
+        if s.len() != 16 || !is_lower_hex(s) {
             return None;
         }
         let v = u64::from_str_radix(s, 16).ok()?;
@@ -95,9 +95,17 @@ impl SpanId {
     }
 }
 
+/// Whether `s` is all lowercase hex digits, the W3C `HEXDIGLC` alphabet.
+/// `from_str_radix` alone would also take uppercase digits and a leading
+/// `+`, which `to_hex` cannot echo back.
+fn is_lower_hex(s: &str) -> bool {
+    s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// Parses a W3C `traceparent` header value
-/// (`00-<trace-id>-<parent-id>-<flags>`), returning the trace id, the
-/// caller's span id, and the flags byte. Only version `00` is accepted.
+/// (`00-<trace-id>-<parent-id>-<flags>`, every field lowercase hex),
+/// returning the trace id, the caller's span id, and the flags byte. Only
+/// version `00` is accepted.
 pub fn parse_traceparent(value: &str) -> Option<(TraceId, SpanId, u8)> {
     let mut parts = value.trim().split('-');
     let version = parts.next()?;
@@ -107,7 +115,7 @@ pub fn parse_traceparent(value: &str) -> Option<(TraceId, SpanId, u8)> {
     let trace = TraceId::parse_hex(parts.next()?)?;
     let parent = SpanId::parse_hex(parts.next()?)?;
     let flags = parts.next()?;
-    if flags.len() != 2 || parts.next().is_some() {
+    if flags.len() != 2 || !is_lower_hex(flags) || parts.next().is_some() {
         return None;
     }
     let flags = u8::from_str_radix(flags, 16).ok()?;
@@ -456,6 +464,36 @@ mod tests {
             parse_traceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-x")
                 .is_none()
         );
+        // Only lowercase hex digits: no sign, no uppercase, in any field.
+        for bad in [
+            "00-+af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+            "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",
+            "00-0af7651916cd43dd8448eb211c80319c-+7ad6b7169203331-01",
+            "00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",
+            "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-+1",
+            "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A",
+        ] {
+            assert!(parse_traceparent(bad).is_none(), "{bad}");
+        }
+    }
+
+    proptest::proptest! {
+        /// On arbitrary input the parser never panics, and any header it
+        /// accepts re-renders to exactly the (trimmed) input. The second
+        /// draw is a near-valid header with one field's first digit from
+        /// a wider alphabet (uppercase, `+`), so both outcomes occur often.
+        #[test]
+        fn traceparent_accepts_only_what_it_echoes(
+            value in "\\PC{0,64}",
+            header in "[ ]?00-[0-9a-fA-F+][0-9a-f]{31}-[0-9a-fA-F+][0-9a-f]{15}-[0-9a-fA-F+][0-9a-f][ ]?",
+        ) {
+            for input in [value.as_str(), header.as_str()] {
+                if let Some((t, p, f)) = parse_traceparent(input) {
+                    let rendered = format!("00-{}-{}-{f:02x}", t.to_hex(), p.to_hex());
+                    proptest::prop_assert_eq!(rendered.as_str(), input.trim());
+                }
+            }
+        }
     }
 
     #[test]

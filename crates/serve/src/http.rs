@@ -202,15 +202,24 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse()
-                .map_err(|_| HttpError::bad_request(format!("bad content-length {v:?}")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    // RFC 9112 §6.3: the value is `1*DIGIT` (`usize::from_str` would also
+    // take a leading `+`), and differing duplicates are a 400, not
+    // first-one-wins, since a proxy may frame the body by another one.
+    let mut content_length: Option<&str> = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        if content_length.is_some_and(|first| first != v) {
+            return Err(HttpError::bad_request("conflicting content-length headers"));
+        }
+        content_length = Some(v);
+    }
+    let content_length: usize = match content_length {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| HttpError::bad_request(format!("bad content-length {v:?}")))?,
+    };
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError {
             status: 413,

@@ -119,6 +119,23 @@ fn failure_mapping_matrix_over_raw_sockets() {
     let resp = raw_roundtrip(addr, b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
 
+    // 400: content-length is `1*DIGIT` — no sign.
+    let resp = raw_roundtrip(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nhost: t\r\n\
+          content-length: +5\r\nconnection: close\r\n\r\nhello",
+    );
+    assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
+
+    // 400: differing duplicate content-lengths (a request-smuggling
+    // shape) are refused rather than resolved first-one-wins.
+    let resp = raw_roundtrip(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nhost: t\r\n\
+          content-length: 0\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello",
+    );
+    assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
+
     // After all of that, the server still serves.
     let health = client::get(addr, "/healthz").expect("healthz");
     assert_eq!(health.status, 200);

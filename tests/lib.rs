@@ -446,11 +446,7 @@ pub mod differential {
             }
         }
 
-        let mut mem_triples = m.triples();
-        let mut img_triples = i.triples();
-        mem_triples.sort_unstable();
-        img_triples.sort_unstable();
-        assert_eq!(img_triples, mem_triples, "full triple set");
+        assert_eq!(i.triples(), m.triples(), "full triple sequence");
 
         assert_eq!(dr_kb::stats::stats(i), dr_kb::stats::stats(m), "KbStats");
     }
