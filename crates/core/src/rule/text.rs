@@ -166,12 +166,12 @@ enum Declared {
     Aux(usize),
 }
 
-struct Parser<'a> {
+struct RuleParser<'a> {
     toks: &'a [(usize, Tok)],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> RuleParser<'a> {
     fn peek(&self) -> Option<&(usize, Tok)> {
         self.toks.get(self.pos)
     }
@@ -214,7 +214,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Resolves a type token (`literal` keyword or quoted class name).
-fn parse_type(parser: &mut Parser<'_>, kb: &KnowledgeBase) -> Result<NodeType, RuleTextError> {
+fn parse_type(parser: &mut RuleParser<'_>, kb: &KnowledgeBase) -> Result<NodeType, RuleTextError> {
     match parser.next() {
         Some((_, Tok::Word(w))) if w == "literal" => Ok(NodeType::Literal),
         Some((line, Tok::Quoted(name))) => kb
@@ -231,7 +231,7 @@ fn parse_type(parser: &mut Parser<'_>, kb: &KnowledgeBase) -> Result<NodeType, R
 
 /// Parses one rule starting at `rule`.
 fn parse_rule(
-    parser: &mut Parser<'_>,
+    parser: &mut RuleParser<'_>,
     schema: &Schema,
     kb: &KnowledgeBase,
 ) -> Result<DetectiveRule, RuleTextError> {
@@ -364,7 +364,7 @@ pub fn parse_rules(
     kb: &KnowledgeBase,
 ) -> Result<Vec<DetectiveRule>, RuleTextError> {
     let toks = lex(text)?;
-    let mut parser = Parser {
+    let mut parser = RuleParser {
         toks: &toks,
         pos: 0,
     };

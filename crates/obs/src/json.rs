@@ -1,9 +1,18 @@
-//! Minimal JSON object builder for trace events.
+//! The workspace's one JSON reader, plus the single-line object writer.
 //!
-//! The build environment is fully offline, so instead of a serde dependency
-//! the tracer hand-rolls the one shape it needs: a flat, single-line JSON
-//! object with string/number fields, appended in insertion order. Keeping
-//! field order caller-controlled makes golden-file tests byte-stable.
+//! The build is offline (no serde), so both directions are hand-rolled:
+//!
+//! * **Writing.** [`JsonObj`] renders a flat, single-line object in
+//!   insertion order, which keeps golden-file tests byte-stable.
+//!   [`escape_into`] is the one JSON string escaper every renderer uses.
+//! * **Reading.** [`parse`] reads one complete document into a
+//!   [`JsonValue`]: retained traces for `dr_traceview`, relation bodies
+//!   for `dr-serve`, reports for `dr-perf`. Request bodies are hostile
+//!   input, so every failure is a typed [`JsonError`] at a byte offset,
+//!   nesting stops at [`MAX_DEPTH`], and strings decode in one linear
+//!   pass.
+
+use std::fmt;
 
 /// Escape `s` into `out` as the body of a JSON string literal (no quotes).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -79,6 +88,30 @@ impl Default for JsonObj {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so the cap is what keeps a hostile body of repeated
+/// `[` from overflowing a server thread's stack. The workspace's own
+/// documents nest at most 4 deep (a `/v1/traces/{id}` body).
+pub const MAX_DEPTH: usize = 128;
+
+/// A JSON read failure: the byte offset where reading stopped (never past
+/// the end of the input) and what was wrong there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure in the input.
+    pub offset: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "json error at byte {}: {}", self.offset, self.message)
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 /// A parsed JSON value. Objects keep their fields in document order (the
 /// renderers in this crate are insertion-ordered, so round trips are
 /// stable); duplicate keys keep the first occurrence on lookup.
@@ -88,8 +121,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
-    Num(f64),
+    /// Any JSON number, kept as its source text: relation cells load it
+    /// verbatim (`1e400`, big integers), and the accessors convert it.
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
@@ -115,20 +149,19 @@ impl JsonValue {
         }
     }
 
-    /// The number as a `u64`, if this is a non-negative integral number.
+    /// The number as a `u64`, if it is written as a non-negative integer
+    /// that fits. Parsed exactly, not through `f64`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
 
-    /// The number as an `f64`, if this is a number.
+    /// The number as an `f64`, if this is a number whose value is finite.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(n) => n.parse().ok().filter(|x: &f64| x.is_finite()),
             _ => None,
         }
     }
@@ -142,174 +175,251 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document. Recursive descent over the full grammar;
-/// trailing non-whitespace is an error. Errors carry a byte offset.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// Parses one JSON document (RFC 8259; trailing non-whitespace is an
+/// error). Nesting beyond [`MAX_DEPTH`] is an error, not a stack overflow.
+///
+/// # Errors
+/// Malformed or over-deep JSON, with the byte offset of the failure.
+pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
+    let mut reader = Reader {
+        text,
+        pos: 0,
+        depth: 0,
+    };
+    let value = reader.value()?;
+    reader.skip_ws();
+    if reader.pos != text.len() {
+        return Err(reader.err("trailing characters after JSON value"));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent state: the input, the read position, and the number
+/// of arrays/objects currently open.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", byte as char))
+impl Reader<'_> {
+    fn err(&self, message: impl Into<String>) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            message: message.into(),
+        }
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        _ => Err(format!("unexpected value at byte {pos}")),
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected '{}'", byte as char)))
+        }
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.nested(b']', |r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogates (not produced by our renderers) decode
-                        // to the replacement character rather than erroring.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.nested(b'}', |r| {
+                    r.skip_ws();
+                    let key = r.string()?;
+                    r.skip_ws();
+                    r.expect(b':')?;
+                    fields.push((key, r.value()?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(fields))
+            }
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Reads the comma-separated members of the array or object opening
+    /// at the current byte, through its `close` byte, one level deeper.
+    fn nested(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                member(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
+                    _ => return Err(self.err(format!("expected ',' or '{}'", close as char))),
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar: find the char at this byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
+    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(format!("expected '{word}'")))
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(pairs));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, kept as text.
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits("expected digit")?;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("expected digit after '.'")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("expected exponent digit")?;
+        }
+        Ok(JsonValue::Num(self.text[start..self.pos].to_owned()))
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self, missing: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(missing));
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy each run of plain characters as one slice. A run starts
+            // and stops only at ASCII bytes (or the end of input), so both
+            // ends are char boundaries, and the whole string is one pass.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.push(c);
+                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
+            }
+        }
+    }
+
+    /// Decodes the escape after a backslash, including a `\u` surrogate
+    /// pair; lone surrogates are errors.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let code = match self.hex4()? {
+                    hi @ 0xD800..=0xDBFF => {
+                        if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                            return Err(self.err("lone high surrogate"));
+                        }
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..=0xDFFF).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    }
+                    0xDC00..=0xDFFF => return Err(self.err("lone low surrogate")),
+                    code => code,
+                };
+                return char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four hex digits (no sign, no shorter form).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let Some(digits) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
+            return Err(self.err("truncated \\u escape"));
+        };
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("\\u takes four hex digits"))?;
+            code = code * 16 + v;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 }
 
@@ -373,6 +483,47 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
-        assert!(parse("1e999").is_err(), "non-finite number");
+        assert_eq!(
+            parse("1e999").expect("valid grammar").as_f64(),
+            None,
+            "non-finite number"
+        );
+    }
+
+    #[test]
+    fn grammar_is_strict_where_relation_bodies_need_it() {
+        for bad in [
+            "-",
+            "-x",
+            "1e",
+            "1e+",
+            "1.",
+            "01",
+            "\"\\u+041\"",
+            "\"\\u04\"",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
+            "\"a\nb\"",
+            "\"\\q\"",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.offset <= bad.len(), "{bad:?}: {err}");
+        }
+        assert_eq!(
+            parse(r#""\u0041\ud83d\ude00""#).unwrap(),
+            JsonValue::Str("A\u{1F600}".into())
+        );
+    }
+
+    #[test]
+    fn numbers_keep_their_text_and_convert_exactly() {
+        let v = parse("[1e400, 9007199254740993, -0, 2.5e-3]").unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0], JsonValue::Num("1e400".into()));
+        assert_eq!(items[0].as_f64(), None, "not finite");
+        assert_eq!(items[1].as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(items[2].as_u64(), None);
+        assert_eq!(items[3].as_f64(), Some(0.0025));
     }
 }

@@ -26,6 +26,12 @@
 //! construction (no clocks), the live surface exists to answer "where did
 //! *this* request's time go" — see DESIGN.md §11. Sliding-window
 //! latency ([`WindowHistogram`]) rounds out the live view on `/metrics`.
+//!
+//! Every surface renders JSON, so this crate also holds the workspace's
+//! one JSON reader and writer ([`json`]): `dr_traceview` reads retained
+//! traces with it, `dr-serve` loads JSON relation bodies with it, and its
+//! errors are typed ([`JsonError`]) with nesting bounded, because request
+//! bodies are hostile input.
 
 pub mod json;
 pub mod metrics;
@@ -33,7 +39,7 @@ pub mod span;
 pub mod store;
 pub mod trace;
 
-pub use json::{JsonObj, JsonValue};
+pub use json::{JsonError, JsonObj, JsonValue};
 pub use metrics::{
     Counter, CounterSample, Gauge, Histogram, HistogramSample, MetricRegistry, MetricsSnapshot,
     WindowHistogram,

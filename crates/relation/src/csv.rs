@@ -8,6 +8,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use dr_kb::{Diagnostic, LenientOptions, Quarantine};
 use std::fmt;
+use std::sync::Arc;
 
 /// CSV parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,11 +156,18 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
     Ok(records)
 }
 
+/// The schema a header record defines; a repeated name fails the header.
+fn header_schema(name: &str, header: &[String]) -> Result<Arc<Schema>, CsvError> {
+    let attr_names: Vec<&str> = header.iter().map(String::as_str).collect();
+    Schema::try_new(name, &attr_names).map_err(|message| CsvError { record: 1, message })
+}
+
 /// Parses CSV text into a relation named `name`. The first record is the
 /// header.
 ///
 /// # Errors
-/// Fails on malformed CSV, a missing header, or ragged rows.
+/// Fails on malformed CSV, a missing or repeated-name header, or ragged
+/// rows.
 pub fn parse(name: &str, text: &str) -> Result<Relation, CsvError> {
     let records = parse_records(text)?;
     let mut iter = records.into_iter();
@@ -167,18 +175,14 @@ pub fn parse(name: &str, text: &str) -> Result<Relation, CsvError> {
         record: 1,
         message: "missing header record".into(),
     })?;
-    let attr_names: Vec<&str> = header.iter().map(String::as_str).collect();
-    let schema = Schema::new(name, &attr_names);
+    let schema = header_schema(name, &header)?;
+    let arity = schema.arity();
     let mut relation = Relation::new(schema);
     for (i, record) in iter.enumerate() {
-        if record.len() != attr_names.len() {
+        if record.len() != arity {
             return Err(CsvError {
                 record: i + 2,
-                message: format!(
-                    "expected {} fields, found {}",
-                    attr_names.len(),
-                    record.len()
-                ),
+                message: format!("expected {arity} fields, found {}", record.len()),
             });
         }
         relation.push(Tuple::new(record));
@@ -195,7 +199,8 @@ pub fn parse(name: &str, text: &str) -> Result<Relation, CsvError> {
 /// record fails the whole load just as in strict mode.
 ///
 /// # Errors
-/// Only a missing or malformed header record.
+/// Only a missing or malformed header record, or one that repeats a
+/// column name.
 pub fn parse_lenient(
     name: &str,
     text: &str,
@@ -212,9 +217,8 @@ pub fn parse_lenient(
         Some(Err(e)) => return Err(e),
         Some(Ok(fields)) => fields,
     };
-    let attr_names: Vec<&str> = header.iter().map(String::as_str).collect();
-    let arity = attr_names.len();
-    let schema = Schema::new(name, &attr_names);
+    let schema = header_schema(name, &header)?;
+    let arity = schema.arity();
     let mut relation = Relation::new(schema);
     let mut quarantine = Quarantine::new();
     while let Some(record) = scanner.scan_next() {
@@ -521,6 +525,11 @@ Albert Einstein,Ulm
         let err = parse_lenient("R", "bad\"header\n1,2\n", &LenientOptions::default()).unwrap_err();
         assert_eq!(err.record, 1);
         assert_eq!(err.message, "quote inside unquoted field");
+
+        let err = parse_lenient("R", "A,A\nx,y\n", &LenientOptions::default()).unwrap_err();
+        assert_eq!(err.record, 1);
+        assert_eq!(err.message, "duplicate attribute `A`");
+        assert_eq!(parse("R", "A,A\nx,y\n").unwrap_err().record, 1);
     }
 
     /// The diagnostic cap bounds retained diagnostics, not the count.

@@ -26,7 +26,6 @@
 
 pub mod csv;
 pub mod ground_truth;
-pub mod json;
 pub mod noise;
 pub mod relation;
 pub mod schema;

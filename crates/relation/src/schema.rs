@@ -1,6 +1,6 @@
 //! Relation schemas: named attribute lists with fast name→id lookup.
 
-use dr_kb::FxHashMap;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -36,26 +36,42 @@ impl fmt::Debug for AttrId {
 pub struct Schema {
     name: String,
     attributes: Vec<String>,
-    by_name: FxHashMap<String, AttrId>,
+    /// Std-hashed: attribute names come from request headers, so the map
+    /// keeps the default hasher's resistance to crafted collisions.
+    by_name: HashMap<String, AttrId>,
 }
 
 impl Schema {
     /// Builds a schema from a relation name and attribute names.
     ///
     /// # Panics
-    /// Panics on duplicate attribute names.
+    /// Panics on duplicate attribute names; loaders of untrusted headers
+    /// use [`Schema::try_new`].
     pub fn new(name: impl Into<String>, attributes: &[&str]) -> Arc<Self> {
-        let attributes: Vec<String> = attributes.iter().map(|&a| a.to_owned()).collect();
-        let mut by_name = FxHashMap::default();
-        for (i, a) in attributes.iter().enumerate() {
-            let prev = by_name.insert(a.clone(), AttrId::from_index(i));
-            assert!(prev.is_none(), "duplicate attribute `{a}`");
+        Self::try_new(name, attributes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a schema, rejecting duplicate attribute names and more than
+    /// `u16::MAX + 1` attributes.
+    ///
+    /// # Errors
+    /// A message naming the repeated attribute, or the attribute count.
+    pub fn try_new(name: impl Into<String>, attributes: &[&str]) -> Result<Arc<Self>, String> {
+        if attributes.len() > usize::from(u16::MAX) + 1 {
+            return Err(format!("{} attributes exceed the limit", attributes.len()));
         }
-        Arc::new(Self {
+        let attributes: Vec<String> = attributes.iter().map(|&a| a.to_owned()).collect();
+        let mut by_name = HashMap::new();
+        for (i, a) in attributes.iter().enumerate() {
+            if by_name.insert(a.clone(), AttrId::from_index(i)).is_some() {
+                return Err(format!("duplicate attribute `{a}`"));
+            }
+        }
+        Ok(Arc::new(Self {
             name: name.into(),
             attributes,
             by_name,
-        })
+        }))
     }
 
     /// The relation name.
@@ -137,6 +153,20 @@ mod tests {
     #[should_panic(expected = "duplicate attribute")]
     fn duplicate_attrs_panic() {
         Schema::new("R", &["A", "A"]);
+    }
+
+    #[test]
+    fn try_new_rejects_duplicates_and_overwide_headers() {
+        assert_eq!(
+            Schema::try_new("R", &["A", "B", "A"]).unwrap_err(),
+            "duplicate attribute `A`"
+        );
+        let names: Vec<String> = (0..=usize::from(u16::MAX) + 1)
+            .map(|i| i.to_string())
+            .collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert!(Schema::try_new("R", &refs).is_err());
+        assert_eq!(Schema::try_new("R", &refs[1..]).unwrap().arity(), 1 << 16);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Byte-level edge cases for the lenient CSV and JSON relation loaders:
-//! CRLF line endings, a leading UTF-8 BOM, and trailing empty lines are
-//! artifacts of the writing tool, not malformed data — they must load to
-//! the same relation with an empty quarantine, and the BOM must never end
-//! up glued to the first attribute name.
+//! Byte-level edge cases for the lenient CSV relation loader: CRLF line
+//! endings, a leading UTF-8 BOM, and trailing empty lines are artifacts of
+//! the writing tool, not malformed data — they must load to the same
+//! relation with an empty quarantine, and the BOM must never end up glued
+//! to the first attribute name. The JSON loader's twins live with it in
+//! `dr-serve`.
 
 use dr_kb::LenientOptions;
-use dr_relation::{csv, json, Relation};
+use dr_relation::{csv, Relation};
 
 const CSV_CLEAN: &str = "Name,City\nAda,London\nGrace,Arlington\n";
 
@@ -78,53 +79,4 @@ fn csv_lenient_bytes_handles_bom_and_crlf() {
         csv::parse_lenient_bytes("R", &bytes, &LenientOptions::default()).expect("parse");
     assert!(q.is_empty(), "{q}");
     assert_eq!(rel.len(), 2);
-}
-
-const JSON_CLEAN: &str =
-    r#"{"header":["Name","City"],"rows":[["Ada","London"],["Grace","Arlington"]]}"#;
-
-fn json_variants() -> Vec<(String, &'static str)> {
-    vec![
-        (format!("\u{FEFF}{JSON_CLEAN}"), "BOM"),
-        (format!("{JSON_CLEAN}\r\n"), "trailing CRLF"),
-        (
-            format!("\u{FEFF}{JSON_CLEAN}\r\n\r\n"),
-            "BOM + trailing empty CRLF lines",
-        ),
-        (format!("{JSON_CLEAN}\n\n"), "trailing empty lines"),
-    ]
-}
-
-#[test]
-fn json_bom_and_line_ending_variants_load_clean() {
-    let (clean, q0) = json::parse_lenient("R", JSON_CLEAN, &LenientOptions::default())
-        .expect("clean json parses");
-    assert!(q0.is_empty());
-    for (text, label) in json_variants() {
-        let (rel, q) = json::parse_lenient("R", &text, &LenientOptions::default())
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(q.is_empty(), "{label}: {q}");
-        assert_eq!(attr_names(&rel), attr_names(&clean), "{label}");
-        assert_eq!(rel.len(), clean.len(), "{label}");
-        for (a, b) in rel.tuples().iter().zip(clean.tuples()) {
-            assert_eq!(a.cells(), b.cells(), "{label}");
-        }
-    }
-}
-
-#[test]
-fn json_bytes_twin_handles_bom() {
-    let bytes = format!("\u{FEFF}{JSON_CLEAN}").into_bytes();
-    let (rel, q) =
-        json::parse_lenient_bytes("R", &bytes, &LenientOptions::default()).expect("parse");
-    assert!(q.is_empty(), "{q}");
-    assert_eq!(rel.len(), 2);
-}
-
-#[test]
-fn json_mid_document_bom_is_still_an_error() {
-    // Only a leading BOM is tolerated; one inside the document is not
-    // whitespace and must still fail like any stray character.
-    let text = "{\u{FEFF}}".to_owned();
-    assert!(json::parse_lenient("R", &text, &LenientOptions::default()).is_err());
 }

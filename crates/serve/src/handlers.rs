@@ -19,6 +19,14 @@ use crate::admission::Admission;
 use crate::http::Request;
 use crate::state::{DeltaApplyError, KbCore, KbEntry, ServerState};
 
+/// The `{"error":"…"}` body of every 4xx/5xx response.
+pub(crate) fn error_body(message: &str) -> String {
+    let mut body = String::from("{\"error\":\"");
+    escape_into(&mut body, message);
+    body.push_str("\"}");
+    body
+}
+
 /// A computed response, not yet serialized to a socket.
 pub struct Response {
     /// HTTP status code.
@@ -52,10 +60,7 @@ impl Response {
     }
 
     fn error(status: u16, message: &str) -> Self {
-        let mut body = String::from("{\"error\":\"");
-        escape_into(&mut body, message);
-        body.push_str("\"}");
-        Response::json(status, body)
+        Response::json(status, error_body(message))
     }
 
     fn with_header(mut self, name: &'static str, value: String) -> Self {
@@ -464,7 +469,7 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     let lenient = LenientOptions::default();
     let content_type = req.header("content-type").unwrap_or("text/csv");
     let parsed = if content_type.starts_with("application/json") {
-        dr_relation::json::parse_lenient_bytes(entry.schema.name(), &req.body, &lenient)
+        crate::json::parse_lenient_bytes(entry.schema.name(), &req.body, &lenient)
             .map_err(|e| format!("JSON parse error at byte {}: {}", e.offset, e.message))
     } else {
         dr_relation::csv::parse_lenient_bytes(entry.schema.name(), &req.body, &lenient)
@@ -501,7 +506,7 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
         retry.seed = seed;
     }
     let opts = ParallelOptions {
-        threads: params.threads.unwrap_or(state.config.repair_threads),
+        threads: request_threads(params.threads, state.config.repair_threads),
         retry,
         #[cfg(feature = "fault-injection")]
         fault_plan: params.fault.map(|(seed, spec)| {
@@ -547,6 +552,18 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
             trace_id.as_deref(),
         )),
     }
+}
+
+/// The scheduler width for one request. `?threads=` may narrow the
+/// server's width (`repair_threads`, or every core when that is 0) but
+/// never widen it, so a client cannot have a thread spawned per row.
+/// Outputs are identical at every width.
+fn request_threads(requested: Option<usize>, server: usize) -> usize {
+    let width = match server {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    requested.filter(|&t| t > 0).map_or(width, |t| t.min(width))
 }
 
 /// Renders the streamed response: a header line, one line per quarantined
@@ -997,5 +1014,52 @@ mod tests {
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body_bytes()).unwrap();
         assert!(text.contains("\"kind\":\"summary\""), "{text}");
+    }
+
+    /// `?threads=` narrows the scheduler but never widens it past the
+    /// server's width, and the width never changes what is returned.
+    #[test]
+    fn request_threads_are_capped_at_the_server_width() {
+        let obs = Arc::new(Obs::new());
+        let state = build_state(
+            &[KbSpec::NobelMini],
+            RegistryConfig::default(),
+            Arc::clone(&obs),
+            ServeConfig {
+                repair_threads: 2,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("state builds");
+        let mut body = String::from("Name,DOB,Country,Prize,Institution,City\n");
+        for _ in 0..64 {
+            body.push_str(
+                "Avram Hershko,1937-12-31,Israel,Albert Lasker Award for Medicine,\
+                 Israel Institute of Technology,Karcag\n",
+            );
+        }
+        // Header and tuple lines; the summary carries timings.
+        let data_lines = |query: &str| {
+            let resp = handle(&state, &post_csv("/v1/repair/nobel-mini", query, &body));
+            assert_eq!(resp.status, 200);
+            let Body::Lines(mut lines) = resp.body else {
+                panic!("repair streams lines");
+            };
+            assert!(lines
+                .pop()
+                .is_some_and(|l| l.contains("\"kind\":\"summary\"")));
+            lines
+        };
+        let wide = data_lines("threads=1000000");
+        let workers = obs
+            .metrics()
+            .snapshot()
+            .gauges
+            .into_iter()
+            .find(|g| g.name == "scheduler_workers")
+            .map(|g| g.value);
+        assert_eq!(workers, Some(2));
+        assert_eq!(wide.len(), 65);
+        assert_eq!(wide, data_lines("threads=1"));
     }
 }

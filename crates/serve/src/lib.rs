@@ -57,6 +57,7 @@ pub mod admission;
 pub mod client;
 pub mod handlers;
 pub mod http;
+pub mod json;
 pub mod state;
 
 use std::io::{BufReader, BufWriter};
@@ -230,7 +231,7 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, stream: TcpStrea
                     &mut out,
                     e.status,
                     "application/json",
-                    format!("{{\"error\":{:?}}}", e.message).as_bytes(),
+                    handlers::error_body(&e.message).as_bytes(),
                     false,
                     &[],
                 );

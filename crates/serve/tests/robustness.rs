@@ -56,6 +56,16 @@ fn raw_roundtrip(addr: std::net::SocketAddr, raw: &[u8]) -> String {
     out
 }
 
+/// A one-shot `POST /v1/repair/nobel-mini` carrying `body`.
+fn repair_request(content_type: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST /v1/repair/nobel-mini HTTP/1.1\r\nhost: t\r\ncontent-type: {content_type}\r\n\
+         content-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
 /// The failure-mapping matrix: each malformed or abusive request gets its
 /// typed status, on a fresh connection each time, and the server stays up
 /// throughout.
@@ -135,6 +145,28 @@ fn failure_mapping_matrix_over_raw_sockets() {
           content-length: 0\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello",
     );
     assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
+
+    // 400: JSON nested past the reader's depth cap is a typed error, not
+    // a stack overflow that aborts the process.
+    for depth in [8_000, 200_000] {
+        let body = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let resp = raw_roundtrip(addr, &repair_request("application/json", &body));
+        assert!(resp.starts_with("HTTP/1.1 400 "), "depth {depth}: {resp}");
+        assert!(resp.contains("nesting deeper than"), "{resp}");
+    }
+
+    // 400: a repeated column name is a header error. Three of them
+    // against two acceptor threads: a panicking handler would have taken
+    // both threads down before the third arrived.
+    for (content_type, body) in [
+        ("text/csv", "A,A\nx,y\n"),
+        ("application/json", r#"[["A","A"],["x","y"]]"#),
+        ("text/csv", "A,A\nx,y\n"),
+    ] {
+        let resp = raw_roundtrip(addr, &repair_request(content_type, body));
+        assert!(resp.starts_with("HTTP/1.1 400 "), "{content_type}: {resp}");
+        assert!(resp.contains("duplicate attribute"), "{resp}");
+    }
 
     // After all of that, the server still serves.
     let health = client::get(addr, "/healthz").expect("healthz");
