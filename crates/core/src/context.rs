@@ -79,9 +79,13 @@ impl FootprintRecorder {
 ///
 /// The serving layer holds one `IndexMemo` per loaded KB *generation* and
 /// rebuilds [`MatchContext`]s around it per request; applying a
-/// [`dr_kb::KbDelta`] swaps in a fresh memo, which is how index staleness is
-/// ruled out by construction — indexes derived from generation N can never be
-/// consulted by a context over generation N+1.
+/// [`dr_kb::KbDelta`] swaps in a fresh memo, so a memo only ever holds
+/// indexes of its own generation. With a [`CacheRegistry`] attached, the
+/// fresh memo fills from the registry, which carries every index the
+/// delta's footprint leaves untouched over from the previous generation
+/// ([`CacheRegistry::apply_delta`]). That an inherited index answers
+/// exactly as a rebuilt one would is a tested property
+/// (`tests/tests/generation_inheritance.rs`), not a construction.
 #[derive(Clone, Default)]
 pub struct IndexMemo(SharedIndexMap);
 
@@ -301,7 +305,9 @@ impl<'kb> MatchContext<'kb> {
         self.kb
     }
 
-    /// The memoized index for `(ty, sim)`, building it on first use.
+    /// The memoized index for `(ty, sim)`. On first use it comes from the
+    /// attached registry, which holds the indexes of this KB generation
+    /// (inherited across deltas), or is built.
     pub fn index_for(&self, ty: NodeType, sim: SimFn) -> Arc<MatchIndex> {
         if let Some(idx) = self.indexes.lock().get(&(ty, sim)) {
             return Arc::clone(idx);
@@ -309,26 +315,35 @@ impl<'kb> MatchContext<'kb> {
         // Build outside the lock: index construction can be slow and other
         // (ty, sim) lookups shouldn't wait on it. A racing builder wastes
         // work but stays correct; first insert wins.
-        let built = {
-            let mut span = self.span.as_ref().map(|s| s.child("index_build"));
-            let built = Arc::new(self.build_index(ty, sim));
-            if let Some(span) = span.as_mut() {
-                span.attr_static(
-                    "kind",
-                    match ty {
-                        NodeType::Class(_) => "class",
-                        NodeType::Literal => "literal",
-                    },
-                );
-                span.attr_num("entries", built.len() as u64);
+        let built = match &self.registry {
+            Some(registry) => {
+                registry.index_for(self.kb.generation(), ty, sim, || self.build_index(ty, sim))
             }
-            built
+            None => Arc::new(self.build_index(ty, sim)),
         };
         let mut guard = self.indexes.lock();
         Arc::clone(guard.entry((ty, sim)).or_insert(built))
     }
 
+    /// Builds the `(ty, sim)` index over this context's KB, under an
+    /// `index_build` span when the request is traced.
     fn build_index(&self, ty: NodeType, sim: SimFn) -> MatchIndex {
+        let mut span = self.span.as_ref().map(|s| s.child("index_build"));
+        let built = self.scan_index(ty, sim);
+        if let Some(span) = span.as_mut() {
+            span.attr_static(
+                "kind",
+                match ty {
+                    NodeType::Class(_) => "class",
+                    NodeType::Literal => "literal",
+                },
+            );
+            span.attr_num("entries", built.len() as u64);
+        }
+        built
+    }
+
+    fn scan_index(&self, ty: NodeType, sim: SimFn) -> MatchIndex {
         match ty {
             NodeType::Class(c) => {
                 let instances = self.kb.instances_of(c);

@@ -283,7 +283,10 @@ mod tests {
                         },
                     }],
                 },
-            ],
+            ]
+            .into_iter()
+            .map(std::sync::Arc::new)
+            .collect(),
             ..Default::default()
         };
         record_relation(&obs, "fast", &report);

@@ -13,6 +13,7 @@ use crate::repair::resilience::{ResilienceReport, TupleOutcome};
 use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
 use crate::rule::DetectiveRule;
 use dr_relation::{AttrId, Relation, Tuple};
+use std::sync::Arc;
 
 /// One applied rule in a tuple's repair trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,10 +98,13 @@ impl std::ops::AddAssign for PhaseTimings {
 }
 
 /// The repair trace of a relation.
+///
+/// Per-row traces and footprints are `Arc`-shared, so selective re-repair
+/// takes an unchanged row's from the prior report without copying them.
 #[derive(Debug, Clone, Default)]
 pub struct RelationReport {
     /// Per-tuple traces, indexed by row.
-    pub tuples: Vec<TupleReport>,
+    pub tuples: Vec<Arc<TupleReport>>,
     /// Relation-scoped [`ValueCache`](crate::repair::value_cache::ValueCache)
     /// counters; all-zero for repairers that do not share one (e.g. the
     /// basic chase).
@@ -115,7 +119,7 @@ pub struct RelationReport {
     /// selective re-repair intersects with a delta's footprint to decide
     /// which rows to re-run. Empty for repairers that do not record
     /// (the basic chase).
-    pub footprints: Vec<dr_kb::KbFootprint>,
+    pub footprints: Vec<Arc<dr_kb::KbFootprint>>,
     /// `Some(n)` when this report came from
     /// [`parallel_repair_selective`](crate::repair::parallel::parallel_repair_selective):
     /// `n` rows were actually re-repaired, the rest reused prior results.
@@ -131,7 +135,7 @@ impl RelationReport {
 
     /// Total value rewrites across all tuples.
     pub fn total_changes(&self) -> usize {
-        self.tuples.iter().map(TupleReport::changes).sum()
+        self.tuples.iter().map(|t| t.changes()).sum()
     }
 
     /// Recomputes [`Self::resilience`] from the per-tuple outcomes (loader
@@ -140,7 +144,7 @@ impl RelationReport {
     pub fn tally_resilience(&mut self) {
         let quarantined = self.resilience.quarantined;
         let retried = self.resilience.retried;
-        self.resilience = ResilienceReport::tally(&self.tuples);
+        self.resilience = ResilienceReport::tally(self.tuples.iter().map(|t| &**t));
         self.resilience.quarantined = quarantined;
         self.resilience.retried = retried;
     }
@@ -222,7 +226,7 @@ pub fn basic_repair(
         if let Some(o) = obs {
             crate::obs::trace_tuple(o, row, &tuple_report, None);
         }
-        report.tuples.push(tuple_report);
+        report.tuples.push(Arc::new(tuple_report));
     }
     report.tally_resilience();
     if let Some(obs) = obs {

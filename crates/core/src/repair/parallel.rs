@@ -268,8 +268,8 @@ pub fn parallel_repair(
                 KbFootprint::default(),
             )
         });
-        tuples.push(tuple_report);
-        footprints.push(fp);
+        tuples.push(Arc::new(tuple_report));
+        footprints.push(Arc::new(fp));
     }
     let mut report = RelationReport {
         tuples,
@@ -311,7 +311,9 @@ pub fn parallel_repair(
 }
 
 /// Re-repairs only the rows a KB delta could have affected, splicing every
-/// other row's tuple and report straight from the prior run.
+/// other row's tuple and report straight from the prior run: the tuple is
+/// copied into `relation`'s buffers, the report and footprint are shared
+/// by reference.
 ///
 /// A row is selected when its recorded [`KbFootprint`] in `prior`
 /// intersects `delta_fp`, or when its prior outcome never settled
@@ -357,29 +359,33 @@ pub fn parallel_repair_selective(
     let sub_report = parallel_repair(ctx, rules, &mut sub, opts);
 
     let mut report = RelationReport {
+        tuples: Vec::with_capacity(len),
+        footprints: Vec::with_capacity(len),
         cache: sub_report.cache,
         timing: sub_report.timing,
         selected_rows: Some(selected.len()),
         ..RelationReport::default()
     };
     report.resilience.retried = sub_report.resilience.retried;
-    let mut sub_row = 0usize;
+    let mut sub_rows = selected
+        .iter()
+        .zip(sub.tuples_mut())
+        .zip(sub_report.tuples.into_iter().zip(sub_report.footprints))
+        .peekable();
     for row in 0..len {
-        if sub_row < selected.len() && selected[sub_row] == row {
-            *relation.tuple_mut(row) = sub.tuple(sub_row).clone();
-            report.tuples.push(sub_report.tuples[sub_row].clone());
-            report.footprints.push(
-                sub_report
-                    .footprints
-                    .get(sub_row)
-                    .cloned()
-                    .unwrap_or_default(),
-            );
-            sub_row += 1;
-        } else {
-            *relation.tuple_mut(row) = prior_repaired.tuple(row).clone();
-            report.tuples.push(prior.tuples[row].clone());
-            report.footprints.push(prior.footprints[row].clone());
+        match sub_rows.next_if(|((&selected_row, _), _)| selected_row == row) {
+            Some(((_, repaired), (tuple_report, fp))) => {
+                std::mem::swap(relation.tuple_mut(row), repaired);
+                report.tuples.push(tuple_report);
+                report.footprints.push(fp);
+            }
+            None => {
+                relation
+                    .tuple_mut(row)
+                    .clone_from(prior_repaired.tuple(row));
+                report.tuples.push(Arc::clone(&prior.tuples[row]));
+                report.footprints.push(Arc::clone(&prior.footprints[row]));
+            }
         }
     }
     report.tally_resilience();

@@ -25,13 +25,22 @@
 //! generation's caches to the new generation, sweeping only the entries
 //! whose recorded footprint intersects the delta's [`KbFootprint`]
 //! ([`ValueCache::invalidate`]); everything else stays warm across the
-//! generation bump.
+//! generation bump. A migrated cache answers only for the new generation,
+//! so a request still running on the old KB cannot poison it.
+//!
+//! The registry also keeps each live generation's `(type, sim)` match
+//! indexes ([`MatchIndex`]). A [`crate::MatchContext`] with a registry
+//! attached asks for an index here before it builds one, and
+//! `apply_delta` hands the old generation's indexes to the new one, minus
+//! those whose type the delta's footprint makes stale — an edge-only delta
+//! rebuilds no index at all.
 //!
 //! Memory is bounded twice: each `ValueCache` evicts entries under its own
 //! budget (clock over per-shard entry counts, see
 //! [`ValueCacheConfig`]), and the registry itself retains at most
 //! `max_caches` distinct caches, dropping the least recently used whole
-//! cache beyond that.
+//! cache beyond that. The same bound caps the generations whose index sets
+//! it keeps.
 //!
 //! ## Disk snapshots (cross-process warm starts)
 //!
@@ -54,11 +63,13 @@
 //!   [`RegistryConfig::max_persist_entries`] hottest entries each (the
 //!   clock/second-chance bits decide what is hot).
 
+use crate::graph::schema::NodeType;
 use crate::repair::snapshot::{self, SnapshotKey, SnapshotPayload};
-use crate::repair::value_cache::{ValueCache, ValueCacheConfig};
+use crate::repair::value_cache::{ty_stale, ValueCache, ValueCacheConfig};
 use dr_kb::{FxHashMap, KbFootprint, KbRef};
 use dr_obs::{Counter, MetricRegistry};
 use dr_relation::Schema;
+use dr_simmatch::{MatchIndex, SimFn};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -266,10 +277,19 @@ struct Slot {
     disk_key: Option<SnapshotKey>,
 }
 
-/// A process-lifetime pool of schema-keyed [`ValueCache`]s.
+/// One KB generation's `(type, sim)` match indexes.
+#[derive(Default)]
+struct IndexSet {
+    indexes: FxHashMap<(NodeType, SimFn), Arc<MatchIndex>>,
+    last_used: u64,
+}
+
+/// A process-lifetime pool of schema-keyed [`ValueCache`]s and
+/// per-generation match indexes.
 pub struct CacheRegistry {
     config: RegistryConfig,
     slots: Mutex<FxHashMap<CacheKey, Slot>>,
+    index_sets: Mutex<FxHashMap<u64, IndexSet>>,
     clock: AtomicU64,
     // `dr_obs::Counter` cells, so an attached observability registry can
     // expose the same storage [`Self::stats`] reads (see
@@ -299,6 +319,7 @@ impl CacheRegistry {
         Self {
             config,
             slots: Mutex::new(FxHashMap::default()),
+            index_sets: Mutex::new(FxHashMap::default()),
             clock: AtomicU64::new(0),
             warm_hits: Counter::new(),
             cold_misses: Counter::new(),
@@ -401,7 +422,10 @@ impl CacheRegistry {
                 None => break,
             }
         }
-        let cache = Arc::new(ValueCache::with_config(self.config.cache_config()));
+        let cache = Arc::new(ValueCache::for_generation(
+            self.config.cache_config(),
+            key.0,
+        ));
         slots.insert(
             key,
             Slot {
@@ -415,6 +439,47 @@ impl CacheRegistry {
         (cache, true)
     }
 
+    /// The `(ty, sim)` match index of KB generation `generation`: the one
+    /// this registry holds, or `build()`'s, which it then holds. `build`
+    /// runs outside the lock; when two callers race, the first insert wins.
+    pub(crate) fn index_for(
+        &self,
+        generation: u64,
+        ty: NodeType,
+        sim: SimFn,
+        build: impl FnOnce() -> MatchIndex,
+    ) -> Arc<MatchIndex> {
+        let stamp = self.clock.fetch_add(1, Relaxed) + 1;
+        if let Some(set) = self.index_sets.lock().get_mut(&generation) {
+            set.last_used = stamp;
+            if let Some(index) = set.indexes.get(&(ty, sim)) {
+                return Arc::clone(index);
+            }
+        }
+        let built = Arc::new(build());
+        let mut sets = self.index_sets.lock();
+        if !sets.contains_key(&generation) {
+            while sets.len() >= self.config.max_caches {
+                let lru = sets
+                    .iter()
+                    .min_by_key(|(_, s)| s.last_used)
+                    .map(|(&g, _)| g);
+                match lru {
+                    Some(g) => sets.remove(&g),
+                    None => break,
+                };
+            }
+        }
+        let set = sets.entry(generation).or_default();
+        set.last_used = stamp;
+        Arc::clone(set.indexes.entry((ty, sim)).or_insert(built))
+    }
+
+    /// The KB generations whose match indexes this registry holds.
+    pub fn indexed_generations(&self) -> Vec<u64> {
+        self.index_sets.lock().keys().copied().collect()
+    }
+
     /// Migrates every cache of `old_generation` across a KB delta: sweeps
     /// the entries whose recorded footprint intersects `fp`
     /// ([`ValueCache::invalidate`]), re-keys the cache under
@@ -422,6 +487,13 @@ impl CacheRegistry {
     /// `new_content_hash` so later persists land under the post-delta KB's
     /// key. Returns the number of entries swept (also accumulated into the
     /// `cache_invalidated_entries_total` metric).
+    ///
+    /// The old generation's match indexes move to `new_generation` too,
+    /// except those of a type `fp` makes stale, by the rule node entries
+    /// follow. A class index reads only the class's closed extent and its
+    /// labels, the literal index only the literal pool, and a delta that
+    /// changes either marks the class (ancestor-expanded) or the literals
+    /// in its footprint.
     ///
     /// Everything the delta did not touch survives warm — this is the whole
     /// point of footprint-based invalidation; compare
@@ -433,6 +505,17 @@ impl CacheRegistry {
         new_content_hash: u64,
         fp: &KbFootprint,
     ) -> u64 {
+        {
+            let mut sets = self.index_sets.lock();
+            if let Some(mut set) = sets.remove(&old_generation) {
+                set.indexes.retain(|&(ty, _), _| !ty_stale(fp, ty));
+                let successor = sets.entry(new_generation).or_default();
+                for (key, index) in set.indexes {
+                    successor.indexes.entry(key).or_insert(index);
+                }
+                successor.last_used = successor.last_used.max(set.last_used);
+            }
+        }
         let mut invalidated = 0u64;
         let mut slots = self.slots.lock();
         let keys: Vec<CacheKey> = slots
@@ -444,7 +527,7 @@ impl CacheRegistry {
             let Some(mut slot) = slots.remove(&key) else {
                 continue;
             };
-            invalidated += slot.cache.invalidate(fp);
+            invalidated += slot.cache.migrate(fp, new_generation);
             if let Some(dk) = slot.disk_key.as_mut() {
                 dk.kb_content_hash = new_content_hash;
             }
@@ -457,11 +540,13 @@ impl CacheRegistry {
         invalidated
     }
 
-    /// Drops every cache belonging to `generation` — the unload path: a KB
-    /// removed from a serving pool releases its cache memory immediately.
-    /// Evicted caches with a disk identity are snapshotted first, exactly
-    /// like LRU victims. Returns how many caches were dropped.
+    /// Drops every cache and the match indexes belonging to `generation` —
+    /// the unload path: a KB removed from a serving pool releases its cache
+    /// memory immediately. Evicted caches with a disk identity are
+    /// snapshotted first, exactly like LRU victims. Returns how many caches
+    /// were dropped.
     pub fn evict_generation(&self, generation: u64) -> usize {
+        self.index_sets.lock().remove(&generation);
         let mut victims: Vec<(SnapshotKey, Arc<ValueCache>)> = Vec::new();
         let mut slots = self.slots.lock();
         let before = slots.len();
@@ -483,13 +568,16 @@ impl CacheRegistry {
         dropped
     }
 
-    /// Drops every cache not belonging to `live_generation` — for
-    /// server-style workloads that rebuild their KB in place and want the
-    /// stale caches' memory back immediately instead of waiting for LRU
+    /// Drops every cache and index set not belonging to `live_generation`
+    /// — for server-style workloads that rebuild their KB in place and want
+    /// the stale caches' memory back immediately instead of waiting for LRU
     /// pressure. (Correctness never depends on this: stale generations are
     /// unreachable through [`Self::cache_for`] regardless.) Evicted caches
     /// with a disk identity are snapshotted to disk first.
     pub fn evict_stale(&self, live_generation: u64) {
+        self.index_sets
+            .lock()
+            .retain(|&generation, _| generation == live_generation);
         let mut victims: Vec<(SnapshotKey, Arc<ValueCache>)> = Vec::new();
         let mut slots = self.slots.lock();
         let before = slots.len();
@@ -872,6 +960,81 @@ mod tests {
         let old_key_cache = registry.cache_for(&kb, &schema);
         assert!(!Arc::ptr_eq(&cache, &old_key_cache));
         assert_eq!(registry.stats().cold_misses, 2);
+    }
+
+    /// The retract the in-flight tests apply: afterwards the Technion is
+    /// no longer located in Haifa.
+    fn retract_technion_in_haifa(kb: &KnowledgeBase) -> (KnowledgeBase, KbFootprint) {
+        let mut delta = dr_kb::KbDelta::new();
+        delta.retract(
+            "Israel Institute of Technology",
+            names::LOCATED_IN,
+            dr_kb::DeltaNode::Instance("Haifa".into()),
+        );
+        let mut next = kb.clone();
+        let fp = next.apply_delta(&delta).expect("edge delta applies");
+        (next, fp)
+    }
+
+    /// `(organization -locatedIn-> city)` on "Israel Institute of
+    /// Technology" → "Haifa" through `cache`.
+    fn technion_in_haifa(cache: &ValueCache, ctx: &MatchContext<'_>) -> bool {
+        let kb = ctx.kb();
+        let org = SchemaNode::new(
+            nobel_schema().attr_expect("Institution"),
+            NodeType::Class(kb.class_named(names::ORGANIZATION).unwrap()),
+            SimFn::Equal,
+        );
+        let city = SchemaNode::new(
+            nobel_schema().attr_expect("City"),
+            NodeType::Class(kb.class_named(names::CITY).unwrap()),
+            SimFn::Equal,
+        );
+        let located_in = kb.pred_named(names::LOCATED_IN).unwrap();
+        cache.edge_ok(
+            ctx,
+            &org,
+            located_in,
+            &city,
+            "Israel Institute of Technology",
+            "Haifa",
+        )
+    }
+
+    /// A request still running on the generation a delta replaced holds
+    /// the migrated cache's `Arc`. What it computes on the old KB must not
+    /// land in the cache the new generation reads.
+    #[test]
+    fn in_flight_old_generation_cannot_fill_a_migrated_cache() {
+        let kb = nobel_mini_kb();
+        let registry = CacheRegistry::default();
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        let old_ctx = MatchContext::new(&kb);
+
+        let (next, fp) = retract_technion_in_haifa(&kb);
+        registry.apply_delta(kb.generation(), next.generation(), next.content_hash(), &fp);
+
+        assert!(technion_in_haifa(&cache, &old_ctx), "true on the old KB");
+        assert_eq!(cache.count_stale(&fp), 0, "no old-KB answer was kept");
+        let new_ctx = MatchContext::new(&next);
+        assert!(!technion_in_haifa(&cache, &new_ctx), "false on the new KB");
+    }
+
+    /// The read direction: an old-generation request must not be served
+    /// what the new generation computed.
+    #[test]
+    fn in_flight_old_generation_cannot_read_a_migrated_cache() {
+        let kb = nobel_mini_kb();
+        let registry = CacheRegistry::default();
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        let old_ctx = MatchContext::new(&kb);
+
+        let (next, fp) = retract_technion_in_haifa(&kb);
+        registry.apply_delta(kb.generation(), next.generation(), next.content_hash(), &fp);
+
+        let new_ctx = MatchContext::new(&next);
+        assert!(!technion_in_haifa(&cache, &new_ctx), "false on the new KB");
+        assert!(technion_in_haifa(&cache, &old_ctx), "true on the old KB");
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub struct ResilienceReport {
 
 impl ResilienceReport {
     /// Tallies the per-tuple outcomes of a finished relation repair.
-    pub fn tally(tuples: &[TupleReport]) -> Self {
+    pub fn tally<'a>(tuples: impl IntoIterator<Item = &'a TupleReport>) -> Self {
         let mut out = Self::default();
         for t in tuples {
             match &t.outcome {

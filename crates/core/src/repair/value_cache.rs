@@ -40,7 +40,7 @@ use dr_obs::{Counter, MetricRegistry};
 use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// An edge signature: source node, predicate, target node.
@@ -237,12 +237,20 @@ pub(crate) fn edge_probe(
     (false, probed)
 }
 
-/// Whether a delta footprint invalidates a dependency on `ty`'s extent.
-fn ty_stale(fp: &KbFootprint, ty: NodeType) -> bool {
+/// Whether a delta footprint invalidates a dependency on `ty`'s extent —
+/// the one staleness rule for node entries, edge endpoints and the
+/// registry's per-generation match indexes.
+pub(crate) fn ty_stale(fp: &KbFootprint, ty: NodeType) -> bool {
     match ty {
         NodeType::Class(c) => fp.touches_class(c),
         NodeType::Literal => fp.literals,
     }
+}
+
+/// Whether a delta footprint can make any type's extent stale; when it
+/// cannot, a sweep skips every node entry.
+fn touches_types(fp: &KbFootprint) -> bool {
+    fp.all_classes || fp.literals || !fp.classes.is_empty()
 }
 
 /// Whether a delta footprint invalidates a cached edge entry.
@@ -254,6 +262,146 @@ fn edge_stale(fp: &KbFootprint, sig: &EdgeSig, entry: &EdgeEntry) -> bool {
             .probed
             .iter()
             .any(|&f| fp.out_pairs.contains(&(f, *rel)))
+}
+
+/// One KB region a cached answer was computed from.
+#[derive(Debug, Clone, Copy)]
+enum Dep {
+    /// The extent of a schema-node type (a class, or the literal pool).
+    Ty(NodeType),
+    /// The out-edges `(instance, pred, *)`.
+    Out(InstanceId, PredId),
+}
+
+/// A cache key that names the KB regions its entry was computed from. An
+/// entry is stale under a delta exactly when one of its regions is:
+/// [`ty_stale`] for a type, membership in `out_pairs` for an out-pair —
+/// the same rule [`edge_stale`] spells out for the full-scan oracle.
+trait Reads<V> {
+    /// Calls `f` with each region the entry `(self, value)` read.
+    fn reads(&self, value: &V, f: impl FnMut(Dep));
+
+    fn stale(&self, value: &V, fp: &KbFootprint) -> bool {
+        let mut stale = false;
+        self.reads(value, |dep| {
+            stale |= match dep {
+                Dep::Ty(ty) => ty_stale(fp, ty),
+                Dep::Out(s, p) => fp.out_pairs.contains(&(s, p)),
+            }
+        });
+        stale
+    }
+
+    fn read_count(&self, value: &V) -> usize {
+        let mut n = 0;
+        self.reads(value, |_| n += 1);
+        n
+    }
+}
+
+impl Reads<Arc<Vec<Node>>> for NodeKey {
+    fn reads(&self, _: &Arc<Vec<Node>>, mut f: impl FnMut(Dep)) {
+        f(Dep::Ty(self.0.ty));
+    }
+}
+
+impl Reads<EdgeEntry> for EdgeKey {
+    fn reads(&self, entry: &EdgeEntry, mut f: impl FnMut(Dep)) {
+        let ((from, rel, to), _, _) = self;
+        f(Dep::Ty(from.ty));
+        if to.ty != from.ty {
+            f(Dep::Ty(to.ty));
+        }
+        for &i in &entry.probed {
+            f(Dep::Out(i, *rel));
+        }
+    }
+}
+
+/// Lazily removed ring slots or index references a shard tolerates beyond
+/// twice its live count before it compacts.
+const LAZY_SLACK: usize = 64;
+
+/// A shard's reverse index from KB region to the entries that read it, so
+/// a sweep reaches the entries a footprint can make stale without scanning
+/// the rest.
+///
+/// Removal is lazy: an entry that leaves the map (swept or evicted) keeps
+/// its references under the regions a sweep did not visit, and a sweep
+/// re-checks every entry it reaches against the footprint before removing
+/// it. `refs` counts the references held and `live` those the entries
+/// still in the map account for; once dead references outnumber live ones
+/// (plus [`LAZY_SLACK`]) the index is rebuilt from the map.
+struct ReadIndex<K> {
+    by_ty: FxHashMap<NodeType, Vec<Arc<K>>>,
+    by_out: FxHashMap<(InstanceId, PredId), Vec<Arc<K>>>,
+    refs: usize,
+    live: usize,
+}
+
+impl<K> ReadIndex<K> {
+    /// Indexes every entry of `map` (one full scan).
+    fn build<V>(map: &FxHashMap<Arc<K>, ClockEntry<V>>) -> Self
+    where
+        K: Reads<V>,
+    {
+        let mut index = Self {
+            by_ty: FxHashMap::default(),
+            by_out: FxHashMap::default(),
+            refs: 0,
+            live: 0,
+        };
+        for (key, entry) in map {
+            index.add(key, &entry.value);
+        }
+        index
+    }
+
+    fn add<V>(&mut self, key: &Arc<K>, value: &V)
+    where
+        K: Reads<V>,
+    {
+        let mut added = 0;
+        key.reads(value, |dep| {
+            let list = match dep {
+                Dep::Ty(ty) => self.by_ty.entry(ty).or_default(),
+                Dep::Out(s, p) => self.by_out.entry((s, p)).or_default(),
+            };
+            list.push(Arc::clone(key));
+            added += 1;
+        });
+        self.refs += added;
+        self.live += added;
+    }
+
+    /// Drains the reference lists of every region `fp` makes stale. Types
+    /// are few per shard, so the type lists are filtered whole; out-pairs
+    /// are looked up one by one.
+    fn take_stale(&mut self, fp: &KbFootprint) -> Vec<Arc<K>> {
+        let mut out = Vec::new();
+        if touches_types(fp) {
+            self.by_ty.retain(|&ty, keys| {
+                let stale = ty_stale(fp, ty);
+                if stale {
+                    out.append(keys);
+                }
+                !stale
+            });
+        }
+        if !self.by_out.is_empty() {
+            for pair in &fp.out_pairs {
+                if let Some(keys) = self.by_out.remove(pair) {
+                    out.extend(keys);
+                }
+            }
+        }
+        self.refs -= out.len();
+        out
+    }
+
+    fn needs_rebuild(&self) -> bool {
+        self.refs > 2 * self.live + LAZY_SLACK
+    }
 }
 
 /// One cached value plus its clock referenced bit. The bit is an atomic so
@@ -272,22 +420,42 @@ impl<V> ClockEntry<V> {
     }
 }
 
-/// A bounded map shard with clock (second-chance) eviction.
-struct ClockShard<K, V> {
-    map: FxHashMap<K, ClockEntry<V>>,
-    /// Insertion ring for the clock hand. Keys are pushed on insert and only
-    /// leave through eviction, so `ring.len() == map.len()`.
-    ring: VecDeque<K>,
-    /// Entry cap (`0` = unbounded).
-    cap: usize,
+/// The entry a clock-ring slot stands for, or `None` when a sweep removed
+/// it (its key may have been inserted again since, under a new slot).
+fn slot_entry<'m, K: Hash + Eq, V>(
+    map: &'m FxHashMap<Arc<K>, ClockEntry<V>>,
+    slot: &Arc<K>,
+) -> Option<&'m ClockEntry<V>> {
+    map.get_key_value(&**slot)
+        .filter(|(key, _)| Arc::ptr_eq(key, slot))
+        .map(|(_, e)| e)
 }
 
-impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
+/// A bounded map shard with clock (second-chance) eviction.
+///
+/// Keys are `Arc`-shared between the map, the clock ring and the reverse
+/// index, so each key's cell values are stored once.
+struct ClockShard<K, V> {
+    map: FxHashMap<Arc<K>, ClockEntry<V>>,
+    /// Insertion ring for the clock hand. A slot is live while the map
+    /// holds the same `Arc` under its key. An entry removed by a sweep
+    /// leaves a dead slot behind (the eviction loop and the export skip
+    /// them); the ring is compacted once it outgrows twice the map.
+    ring: VecDeque<Arc<K>>,
+    /// Entry cap (`0` = unbounded).
+    cap: usize,
+    /// Region → entries reverse index, built by the shard's first sweep. A
+    /// shard that is never swept carries none.
+    reads: Option<ReadIndex<K>>,
+}
+
+impl<K: Hash + Eq + Reads<V>, V> ClockShard<K, V> {
     fn new(cap: usize) -> Self {
         Self {
             map: FxHashMap::default(),
             ring: VecDeque::new(),
             cap,
+            reads: None,
         }
     }
 
@@ -298,6 +466,17 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
         })
     }
 
+    /// Removes `key`'s entry, keeping the reverse index's live count.
+    fn remove(&mut self, key: &K) -> bool {
+        let Some((key, entry)) = self.map.remove_entry(key) else {
+            return false;
+        };
+        if let Some(reads) = &mut self.reads {
+            reads.live -= key.read_count(&entry.value);
+        }
+        true
+    }
+
     /// Inserts `value` under `key` unless present (first insert wins),
     /// returning a reference to the winning value and how many entries were
     /// evicted to make room.
@@ -305,27 +484,32 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
         let mut evicted = 0;
         if self.cap != 0 && !self.map.contains_key(&key) {
             while self.map.len() >= self.cap {
-                let Some(victim) = self.ring.pop_front() else {
+                let Some(slot) = self.ring.pop_front() else {
                     break;
                 };
-                match self.map.get(&victim) {
-                    Some(e) if e.referenced.swap(false, Relaxed) => {
-                        // Second chance: recently hit, rotate to the back.
-                        self.ring.push_back(victim);
-                    }
-                    Some(_) => {
-                        self.map.remove(&victim);
-                        evicted += 1;
-                    }
-                    // Unreachable while ring and map stay in sync; tolerate.
-                    None => {}
+                let referenced = match slot_entry(&self.map, &slot) {
+                    Some(e) => e.referenced.swap(false, Relaxed),
+                    None => continue,
+                };
+                if referenced {
+                    // Second chance: recently hit, rotate to the back.
+                    self.ring.push_back(slot);
+                } else {
+                    self.remove(&slot);
+                    evicted += 1;
                 }
             }
+            if evicted > 0 && self.reads.as_ref().is_some_and(ReadIndex::needs_rebuild) {
+                self.reads = Some(ReadIndex::build(&self.map));
+            }
         }
-        let entry = match self.map.entry(key.clone()) {
+        let entry = match self.map.entry(Arc::new(key)) {
             std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                self.ring.push_back(key);
+                self.ring.push_back(Arc::clone(v.key()));
+                if let Some(reads) = &mut self.reads {
+                    reads.add(v.key(), &value);
+                }
                 v.insert(ClockEntry::new(value))
             }
         };
@@ -336,21 +520,37 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
         self.map.len()
     }
 
-    /// Removes every entry for which `keep` returns `false`, keeping the
-    /// clock ring in sync, and returns how many entries were removed.
-    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
-        let before = self.map.len();
-        self.map.retain(|k, e| keep(k, &e.value));
-        if self.map.len() != before {
-            self.ring.retain(|k| self.map.contains_key(k));
+    /// Removes every entry that read a region `fp` makes stale and returns
+    /// how many were removed, in O(entries reached) after the first call
+    /// (which builds the reverse index with one full scan).
+    fn sweep(&mut self, fp: &KbFootprint) -> u64 {
+        let map = &self.map;
+        let reads = self.reads.get_or_insert_with(|| ReadIndex::build(map));
+        let reached = reads.take_stale(fp);
+        let mut removed = 0;
+        for key in reached {
+            let stale = self.map.get(&*key).is_some_and(|e| key.stale(&e.value, fp));
+            if stale && self.remove(&key) {
+                removed += 1;
+            }
         }
-        (before - self.map.len()) as u64
+        if self.reads.as_ref().is_some_and(ReadIndex::needs_rebuild) {
+            self.reads = Some(ReadIndex::build(&self.map));
+        }
+        if self.ring.len() > 2 * self.map.len() + LAZY_SLACK {
+            let map = &self.map;
+            self.ring.retain(|slot| slot_entry(map, slot).is_some());
+        }
+        removed
     }
 
-    /// Counts the entries a [`ClockShard::retain`] with the same predicate
-    /// would remove, without removing them.
+    /// Counts the entries for which `stale` holds — the full-scan oracle
+    /// the indexed [`ClockShard::sweep`] is tested against.
     fn count_matching(&self, mut stale: impl FnMut(&K, &V) -> bool) -> u64 {
-        self.map.iter().filter(|(k, e)| stale(k, &e.value)).count() as u64
+        self.map
+            .iter()
+            .filter(|(k, e)| stale(&**k, &e.value))
+            .count() as u64
     }
 
     /// Emits up to `cap` entries (`0` = all), hottest first: entries whose
@@ -359,30 +559,29 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
     /// sweep uses, so a bounded snapshot keeps exactly the working set the
     /// clock would protect.
     fn export(&self, cap: usize, mut emit: impl FnMut(&K, &V)) {
-        let mut cold: Vec<&K> = Vec::new();
+        let mut cold: Vec<(&K, &V)> = Vec::new();
         let mut emitted = 0usize;
         let full = |n: usize| cap != 0 && n >= cap;
-        for k in &self.ring {
+        for slot in &self.ring {
             if full(emitted) {
                 return;
             }
-            if let Some(e) = self.map.get(k) {
-                if e.referenced.load(Relaxed) {
-                    emit(k, &e.value);
-                    emitted += 1;
-                } else {
-                    cold.push(k);
-                }
+            let Some(e) = slot_entry(&self.map, slot) else {
+                continue;
+            };
+            if e.referenced.load(Relaxed) {
+                emit(slot, &e.value);
+                emitted += 1;
+            } else {
+                cold.push((slot, &e.value));
             }
         }
-        for k in cold {
+        for (key, value) in cold {
             if full(emitted) {
                 return;
             }
-            if let Some(e) = self.map.get(k) {
-                emit(k, &e.value);
-                emitted += 1;
-            }
+            emit(key, value);
+            emitted += 1;
         }
     }
 }
@@ -393,6 +592,10 @@ pub struct ValueCache {
     nodes: Vec<RwLock<ClockShard<NodeKey, Arc<Vec<Node>>>>>,
     edges: Vec<RwLock<ClockShard<EdgeKey, EdgeEntry>>>,
     mask: usize,
+    /// The KB generation a registry cache answers for (see
+    /// [`ValueCache::serves`]); `0` for a relation-scoped cache, which is
+    /// never checked.
+    generation: AtomicU64,
     // Counters are `dr_obs::Counter` cells so an attached observability
     // registry can expose the *same* storage the report columns read —
     // `stats()` is a view, not a copy kept in sync by hand.
@@ -425,6 +628,12 @@ impl ValueCache {
 
     /// An empty cache with explicit sizing.
     pub fn with_config(config: ValueCacheConfig) -> Self {
+        Self::for_generation(config, 0)
+    }
+
+    /// An empty cache that answers only for contexts over KB generation
+    /// `generation` — how the registry creates its caches.
+    pub(crate) fn for_generation(config: ValueCacheConfig, generation: u64) -> Self {
         let shards = config.normalized_shards();
         let cap = config.per_shard_cap();
         Self {
@@ -435,6 +644,7 @@ impl ValueCache {
                 .map(|_| RwLock::new(ClockShard::new(cap)))
                 .collect(),
             mask: shards - 1,
+            generation: AtomicU64::new(generation),
             node_hits: Counter::new(),
             node_misses: Counter::new(),
             edge_hits: Counter::new(),
@@ -496,7 +706,12 @@ impl ValueCache {
     ) -> (Arc<Vec<Node>>, bool) {
         let key = (*node, value.to_owned());
         let shard = &self.nodes[hash_of(&key) & self.mask];
-        if let Some(cands) = shard.read().get(&key).map(Arc::clone) {
+        let hit = if self.serves(ctx) {
+            shard.read().get(&key).map(Arc::clone)
+        } else {
+            None
+        };
+        if let Some(cands) = hit {
             self.node_hits.inc();
             // A cached answer still *depends* on the KB region it was
             // computed from — record it so per-row footprints stay sound.
@@ -511,6 +726,9 @@ impl ValueCache {
         // wins, everyone returns the same candidates.
         let cands = Arc::new(ctx.candidates(node.ty, node.sim, value));
         let mut guard = shard.write();
+        if !self.serves(ctx) {
+            return (cands, false);
+        }
         let (winner, evicted) = guard.insert(key, cands);
         let winner = Arc::clone(winner);
         drop(guard);
@@ -549,7 +767,7 @@ impl ValueCache {
         let sig = (*from, rel, *to);
         let key = (sig, from_value.to_owned(), to_value.to_owned());
         let shard = &self.edges[hash_of(&key) & self.mask];
-        {
+        if self.serves(ctx) {
             let guard = shard.read();
             if let Some(entry) = guard.get(&key) {
                 self.edge_hits.inc();
@@ -570,28 +788,65 @@ impl ValueCache {
         let from_cands = self.candidates(ctx, from, from_value);
         let to_cands = self.candidates(ctx, to, to_value);
         let (ok, probed) = edge_probe(ctx, &from_cands, rel, &to_cands);
-        let (_, evicted) = shard.write().insert(key, EdgeEntry { ok, probed });
+        let mut guard = shard.write();
+        if !self.serves(ctx) {
+            return (ok, false);
+        }
+        let (_, evicted) = guard.insert(key, EdgeEntry { ok, probed });
+        drop(guard);
         if evicted > 0 {
             self.evictions.add(evicted);
         }
         (ok, false)
     }
 
+    /// Whether lookups through `ctx` may read and fill this cache. A
+    /// relation-scoped cache (generation `0`) serves every context; a
+    /// registry cache serves only contexts over the KB generation it was
+    /// created for or migrated to. A context over any other generation — a
+    /// request still running on the KB a delta replaced — computes its
+    /// answers directly, so it can neither read entries of the new KB nor
+    /// leave answers of the old one behind.
+    fn serves(&self, ctx: &MatchContext<'_>) -> bool {
+        let generation = self.generation.load(Ordering::Acquire);
+        generation == 0 || generation == ctx.kb().generation()
+    }
+
+    /// Moves a registry cache to KB generation `to` across a delta with
+    /// write footprint `fp`, returning how many entries were swept.
+    ///
+    /// The cache serves no generation while the sweep runs. Lookups check
+    /// the generation before they read and again under the shard lock
+    /// before they insert, so an answer computed on the old KB either lands
+    /// before the sweep reaches its shard (and is swept if stale) or is
+    /// dropped.
+    pub(crate) fn migrate(&self, fp: &KbFootprint, to: u64) -> u64 {
+        self.generation.store(u64::MAX, Ordering::Release);
+        let removed = self.invalidate(fp);
+        self.generation.store(to, Ordering::Release);
+        removed
+    }
+
     /// Removes every entry whose recorded KB reads intersect `fp` (the
     /// footprint of an applied [`dr_kb::KbDelta`]), returning how many
     /// entries were dropped. Everything else survives the delta.
+    ///
+    /// The cost is that of the entries the footprint reaches: each shard
+    /// keeps a reverse index from KB region to entries, built by its first
+    /// sweep. A footprint without a class or literal part skips the node
+    /// entries outright.
     pub fn invalidate(&self, fp: &KbFootprint) -> u64 {
         if fp.is_empty() {
             return 0;
         }
         let mut removed = 0u64;
-        for shard in &self.nodes {
-            removed += shard.write().retain(|(sn, _), _| !ty_stale(fp, sn.ty));
+        if touches_types(fp) {
+            for shard in &self.nodes {
+                removed += shard.write().sweep(fp);
+            }
         }
         for shard in &self.edges {
-            removed += shard
-                .write()
-                .retain(|(sig, _, _), entry| !edge_stale(fp, sig, entry));
+            removed += shard.write().sweep(fp);
         }
         removed
     }

@@ -6,7 +6,7 @@
 //! set, and the shared match-index memo — behind a swap lock. Requests
 //! clone the `Arc` and build a short-lived [`MatchContext`] over it, so a
 //! `POST /v1/kbs/{kb}/delta` can install a *new* core (next KB generation,
-//! fresh indexes) without touching in-flight repairs, and
+//! fresh index memo) without touching in-flight repairs, and
 //! `DELETE /v1/kbs/{kb}` releases the KB's memory once the last in-flight
 //! handle drops. The entry's value cache is created through the shared
 //! [`CacheRegistry`] so a `--cache-dir` snapshot warm-loads at boot rather
@@ -63,8 +63,11 @@ pub struct KbCore {
     /// interning is append-only, so `ClassId`/`PredId` stay valid in the
     /// successor generation.
     pub rules: Arc<Vec<dr_core::DetectiveRule>>,
-    /// Match indexes built over this generation; a delta installs a fresh
-    /// memo so no stale index survives the swap.
+    /// Match indexes of this generation. A delta installs a fresh memo,
+    /// filled from the registry: indexes the delta's footprint leaves
+    /// untouched are the predecessor's (shared, not rebuilt), the rest are
+    /// rebuilt over the new KB. `generation_inheritance` tests that an
+    /// inherited index answers exactly as a rebuilt one.
     pub memo: IndexMemo,
 }
 
@@ -129,14 +132,16 @@ impl KbEntry {
     /// swapping in a successor core (new generation, fresh index memo).
     ///
     /// The registry is told about the generation step so surviving value
-    /// cache entries are re-keyed to the new generation and entries whose
-    /// recorded footprint intersects the delta's are swept. In-flight
-    /// requests keep repairing against the old core's `Arc`; they and the
-    /// old core retire together.
+    /// cache entries and match indexes are re-keyed to the new generation
+    /// and those whose recorded footprint intersects the delta's are
+    /// swept. In-flight requests keep repairing against the old core's
+    /// `Arc`; the migrated value cache no longer answers for their
+    /// generation, so they compute directly until they and the old core
+    /// retire together.
     pub fn apply_delta(
         &self,
         delta: &KbDelta,
-        registry: &CacheRegistry,
+        registry: &Arc<CacheRegistry>,
     ) -> Result<DeltaOutcome, DeltaApplyError> {
         let mut guard = self.core.write();
         let Some(core) = guard.as_ref() else {
@@ -158,11 +163,15 @@ impl KbEntry {
             rules: Arc::clone(&core.rules),
             memo: IndexMemo::new(),
         });
-        // Prewarm the successor's indexes before publishing it, so the
-        // first post-delta request pays no index-build stall (and no
-        // stale index from the old generation can ever be consulted).
-        MatchContext::with_memo(new_core.kb.as_ref(), &new_core.memo, None)
-            .prewarm(&new_core.rules);
+        // Prewarm the successor's memo before publishing it, so the first
+        // post-delta request pays no index-build stall. The registry hands
+        // over every index the delta left untouched; only the rest build.
+        MatchContext::with_memo(
+            new_core.kb.as_ref(),
+            &new_core.memo,
+            Some(Arc::clone(registry)),
+        )
+        .prewarm(&new_core.rules);
         *guard = Some(Arc::clone(&new_core));
         Ok(DeltaOutcome {
             generation,
@@ -919,6 +928,121 @@ mod tests {
         // The pre-delta handle keeps serving its own generation: in-flight
         // requests are unaffected by the swap.
         assert_eq!(core0.kb.as_ref().generation(), gen0);
+    }
+
+    /// A rule node over the `city` class of `core`'s KB.
+    fn city_node(core: &KbCore) -> dr_core::SchemaNode {
+        let city = core
+            .kb
+            .as_ref()
+            .class_named(dr_kb::fixtures::names::CITY)
+            .unwrap();
+        core.rules
+            .iter()
+            .flat_map(|r| r.evidence().iter().chain([r.positive(), r.negative()]))
+            .find(|n| n.ty == dr_core::NodeType::Class(city))
+            .copied()
+            .expect("the Figure 4 rules match cities")
+    }
+
+    /// An edge-only delta leaves every class extent alone, so the successor
+    /// serves the predecessor's class index itself; a `type+` on the class
+    /// makes the successor rebuild it.
+    #[test]
+    fn successor_inherits_indexes_its_delta_leaves_untouched() {
+        let state = build_state(
+            &[KbSpec::NobelMini],
+            RegistryConfig::default(),
+            Arc::new(Obs::new()),
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let entry = state.entry("nobel-mini").expect("entry exists");
+        let core0 = entry.core().expect("loaded");
+        let city = city_node(&core0);
+        let index_of = |core: &KbCore| {
+            core.context(Arc::clone(&state.registry), Arc::clone(&state.obs))
+                .index_for(city.ty, city.sim)
+        };
+        let index0 = index_of(&core0);
+
+        let mut edge_only = KbDelta::new();
+        edge_only.retract(
+            "Israel Institute of Technology",
+            dr_kb::fixtures::names::LOCATED_IN,
+            dr_kb::DeltaNode::Instance("Haifa".into()),
+        );
+        entry
+            .apply_delta(&edge_only, &state.registry)
+            .expect("applies");
+        let core1 = entry.core().expect("loaded");
+        assert!(Arc::ptr_eq(&index0, &index_of(&core1)));
+
+        let mut typed = KbDelta::new();
+        typed.add_type("Tel Aviv", dr_kb::fixtures::names::CITY);
+        entry.apply_delta(&typed, &state.registry).expect("applies");
+        let core2 = entry.core().expect("loaded");
+        let index2 = index_of(&core2);
+        assert!(!Arc::ptr_eq(&index0, &index2), "a type+ on city rebuilds");
+        assert_eq!(index2.len(), index0.len() + 1);
+    }
+
+    /// `DELETE /v1/kbs/{kb}` drops the generation's index set with its
+    /// value caches.
+    #[test]
+    fn unload_drops_the_generations_indexes() {
+        let state = build_state(
+            &[KbSpec::NobelMini],
+            RegistryConfig::default(),
+            Arc::new(Obs::new()),
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let generation = state
+            .entry("nobel-mini")
+            .and_then(KbEntry::core)
+            .expect("loaded")
+            .kb
+            .as_ref()
+            .generation();
+        assert!(state.registry.indexed_generations().contains(&generation));
+        let delete = Request {
+            method: "DELETE".into(),
+            path: "/v1/kbs/nobel-mini".into(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            http11: true,
+        };
+        assert_eq!(crate::handlers::handle(&state, &delete).status, 200);
+        assert!(!state.registry.indexed_generations().contains(&generation));
+    }
+
+    /// Index sets share the registry's `max_caches` bound: building twice
+    /// that many KBs keeps only the most recent ones' indexes.
+    #[test]
+    fn index_sets_stay_within_max_caches() {
+        let max_caches = 3;
+        let registry = Arc::new(CacheRegistry::new(RegistryConfig {
+            max_caches,
+            ..RegistryConfig::default()
+        }));
+        let obs = Arc::new(Obs::new());
+        let mut last = 0;
+        for _ in 0..2 * max_caches {
+            let (kb, _, rules) = KbSpec::NobelMini.build().unwrap();
+            let core = KbCore {
+                kb,
+                rules: Arc::new(rules),
+                memo: IndexMemo::new(),
+            };
+            core.context(Arc::clone(&registry), Arc::clone(&obs))
+                .prewarm(&core.rules);
+            last = core.kb.as_ref().generation();
+        }
+        let held = registry.indexed_generations();
+        assert_eq!(held.len(), max_caches);
+        assert!(held.contains(&last), "the newest generation is kept");
     }
 
     #[test]
