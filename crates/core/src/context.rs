@@ -206,8 +206,8 @@ impl<'kb> MatchContext<'kb> {
 
     /// Attaches a live span context (builder style): phases and repairers
     /// running through this context open their spans as children of it.
-    /// Unlike the JSONL tracer this surface carries real durations; it is
-    /// absent (and free) unless the serving layer armed the request.
+    /// It is absent (and free) unless the serving layer armed the request
+    /// or the repair drivers opened a row span.
     pub fn with_span(mut self, span: SpanCtx) -> Self {
         self.span = Some(span);
         self
@@ -248,7 +248,8 @@ impl<'kb> MatchContext<'kb> {
 
     /// Attaches an observability handle (builder style): repairers running
     /// through this context record metrics into `obs.metrics()` and, when
-    /// `obs.tracer()` is set, emit sampled JSONL repair traces. Cache and
+    /// `obs.jsonl()` is set, write each relation's spans to the JSONL
+    /// trace (unless the context also carries a live span). Cache and
     /// registry counters register their own cells as caches are handed
     /// out, so the metric store and the report stats read the same storage.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {

@@ -1,43 +1,29 @@
 //! Bridges between the repair pipeline and the `dr-obs` observability
-//! layer (DESIGN.md §4d).
+//! layer (DESIGN.md §4d, §11).
 //!
 //! Everything here is gated on the context carrying an
-//! [`Obs`](dr_obs::Obs) handle: metric recording happens once per relation
-//! from the same values the [`RelationReport`] carries (so the Prometheus
-//! totals and the report columns cannot drift), and trace events are
-//! derived from the per-tuple [`TupleReport`]s plus the per-tuple
-//! [`ElementCacheStats`], never from a second bookkeeping path.
+//! [`Obs`](dr_obs::Obs) handle or a live span. Metric recording happens
+//! once per relation from the same values the [`RelationReport`] carries
+//! (so the Prometheus totals and the report columns cannot drift). Spans
+//! come from four hooks, one per loop of the repair drivers
+//! (`basic_repair`, `parallel_repair` and `FastRepairer::try_rule`):
+//! [`RelationSpan`] (with its phases), [`RowSpan`] and [`RuleSpan`]. The
+//! JSONL trace file is a rendering of those spans
+//! ([`dr_obs::render`]), never a second bookkeeping path.
 //!
-//! ## Trace event schema
-//!
-//! One JSON object per line, no wall-clock fields (traces are reproducible
-//! byte-for-byte under a fixed seed and sampling rate):
-//!
-//! | event            | fields                                                  |
-//! |------------------|---------------------------------------------------------|
-//! | `relation_start` | `algo`, `rows`, `rules`                                 |
-//! | `phase_enter`    | `phase` (`prewarm` \| `repair`)                         |
-//! | `phase_exit`     | `phase`                                                 |
-//! | `tuple_start`    | `row`                                                   |
-//! | `rule`           | `row`, `rule` (index), `name`, `outcome`                |
-//! | `cache`          | `row`, `local_hits`, `local_misses`, `shared_hits`, `shared_misses` |
-//! | `outcome`        | `row`, `outcome`, `steps`; degraded adds `budget_steps`, `cause`; failed adds `message` |
-//! | `retry`          | `row`                                                   |
-//! | `relation_end`   | `rows`                                                  |
-//!
-//! Per-tuple events (`tuple_start` through `outcome`, and `retry`) are
-//! emitted only for rows the deterministic sampler keeps and are flushed
-//! as one contiguous block per tuple; relation-level events are always
-//! emitted.
+//! The rendered line schema is in DESIGN.md §11.
 
+use crate::context::MatchContext;
 use crate::repair::basic::RelationReport;
 use crate::repair::basic::TupleReport;
-use crate::repair::budget::ExhaustCause;
+use crate::repair::budget::{BudgetExhaustion, ExhaustCause};
 use crate::repair::cache::ElementCacheStats;
 use crate::repair::resilience::TupleOutcome;
 use crate::rule::apply::RuleApplication;
 use dr_kb::FxHashMap;
-use dr_obs::{JsonObj, Obs, SpanBuf, Tracer};
+use dr_obs::{ActiveTrace, Obs, Span, SpanCtx};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Row-span floor for *speculative* live captures (DESIGN.md §11): an
 /// unforced capture records a row span only when the row ran at least
@@ -47,9 +33,7 @@ use dr_obs::{JsonObj, Obs, SpanBuf, Tracer};
 /// are far above this floor. Forced captures record every row.
 pub(crate) const SPECULATIVE_ROW_FLOOR: std::time::Duration = std::time::Duration::from_micros(100);
 
-/// Stable label for what a rule application did. Shared with the live
-/// span surface, so the JSONL `rule.outcome` field and a rule span's
-/// `result` attribute can never disagree.
+/// Stable label for what a rule application did: a rule span's `result`.
 pub(crate) fn application_kind(application: &RuleApplication) -> &'static str {
     match application {
         RuleApplication::Repaired { .. } => "repaired",
@@ -59,8 +43,8 @@ pub(crate) fn application_kind(application: &RuleApplication) -> &'static str {
     }
 }
 
-/// Stable label for a tuple's terminal outcome. Shared between the JSONL
-/// `outcome` event and the live row span's `outcome` attribute.
+/// Stable label for a tuple's terminal outcome: a row span's `outcome`
+/// and the `outcome` label of `repair_tuples_total`.
 pub(crate) fn outcome_label(outcome: &TupleOutcome) -> &'static str {
     match outcome {
         TupleOutcome::Completed => "completed",
@@ -130,136 +114,171 @@ pub(crate) fn record_relation(obs: &Obs, algo: &str, report: &RelationReport) {
         .add(duration_nanos(report.timing.prewarm));
     m.counter("repair_phase_seconds", &[("phase", "repair")])
         .add(duration_nanos(report.timing.repair));
-    m.counter("repair_relations_total", &[("algo", algo)]).inc();
 }
 
 fn duration_nanos(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Emits the `relation_start` event.
-pub(crate) fn trace_relation_start(tracer: &Tracer, algo: &str, rows: usize, rules: usize) {
-    tracer.emit(
-        JsonObj::new()
-            .str("ev", "relation_start")
-            .str("algo", algo)
-            .num("rows", rows as u64)
-            .num("rules", rules as u64)
-            .finish(),
-    );
+/// The relation hook: one `relation` span per relation repair, with the
+/// phase spans beneath it. It hangs under the context's live span when
+/// the request is traced; otherwise, when the [`Obs`] handle carries a
+/// JSONL sink, it starts a capture of its own and writes the rendered
+/// relation to the sink on [`finish`](Self::finish).
+pub(crate) struct RelationSpan {
+    span: Option<Span>,
+    capture: Option<(Arc<ActiveTrace>, Arc<Obs>)>,
 }
 
-/// Emits a `phase_enter` or `phase_exit` event.
-pub(crate) fn trace_phase(tracer: &Tracer, phase: &str, enter: bool) {
-    let ev = if enter { "phase_enter" } else { "phase_exit" };
-    tracer.emit(JsonObj::new().str("ev", ev).str("phase", phase).finish());
+impl RelationSpan {
+    pub(crate) fn open(
+        ctx: &MatchContext<'_>,
+        algo: &'static str,
+        rows: usize,
+        rules: usize,
+    ) -> Self {
+        let mut capture = None;
+        let parent = match ctx.span() {
+            Some(parent) => Some(parent.clone()),
+            None => ctx.obs().and_then(|obs| {
+                let trace = obs.jsonl()?.capture();
+                let root = SpanCtx::root(Arc::clone(&trace));
+                capture = Some((trace, Arc::clone(obs)));
+                Some(root)
+            }),
+        };
+        let span = parent.map(|parent| {
+            let mut span = parent.child("relation");
+            span.attr_static("algo", algo);
+            span.attr_num("rows", rows as u64);
+            span.attr_num("rules", rules as u64);
+            span
+        });
+        RelationSpan { span, capture }
+    }
+
+    /// The phase hook: a `prewarm` or `repair` span under the relation.
+    pub(crate) fn phase(&self, name: &'static str) -> Option<Span> {
+        self.span.as_ref().map(|span| span.child(name))
+    }
+
+    /// Ends the relation span and, for a JSONL capture, writes the
+    /// rendering; lines the per-row byte budget dropped land in
+    /// `trace_dropped_spans_total{surface="jsonl"}`.
+    pub(crate) fn finish(self) {
+        drop(self.span);
+        let Some((trace, obs)) = self.capture else {
+            return;
+        };
+        let Some(sink) = obs.jsonl() else { return };
+        let dropped = sink.write(&trace);
+        if dropped > 0 {
+            obs.metrics()
+                .counter("trace_dropped_spans_total", &[("surface", "jsonl")])
+                .add(dropped);
+        }
+    }
 }
 
-/// Emits the `relation_end` event.
-pub(crate) fn trace_relation_end(tracer: &Tracer, rows: usize) {
-    tracer.emit(
-        JsonObj::new()
-            .str("ev", "relation_end")
-            .num("rows", rows as u64)
-            .finish(),
-    );
+/// The row hook. A row gets a detailed `row` span when its trace details
+/// it (forced, or kept by the JSONL capture's sampler); on a speculative
+/// live capture it gets only a start time, recorded retroactively if the
+/// row turns out slow; otherwise nothing.
+pub(crate) struct RowSpan<'p> {
+    span: Option<Span>,
+    speculative: Option<(&'p SpanCtx, Instant)>,
 }
 
-/// Emits a `retry` event for `row` if sampled.
-pub(crate) fn trace_retry(tracer: &Tracer, row: usize) {
-    if tracer.sampled(row as u64) {
-        tracer.emit(
-            JsonObj::new()
-                .str("ev", "retry")
-                .num("row", row as u64)
-                .finish(),
-        );
+impl<'p> RowSpan<'p> {
+    /// Opens attempt `attempt` (1 for the first pass) of row `row` under
+    /// the `repair` phase span `parent`.
+    pub(crate) fn open(parent: Option<&'p SpanCtx>, row: usize, attempt: u32) -> Self {
+        let mut hook = RowSpan {
+            span: None,
+            speculative: None,
+        };
+        let Some(parent) = parent else { return hook };
+        if parent.trace().row_detailed(row as u64) {
+            let mut span = parent.child("row");
+            span.attr_num("row", row as u64);
+            span.attr_num("attempt", u64::from(attempt));
+            hook.span = Some(span);
+        } else if parent.trace().speculative() {
+            hook.speculative = Some((parent, Instant::now()));
+        }
+        hook
+    }
+
+    /// The parent for the row's rule spans: `Some` only on a detailed row,
+    /// so rule spans exist exactly where their row's does.
+    pub(crate) fn ctx(&self) -> Option<SpanCtx> {
+        self.span.as_ref().map(Span::ctx)
+    }
+
+    /// Closes the row with what its repair did and, when the row ran
+    /// through an [`ElementCache`](crate::repair::cache::ElementCache)
+    /// overlay, which cache level answered its lookups.
+    pub(crate) fn finish(self, report: &TupleReport, cache: Option<ElementCacheStats>) {
+        if let Some(mut span) = self.span {
+            span.attr_static("outcome", outcome_label(&report.outcome));
+            span.attr_num("steps", report.steps.len() as u64);
+            match &report.outcome {
+                TupleOutcome::Completed => {}
+                TupleOutcome::Degraded { reason } => {
+                    span.attr_num("budget_steps", reason.steps);
+                    span.attr_static("cause", cause_label(reason.cause));
+                }
+                TupleOutcome::Failed { message } => span.attr("message", message),
+            }
+            if let Some(stats) = cache {
+                span.attr_num("local_hits", stats.local_hits as u64);
+                span.attr_num("local_misses", stats.local_misses as u64);
+                span.attr_num("shared_hits", stats.shared_hits as u64);
+                span.attr_num("shared_misses", stats.shared_misses as u64);
+            }
+        } else if let Some((parent, started)) = self.speculative {
+            let took = started.elapsed();
+            if took >= SPECULATIVE_ROW_FLOOR {
+                parent.record_completed("row", started, took);
+            }
+        }
     }
 }
 
-/// Emits the full span for one repaired tuple if sampled: `tuple_start`,
-/// one `rule` event per applied rule, a `cache` event when the per-tuple
-/// cache stats are available, and the terminal `outcome` event. The span
-/// is flushed as one contiguous block, so concurrent workers never
-/// interleave within it. Takes the whole [`Obs`] handle so lines dropped
-/// by the [`SpanBuf`] byte budget land in
-/// `trace_dropped_spans_total{surface="jsonl"}`.
-pub(crate) fn trace_tuple(
-    obs: &Obs,
-    row: usize,
-    report: &TupleReport,
-    cache: Option<ElementCacheStats>,
-) {
-    let Some(tracer) = obs.tracer() else { return };
-    let row64 = row as u64;
-    if !tracer.sampled(row64) {
-        return;
+/// The rule hook: one `rule` span per rule check of a detailed row.
+pub(crate) struct RuleSpan(Option<Span>);
+
+impl RuleSpan {
+    /// Opens the check of rule `index` under the row context `parent`.
+    pub(crate) fn open(parent: Option<&SpanCtx>, index: usize, name: &str) -> Self {
+        RuleSpan(parent.map(|parent| {
+            let mut span = parent.child("rule");
+            span.attr_num("rule", index as u64);
+            span.attr("name", name);
+            span
+        }))
     }
-    let mut span = SpanBuf::new();
-    span.push(
-        JsonObj::new()
-            .str("ev", "tuple_start")
-            .num("row", row64)
-            .finish(),
-    );
-    for step in &report.steps {
-        span.push(
-            JsonObj::new()
-                .str("ev", "rule")
-                .num("row", row64)
-                .num("rule", step.rule_index as u64)
-                .str("name", &step.rule_name)
-                .str("outcome", application_kind(&step.application))
-                .finish(),
-        );
+
+    /// Closes the check with its result: the application kind, or
+    /// `budget_exhausted` for the check that tripped the meter.
+    pub(crate) fn finish(self, result: &Result<RuleApplication, BudgetExhaustion>) {
+        if let Some(mut span) = self.0 {
+            span.attr_static(
+                "result",
+                match result {
+                    Ok(application) => application_kind(application),
+                    Err(_) => "budget_exhausted",
+                },
+            );
+        }
     }
-    if let Some(stats) = cache {
-        span.push(
-            JsonObj::new()
-                .str("ev", "cache")
-                .num("row", row64)
-                .num("local_hits", stats.local_hits as u64)
-                .num("local_misses", stats.local_misses as u64)
-                .num("shared_hits", stats.shared_hits as u64)
-                .num("shared_misses", stats.shared_misses as u64)
-                .finish(),
-        );
-    }
-    let outcome = JsonObj::new()
-        .str("ev", "outcome")
-        .num("row", row64)
-        .str("outcome", outcome_label(&report.outcome))
-        .num("steps", report.steps.len() as u64);
-    let outcome = match &report.outcome {
-        TupleOutcome::Completed => outcome,
-        TupleOutcome::Degraded { reason } => outcome
-            .num("budget_steps", reason.steps)
-            .str("cause", cause_label(reason.cause)),
-        TupleOutcome::Failed { message } => outcome.str("message", message),
-    };
-    span.push(outcome.finish());
-    if span.dropped() > 0 {
-        obs.metrics()
-            .counter("trace_dropped_spans_total", &[("surface", "jsonl")])
-            .add(span.dropped() as u64);
-    }
-    tracer.flush_span(span);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repair::basic::RepairStep;
-    use crate::repair::budget::BudgetExhaustion;
-    use dr_obs::{memory_tracer, Sampler};
-
-    fn lines(buf: &std::sync::Arc<parking_lot::Mutex<Vec<u8>>>) -> Vec<String> {
-        String::from_utf8(buf.lock().clone())
-            .unwrap()
-            .lines()
-            .map(str::to_owned)
-            .collect()
-    }
+    use dr_obs::{render, Sampler};
 
     #[test]
     fn record_relation_mirrors_the_report() {
@@ -306,19 +325,46 @@ mod tests {
         assert_eq!(snap.counter_total("repair_tuples_total"), 2);
     }
 
+    /// Runs `rows` through the row hook of a JSONL capture sampling at
+    /// `rate`, and renders the capture.
+    fn render_rows(rate: f64, rows: &[(usize, u32, TupleReport)]) -> Vec<String> {
+        let trace = Arc::new(ActiveTrace::sampled(Sampler::new(3, rate)));
+        let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
+        let parent = repair.ctx();
+        for (row, attempt, report) in rows {
+            let hook = RowSpan::open(Some(&parent), *row, *attempt);
+            for step in &report.steps {
+                RuleSpan::open(hook.ctx().as_ref(), step.rule_index, &step.rule_name)
+                    .finish(&Ok(step.application.clone()));
+            }
+            hook.finish(report, Some(ElementCacheStats::default()));
+        }
+        repair.finish();
+        let (text, dropped) = render(&trace.take_spans());
+        assert_eq!(dropped, 0);
+        text.lines().map(str::to_owned).collect()
+    }
+
+    fn failed(message: &str) -> TupleReport {
+        TupleReport {
+            outcome: TupleOutcome::Failed {
+                message: message.into(),
+            },
+            ..TupleReport::default()
+        }
+    }
+
     #[test]
     fn unsampled_rows_emit_nothing() {
-        let (tracer, buf) = memory_tracer(Sampler::new(3, 0.0));
-        let obs = Obs::with_tracer(tracer);
-        trace_tuple(&obs, 7, &TupleReport::default(), None);
-        trace_retry(obs.tracer().unwrap(), 7);
-        assert!(lines(&buf).is_empty());
+        let got = render_rows(
+            0.0,
+            &[(7, 1, failed("boom")), (7, 2, TupleReport::default())],
+        );
+        assert_eq!(got, [r#"{"ev":"repair"}"#]);
     }
 
     #[test]
     fn tuple_span_follows_the_documented_sequence() {
-        let (tracer, buf) = memory_tracer(Sampler::new(0, 1.0));
-        let obs = Obs::with_tracer(tracer);
         let report = TupleReport {
             steps: vec![RepairStep {
                 rule_index: 2,
@@ -332,9 +378,13 @@ mod tests {
                 message: "boom".into(),
             },
         };
-        trace_tuple(
-            &obs,
-            5,
+        let trace = Arc::new(ActiveTrace::sampled(Sampler::new(0, 1.0)));
+        let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
+        let parent = repair.ctx();
+        let hook = RowSpan::open(Some(&parent), 5, 1);
+        RuleSpan::open(hook.ctx().as_ref(), 2, "r3")
+            .finish(&Ok(report.steps[0].application.clone()));
+        hook.finish(
             &report,
             Some(ElementCacheStats {
                 local_hits: 1,
@@ -343,15 +393,71 @@ mod tests {
                 shared_misses: 4,
             }),
         );
-        let got = lines(&buf);
+        repair.finish();
+        let (text, _) = render(&trace.take_spans());
         assert_eq!(
-            got,
-            vec![
-                r#"{"ev":"tuple_start","row":5}"#,
-                r#"{"ev":"rule","row":5,"rule":2,"name":"r3","outcome":"detected_wrong"}"#,
-                r#"{"ev":"cache","row":5,"local_hits":1,"local_misses":2,"shared_hits":3,"shared_misses":4}"#,
-                r#"{"ev":"outcome","row":5,"outcome":"failed","steps":1,"message":"boom"}"#,
+            text.lines().collect::<Vec<_>>(),
+            [
+                r#"{"ev":"repair"}"#,
+                r#"{"ev":"row","row":5,"attempt":1,"outcome":"failed","steps":1,"message":"boom","local_hits":1,"local_misses":2,"shared_hits":3,"shared_misses":4}"#,
+                r#"{"ev":"rule","rule":2,"name":"r3","result":"detected_wrong"}"#,
             ]
+        );
+    }
+
+    #[test]
+    fn degraded_row_renders_its_budget_and_cause() {
+        let degraded = TupleReport {
+            outcome: TupleOutcome::Degraded {
+                reason: BudgetExhaustion {
+                    steps: 24,
+                    cause: ExhaustCause::Deadline,
+                },
+            },
+            ..TupleReport::default()
+        };
+        let got = render_rows(1.0, &[(0, 1, degraded)]);
+        assert_eq!(
+            got[1],
+            r#"{"ev":"row","row":0,"attempt":1,"outcome":"degraded","steps":0,"budget_steps":24,"cause":"deadline","local_hits":0,"local_misses":0,"shared_hits":0,"shared_misses":0}"#
+        );
+    }
+
+    #[test]
+    fn retried_row_renders_one_block_per_attempt() {
+        let healed = TupleReport {
+            steps: vec![RepairStep {
+                rule_index: 0,
+                rule_name: "r1".into(),
+                application: RuleApplication::NotApplicable,
+            }],
+            ..TupleReport::default()
+        };
+        // Recorded out of order, as a retry pass on other threads would.
+        let got = render_rows(
+            1.0,
+            &[
+                (4, 2, healed),
+                (1, 1, TupleReport::default()),
+                (4, 1, failed("boom")),
+            ],
+        );
+        let rows: Vec<_> = got
+            .iter()
+            .filter_map(|l| l.strip_prefix(r#"{"ev":"row","#))
+            .map(|l| &l[..l.find(",\"steps").unwrap()])
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                r#""row":1,"attempt":1,"outcome":"completed""#,
+                r#""row":4,"attempt":1,"outcome":"failed""#,
+                r#""row":4,"attempt":2,"outcome":"completed""#,
+            ]
+        );
+        assert_eq!(
+            got.last().unwrap(),
+            r#"{"ev":"rule","rule":0,"name":"r1","result":"not_applicable"}"#
         );
     }
 }

@@ -171,7 +171,10 @@ pub fn basic_repair_tuple(
         // element matches (a fresh cache per check).
         for (pos, &ri) in remaining.iter().enumerate() {
             let mut cache = ElementCache::new();
-            match apply_rule_metered(ctx, &rules[ri], tuple, opts, &mut cache, &meter) {
+            let rule_span = crate::obs::RuleSpan::open(ctx.span(), ri, rules[ri].name());
+            let result = apply_rule_metered(ctx, &rules[ri], tuple, opts, &mut cache, &meter);
+            rule_span.finish(&result);
+            match result {
                 Ok(application) if application.applied() => {
                     report.steps.push(RepairStep {
                         rule_index: ri,
@@ -208,35 +211,39 @@ pub fn basic_repair(
     opts: &ApplyOptions,
 ) -> RelationReport {
     let obs = ctx.obs();
-    let tracer = obs.and_then(|o| o.tracer());
-    if let Some(t) = tracer {
-        crate::obs::trace_relation_start(t, "basic", relation.len(), rules.len());
-        crate::obs::trace_phase(t, "repair", true);
-    }
+    // The same relation, phase, row and rule hooks as `parallel_repair`
+    // (`crate::obs`), with no prewarm phase.
+    let relation_span = crate::obs::RelationSpan::open(ctx, "basic", relation.len(), rules.len());
+    let repair_span = relation_span.phase("repair");
+    let rows_parent = repair_span.as_ref().map(|s| s.ctx());
     let tuple_hist = obs.map(|o| o.metrics().histogram("repair_tuple_seconds", &[]));
     let repair_start = std::time::Instant::now();
     let mut report = RelationReport::default();
     for row in 0..relation.len() {
         let tuple = relation.tuple_mut(row);
         let started = tuple_hist.as_ref().map(|_| std::time::Instant::now());
-        let tuple_report = basic_repair_tuple(ctx, rules, tuple, opts);
+        let row_span = crate::obs::RowSpan::open(rows_parent.as_ref(), row, 1);
+        // A traced relation repairs each row under the row's own span, so
+        // rule spans exist exactly under detailed rows.
+        let row_ctx = rows_parent
+            .as_ref()
+            .map(|_| ctx.fork().with_span_opt(row_span.ctx()));
+        let tuple_report = basic_repair_tuple(row_ctx.as_ref().unwrap_or(ctx), rules, tuple, opts);
         if let (Some(hist), Some(started)) = (&tuple_hist, started) {
             hist.record(started.elapsed());
         }
-        if let Some(o) = obs {
-            crate::obs::trace_tuple(o, row, &tuple_report, None);
-        }
+        row_span.finish(&tuple_report, None);
         report.tuples.push(Arc::new(tuple_report));
+    }
+    if let Some(span) = repair_span {
+        span.finish();
     }
     report.tally_resilience();
     if let Some(obs) = obs {
         report.timing.repair = repair_start.elapsed();
         crate::obs::record_relation(obs, "basic", &report);
     }
-    if let Some(t) = tracer {
-        crate::obs::trace_phase(t, "repair", false);
-        crate::obs::trace_relation_end(t, relation.len());
-    }
+    relation_span.finish();
     report
 }
 

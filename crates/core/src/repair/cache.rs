@@ -29,7 +29,7 @@ pub use crate::repair::value_cache::EdgeSig;
 /// Hit/miss counters of one [`ElementCache`], split by source level:
 /// `local_*` cover the per-tuple signature-keyed maps, `shared_*` cover the
 /// probes a local miss forwarded to the relation-scoped [`ValueCache`]
-/// overlay (always zero without one). Tuple trace events report these so a
+/// overlay (always zero without one). Row spans report these so a
 /// trace can attribute each lookup to the level that answered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElementCacheStats {

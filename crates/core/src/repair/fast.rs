@@ -88,7 +88,7 @@ impl<'r> FastRepairer<'r> {
     /// element cache and budget meter. Crate-visible so the relation
     /// driver ([`parallel_repair`]) can keep the cache after the call and
     /// read its per-tuple [`level_stats`](ElementCache::level_stats) for
-    /// trace events.
+    /// the row span.
     pub(crate) fn repair_tuple_with(
         &self,
         ctx: &MatchContext<'_>,
@@ -149,32 +149,17 @@ impl<'r> FastRepairer<'r> {
         meter: &BudgetMeter,
         report: &mut TupleReport,
     ) -> Result<bool, ()> {
-        // A live rule span per check — only on *detailed* (forced) traces:
-        // this is the innermost loop, and speculative captures must stay
-        // inside the exp_trace_overhead budget. The `result` attribute
-        // mirrors the JSONL `rule.outcome` label, with `budget_exhausted`
-        // marking the check that tripped the meter.
-        let mut rule_span = ctx.span().filter(|s| s.detailed()).map(|s| {
-            let mut sp = s.child("rule");
-            sp.attr("name", self.rules[ri].name());
-            sp
-        });
-        let application = match apply_rule_metered(ctx, &self.rules[ri], tuple, opts, cache, meter)
-        {
+        // The rule hook: a span per check, only under a detailed row.
+        let rule_span = crate::obs::RuleSpan::open(ctx.span(), ri, self.rules[ri].name());
+        let result = apply_rule_metered(ctx, &self.rules[ri], tuple, opts, cache, meter);
+        rule_span.finish(&result);
+        let application = match result {
             Ok(application) => application,
             Err(reason) => {
-                if let Some(mut sp) = rule_span.take() {
-                    sp.attr_static("result", "budget_exhausted");
-                    sp.finish();
-                }
                 report.outcome = TupleOutcome::Degraded { reason };
                 return Err(());
             }
         };
-        if let Some(mut sp) = rule_span.take() {
-            sp.attr_static("result", crate::obs::application_kind(&application));
-            sp.finish();
-        }
         if !application.applied() {
             return Ok(false);
         }

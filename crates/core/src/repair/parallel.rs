@@ -79,31 +79,22 @@ pub fn parallel_repair(
     let repairer = FastRepairer::new(rules);
 
     let obs = ctx.obs();
-    let tracer = obs.and_then(|o| o.tracer());
-    // The live span surface rides beside the JSONL tracer: phase spans
-    // (prewarm/repair) under the request's span, per-row spans under the
-    // repair phase. Absent a traced request, `live` is `None` and every
-    // hook below is one branch.
-    let live = ctx.span().cloned();
-    if let Some(t) = tracer {
-        crate::obs::trace_relation_start(t, "fast", relation.len(), rules.len());
-        crate::obs::trace_phase(t, "prewarm", true);
-    }
-    let prewarm_span = live.as_ref().map(|s| s.child("prewarm"));
+    // One relation span with prewarm/repair phase spans beneath it, per-row
+    // spans under the repair phase, and rule spans under detailed rows
+    // (`crate::obs`). Absent a traced request or a JSONL sink, every hook
+    // below is one branch.
+    let relation_span = crate::obs::RelationSpan::open(ctx, "fast", relation.len(), rules.len());
+    let prewarm_span = relation_span.phase("prewarm");
     let prewarm_start = Instant::now();
     match &prewarm_span {
         // Prewarm under a forked context carrying the prewarm span, so
-        // the index builds it triggers nest under it in the waterfall.
+        // the index builds it triggers nest under it.
         Some(sp) => ctx.fork().with_span(sp.ctx()).prewarm(rules),
         None => ctx.prewarm(rules),
     }
     let prewarm = prewarm_start.elapsed();
     if let Some(sp) = prewarm_span {
         sp.finish();
-    }
-    if let Some(t) = tracer {
-        crate::obs::trace_phase(t, "prewarm", false);
-        crate::obs::trace_phase(t, "repair", true);
     }
     let tuple_hist = obs.map(|o| {
         (
@@ -117,7 +108,7 @@ pub fn parallel_repair(
     let before = shared.stats();
     // One "repair" phase span covers the scheduler passes and retries;
     // row spans parent onto it through `row_span`.
-    let repair_span = live.as_ref().map(|s| s.child("repair"));
+    let repair_span = relation_span.phase("repair");
     let row_span = repair_span.as_ref().map(|s| s.ctx());
     let repair_start = Instant::now();
     // Each row index is claimed exactly once via `fetch_add`, so the
@@ -149,6 +140,7 @@ pub fn parallel_repair(
             &shared,
             &rows,
             row,
+            1,
             row_span.as_ref(),
             tuple_hist.as_ref(),
         ));
@@ -202,11 +194,6 @@ pub fn parallel_repair(
         }
         retried += retry_rows.len();
         retry_attempt_counts.push((attempt, retry_rows.len()));
-        if let Some(t) = tracer {
-            for &row in &retry_rows {
-                crate::obs::trace_retry(t, row);
-            }
-        }
         let retry_next = AtomicUsize::new(0);
         let policy = &opts.retry;
         std::thread::scope(|scope| {
@@ -234,6 +221,7 @@ pub fn parallel_repair(
                         shared,
                         rows,
                         row,
+                        attempt,
                         row_span.as_ref(),
                         tuple_hist.as_ref(),
                     ));
@@ -303,10 +291,7 @@ pub fn parallel_repair(
         }
         crate::obs::record_relation(obs, "fast", &report);
     }
-    if let Some(t) = tracer {
-        crate::obs::trace_phase(t, "repair", false);
-        crate::obs::trace_relation_end(t, relation.len());
-    }
+    relation_span.finish();
     report
 }
 
@@ -410,6 +395,7 @@ fn repair_row(
     shared: &crate::repair::value_cache::ValueCache,
     rows: &[Mutex<&mut Tuple>],
     row: usize,
+    attempt: u32,
     span: Option<&SpanCtx>,
     hist: Option<&(Histogram, WindowHistogram)>,
 ) -> (TupleReport, KbFootprint) {
@@ -418,28 +404,11 @@ fn repair_row(
     // (a panicked attempt keeps whatever was recorded before the unwind —
     // conservative, since failed rows are always re-selected anyway).
     let recorder = Arc::new(FootprintRecorder::new());
-    // Speculative captures (tail sampling armed, not forced) keep the row
-    // path to two clock reads: spans are recorded retroactively and only
-    // for rows above `SPECULATIVE_ROW_FLOOR`. Forced captures open a full
-    // guard per row with attributes and rule children.
-    let detailed = span.is_some_and(|s| s.detailed());
-    let row_span = if detailed {
-        span.map(|s| {
-            let mut sp = s.child("row");
-            sp.attr_num("row", row as u64);
-            sp
-        })
-    } else {
-        None
-    };
-    let spec_row_start = match (span, detailed) {
-        (Some(_), false) => Some(Instant::now()),
-        _ => None,
-    };
+    let row_span = crate::obs::RowSpan::open(span, row, attempt);
     let row_ctx = ctx
         .fork()
         .with_recorder(Arc::clone(&recorder))
-        .with_span_opt(row_span.as_ref().map(|s| s.ctx()));
+        .with_span_opt(row_span.ctx());
     // The closure captures `&mut Tuple` behind the row mutex, which is not
     // `UnwindSafe` by type; it is unwind-safe by construction: a fault is
     // injected *before* the tuple is touched, and a genuine mid-repair
@@ -484,26 +453,7 @@ fn repair_row(
             None,
         ),
     };
-    if let Some(mut sp) = row_span {
-        sp.attr_static("outcome", crate::obs::outcome_label(&report.outcome));
-        sp.attr_num("steps", report.steps.len() as u64);
-        if let Some(stats) = &cache_stats {
-            sp.attr_num("cache_hits", (stats.local_hits + stats.shared_hits) as u64);
-            sp.attr_num(
-                "cache_misses",
-                (stats.local_misses + stats.shared_misses) as u64,
-            );
-        }
-        sp.finish();
-    } else if let (Some(parent), Some(started)) = (span, spec_row_start) {
-        let took = started.elapsed();
-        if took >= crate::obs::SPECULATIVE_ROW_FLOOR {
-            parent.record_completed("row", started, took);
-        }
-    }
-    if let Some(obs) = ctx.obs() {
-        crate::obs::trace_tuple(obs, row, &report, cache_stats);
-    }
+    row_span.finish(&report, cache_stats);
     (report, recorder.take())
 }
 

@@ -340,17 +340,11 @@ impl CacheRegistry {
     }
 
     /// Attaches this registry's counter cells to `metrics` under the
-    /// `cache_registry_*` / `snapshot_*` metric names. Idempotent; live
+    /// `cache_invalidated_entries_total` / `snapshot_*` metric names (its
+    /// warm/cold/eviction tallies stay report-only). Idempotent; live
     /// caches register their own cells as they are handed out (see
     /// [`crate::context::MatchContext::value_cache_for`]).
     pub fn register_metrics(&self, metrics: &MetricRegistry) {
-        metrics.register_counter("cache_registry_warm_hits_total", &[], &self.warm_hits);
-        metrics.register_counter("cache_registry_cold_misses_total", &[], &self.cold_misses);
-        metrics.register_counter(
-            "cache_registry_evicted_caches_total",
-            &[],
-            &self.evicted_caches,
-        );
         metrics.register_counter(
             "cache_invalidated_entries_total",
             &[],

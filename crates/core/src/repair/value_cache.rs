@@ -655,8 +655,9 @@ impl ValueCache {
         }
     }
 
-    /// Attaches this cache's counter cells to `metrics` under the
-    /// `value_cache_*` metric names. Idempotent: repeated registration of
+    /// Attaches this cache's hit/miss cells to `metrics` under the
+    /// `value_cache_*` metric names (eviction and snapshot tallies stay
+    /// report-only). Idempotent: repeated registration of
     /// the same cache adds nothing, and several caches registered under
     /// the same registry sum into one exposition line per metric.
     pub fn register_metrics(&self, metrics: &MetricRegistry) {
@@ -664,9 +665,6 @@ impl ValueCache {
         metrics.register_counter("value_cache_node_misses_total", &[], &self.node_misses);
         metrics.register_counter("value_cache_edge_hits_total", &[], &self.edge_hits);
         metrics.register_counter("value_cache_edge_misses_total", &[], &self.edge_misses);
-        metrics.register_counter("value_cache_evictions_total", &[], &self.evictions);
-        metrics.register_counter("value_cache_snapshot_warm_total", &[], &self.snapshot_warm);
-        metrics.register_counter("value_cache_snapshot_cold_total", &[], &self.snapshot_cold);
     }
 
     /// Number of shards (diagnostics).

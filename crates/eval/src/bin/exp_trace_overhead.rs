@@ -1,15 +1,16 @@
-//! Overhead gate for the two tracing surfaces. Each leg compares the same
-//! repair on the paper's running example (Table I ×128) with the surface
-//! off and on, and must stay within +2%:
+//! Overhead gate for the span surface's two capture modes. Each leg
+//! compares the same repair on the paper's running example (Table I ×128)
+//! with capture off and on, and must stay within +2%:
 //!
-//! 1. **Rate-0 JSONL tracing** (DESIGN.md §4d): an attached `Obs` handle
-//!    whose `Tracer` samples at rate 0 must be nearly free — counters are
-//!    padded per-thread atomics and unsampled rows skip event
-//!    construction entirely ("pay only for what you sample").
-//! 2. **Armed live span capture** (DESIGN.md §11): spans created end to
-//!    end, then discarded by tail sampling. This is the production steady
-//!    state: `dr-serve` arms every repair request, and the tail policy
-//!    keeps almost none of them.
+//! 1. **JSONL capture at sampling rate 0** (DESIGN.md §11): an attached
+//!    `Obs` handle whose `JsonlSink` samples no row must be nearly free —
+//!    counters are padded per-thread atomics, the relation envelope is a
+//!    handful of spans, and an unsampled row costs one hash ("pay only
+//!    for what you sample").
+//! 2. **Armed live span capture**: spans created end to end, then
+//!    discarded by tail sampling. This is the production steady state:
+//!    `dr-serve` arms every repair request, and the tail policy keeps
+//!    almost none of them.
 //!
 //! Usage: `cargo run -p dr-eval --bin exp_trace_overhead --release
 //! [-- --out <path>]`
@@ -21,7 +22,7 @@
 
 use dr_core::{fast_repair, ApplyOptions, DetectiveRule, MatchContext};
 use dr_kb::fixtures::nobel_mini_kb;
-use dr_obs::{ActiveTrace, Obs, Sampler, SpanCtx, TraceId, Tracer, DEFAULT_MAX_SPANS};
+use dr_obs::{ActiveTrace, JsonlSink, Obs, Sampler, SpanCtx, TraceId, DEFAULT_MAX_SPANS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,7 +120,7 @@ fn main() {
     let kb = nobel_mini_kb();
     let rules = dr_core::fixtures::figure4_rules(&kb);
     let bare = MatchContext::new(&kb);
-    let rate0 = MatchContext::new(&kb).with_obs(Arc::new(Obs::with_tracer(Tracer::new(
+    let rate0 = MatchContext::new(&kb).with_obs(Arc::new(Obs::with_jsonl(JsonlSink::new(
         Box::new(std::io::sink()),
         Sampler::new(42, 0.0),
     ))));
@@ -131,8 +132,8 @@ fn main() {
     );
     let rate0_pass = leg(
         &mut report,
-        "JSONL tracer at sampling rate 0",
-        ["no Obs (min)", "tracer, rate 0"],
+        "JSONL capture at sampling rate 0",
+        ["no Obs (min)", "JSONL, rate 0"],
         || pass(&bare, &rules),
         || pass(&rate0, &rules),
     );

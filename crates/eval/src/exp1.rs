@@ -31,9 +31,9 @@ pub struct Exp1Config {
     /// keeps the caches purely in-memory.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Observability handle (DESIGN.md §4d): when set, every DR
-    /// `MatchContext` records into its metric registry and emits sampled
-    /// JSONL traces through its tracer. `None` keeps the zero-overhead
-    /// path.
+    /// `MatchContext` records into its metric registry and, with a JSONL
+    /// sink attached, renders each relation's sampled spans into it.
+    /// `None` keeps the zero-overhead path.
     pub obs: Option<std::sync::Arc<dr_obs::Obs>>,
 }
 

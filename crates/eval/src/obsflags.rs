@@ -5,17 +5,19 @@
 //! [`finish`](ObsCli::finish) writes the Prometheus-style `metrics.prom`
 //! dump and prints the human summary table.
 //!
-//! Flags (accepted by `exp_table3`, `exp_fig8`, and `exp_ablation`):
+//! Flags (accepted by `exp_table3`, `exp_fig8`, and `exp_ablation`;
+//! `dr-serve` takes the first two through [`ObsCli::metrics_only`]):
 //!
 //! * `--metrics` — record metrics; on exit write `metrics.prom` (override
 //!   the path with `--metrics-out <path>`) and print a summary table.
-//! * `--trace <path>` — emit sampled JSONL repair traces to `<path>`.
-//! * `--trace-sample <rate>` — tuple sampling rate in `[0, 1]`
-//!   (default `1.0`; relation-level events are always emitted).
+//! * `--trace <path>` — write the JSONL rendering of every relation's
+//!   repair spans to `<path>` (DESIGN.md §11).
+//! * `--trace-sample <rate>` — row sampling rate in `[0, 1]`
+//!   (default `1.0`; the relation envelope is always written).
 //! * `--trace-seed <seed>` — sampler seed (default `42`); the same seed
 //!   and rate reproduce the same sampled row set.
 
-use dr_obs::{MetricsSnapshot, Obs, Sampler, Tracer};
+use dr_obs::{JsonlSink, MetricsSnapshot, Obs, Sampler};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -42,50 +44,46 @@ impl ObsCli {
     /// Panics with a usage message on malformed values — these are
     /// operator-facing binaries, not a library API.
     pub fn from_args(args: &[String]) -> Self {
-        let metrics = args.iter().any(|a| a == "--metrics");
-        let metrics_out = flag_value(args, "--metrics-out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("metrics.prom"));
-        let trace_path = flag_value(args, "--trace").map(PathBuf::from);
+        let mut cli = Self::metrics_only(args);
+        let Some(path) = flag_value(args, "--trace").map(PathBuf::from) else {
+            return cli;
+        };
         let sample: f64 = flag_value(args, "--trace-sample")
             .map(|v| v.parse().expect("--trace-sample takes a rate in [0, 1]"))
             .unwrap_or(1.0);
         let seed: u64 = flag_value(args, "--trace-seed")
             .map(|v| v.parse().expect("--trace-seed takes an integer"))
             .unwrap_or(42);
+        let file = std::fs::File::create(&path)
+            .unwrap_or_else(|e| panic!("cannot create trace file {path:?}: {e}"));
+        cli.obs = Some(Arc::new(Obs::with_jsonl(JsonlSink::new(
+            Box::new(std::io::BufWriter::new(file)),
+            Sampler::new(seed, sample),
+        ))));
+        cli.trace_path = Some(path);
+        cli
+    }
 
-        let obs = if metrics || trace_path.is_some() {
-            let obs = match &trace_path {
-                Some(path) => {
-                    let file = std::fs::File::create(path)
-                        .unwrap_or_else(|e| panic!("cannot create trace file {path:?}: {e}"));
-                    Obs::with_tracer(Tracer::new(
-                        Box::new(std::io::BufWriter::new(file)),
-                        Sampler::new(seed, sample),
-                    ))
-                }
-                None => Obs::new(),
-            };
-            Some(Arc::new(obs))
-        } else {
-            None
-        };
+    /// Parses only `--metrics` and `--metrics-out`: for binaries whose
+    /// traces are live spans rather than a JSONL file.
+    pub fn metrics_only(args: &[String]) -> Self {
+        let metrics = args.iter().any(|a| a == "--metrics");
+        let metrics_out = flag_value(args, "--metrics-out")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| PathBuf::from("metrics.prom"));
         Self {
-            obs,
+            obs: metrics.then(|| Arc::new(Obs::new())),
             metrics,
             metrics_out,
-            trace_path,
+            trace_path: None,
         }
     }
 
-    /// Finalizes the run: flushes the trace sink, writes `metrics.prom`,
+    /// Finalizes the run: names the trace file, writes `metrics.prom`,
     /// and prints the human-readable metrics summary. Call once, after the
     /// experiment finished.
     pub fn finish(&self) {
         let Some(obs) = &self.obs else { return };
-        if let Some(tracer) = obs.tracer() {
-            tracer.flush();
-        }
         if let Some(path) = &self.trace_path {
             eprintln!("trace written to {}", path.display());
         }
@@ -123,10 +121,14 @@ mod tests {
     fn metrics_flag_builds_registry_without_tracer() {
         let cli = ObsCli::from_args(&argv(&["exp", "--metrics"]));
         let obs = cli.obs.as_ref().expect("obs enabled");
-        assert!(obs.tracer().is_none());
+        assert!(obs.jsonl().is_none());
         assert!(cli.snapshot().is_some());
+        let serve = ObsCli::metrics_only(&argv(&["serve", "--trace", "t.jsonl"]));
+        assert!(serve.obs.is_none(), "metrics_only ignores --trace");
     }
 
+    /// `--trace` writes the schema line, then each repaired relation's
+    /// rendered spans: the envelope always, row blocks for sampled rows.
     #[test]
     fn trace_flag_builds_tracer_and_writes_file() {
         let dir = std::env::temp_dir().join(format!("dr-obsflags-{}", std::process::id()));
@@ -137,16 +139,27 @@ mod tests {
             "--trace",
             path.to_str().unwrap(),
             "--trace-sample",
-            "0.5",
+            "1",
             "--trace-seed",
             "7",
         ]));
         let obs = cli.obs.as_ref().expect("obs enabled");
-        obs.tracer()
-            .expect("tracer attached")
-            .emit("{\"ev\":\"x\"}".to_owned());
+        assert!(obs.jsonl().is_some(), "JSONL sink attached");
+        let kb = dr_kb::fixtures::nobel_mini_kb();
+        let rules = dr_core::fixtures::figure4_rules(&kb);
+        let ctx = dr_core::MatchContext::new(&kb).with_obs(Arc::clone(obs));
+        let mut relation = dr_core::fixtures::table1_dirty();
+        dr_core::fast_repair(&ctx, &rules, &mut relation, &Default::default());
         cli.finish();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ev\":\"x\"}\n");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], r#"{"ev":"schema","version":2}"#);
+        assert!(lines[1].starts_with(r#"{"ev":"relation","algo":"fast","rows":4,"#));
+        let rows = lines
+            .iter()
+            .filter(|l| l.starts_with(r#"{"ev":"row","#))
+            .count();
+        assert_eq!(rows, 4, "rate 1 renders every row");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,31 +1,28 @@
 #![warn(missing_docs)]
 //! `dr-obs` — the observability layer for the detective-rules pipeline.
 //!
-//! Two halves, one handle:
+//! Two surfaces, one handle:
 //!
 //! * **Metrics** ([`MetricRegistry`]): lock-free monotonic [`Counter`]s
-//!   (worker-sharded cells), [`Gauge`]s, and log-bucketed latency
-//!   [`Histogram`]s with p50/p95/p99 summaries. Existing subsystem
-//!   counters (value cache, cache registry, snapshots) register their
-//!   *own* cells into the registry, so the Prometheus dump and the report
-//!   columns read the same storage — there is no second bookkeeping path
-//!   to drift from.
-//! * **Tracing** ([`Tracer`]): per-tuple repair spans emitted as JSONL,
-//!   gated by a deterministic seed-driven [`Sampler`] so a trace is
-//!   reproducible at any sampling rate and rate-`r1` traces are subsets
-//!   of rate-`r2` traces for `r1 <= r2`.
+//!   (worker-sharded cells), [`Gauge`]s, log-bucketed latency
+//!   [`Histogram`]s with p50/p95/p99 summaries, and sliding-window
+//!   latency ([`WindowHistogram`]). Existing subsystem counters (value
+//!   cache, cache registry, snapshots) register their *own* cells into
+//!   the registry, so the Prometheus dump and the report columns read the
+//!   same storage — there is no second bookkeeping path to drift from.
+//! * **Spans** ([`ActiveTrace`]/[`SpanCtx`]): the repair loops'
+//!   one instrumentation surface — relation, phase, row and rule spans
+//!   with monotonic-clock durations. A served request's tree is kept or
+//!   dropped by tail sampling into a bounded [`TraceStore`] and drawn by
+//!   [`render_waterfall`]; a relation repaired with a [`JsonlSink`]
+//!   attached is written as a JSONL trace by [`render`], which strips ids
+//!   and durations so the file is byte-deterministic under a seeded row
+//!   [`Sampler`] (rate-`r1` rows are a subset of rate-`r2` rows for
+//!   `r1 <= r2`, at any thread count). See DESIGN.md §11.
 //!
-//! An [`Obs`] bundles both and is threaded through the pipeline as an
-//! `Option<Arc<Obs>>`; when absent, instrumentation compiles down to a
-//! branch per relation and per tuple.
-//!
-//! A third, request-scoped surface sits beside them: live span trees
-//! ([`ActiveTrace`]/[`SpanCtx`]) with monotonic-clock durations, retained
-//! by tail sampling into a bounded [`TraceStore`] and rendered by
-//! [`render_waterfall`]. Where the JSONL tracer is byte-deterministic by
-//! construction (no clocks), the live surface exists to answer "where did
-//! *this* request's time go" — see DESIGN.md §11. Sliding-window
-//! latency ([`WindowHistogram`]) rounds out the live view on `/metrics`.
+//! An [`Obs`] bundles the registry and the optional JSONL sink and is
+//! threaded through the pipeline as an `Option<Arc<Obs>>`; when absent,
+//! instrumentation compiles down to a branch per relation and per tuple.
 //!
 //! Every surface renders JSON, so this crate also holds the workspace's
 //! one JSON reader and writer ([`json`]): `dr_traceview` reads retained
@@ -49,36 +46,37 @@ pub use span::{
     DEFAULT_MAX_SPANS,
 };
 pub use store::{render_waterfall, StoredTrace, TailPolicy, TraceStore};
-pub use trace::{memory_tracer, Sampler, SpanBuf, Tracer};
+pub use trace::{render, JsonlSink, Sampler, SCHEMA_VERSION};
 
-/// The observability handle: a metric registry plus an optional tracer.
+/// The observability handle: a metric registry plus an optional JSONL
+/// trace sink.
 pub struct Obs {
     metrics: MetricRegistry,
-    tracer: Option<Tracer>,
+    jsonl: Option<JsonlSink>,
 }
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
-            .field("tracing", &self.tracer.is_some())
+            .field("jsonl", &self.jsonl.is_some())
             .finish()
     }
 }
 
 impl Obs {
-    /// Metrics only, no tracing.
+    /// Metrics only, no JSONL trace.
     pub fn new() -> Self {
         Obs {
             metrics: MetricRegistry::new(),
-            tracer: None,
+            jsonl: None,
         }
     }
 
-    /// Metrics plus a JSONL tracer.
-    pub fn with_tracer(tracer: Tracer) -> Self {
+    /// Metrics plus a JSONL trace of every relation repaired through it.
+    pub fn with_jsonl(sink: JsonlSink) -> Self {
         Obs {
             metrics: MetricRegistry::new(),
-            tracer: Some(tracer),
+            jsonl: Some(sink),
         }
     }
 
@@ -87,9 +85,9 @@ impl Obs {
         &self.metrics
     }
 
-    /// The tracer, when tracing is enabled.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+    /// The JSONL trace sink, when one is attached.
+    pub fn jsonl(&self) -> Option<&JsonlSink> {
+        self.jsonl.as_ref()
     }
 }
 

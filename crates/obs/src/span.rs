@@ -1,12 +1,8 @@
-//! Request-scoped live span trees (DESIGN.md §11).
+//! Request-scoped span trees (DESIGN.md §11) — the one instrumentation
+//! surface of the repair loops.
 //!
-//! A second tracing surface, deliberately separate from the deterministic
-//! JSONL [`Tracer`](crate::Tracer): where the JSONL tracer forbids
-//! wall-clock fields so golden files stay byte-stable, a live trace exists
-//! *because* of the clock — it answers "where did this request's time go"
-//! with monotonic-clock span durations.
-//!
-//! One [`ActiveTrace`] is created per captured request. Code that wants a
+//! One [`ActiveTrace`] is created per capture: per served request, or per
+//! relation repair when a JSONL trace file is attached. Code that wants a
 //! span holds a [`SpanCtx`] (a cheap, cloneable handle naming the current
 //! parent) and calls [`SpanCtx::child`]; the returned [`Span`] guard
 //! records its duration when finished or dropped. Span storage is bounded:
@@ -14,10 +10,12 @@
 //! dropped span re-parent to the nearest recorded ancestor, so the stored
 //! tree never contains a dangling parent id) and counts the drops.
 //!
-//! Whether the finished trace is *kept* is tail sampling's decision — see
+//! A served capture is kept or discarded by tail sampling — see
 //! [`TraceStore`](crate::TraceStore) — so the capture path must stay cheap
 //! even when every request is armed: starting and finishing a span is two
-//! `Instant::now` calls and one short lock push.
+//! `Instant::now` calls and one short lock push. A JSONL capture is
+//! rendered by [`render`](crate::trace::render), which strips ids and
+//! durations.
 
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -25,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::trace::splitmix64;
+use crate::trace::{splitmix64, Sampler};
 
 /// Default cap on recorded spans per trace (satellite of DESIGN.md §11:
 /// a pathological relation must not balloon trace memory).
@@ -165,19 +163,22 @@ pub struct SpanRecord {
 /// single monotonic origin. Cheap to share (`Arc`) across the request's
 /// worker threads.
 ///
-/// Captures come in two detail tiers. A *speculative* capture — armed on
-/// every request so tail sampling has something to keep — records phase
-/// spans plus row spans for noteworthy (slow) rows, recorded
-/// retroactively via [`SpanCtx::record_completed`]. A *forced* capture
-/// (`?trace=1`) is [`detailed`](Self::detailed): every row gets a guard
-/// with attributes, and per-rule spans are opened beneath. Rule checks
-/// are the innermost loop, and recording them on the speculative path is
-/// what would blow the `exp_trace_overhead` budget.
+/// Which rows get detailed spans — a guard with attributes, and per-rule
+/// spans beneath — is [`row_detailed`](Self::row_detailed): every row of a
+/// *forced* capture (`?trace=1`), and the rows a JSONL capture's seeded
+/// [`Sampler`] keeps. A *speculative* capture — armed on every served
+/// request so tail sampling has something to keep — details no row and
+/// records row spans only for noteworthy (slow) rows, retroactively via
+/// [`SpanCtx::record_completed`]. Rule checks are the innermost loop, and
+/// recording them on the speculative path is what would blow the
+/// `exp_trace_overhead` budget.
 #[derive(Debug)]
 pub struct ActiveTrace {
     id: TraceId,
     started: Instant,
     forced: bool,
+    /// The JSONL capture's row sampler; `None` on served captures.
+    rows: Option<Sampler>,
     max_spans: usize,
     /// Next span id; ids `1..=max_spans` are recorded, later allocations
     /// are dropped (counted), so `spans` stays bounded.
@@ -194,10 +195,21 @@ impl ActiveTrace {
             id,
             started: Instant::now(),
             forced,
+            rows: None,
             max_spans: max_spans.max(1),
             next_span: AtomicU64::new(1),
             dropped: AtomicU64::new(0),
             spans: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A JSONL capture of one relation repair: rows `rows` keeps are
+    /// detailed, no other row records anything, and the span count is
+    /// bounded by the sample rather than a cap.
+    pub fn sampled(rows: Sampler) -> Self {
+        ActiveTrace {
+            rows: Some(rows),
+            ..Self::new(TraceId::generate(), usize::MAX, false)
         }
     }
 
@@ -211,11 +223,18 @@ impl ActiveTrace {
         self.forced
     }
 
-    /// Whether fine-grained spans (every row, rule children, row
-    /// attributes) should be recorded. Forced captures are detailed;
-    /// speculative ones record phases plus slow rows only.
-    pub fn detailed(&self) -> bool {
-        self.forced
+    /// Whether row `row` gets a detailed span (attributes, rule children):
+    /// every row when forced, the sampled rows of a JSONL capture.
+    #[inline]
+    pub fn row_detailed(&self, row: u64) -> bool {
+        self.forced || self.rows.is_some_and(|s| s.sampled(row))
+    }
+
+    /// Whether undetailed rows may still be recorded when slow. Only
+    /// speculative served captures do; a JSONL capture records exactly its
+    /// sampled rows, so its rendering never depends on the clock.
+    pub fn speculative(&self) -> bool {
+        !self.forced && self.rows.is_none()
     }
 
     /// Time since the trace began.
@@ -279,12 +298,6 @@ impl SpanCtx {
     /// The trace this handle belongs to.
     pub fn trace(&self) -> &Arc<ActiveTrace> {
         &self.trace
-    }
-
-    /// Whether the trace wants fine-grained (per-rule) spans — the check
-    /// hot loops make before opening one.
-    pub fn detailed(&self) -> bool {
-        self.trace.detailed()
     }
 
     /// Records an already-finished span retroactively: the caller timed

@@ -1,14 +1,21 @@
-//! Sampled JSONL repair tracing.
+//! The JSONL repair trace: a deterministic rendering of live spans.
 //!
-//! A [`Tracer`] owns a line-oriented sink and a deterministic, seed-driven
-//! row sampler. Per-tuple events are buffered into a [`SpanBuf`] and
-//! flushed as one contiguous block, so concurrent workers never interleave
-//! lines *within* a tuple's span. Events carry no wall-clock fields: the
-//! same seed, rate, and input produce the same line set, which is what the
-//! golden-file and subset tests rely on.
+//! A [`JsonlSink`] owns a line-oriented writer and a seeded row
+//! [`Sampler`]. Each relation repair records into its own capture
+//! ([`JsonlSink::capture`], an [`ActiveTrace`] carrying the sampler): rows
+//! the sampler keeps get detailed row and rule spans, the other rows
+//! record nothing. When the relation finishes, [`render`] turns the span
+//! tree into JSON lines — span ids and durations stripped, siblings in a
+//! fixed order — and the sink writes them as one block. The same seed,
+//! rate, and input produce the same lines, which is what the golden-file
+//! and subset tests rely on.
 
+use crate::json::JsonObj;
+use crate::span::{ActiveTrace, AttrValue, SpanId, SpanRecord};
 use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
+use std::sync::Arc;
 
 /// splitmix64 finalizer — a cheap, high-quality 64-bit mixer. Shared with
 /// the live-span surface for id generation.
@@ -60,147 +67,134 @@ impl Sampler {
     }
 }
 
-/// Default per-tuple buffer cap: a pathological tuple (thousands of rule
-/// events) cannot balloon memory past this many bytes of buffered lines.
-pub const SPAN_BUF_MAX_BYTES: usize = 64 * 1024;
+/// Version of the rendered line schema, written as the first line of every
+/// trace file. Bump it whenever a line's fields change.
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// Buffered lines for one tuple's span, bounded by a byte budget. Build
-/// events with [`crate::json::JsonObj`], push them here, then hand the
-/// buffer to [`Tracer::flush_span`] to write all lines atomically. Lines
-/// past the budget are dropped and counted ([`SpanBuf::dropped`]) so the
-/// caller can feed `trace_dropped_spans_total`.
-#[derive(Debug)]
-pub struct SpanBuf {
-    lines: Vec<String>,
-    bytes: usize,
-    max_bytes: usize,
-    dropped: usize,
-}
+/// Byte budget of one row block: a pathological row (thousands of rule
+/// spans) cannot balloon a trace file past this many bytes of lines. Lines
+/// past it are dropped and counted.
+pub const ROW_BLOCK_MAX_BYTES: usize = 64 * 1024;
 
-impl Default for SpanBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpanBuf {
-    /// An empty span buffer with the default byte budget.
-    pub fn new() -> Self {
-        Self::with_max_bytes(SPAN_BUF_MAX_BYTES)
-    }
-
-    /// An empty span buffer holding at most `max_bytes` of line data.
-    pub fn with_max_bytes(max_bytes: usize) -> Self {
-        SpanBuf {
-            lines: Vec::new(),
-            bytes: 0,
-            max_bytes: max_bytes.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Append one rendered JSON line (no trailing newline). Dropped and
-    /// counted instead if it would push the buffer past its byte budget.
-    pub fn push(&mut self, line: String) {
-        if self.bytes + line.len() > self.max_bytes {
-            self.dropped += 1;
-            return;
-        }
-        self.bytes += line.len();
-        self.lines.push(line);
-    }
-
-    /// Number of buffered lines.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether the span holds no lines.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Lines dropped by the byte budget.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-}
-
-/// A JSONL trace sink plus its sampler. Writes go through one mutex; the
-/// sampler check happens outside it, so unsampled rows cost one hash.
-pub struct Tracer {
+/// A JSONL trace file plus its row sampler. Writes go through one mutex,
+/// once per relation, so concurrent relations never interleave lines.
+pub struct JsonlSink {
     sink: Mutex<Box<dyn Write + Send>>,
     sampler: Sampler,
 }
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("sampler", &self.sampler)
-            .finish()
-    }
-}
-
-impl Tracer {
-    /// A tracer writing JSON lines to `sink`, keeping rows per `sampler`.
-    pub fn new(sink: Box<dyn Write + Send>, sampler: Sampler) -> Self {
-        Tracer {
+impl JsonlSink {
+    /// A trace writing JSON lines to `sink`, keeping rows per `sampler`.
+    /// Writes the schema-version line immediately; every later write is
+    /// flushed as it lands, so the sink needs no closing call.
+    pub fn new(mut sink: Box<dyn Write + Send>, sampler: Sampler) -> Self {
+        let header = JsonObj::new()
+            .str("ev", "schema")
+            .num("version", SCHEMA_VERSION)
+            .finish();
+        let _ = writeln!(sink, "{header}");
+        let _ = sink.flush();
+        JsonlSink {
             sink: Mutex::new(sink),
             sampler,
         }
     }
 
-    /// Whether `row`'s span should be recorded.
-    #[inline]
-    pub fn sampled(&self, row: u64) -> bool {
-        self.sampler.sampled(row)
+    /// A fresh capture for one relation repair: unbounded span count (the
+    /// sampler bounds it), detailed spans for sampled rows only.
+    pub fn capture(&self) -> Arc<ActiveTrace> {
+        Arc::new(ActiveTrace::sampled(self.sampler))
     }
 
-    /// Write one relation-level event line immediately.
-    pub fn emit(&self, line: String) {
+    /// Renders a finished capture and writes it as one block. Returns the
+    /// lines [`ROW_BLOCK_MAX_BYTES`] dropped.
+    pub fn write(&self, trace: &ActiveTrace) -> u64 {
+        let (text, dropped) = render(&trace.take_spans());
         let mut sink = self.sink.lock();
-        let _ = writeln!(sink, "{line}");
-    }
-
-    /// Write a span's lines as one contiguous block and flush the sink.
-    pub fn flush_span(&self, span: SpanBuf) {
-        if span.lines.is_empty() {
-            return;
-        }
-        let mut sink = self.sink.lock();
-        for line in &span.lines {
-            let _ = writeln!(sink, "{line}");
-        }
+        let _ = sink.write_all(text.as_bytes());
         let _ = sink.flush();
-    }
-
-    /// Flush the underlying sink.
-    pub fn flush(&self) {
-        let _ = self.sink.lock().flush();
+        dropped
     }
 }
 
-/// A tracer that appends lines to a shared in-memory buffer — the test
-/// harness's sink of choice.
-pub fn memory_tracer(sampler: Sampler) -> (Tracer, std::sync::Arc<Mutex<Vec<u8>>>) {
-    #[derive(Clone)]
-    struct Buf(std::sync::Arc<Mutex<Vec<u8>>>);
-    impl Write for Buf {
-        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(data);
-            Ok(data.len())
+/// Renders finished spans as JSON lines, one `{"ev":<name>, <attrs>…}`
+/// line per span in depth-first order, so each row's subtree is one
+/// contiguous block. Siblings sort by their `row` and `attempt`
+/// attributes, then by span id (open order), so the output does not
+/// depend on which thread finished first. Returns the text and the number
+/// of lines dropped by the per-row byte budget.
+pub fn render(spans: &[SpanRecord]) -> (String, u64) {
+    let ids: HashSet<SpanId> = spans.iter().map(|s| s.id).collect();
+    let mut children: HashMap<Option<SpanId>, Vec<&SpanRecord>> = HashMap::new();
+    for span in spans {
+        // A span whose parent is outside the capture renders as a root.
+        let parent = span.parent.filter(|p| ids.contains(p));
+        children.entry(parent).or_default().push(span);
+    }
+    for siblings in children.values_mut() {
+        siblings.sort_by_key(|s| (num_attr(s, "row"), num_attr(s, "attempt"), s.id.0));
+    }
+    let mut out = Renderer::default();
+    for root in children.get(&None).into_iter().flatten() {
+        out.walk(root, &children);
+    }
+    (out.text, out.dropped)
+}
+
+fn num_attr(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.attrs.iter().find_map(|(k, v)| match v {
+        AttrValue::Num(n) if k == key => Some(*n),
+        _ => None,
+    })
+}
+
+#[derive(Default)]
+struct Renderer {
+    text: String,
+    dropped: u64,
+    /// Bytes used by the row block being rendered, if inside one.
+    block: Option<usize>,
+}
+
+impl Renderer {
+    fn walk(&mut self, span: &SpanRecord, children: &HashMap<Option<SpanId>, Vec<&SpanRecord>>) {
+        let opens_block = span.name == "row" && self.block.is_none();
+        if opens_block {
+            self.block = Some(0);
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+        let mut line = JsonObj::new().str("ev", &span.name);
+        for (key, value) in &span.attrs {
+            line = match value {
+                AttrValue::Num(n) => line.num(key, *n),
+                AttrValue::Str(s) => line.str(key, s),
+            };
+        }
+        self.push(line.finish());
+        for child in children.get(&Some(span.id)).into_iter().flatten() {
+            self.walk(child, children);
+        }
+        if opens_block {
+            self.block = None;
         }
     }
-    let shared = std::sync::Arc::new(Mutex::new(Vec::new()));
-    (Tracer::new(Box::new(Buf(shared.clone())), sampler), shared)
+
+    fn push(&mut self, line: String) {
+        if let Some(used) = &mut self.block {
+            if *used + line.len() > ROW_BLOCK_MAX_BYTES {
+                self.dropped += 1;
+                return;
+            }
+            *used += line.len();
+        }
+        self.text.push_str(&line);
+        self.text.push('\n');
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanCtx;
 
     #[test]
     fn rate_bounds_are_exact() {
@@ -237,27 +231,87 @@ mod tests {
         assert!(differs);
     }
 
+    /// A row block stops at [`ROW_BLOCK_MAX_BYTES`]: later lines of the
+    /// same row are dropped and counted, the next row starts a fresh block.
     #[test]
     fn span_buf_drops_past_byte_budget() {
-        let mut span = SpanBuf::with_max_bytes(24);
-        span.push("x".repeat(10)); // kept, 10 bytes
-        span.push("y".repeat(10)); // kept, 20 bytes
-        span.push("z".repeat(10)); // would be 30 > 24: dropped
-        span.push("w".repeat(4)); // still fits: kept
-        assert_eq!(span.len(), 3);
-        assert_eq!(span.dropped(), 1);
+        let trace = Arc::new(ActiveTrace::sampled(Sampler::new(0, 1.0)));
+        let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
+        let long = "x".repeat(ROW_BLOCK_MAX_BYTES / 3);
+        for row in 0..2 {
+            let mut sp = repair.child("row");
+            sp.attr_num("row", row);
+            for _ in 0..4 {
+                sp.child("rule").attr("name", &long);
+            }
+        }
+        repair.finish();
+        let (text, dropped) = render(&trace.take_spans());
+        // Each row keeps its own line plus two rules; two rules each drop.
+        assert_eq!(dropped, 4);
+        let evs: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let line = crate::json::parse(l).unwrap();
+                line.get("ev").and_then(|v| v.as_str()).unwrap().to_owned()
+            })
+            .collect();
+        assert_eq!(
+            evs,
+            ["repair", "row", "rule", "rule", "row", "rule", "rule"]
+        );
+    }
+
+    /// Rows finished out of order, with their rule spans interleaved,
+    /// still render as one contiguous block per row, in row order, with
+    /// ids and durations stripped.
+    #[test]
+    fn spans_flush_contiguously() {
+        let trace = Arc::new(ActiveTrace::sampled(Sampler::new(0, 1.0)));
+        let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
+        let mut late = repair.child("row");
+        late.attr_num("row", 1);
+        let mut early = repair.child("row");
+        early.attr_num("row", 0);
+        late.child("rule").attr_static("result", "repaired");
+        early.child("rule").attr_static("result", "not_applicable");
+        late.finish();
+        early.finish();
+        repair.finish();
+        let (text, dropped) = render(&trace.take_spans());
+        assert_eq!(dropped, 0);
+        assert_eq!(
+            text,
+            "{\"ev\":\"repair\"}\n\
+             {\"ev\":\"row\",\"row\":0}\n\
+             {\"ev\":\"rule\",\"result\":\"not_applicable\"}\n\
+             {\"ev\":\"row\",\"row\":1}\n\
+             {\"ev\":\"rule\",\"result\":\"repaired\"}\n"
+        );
     }
 
     #[test]
-    fn spans_flush_contiguously() {
-        let (tracer, buf) = memory_tracer(Sampler::new(0, 1.0));
-        let mut span = SpanBuf::new();
-        span.push("{\"ev\":\"a\"}".to_string());
-        span.push("{\"ev\":\"b\"}".to_string());
-        assert_eq!(span.len(), 2);
-        tracer.flush_span(span);
-        tracer.emit("{\"ev\":\"c\"}".to_string());
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
-        assert_eq!(text, "{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n{\"ev\":\"c\"}\n");
+    fn sink_starts_with_the_schema_line() {
+        #[derive(Clone, Default)]
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl Write for Buf {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = Buf::default();
+        let sink = JsonlSink::new(Box::new(buf.clone()), Sampler::new(0, 0.0));
+        let trace = sink.capture();
+        SpanCtx::root(Arc::clone(&trace)).child("relation").finish();
+        assert!(!trace.row_detailed(0), "rate 0 details no row");
+        assert_eq!(sink.write(&trace), 0);
+        assert_eq!(
+            String::from_utf8(buf.0.lock().clone()).unwrap(),
+            "{\"ev\":\"schema\",\"version\":2}\n{\"ev\":\"relation\"}\n"
+        );
     }
 }

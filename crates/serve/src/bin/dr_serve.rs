@@ -37,9 +37,9 @@
 //!   that mark a KB degraded (0 = off); `--breaker-cooldown-ms <n>` —
 //!   fail-fast window before a probe; `--drain-ms <n>` — SIGTERM drain
 //!   deadline (default 30000).
-//! * observability: `--trace <path>`, `--trace-sample`, `--trace-seed`,
-//!   `--metrics-out` (the metric registry is always on — `/metrics` needs
-//!   it — so `--metrics` only controls the exit dump).
+//! * observability: `--metrics`, `--metrics-out <path>` (the metric
+//!   registry is always on — `/metrics` needs it — so these only control
+//!   the exit dump).
 //! * live traces (DESIGN.md §11): `--trace-slow-ms <n>` — tail-sampling
 //!   latency threshold (0 disables the latency rule; default 500);
 //!   `--trace-store <n>` — retained traces kept for `/v1/traces`
@@ -165,7 +165,7 @@ fn main() {
 
     // `/metrics` needs a registry regardless of --metrics; the flag only
     // decides whether a metrics.prom dump is written on exit.
-    let obs_cli = ObsCli::from_args(&args);
+    let obs_cli = ObsCli::metrics_only(&args);
     let obs = obs_cli.obs.clone().unwrap_or_else(|| Arc::new(Obs::new()));
 
     eprintln!(

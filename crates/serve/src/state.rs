@@ -21,7 +21,6 @@ use dr_core::{CacheRegistry, IndexMemo, MatchContext, RegistryConfig, RepairBudg
 use dr_datasets::{KbProfile, NobelWorld, UisWorld};
 use dr_kb::graph::KnowledgeBase;
 use dr_kb::{KbDelta, KbRef, MappedKb};
-use dr_obs::json::JsonObj;
 use dr_obs::{
     parse_traceparent, ActiveTrace, MetricRegistry, Obs, Span, SpanCtx, TailPolicy, TraceId,
     TraceStore,
@@ -391,7 +390,7 @@ pub struct ServerState {
     pub entries: Vec<KbEntry>,
     /// Value-cache registry shared by every entry and request.
     pub registry: Arc<CacheRegistry>,
-    /// Metrics + optional tracer; `/metrics` renders its live snapshot.
+    /// The metric registry; `/metrics` renders its live snapshot.
     pub obs: Arc<Obs>,
     /// Server start time, for `/healthz` uptime.
     pub started: Instant,
@@ -706,25 +705,13 @@ pub fn build_state(
         }
         // The KB load/alignment phase, timed per backend: the histogram
         // is the greppable evidence that an mmap boot skips the parse
-        // (`kb_load_seconds{backend="mmap"}` vs `backend="mem"`). The
-        // trace event carries no duration — traces stay byte-deterministic
-        // under a fixed seed; timings belong to the histogram.
+        // (`kb_load_seconds{backend="mmap"}` vs `backend="mem"`); `/kbs`
+        // reports what was loaded.
         let load_started = Instant::now();
         let (kb, schema, rules) = spec.build()?;
         obs.metrics()
             .histogram("kb_load_seconds", &[("backend", spec.backend())])
             .record(load_started.elapsed());
-        if let Some(tracer) = obs.tracer() {
-            tracer.emit(
-                JsonObj::new()
-                    .str("ev", "kb_load")
-                    .str("kb", &name)
-                    .str("backend", spec.backend())
-                    .num("instances", kb.as_ref().num_instances() as u64)
-                    .num("edges", kb.as_ref().num_edges() as u64)
-                    .finish(),
-            );
-        }
         let core = Arc::new(KbCore {
             kb,
             rules: Arc::new(rules),

@@ -349,23 +349,40 @@ fn admission_sheds_with_429_and_retry_after() {
 fn breaker_trips_cools_down_and_half_opens() {
     let obs = Obs::new();
     let b = Breaker::new(2, Duration::from_millis(80), obs.metrics(), "t");
+    // The operator gauge, read as `/metrics` renders it.
+    let degraded_gauge = || {
+        obs.metrics()
+            .snapshot()
+            .gauges
+            .iter()
+            .find(|g| g.name == "serve_kb_degraded" && g.labels == "kb=\"t\"")
+            .map(|g| g.value)
+    };
     assert!(b.allow() && !b.is_degraded());
+    assert_eq!(degraded_gauge(), Some(0));
 
     b.record(false);
     assert!(b.allow(), "one failure is below threshold");
     b.record(false);
     assert!(b.is_degraded(), "second consecutive failure trips");
     assert!(!b.allow(), "tripped breaker fails fast");
+    assert_eq!(degraded_gauge(), Some(1), "a trip raises the gauge");
 
     std::thread::sleep(Duration::from_millis(120));
     assert!(b.allow(), "cooldown elapsed: probe admitted");
     b.record(false);
     assert!(b.is_degraded(), "failed probe re-trips instantly");
+    assert_eq!(degraded_gauge(), Some(1), "a re-trip raises it again");
 
     std::thread::sleep(Duration::from_millis(120));
     assert!(b.allow(), "second probe admitted");
     b.record(true);
     assert!(!b.is_degraded(), "clean probe resets");
+    assert_eq!(
+        degraded_gauge(),
+        Some(0),
+        "a clean half-open probe clears it"
+    );
     b.record(false);
     assert!(b.allow(), "reset breaker needs a full streak again");
 
