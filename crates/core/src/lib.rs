@@ -49,7 +49,7 @@ pub use repair::resilience::{BudgetHistogram, ResilienceReport, TupleOutcome};
 pub use repair::retry::RetryPolicy;
 pub use repair::rule_graph::RuleGraph;
 pub use repair::snapshot::{SnapshotError, SnapshotKey, SnapshotPayload};
-pub use repair::value_cache::{CacheStats, ValueCache, ValueCacheConfig};
+pub use repair::value_cache::{CacheStats, ValueCache};
 pub use rule::apply::{
     apply_rule, apply_rule_cached, ApplyOptions, Normalization, RuleApplication,
 };

@@ -73,7 +73,7 @@ impl std::fmt::Display for BudgetExhaustion {
 /// `max_steps` counts **candidate expansions** in the instance-graph search
 /// (each node the backtracking solver considers binding), the unit that
 /// actually scales with pathological inputs. `deadline` is a coarse
-/// wall-clock cap checked every [`DEADLINE_POLL_STEPS`] steps. The
+/// wall-clock cap checked every `DEADLINE_POLL_STEPS` steps. The
 /// default — `max_steps == 0`, no deadline — is unbounded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairBudget {

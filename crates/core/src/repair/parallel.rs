@@ -4,7 +4,7 @@
 //! tuple is irrelevant to any other tuple": tuples share nothing mutable —
 //! only the immutable KB, the [`MatchContext`] indexes (prewarmed up front
 //! so workers never stall on an index build), and a relation-scoped
-//! [`ValueCache`] whose value-keyed entries are pure functions of the KB.
+//! [`ValueCache`](crate::ValueCache) whose value-keyed entries are pure functions of the KB.
 //!
 //! Scheduling is work-stealing by atomic counter: every worker claims the
 //! next unclaimed row with a `fetch_add`, so a worker that lands on cheap

@@ -12,11 +12,12 @@
 //!
 //! Invalidation is by construction rather than by scanning:
 //!
-//! * **KB generation** — every finalized [`KnowledgeBase`] carries a
-//!   process-unique generation id, and it is part of the cache key. A
-//!   rebuilt (even byte-identical) KB has a new generation, so entries
-//!   computed against a stale KB can never be served — they are simply
-//!   unreachable under the new key.
+//! * **KB generation** — every finalized
+//!   [`KnowledgeBase`](dr_kb::KnowledgeBase) carries a process-unique
+//!   generation id, and it is part of the cache key. A rebuilt (even
+//!   byte-identical) KB has a new generation, so entries computed against
+//!   a stale KB can never be served — they are simply unreachable under
+//!   the new key.
 //! * **Schema fingerprint** — hash of the relation name and ordered
 //!   attribute names; schema changes re-key the cache the same way.
 //!
@@ -35,12 +36,11 @@
 //! those whose type the delta's footprint makes stale — an edge-only delta
 //! rebuilds no index at all.
 //!
-//! Memory is bounded twice: each `ValueCache` evicts entries under its own
-//! budget (clock over per-shard entry counts, see
-//! [`ValueCacheConfig`]), and the registry itself retains at most
-//! `max_caches` distinct caches, dropping the least recently used whole
-//! cache beyond that. The same bound caps the generations whose index sets
-//! it keeps.
+//! Memory is bounded by cache count, not by entry count: the registry
+//! retains at most `max_caches` distinct caches, dropping the least recently
+//! used whole cache beyond that, and each cache holds the entries of the
+//! relations repaired through it. The same bound caps the generations whose
+//! index sets it keeps.
 //!
 //! ## Disk snapshots (cross-process warm starts)
 //!
@@ -59,13 +59,11 @@
 //! * **eviction writes back**: a cache dropped by LRU pressure or
 //!   [`CacheRegistry::evict_stale`] is snapshotted to disk first, so its
 //!   working set survives its in-memory death;
-//! * [`CacheRegistry::persist`] flushes every live cache, bounded by
-//!   [`RegistryConfig::max_persist_entries`] hottest entries each (the
-//!   clock/second-chance bits decide what is hot).
+//! * [`CacheRegistry::persist`] flushes every entry of every live cache.
 
 use crate::graph::schema::NodeType;
 use crate::repair::snapshot::{self, SnapshotKey, SnapshotPayload};
-use crate::repair::value_cache::{ty_stale, ValueCache, ValueCacheConfig};
+use crate::repair::value_cache::{ty_stale, ValueCache};
 use dr_kb::{FxHashMap, KbFootprint, KbRef};
 use dr_obs::{Counter, MetricRegistry};
 use dr_relation::Schema;
@@ -83,24 +81,15 @@ pub type CacheKey = (u64, u64);
 /// but dropped (same discipline as [`dr_kb::LenientOptions`]).
 const MAX_SNAPSHOT_DIAGNOSTICS: usize = 64;
 
-/// Sizing knobs for a [`CacheRegistry`].
+/// Settings for a [`CacheRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryConfig {
-    /// Entry budget for each retained [`ValueCache`] (`0` = unbounded).
-    pub max_entries_per_cache: usize,
-    /// Shard count per cache (`0` = derive from `threads`).
-    pub shards: usize,
-    /// Worker-count hint used to size shards when `shards == 0`.
-    pub threads: usize,
     /// Distinct `(KB, schema)` caches retained; beyond this the least
     /// recently used cache is dropped. Must be at least 1.
     pub max_caches: usize,
     /// Directory for cross-process cache snapshots. `None` (the default)
     /// disables persistence entirely.
     pub cache_dir: Option<PathBuf>,
-    /// Entry budget per persisted snapshot (`0` = persist everything). The
-    /// hottest entries per shard — by the clock referenced bit — are kept.
-    pub max_persist_entries: usize,
     /// Garbage collection of the snapshot directory, run by
     /// [`CacheRegistry::persist`].
     pub gc: SnapshotGcConfig,
@@ -139,12 +128,8 @@ impl Default for SnapshotGcConfig {
 impl Default for RegistryConfig {
     fn default() -> Self {
         Self {
-            max_entries_per_cache: 0,
-            shards: 0,
-            threads: 0,
             max_caches: 8,
             cache_dir: None,
-            max_persist_entries: 1 << 16,
             gc: SnapshotGcConfig::default(),
         }
     }
@@ -163,26 +148,6 @@ impl RegistryConfig {
     pub fn with_gc(mut self, gc: SnapshotGcConfig) -> Self {
         self.gc = gc;
         self
-    }
-
-    /// The per-cache [`ValueCacheConfig`] this registry hands out.
-    fn cache_config(&self) -> ValueCacheConfig {
-        let base = if self.shards != 0 {
-            ValueCacheConfig {
-                shards: self.shards,
-                max_entries: 0,
-            }
-        } else {
-            let threads = if self.threads != 0 {
-                self.threads
-            } else {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            };
-            ValueCacheConfig::for_threads(threads)
-        };
-        base.with_max_entries(self.max_entries_per_cache)
     }
 }
 
@@ -416,10 +381,7 @@ impl CacheRegistry {
                 None => break,
             }
         }
-        let cache = Arc::new(ValueCache::for_generation(
-            self.config.cache_config(),
-            key.0,
-        ));
+        let cache = Arc::new(ValueCache::for_generation(key.0));
         slots.insert(
             key,
             Slot {
@@ -592,10 +554,9 @@ impl CacheRegistry {
         self.write_back(victims);
     }
 
-    /// Writes every live cache that has a disk identity to the cache
-    /// directory, bounded by [`RegistryConfig::max_persist_entries`] hottest
-    /// entries each, then garbage-collects the snapshot directory (see
-    /// [`SnapshotGcConfig`]). Returns the number of snapshots written. A
+    /// Writes every entry of every live cache that has a disk identity to
+    /// the cache directory, then garbage-collects the snapshot directory
+    /// (see [`SnapshotGcConfig`]). Returns the number of snapshots written. A
     /// no-op (returning 0) without a `cache_dir`.
     pub fn persist(&self) -> usize {
         let targets: Vec<(SnapshotKey, Arc<ValueCache>)> = {
@@ -690,7 +651,7 @@ impl CacheRegistry {
         };
         let mut saved = 0;
         for (key, cache) in targets {
-            let payload = cache.export_hottest(self.config.max_persist_entries);
+            let payload = cache.export();
             if payload.is_empty() {
                 continue;
             }
@@ -749,7 +710,7 @@ impl CacheRegistry {
     }
 
     /// Quarantine-style ledger of snapshot load/save failures (capped at
-    /// [`MAX_SNAPSHOT_DIAGNOSTICS`]; absence of a snapshot file is routine
+    /// `MAX_SNAPSHOT_DIAGNOSTICS`; absence of a snapshot file is routine
     /// and never recorded).
     pub fn snapshot_diagnostics(&self) -> Vec<String> {
         self.snapshot_diagnostics.lock().clone()
@@ -765,9 +726,7 @@ impl CacheRegistry {
     ) -> Option<SnapshotPayload> {
         let key = (kb.into().generation(), schema.fingerprint());
         let slots = self.slots.lock();
-        slots
-            .get(&key)
-            .map(|s| s.cache.export_hottest(self.config.max_persist_entries))
+        slots.get(&key).map(|s| s.cache.export())
     }
 
     /// Snapshot of the registry counters.
@@ -1112,6 +1071,41 @@ mod tests {
         assert_eq!(s.snapshot.warm_loads, 1);
         assert_eq!(s.snapshot.rejected, 0);
         assert!(second.snapshot_diagnostics().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `persist` writes every entry, however many the cache holds: a fresh
+    /// registry seeded from the snapshot answers each key as a hit.
+    #[test]
+    fn persist_round_trips_every_entry_of_a_large_cache() {
+        const ENTRIES: usize = 70_000;
+        let dir = scratch_dir("large");
+        let schema = nobel_schema();
+        let kb = nobel_mini_kb();
+        let node = city_node(&kb);
+        let value = |i: usize| format!("no-such-city-{i}");
+
+        let first = persisting_registry(&dir);
+        {
+            let ctx = MatchContext::new(&kb);
+            let cache = first.cache_for(&kb, &schema);
+            for i in 0..ENTRIES {
+                let _ = cache.candidates(&ctx, &node, &value(i));
+            }
+            assert_eq!(cache.len(), ENTRIES);
+        }
+        assert_eq!(first.persist(), 1);
+
+        let second = persisting_registry(&dir);
+        let cache = second.cache_for(&kb, &schema);
+        assert_eq!(cache.len(), ENTRIES, "every entry was persisted");
+        assert_eq!(cache.stats().snapshot_warm, ENTRIES as u64);
+        let ctx = MatchContext::new(&kb);
+        for i in 0..ENTRIES {
+            let _ = cache.candidates(&ctx, &node, &value(i));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.node_hits, stats.node_misses), (ENTRIES as u64, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

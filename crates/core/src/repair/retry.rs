@@ -8,7 +8,7 @@
 //! and an exponential backoff between attempts whose jitter is drawn from
 //! a seeded splitmix64 stream, so two runs with the same policy sleep the
 //! same schedule — retries stay inside the repo's determinism discipline
-//! (the same discipline as [`FaultPlan`](crate::repair::fault) seeding and
+//! (the same discipline as `FaultPlan` seeding and
 //! the trace sampler).
 //!
 //! The scheduler ([`parallel_repair`](crate::repair::parallel)) drives the

@@ -91,9 +91,8 @@ impl SnapshotKey {
     }
 }
 
-/// The portable contents of one value cache: an explicit list of node and
-/// edge entries, hottest first (the export order decides what survives a
-/// bounded persist).
+/// The portable contents of one value cache: an explicit list of its node
+/// and edge entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotPayload {
     /// `(schema node, cell value) → candidate nodes`.

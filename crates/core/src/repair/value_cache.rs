@@ -26,11 +26,9 @@
 //! A cache may outlive one relation: the
 //! [`CacheRegistry`](crate::repair::registry::CacheRegistry) keys shared
 //! caches by (KB generation, schema fingerprint) so consecutive relations of
-//! the same schema warm-start. Long-lived caches are bounded by an optional
-//! entry budget, enforced per shard with a clock (second-chance) policy:
-//! every hit sets a referenced bit, and an over-budget insert sweeps the
-//! shard's ring, skipping recently referenced entries once and evicting the
-//! first unreferenced one.
+//! the same schema warm-start. A cache holds every entry it computed until
+//! a sweep removes it or the registry drops the whole cache; there is no
+//! per-entry budget.
 
 use crate::context::MatchContext;
 use crate::graph::schema::{NodeType, SchemaNode};
@@ -38,10 +36,10 @@ use crate::repair::snapshot::SnapshotPayload;
 use dr_kb::{FxHashMap, InstanceId, KbFootprint, Node, PredId};
 use dr_obs::{Counter, MetricRegistry};
 use parking_lot::RwLock;
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// An edge signature: source node, predicate, target node.
 pub type EdgeSig = (SchemaNode, PredId, SchemaNode);
@@ -63,71 +61,20 @@ pub struct EdgeEntry {
     pub probed: Vec<InstanceId>,
 }
 
-/// Default shard count; a small power of two keeps the modulo a mask while
-/// spreading writer contention well past typical thread counts.
-const DEFAULT_SHARDS: usize = 16;
-
 type NodeKey = (SchemaNode, String);
 type EdgeKey = (EdgeSig, String, String);
 
-/// Sizing knobs for a [`ValueCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValueCacheConfig {
-    /// Shard count (rounded up to a power of two; `0` = default 16). Size
-    /// this to the worker count: more shards than workers means writers
-    /// essentially never collide.
-    pub shards: usize,
-    /// Total entry budget across node and edge maps (`0` = unbounded). The
-    /// budget is split evenly across shards; each shard evicts with a clock
-    /// sweep once its slice is full.
-    pub max_entries: usize,
-}
-
-impl Default for ValueCacheConfig {
-    fn default() -> Self {
-        Self {
-            shards: DEFAULT_SHARDS,
-            max_entries: 0,
-        }
-    }
-}
-
-impl ValueCacheConfig {
-    /// A config whose shard count is sized to `threads` workers (at least
-    /// the default, at most 256, next power of two of `4 × threads`).
-    pub fn for_threads(threads: usize) -> Self {
-        let shards = (threads.max(1) * 4)
-            .next_power_of_two()
-            .clamp(DEFAULT_SHARDS, 256);
-        Self {
-            shards,
-            max_entries: 0,
-        }
-    }
-
-    /// Returns the config with the given total entry budget.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries;
-        self
-    }
-
-    fn normalized_shards(&self) -> usize {
-        if self.shards == 0 {
-            DEFAULT_SHARDS
-        } else {
-            self.shards.next_power_of_two()
-        }
-    }
-
-    /// Per-shard entry cap for one of the two (node/edge) maps.
-    fn per_shard_cap(&self) -> usize {
-        if self.max_entries == 0 {
-            0
-        } else {
-            // Two maps (nodes and edges) share the budget evenly.
-            (self.max_entries / (2 * self.normalized_shards())).max(1)
-        }
-    }
+/// Shards per map: the next power of two of four per available core, at
+/// least 16 and at most 256. A power of two keeps the shard pick a mask, and
+/// more shards than workers means writers essentially never collide. The
+/// core count is read once per process: reading it opens cgroup files, and
+/// a relation-scoped cache is created per repair.
+fn shard_count() -> usize {
+    static SHARDS: OnceLock<usize> = OnceLock::new();
+    *SHARDS.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (4 * cores).next_power_of_two().clamp(16, 256)
+    })
 }
 
 /// Aggregated cache counters, surfaced through
@@ -142,8 +89,6 @@ pub struct CacheStats {
     pub edge_hits: u64,
     /// Edge-connectivity lookups that had to compute.
     pub edge_misses: u64,
-    /// Entries evicted to stay under the configured budget.
-    pub evictions: u64,
     /// Entries preloaded from a disk snapshot when the cache was created
     /// (warm start; `0` on caches that never touched a snapshot).
     pub snapshot_warm: u64,
@@ -183,7 +128,6 @@ impl CacheStats {
             node_misses: self.node_misses.saturating_sub(earlier.node_misses),
             edge_hits: self.edge_hits.saturating_sub(earlier.edge_hits),
             edge_misses: self.edge_misses.saturating_sub(earlier.edge_misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
             snapshot_warm: self.snapshot_warm.saturating_sub(earlier.snapshot_warm),
             snapshot_cold: self.snapshot_cold.saturating_sub(earlier.snapshot_cold),
         }
@@ -198,7 +142,6 @@ impl std::ops::AddAssign for CacheStats {
         self.node_misses += rhs.node_misses;
         self.edge_hits += rhs.edge_hits;
         self.edge_misses += rhs.edge_misses;
-        self.evictions += rhs.evictions;
         self.snapshot_warm += rhs.snapshot_warm;
         self.snapshot_cold += rhs.snapshot_cold;
     }
@@ -318,20 +261,20 @@ impl Reads<EdgeEntry> for EdgeKey {
     }
 }
 
-/// Lazily removed ring slots or index references a shard tolerates beyond
-/// twice its live count before it compacts.
+/// Lazily removed index references a shard tolerates beyond twice its live
+/// count before it rebuilds the index.
 const LAZY_SLACK: usize = 64;
 
 /// A shard's reverse index from KB region to the entries that read it, so
 /// a sweep reaches the entries a footprint can make stale without scanning
 /// the rest.
 ///
-/// Removal is lazy: an entry that leaves the map (swept or evicted) keeps
-/// its references under the regions a sweep did not visit, and a sweep
-/// re-checks every entry it reaches against the footprint before removing
-/// it. `refs` counts the references held and `live` those the entries
-/// still in the map account for; once dead references outnumber live ones
-/// (plus [`LAZY_SLACK`]) the index is rebuilt from the map.
+/// Removal is lazy: an entry that leaves the map keeps its references
+/// under the regions a sweep did not visit, and a sweep re-checks every
+/// entry it reaches against the footprint before removing it. `refs`
+/// counts the references held and `live` those the entries still in the
+/// map account for; once dead references outnumber live ones (plus
+/// [`LAZY_SLACK`]) the index is rebuilt from the map.
 struct ReadIndex<K> {
     by_ty: FxHashMap<NodeType, Vec<Arc<K>>>,
     by_out: FxHashMap<(InstanceId, PredId), Vec<Arc<K>>>,
@@ -341,7 +284,7 @@ struct ReadIndex<K> {
 
 impl<K> ReadIndex<K> {
     /// Indexes every entry of `map` (one full scan).
-    fn build<V>(map: &FxHashMap<Arc<K>, ClockEntry<V>>) -> Self
+    fn build<V>(map: &FxHashMap<Arc<K>, V>) -> Self
     where
         K: Reads<V>,
     {
@@ -351,8 +294,8 @@ impl<K> ReadIndex<K> {
             refs: 0,
             live: 0,
         };
-        for (key, entry) in map {
-            index.add(key, &entry.value);
+        for (key, value) in map {
+            index.add(key, value);
         }
         index
     }
@@ -404,120 +347,48 @@ impl<K> ReadIndex<K> {
     }
 }
 
-/// One cached value plus its clock referenced bit. The bit is an atomic so
-/// hits can set it under the shard's *read* lock.
-struct ClockEntry<V> {
-    value: V,
-    referenced: AtomicBool,
-}
-
-impl<V> ClockEntry<V> {
-    fn new(value: V) -> Self {
-        Self {
-            value,
-            referenced: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The entry a clock-ring slot stands for, or `None` when a sweep removed
-/// it (its key may have been inserted again since, under a new slot).
-fn slot_entry<'m, K: Hash + Eq, V>(
-    map: &'m FxHashMap<Arc<K>, ClockEntry<V>>,
-    slot: &Arc<K>,
-) -> Option<&'m ClockEntry<V>> {
-    map.get_key_value(&**slot)
-        .filter(|(key, _)| Arc::ptr_eq(key, slot))
-        .map(|(_, e)| e)
-}
-
-/// A bounded map shard with clock (second-chance) eviction.
+/// One lock's worth of a cache map.
 ///
-/// Keys are `Arc`-shared between the map, the clock ring and the reverse
-/// index, so each key's cell values are stored once.
-struct ClockShard<K, V> {
-    map: FxHashMap<Arc<K>, ClockEntry<V>>,
-    /// Insertion ring for the clock hand. A slot is live while the map
-    /// holds the same `Arc` under its key. An entry removed by a sweep
-    /// leaves a dead slot behind (the eviction loop and the export skip
-    /// them); the ring is compacted once it outgrows twice the map.
-    ring: VecDeque<Arc<K>>,
-    /// Entry cap (`0` = unbounded).
-    cap: usize,
+/// Keys are `Arc`-shared between the map and the reverse index, so each
+/// key's cell values are stored once.
+struct Shard<K, V> {
+    map: FxHashMap<Arc<K>, V>,
     /// Region → entries reverse index, built by the shard's first sweep. A
     /// shard that is never swept carries none.
     reads: Option<ReadIndex<K>>,
 }
 
-impl<K: Hash + Eq + Reads<V>, V> ClockShard<K, V> {
-    fn new(cap: usize) -> Self {
+impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
+    fn new() -> Self {
         Self {
             map: FxHashMap::default(),
-            ring: VecDeque::new(),
-            cap,
             reads: None,
         }
     }
 
-    fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|e| {
-            e.referenced.store(true, Relaxed);
-            &e.value
-        })
-    }
-
     /// Removes `key`'s entry, keeping the reverse index's live count.
     fn remove(&mut self, key: &K) -> bool {
-        let Some((key, entry)) = self.map.remove_entry(key) else {
+        let Some((key, value)) = self.map.remove_entry(key) else {
             return false;
         };
         if let Some(reads) = &mut self.reads {
-            reads.live -= key.read_count(&entry.value);
+            reads.live -= key.read_count(&value);
         }
         true
     }
 
     /// Inserts `value` under `key` unless present (first insert wins),
-    /// returning a reference to the winning value and how many entries were
-    /// evicted to make room.
-    fn insert(&mut self, key: K, value: V) -> (&V, u64) {
-        let mut evicted = 0;
-        if self.cap != 0 && !self.map.contains_key(&key) {
-            while self.map.len() >= self.cap {
-                let Some(slot) = self.ring.pop_front() else {
-                    break;
-                };
-                let referenced = match slot_entry(&self.map, &slot) {
-                    Some(e) => e.referenced.swap(false, Relaxed),
-                    None => continue,
-                };
-                if referenced {
-                    // Second chance: recently hit, rotate to the back.
-                    self.ring.push_back(slot);
-                } else {
-                    self.remove(&slot);
-                    evicted += 1;
-                }
-            }
-            if evicted > 0 && self.reads.as_ref().is_some_and(ReadIndex::needs_rebuild) {
-                self.reads = Some(ReadIndex::build(&self.map));
-            }
-        }
-        let entry = match self.map.entry(Arc::new(key)) {
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.ring.push_back(Arc::clone(v.key()));
+    /// returning a reference to the winning value.
+    fn insert(&mut self, key: K, value: V) -> &V {
+        match self.map.entry(Arc::new(key)) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
                 if let Some(reads) = &mut self.reads {
                     reads.add(v.key(), &value);
                 }
-                v.insert(ClockEntry::new(value))
+                v.insert(value)
             }
-        };
-        (&entry.value, evicted)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
+        }
     }
 
     /// Removes every entry that read a region `fp` makes stale and returns
@@ -529,7 +400,7 @@ impl<K: Hash + Eq + Reads<V>, V> ClockShard<K, V> {
         let reached = reads.take_stale(fp);
         let mut removed = 0;
         for key in reached {
-            let stale = self.map.get(&*key).is_some_and(|e| key.stale(&e.value, fp));
+            let stale = self.map.get(&*key).is_some_and(|v| key.stale(v, fp));
             if stale && self.remove(&key) {
                 removed += 1;
             }
@@ -537,60 +408,21 @@ impl<K: Hash + Eq + Reads<V>, V> ClockShard<K, V> {
         if self.reads.as_ref().is_some_and(ReadIndex::needs_rebuild) {
             self.reads = Some(ReadIndex::build(&self.map));
         }
-        if self.ring.len() > 2 * self.map.len() + LAZY_SLACK {
-            let map = &self.map;
-            self.ring.retain(|slot| slot_entry(map, slot).is_some());
-        }
         removed
     }
 
     /// Counts the entries for which `stale` holds — the full-scan oracle
-    /// the indexed [`ClockShard::sweep`] is tested against.
+    /// the indexed [`Shard::sweep`] is tested against.
     fn count_matching(&self, mut stale: impl FnMut(&K, &V) -> bool) -> u64 {
-        self.map
-            .iter()
-            .filter(|(k, e)| stale(&**k, &e.value))
-            .count() as u64
-    }
-
-    /// Emits up to `cap` entries (`0` = all), hottest first: entries whose
-    /// clock bit is set (recently referenced) precede unreferenced ones, each
-    /// group in ring (insertion) order. This is the same signal the eviction
-    /// sweep uses, so a bounded snapshot keeps exactly the working set the
-    /// clock would protect.
-    fn export(&self, cap: usize, mut emit: impl FnMut(&K, &V)) {
-        let mut cold: Vec<(&K, &V)> = Vec::new();
-        let mut emitted = 0usize;
-        let full = |n: usize| cap != 0 && n >= cap;
-        for slot in &self.ring {
-            if full(emitted) {
-                return;
-            }
-            let Some(e) = slot_entry(&self.map, slot) else {
-                continue;
-            };
-            if e.referenced.load(Relaxed) {
-                emit(slot, &e.value);
-                emitted += 1;
-            } else {
-                cold.push((slot, &e.value));
-            }
-        }
-        for (key, value) in cold {
-            if full(emitted) {
-                return;
-            }
-            emit(key, value);
-            emitted += 1;
-        }
+        self.map.iter().filter(|(k, v)| stale(k, v)).count() as u64
     }
 }
 
 /// A relation-scoped (or, via the registry, schema-scoped), thread-safe
 /// element cache keyed by cell values.
 pub struct ValueCache {
-    nodes: Vec<RwLock<ClockShard<NodeKey, Arc<Vec<Node>>>>>,
-    edges: Vec<RwLock<ClockShard<EdgeKey, EdgeEntry>>>,
+    nodes: Vec<RwLock<Shard<NodeKey, Arc<Vec<Node>>>>>,
+    edges: Vec<RwLock<Shard<EdgeKey, EdgeEntry>>>,
     mask: usize,
     /// The KB generation a registry cache answers for (see
     /// [`ValueCache::serves`]); `0` for a relation-scoped cache, which is
@@ -603,7 +435,6 @@ pub struct ValueCache {
     node_misses: Counter,
     edge_hits: Counter,
     edge_misses: Counter,
-    evictions: Counter,
     snapshot_warm: Counter,
     snapshot_cold: Counter,
 }
@@ -621,43 +452,31 @@ fn hash_of<K: Hash>(key: &K) -> usize {
 }
 
 impl ValueCache {
-    /// An empty, unbounded cache with the default shard count.
+    /// An empty cache that serves every context.
     pub fn new() -> Self {
-        Self::with_config(ValueCacheConfig::default())
-    }
-
-    /// An empty cache with explicit sizing.
-    pub fn with_config(config: ValueCacheConfig) -> Self {
-        Self::for_generation(config, 0)
+        Self::for_generation(0)
     }
 
     /// An empty cache that answers only for contexts over KB generation
     /// `generation` — how the registry creates its caches.
-    pub(crate) fn for_generation(config: ValueCacheConfig, generation: u64) -> Self {
-        let shards = config.normalized_shards();
-        let cap = config.per_shard_cap();
+    pub(crate) fn for_generation(generation: u64) -> Self {
+        let shards = shard_count();
         Self {
-            nodes: (0..shards)
-                .map(|_| RwLock::new(ClockShard::new(cap)))
-                .collect(),
-            edges: (0..shards)
-                .map(|_| RwLock::new(ClockShard::new(cap)))
-                .collect(),
+            nodes: (0..shards).map(|_| RwLock::new(Shard::new())).collect(),
+            edges: (0..shards).map(|_| RwLock::new(Shard::new())).collect(),
             mask: shards - 1,
             generation: AtomicU64::new(generation),
             node_hits: Counter::new(),
             node_misses: Counter::new(),
             edge_hits: Counter::new(),
             edge_misses: Counter::new(),
-            evictions: Counter::new(),
             snapshot_warm: Counter::new(),
             snapshot_cold: Counter::new(),
         }
     }
 
     /// Attaches this cache's hit/miss cells to `metrics` under the
-    /// `value_cache_*` metric names (eviction and snapshot tallies stay
-    /// report-only). Idempotent: repeated registration of
+    /// `value_cache_*` metric names (snapshot tallies stay report-only). Idempotent: repeated registration of
     /// the same cache adds nothing, and several caches registered under
     /// the same registry sum into one exposition line per metric.
     pub fn register_metrics(&self, metrics: &MetricRegistry) {
@@ -667,15 +486,10 @@ impl ValueCache {
         metrics.register_counter("value_cache_edge_misses_total", &[], &self.edge_misses);
     }
 
-    /// Number of shards (diagnostics).
-    pub fn shard_count(&self) -> usize {
-        self.mask + 1
-    }
-
     /// Total live entries across both maps (counts, not bytes).
     pub fn len(&self) -> usize {
-        self.nodes.iter().map(|s| s.read().len()).sum::<usize>()
-            + self.edges.iter().map(|s| s.read().len()).sum::<usize>()
+        self.nodes.iter().map(|s| s.read().map.len()).sum::<usize>()
+            + self.edges.iter().map(|s| s.read().map.len()).sum::<usize>()
     }
 
     /// Whether the cache holds no entries.
@@ -705,7 +519,7 @@ impl ValueCache {
         let key = (*node, value.to_owned());
         let shard = &self.nodes[hash_of(&key) & self.mask];
         let hit = if self.serves(ctx) {
-            shard.read().get(&key).map(Arc::clone)
+            shard.read().map.get(&key).map(Arc::clone)
         } else {
             None
         };
@@ -727,13 +541,7 @@ impl ValueCache {
         if !self.serves(ctx) {
             return (cands, false);
         }
-        let (winner, evicted) = guard.insert(key, cands);
-        let winner = Arc::clone(winner);
-        drop(guard);
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
-        (winner, false)
+        (Arc::clone(guard.insert(key, cands)), false)
     }
 
     /// Whether some candidate pair of `(from, to)` is connected by `rel`,
@@ -767,7 +575,7 @@ impl ValueCache {
         let shard = &self.edges[hash_of(&key) & self.mask];
         if self.serves(ctx) {
             let guard = shard.read();
-            if let Some(entry) = guard.get(&key) {
+            if let Some(entry) = guard.map.get(&key) {
                 self.edge_hits.inc();
                 // Replay the entry's recorded reads into the row's
                 // footprint: endpoint candidate sets plus every out-pair
@@ -790,11 +598,7 @@ impl ValueCache {
         if !self.serves(ctx) {
             return (ok, false);
         }
-        let (_, evicted) = guard.insert(key, EdgeEntry { ok, probed });
-        drop(guard);
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
+        guard.insert(key, EdgeEntry { ok, probed });
         (ok, false)
     }
 
@@ -870,14 +674,13 @@ impl ValueCache {
         stale
     }
 
-    /// Snapshot of the hit/miss/eviction counters.
+    /// Snapshot of the hit/miss and snapshot counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             node_hits: self.node_hits.get(),
             node_misses: self.node_misses.get(),
             edge_hits: self.edge_hits.get(),
             edge_misses: self.edge_misses.get(),
-            evictions: self.evictions.get(),
             snapshot_warm: self.snapshot_warm.get(),
             snapshot_cold: self.snapshot_cold.get(),
         }
@@ -885,26 +688,18 @@ impl ValueCache {
 
     // ----- disk snapshots (DESIGN.md §4a, level 0 persistence) -----------
 
-    /// Exports up to `max_entries` entries (`0` = everything) as a portable
-    /// [`SnapshotPayload`], hottest first per shard. The budget is split the
-    /// same way the live cache splits its own entry budget: evenly across
-    /// shards, half to node entries and half to edge entries — so a bounded
-    /// persist keeps the clock-protected working set of every shard.
-    pub fn export_hottest(&self, max_entries: usize) -> SnapshotPayload {
-        let shards = self.shard_count();
-        let per_shard = if max_entries == 0 {
-            0
-        } else {
-            (max_entries / (2 * shards)).max(1)
-        };
+    /// Exports every entry as a portable [`SnapshotPayload`].
+    pub fn export(&self) -> SnapshotPayload {
         let mut payload = SnapshotPayload::default();
         for shard in &self.nodes {
-            shard.read().export(per_shard, |(sn, value), cands| {
+            for (key, cands) in &shard.read().map {
+                let (sn, value) = &**key;
                 payload.nodes.push((*sn, value.clone(), (**cands).clone()));
-            });
+            }
         }
         for shard in &self.edges {
-            shard.read().export(per_shard, |(sig, from, to), entry| {
+            for (key, entry) in &shard.read().map {
+                let (sig, from, to) = &**key;
                 payload.edges.push((
                     *sig,
                     from.clone(),
@@ -912,23 +707,20 @@ impl ValueCache {
                     entry.ok,
                     entry.probed.clone(),
                 ));
-            });
+            }
         }
         payload
     }
 
     /// Seeds the cache from a decoded snapshot, returning how many entries
-    /// were installed. First insert wins, exactly like live lookups, and the
-    /// cache's own entry budget still applies (importing into a smaller
-    /// cache simply evicts). Advances the `snapshot_warm` counter.
+    /// were installed. First insert wins, exactly like live lookups.
+    /// Advances the `snapshot_warm` counter.
     pub fn import(&self, payload: &SnapshotPayload) -> usize {
         let mut imported = 0usize;
-        let mut evicted = 0u64;
         for (sn, value, cands) in &payload.nodes {
             let key = (*sn, value.clone());
             let shard = &self.nodes[hash_of(&key) & self.mask];
-            let (_, ev) = shard.write().insert(key, Arc::new(cands.clone()));
-            evicted += ev;
+            shard.write().insert(key, Arc::new(cands.clone()));
             imported += 1;
         }
         for (sig, from, to, ok, probed) in &payload.edges {
@@ -938,14 +730,10 @@ impl ValueCache {
                 ok: *ok,
                 probed: probed.clone(),
             };
-            let (_, ev) = shard.write().insert(key, entry);
-            evicted += ev;
+            shard.write().insert(key, entry);
             imported += 1;
         }
         self.snapshot_warm.add(imported as u64);
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
         imported
     }
 
@@ -1070,7 +858,6 @@ mod tests {
             node_misses: 2,
             edge_hits: 1,
             edge_misses: 1,
-            evictions: 3,
             snapshot_warm: 10,
             snapshot_cold: 1,
         };
@@ -1079,7 +866,6 @@ mod tests {
             node_misses: 2,
             edge_hits: 4,
             edge_misses: 2,
-            evictions: 3,
             snapshot_warm: 10,
             snapshot_cold: 1,
         };
@@ -1091,74 +877,10 @@ mod tests {
                 node_misses: 0,
                 edge_hits: 3,
                 edge_misses: 1,
-                evictions: 0,
                 snapshot_warm: 0,
                 snapshot_cold: 0,
             }
         );
-    }
-
-    #[test]
-    fn config_sizes_shards_to_workers() {
-        assert_eq!(ValueCacheConfig::for_threads(1).normalized_shards(), 16);
-        assert_eq!(ValueCacheConfig::for_threads(8).normalized_shards(), 32);
-        assert_eq!(ValueCacheConfig::for_threads(100).normalized_shards(), 256);
-        let cache = ValueCache::with_config(ValueCacheConfig::for_threads(8));
-        assert_eq!(cache.shard_count(), 32);
-        assert!(cache.is_empty());
-    }
-
-    /// Filling one shard-slice past its cap advances the eviction counter
-    /// and keeps the live entry count bounded.
-    #[test]
-    fn eviction_counters_advance_past_budget() {
-        let kb = nobel_mini_kb();
-        let ctx = MatchContext::new(&kb);
-        // One shard, tiny budget: per-map cap = max_entries / 2 = 4.
-        let cache = ValueCache::with_config(ValueCacheConfig {
-            shards: 1,
-            max_entries: 8,
-        });
-        let node = city_node(&kb);
-        for i in 0..64 {
-            let _ = cache.candidates(&ctx, &node, &format!("no-such-city-{i}"));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.node_misses, 64);
-        assert!(
-            stats.evictions >= 60,
-            "64 distinct keys through a 4-entry shard must evict: {stats:?}"
-        );
-        assert!(cache.len() <= 4, "live entries stay under the cap");
-    }
-
-    /// Clock's second chance protects a hot working set: with a repeated
-    /// small workload the hit rate never regresses as lookups accumulate.
-    #[test]
-    fn hit_rate_monotone_on_repeated_workload() {
-        let kb = nobel_mini_kb();
-        let ctx = MatchContext::new(&kb);
-        let cache = ValueCache::with_config(ValueCacheConfig {
-            shards: 1,
-            max_entries: 8, // per-map cap 4: fits the 2-value working set
-        });
-        let node = city_node(&kb);
-        let working_set = ["Haifa", "Karcag"];
-        let mut last_rate = 0.0;
-        for round in 0..32 {
-            for v in working_set {
-                let _ = cache.candidates(&ctx, &node, v);
-            }
-            let rate = cache.stats().hit_rate();
-            assert!(
-                rate >= last_rate,
-                "hit rate regressed in round {round}: {rate} < {last_rate}"
-            );
-            last_rate = rate;
-        }
-        // The steady state is all-hits after the two cold misses.
-        assert_eq!(cache.stats().node_misses, 2);
-        assert!(last_rate > 0.9);
     }
 
     /// Export → import into a fresh cache turns every exported key into a
@@ -1171,7 +893,7 @@ mod tests {
         let node = city_node(&kb);
         let a = donor.candidates(&ctx, &node, "Haifa");
         let b = donor.candidates(&ctx, &node, "Karcag");
-        let payload = donor.export_hottest(0);
+        let payload = donor.export();
         assert_eq!(payload.nodes.len(), 2);
 
         let fresh = ValueCache::new();
@@ -1185,27 +907,6 @@ mod tests {
         assert_eq!(stats.node_misses, 0);
         assert_eq!(stats.snapshot_warm, 2);
         assert_eq!(stats.snapshot_cold, 0);
-    }
-
-    /// A bounded export keeps the referenced (clock-protected) entries.
-    #[test]
-    fn bounded_export_prefers_referenced_entries() {
-        let kb = nobel_mini_kb();
-        let ctx = MatchContext::new(&kb);
-        let cache = ValueCache::with_config(ValueCacheConfig {
-            shards: 1,
-            max_entries: 0,
-        });
-        let node = city_node(&kb);
-        for v in ["Haifa", "Karcag", "Ithaca"] {
-            let _ = cache.candidates(&ctx, &node, v);
-        }
-        // Touch Karcag so it is the only referenced entry.
-        let _ = cache.candidates(&ctx, &node, "Karcag");
-        // cap 2 → per-shard cap max(2 / (2 shards·2 maps), 1) = 1.
-        let payload = cache.export_hottest(2);
-        assert_eq!(payload.nodes.len(), 1);
-        assert_eq!(payload.nodes[0].1, "Karcag");
     }
 
     #[test]
@@ -1298,27 +999,5 @@ mod tests {
         assert!(was_hit);
         let fp = rec.take();
         assert!(fp.touches_class(kb.class_named(names::CITY).unwrap()));
-    }
-
-    /// A recently referenced entry survives an eviction sweep (second
-    /// chance), while an unreferenced one is the victim.
-    #[test]
-    fn referenced_entries_survive_sweeps() {
-        let kb = nobel_mini_kb();
-        let ctx = MatchContext::new(&kb);
-        let cache = ValueCache::with_config(ValueCacheConfig {
-            shards: 1,
-            max_entries: 4, // per-map cap 2
-        });
-        let node = city_node(&kb);
-        let _ = cache.candidates(&ctx, &node, "Haifa");
-        let _ = cache.candidates(&ctx, &node, "Karcag");
-        // Touch Haifa so its referenced bit is set, then overflow the shard.
-        let _ = cache.candidates(&ctx, &node, "Haifa");
-        let _ = cache.candidates(&ctx, &node, "Ithaca");
-        // Haifa still answers from cache; Karcag was the clock victim.
-        let before = cache.stats();
-        let _ = cache.candidates(&ctx, &node, "Haifa");
-        assert_eq!(cache.stats().node_hits, before.node_hits + 1);
     }
 }

@@ -136,7 +136,7 @@ fn main() {
                 "config",
                 "#-relations",
                 "time",
-                "cache h/m/e",
+                "cache h/m",
                 "phases pw+rep",
                 "res d/f/q/r",
                 "#-changes"
@@ -177,7 +177,7 @@ fn main() {
                 "config",
                 "#-relations",
                 "time",
-                "cache h/m/e",
+                "cache h/m",
                 "snap w/c/r/s",
                 "#-changes"
             ],

@@ -43,7 +43,7 @@ fn print_points(title: &str, x_label: &str, points: &[TimingPoint]) {
                 x_label,
                 "method",
                 "time",
-                "cache h/m/e",
+                "cache h/m",
                 "phases pw+rep",
                 "res d/f/q/r"
             ],

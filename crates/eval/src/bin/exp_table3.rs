@@ -94,7 +94,7 @@ fn main() {
                 "F-measure",
                 "#-POS",
                 "time",
-                "cache h/m/e",
+                "cache h/m",
                 "phases pw+rep",
                 "res d/f/q/r",
                 "snap w/c/r/s"

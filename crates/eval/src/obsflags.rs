@@ -1,6 +1,6 @@
 //! CLI plumbing for the observability layer (DESIGN.md §4d): parses the
 //! shared `--metrics` / `--trace` flags, builds the
-//! [`Obs`](dr_obs::Obs) handle experiment configs thread into their
+//! [`Obs`] handle experiment configs thread into their
 //! [`MatchContext`](dr_core::MatchContext)s, and on
 //! [`finish`](ObsCli::finish) writes the Prometheus-style `metrics.prom`
 //! dump and prints the human summary table.

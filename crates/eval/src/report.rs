@@ -59,9 +59,9 @@ pub fn secs(x: f64) -> String {
     }
 }
 
-/// Formats value-cache counters as `hits/misses/evictions`.
+/// Formats value-cache counters as `hits/misses`.
 pub fn cache_cell(c: &dr_core::CacheStats) -> String {
-    format!("{}/{}/{}", c.hits(), c.misses(), c.evictions)
+    format!("{}/{}", c.hits(), c.misses())
 }
 
 /// Formats resilience counters as `degraded/failed/quarantined/retried`.

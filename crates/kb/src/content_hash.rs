@@ -16,7 +16,7 @@
 //! but a different interning order hashes differently and simply misses the
 //! snapshot (a cold start, never a wrong answer).
 //!
-//! Built on the workspace [`FxHasher`](crate::hash::FxHasher). Nothing is
+//! Built on the workspace [`FxHasher`]. Nothing is
 //! sorted at hash time beyond each instance's few classes and each class's
 //! few parents: [`KnowledgeBase::triples`] walks the SPO runs, which already
 //! yield `(subject, predicate, object)` in ascending order, so the hash is

@@ -8,7 +8,7 @@
 //! is materialized, so `subsumes`/`descendants` behave identically across
 //! backends and callers can hold a real [`Taxonomy`] reference.
 //!
-//! All validation happens in [`ImageLayout::parse`] at open time; the
+//! All validation happens in `ImageLayout::parse` at open time; the
 //! query methods below index into the mapping without further checks,
 //! which is sound because every offset, id, and sort invariant they rely
 //! on was proven there. Corrupt files fail `open` with a typed

@@ -10,7 +10,7 @@
 //!    in-flight gauge must never exceed the cap, and client-observed
 //!    429/200 counts must reconcile exactly with `serve_shed_total` and
 //!    `serve_requests_total`.
-//! 2. **keep-alive** — many requests over one [`client::Connection`] must
+//! 2. **keep-alive** — many requests over one [`Connection`](dr_serve::client::Connection) must
 //!    reuse the socket (`serve_connections_total` grows by exactly 1).
 //! 3. **retry** — seeded `PanicOnce` faults must heal under the retry
 //!    policy, with client-summed `retried` equal to both

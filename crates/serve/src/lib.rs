@@ -152,8 +152,9 @@ impl Server {
         &self.state
     }
 
-    /// Blocks until every acceptor exits (i.e. until [`shutdown`]
-    /// (Self::shutdown) is called from another thread, or never).
+    /// Blocks until every acceptor exits (i.e. until
+    /// [`shutdown`](Self::shutdown) is called from another thread, or
+    /// never).
     pub fn join(mut self) {
         for worker in self.workers.drain(..) {
             let _ = worker.join();

@@ -8,8 +8,7 @@
 //! 2. A value-cache sweep that reaches entries through its reverse index
 //!    removes exactly the entries a full scan of the cache would, and
 //!    `count_stale` reads zero afterwards — for random class, literal,
-//!    `all_classes` and out-pair footprints, on unbounded caches and on
-//!    bounded ones whose clock evicts between sweeps.
+//!    `all_classes` and out-pair footprints.
 //!
 //! Set `DR_QUICK=1` to shrink the property-test case counts.
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 
 use dr_core::{
     CacheRegistry, DetectiveRule, MatchContext, NodeType, RegistryConfig, SchemaNode,
-    SnapshotPayload, ValueCache, ValueCacheConfig,
+    SnapshotPayload, ValueCache,
 };
 use dr_datasets::{KbProfile, NobelWorld};
 use dr_integration_tests::differential::{proptest_cases, random_delta};
@@ -240,19 +239,15 @@ proptest! {
     }
 
     /// The indexed sweep removes exactly what a full scan would, over
-    /// rounds of inserts and sweeps on unbounded and clock-bounded caches.
+    /// rounds of inserts and sweeps.
     #[test]
     fn indexed_sweep_matches_a_full_scan(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = ValueCacheConfig {
-            shards: [1, 4][rng.gen_range(0..2usize)],
-            max_entries: [0, 16, 48][rng.gen_range(0..3usize)],
-        };
-        let cache = ValueCache::with_config(config);
+        let cache = ValueCache::new();
         for round in 0..6 {
             cache.import(&random_payload(&mut rng));
             let fp = random_footprint(&mut rng);
-            let before = cache.export_hottest(0);
+            let before = cache.export();
             prop_assert_eq!(before.len(), cache.len(), "round {}: export repeats no entry", round);
             let (nodes, edges) = survivors(&before, &fp);
             let expected = (nodes.len() + edges.len()) as u64;
@@ -261,7 +256,7 @@ proptest! {
             let removed = cache.invalidate(&fp);
             prop_assert_eq!(removed, before.len() as u64 - expected, "round {}", round);
             prop_assert_eq!(cache.count_stale(&fp), 0);
-            let after = cache.export_hottest(0);
+            let after = cache.export();
             prop_assert_eq!(after.len(), cache.len());
             let (after_nodes, after_edges) = keys(&after);
             prop_assert_eq!(after_nodes, nodes, "round {}: node survivors", round);
