@@ -13,7 +13,6 @@ use dr_kb::{FxHashMap, InstanceId, KbFootprint, KbRef, LiteralId, Node, PredId};
 use dr_obs::{Obs, SpanCtx};
 use dr_simmatch::{MatchIndex, SimFn};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Accumulates the KB regions a repair *reads* — the read-side twin of the
@@ -410,7 +409,7 @@ impl<'kb> MatchContext<'kb> {
 
     /// The objects of `(s, rel, *)`, recording the read as an out-pair
     /// dependency on `(s, rel)`.
-    pub fn kb_objects(&self, s: InstanceId, rel: PredId) -> Cow<'kb, [Node]> {
+    pub fn kb_objects(&self, s: InstanceId, rel: PredId) -> &'kb [Node] {
         if let Some(rec) = &self.recorder {
             rec.record_out_pair(s, rel);
         }
@@ -419,7 +418,7 @@ impl<'kb> MatchContext<'kb> {
 
     /// The subjects of `(*, rel, o)`, recording the read as an in-pair
     /// dependency on `(o, rel)`.
-    pub fn kb_subjects(&self, o: Node, rel: PredId) -> Cow<'kb, [InstanceId]> {
+    pub fn kb_subjects(&self, o: Node, rel: PredId) -> &'kb [InstanceId] {
         if let Some(rec) = &self.recorder {
             rec.record_in_pair(o, rel);
         }

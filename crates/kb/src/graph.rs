@@ -873,6 +873,19 @@ impl KnowledgeBase {
             .map(|(s, p, o)| (InstanceId::from_index(s), p, o))
     }
 
+    /// Iterates over all triples as `(o, p, s)` in strictly ascending
+    /// order: by object as [`Node`] orders it, then predicate, then
+    /// subject. Walks the OSP runs, instance objects first.
+    pub(crate) fn osp_triples(&self) -> impl Iterator<Item = (Node, PredId, InstanceId)> + '_ {
+        let (instances, literals) = (&self.adjacency.osp_instances, &self.adjacency.osp_literals);
+        let instance = |(o, p, s)| (Node::Instance(InstanceId::from_index(o)), p, s);
+        let literal = |(o, p, s)| (Node::Literal(LiteralId::from_index(o)), p, s);
+        instances
+            .iter()
+            .map(instance)
+            .chain(literals.iter().map(literal))
+    }
+
     // ----- incremental edits (DESIGN.md §10) ------------------------------
 
     /// Applies `delta` in place: every op lands in order, indexes are

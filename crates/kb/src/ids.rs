@@ -10,6 +10,7 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(transparent)]
         pub struct $name(pub(crate) u32);
 
         impl $name {
@@ -57,12 +58,17 @@ define_id!(
 );
 
 /// An edge target in the RDF graph: either another instance or a literal.
+///
+/// `repr(u32)` pins the layout to two `u32` words, `[tag, id]`, with
+/// instances tagged 0 and literals 1. A `.drkb` image stores nodes in
+/// exactly this layout, so its runs read back as `&[Node]` in place.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+#[repr(u32)]
 pub enum Node {
     /// An entity node.
-    Instance(InstanceId),
+    Instance(InstanceId) = 0,
     /// A literal node.
-    Literal(LiteralId),
+    Literal(LiteralId) = 1,
 }
 
 impl Node {
@@ -94,6 +100,7 @@ impl Node {
 // Hot-path type-size guards (see the perf-book guidance): `Node` rides in
 // adjacency lists and candidate vectors by the million.
 const _: () = assert!(std::mem::size_of::<Node>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<Node>>() == 8);
 const _: () = assert!(std::mem::size_of::<InstanceId>() == 4);
 
 impl From<InstanceId> for Node {

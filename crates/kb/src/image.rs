@@ -34,9 +34,9 @@
 //!
 //! | # | name          | contents |
 //! |---|---------------|----------|
-//! | 0 | Strings       | one UTF-8 heap: class names, pred names, instance labels, literal values, in id order |
+//! | 0 | Strings       | one UTF-8 heap: class names, pred names, instance labels, literal values, in id order, zero-padded to a multiple of 4 bytes |
 //! | 1–4 | *StrOffs    | per id space, `(n+1)` × u64 heap offsets; string `i` is `heap[off[i]..off[i+1]]` |
-//! | 5–6 | *ByName     | class/pred ids (u32) sorted by name — binary-searched by `class_named`/`pred_named` |
+//! | 5–6 | *ByName     | class/pred ids sorted by name — binary-searched by `class_named`/`pred_named` |
 //! | 7 | InstByLabel   | instance ids sorted by `(label, id)` — range-scanned by `instances_labeled` |
 //! | 8 | LitByValue    | literal ids sorted by value |
 //! | 9 | TaxParents    | CSR over classes: `subClassOf` parent lists in insertion order |
@@ -44,19 +44,35 @@
 //! | 11 | DirectInst   | CSR over classes: sorted direct instances |
 //! | 12 | ClosedInst   | CSR over classes: sorted instances incl. taxonomy closure |
 //! | 13 | PredsOf      | CSR over instances: sorted outgoing predicates |
-//! | 14–16 | Spo*      | sorted `(s,p)` keys, run offsets, encoded object nodes per run (sorted) |
-//! | 17–19 | Osp*      | sorted `(o,p)` keys, run offsets, subject ids per run (sorted) |
+//! | 14–16 | Spo*      | sorted `(s, p)` keys, u32 run offsets, object nodes per run (sorted) |
+//! | 17–19 | Osp*      | sorted `(o, p)` keys, u32 run offsets, subject ids per run (sorted) |
 //! ```text
 //! CSR over n rows = (n+1) × u32 offsets, then the concatenated u32 rows.
-//! Node encoding   = u64: bit 32 is the literal tag, low 32 bits the id —
-//!                   ordered exactly like the derived `Ord` on `Node`.
+//! Node            = two u32 words (tag, id), tag 0 an instance and 1 a
+//!                   literal: the `repr(u32)` layout of `Node`, ordered
+//!                   like its derived `Ord`.
+//! SPO key         = (s, p), 8 bytes; OSP key = (node, p), 12 bytes.
 //! ```
+//!
+//! ## Alignment
+//!
+//! Header and section table take 384 bytes, and every section is a whole
+//! number of u32 words (the heap is zero-padded), so every section starts
+//! 4-aligned. A mapping is page-aligned, so [`MappedKb`] reads ids, nodes
+//! and run keys in place, as slices of their in-memory types borrowed
+//! from the mapping; bytes that are not 4-aligned in memory are refused at
+//! open. The u64 string offsets are read bytewise, since nothing keeps
+//! them 8-aligned.
 //!
 //! [`pack`] is deterministic: the same finalized KB (same `content_hash`)
 //! always produces byte-identical images, pinned by a golden-file test.
+//!
+//! [`MappedKb`]: crate::mapped::MappedKb
 
 use std::hash::Hasher;
 use std::io;
+use std::marker::PhantomData;
+use std::mem::size_of;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,11 +80,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::graph::KnowledgeBase;
 use crate::hash::FxHasher;
 use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
+use crate::mmapfile::MmapFile;
 
 /// First bytes of every image.
 pub const MAGIC: [u8; 4] = *b"DRKB";
 /// Current format version; bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Canonical file extension (`.drkb`).
 pub const EXTENSION: &str = "drkb";
 
@@ -78,28 +95,129 @@ pub(crate) const BODY_START: usize = HEADER_LEN + NUM_SECTIONS * 16;
 /// Smallest plausible image: header + section table + checksum.
 pub const MIN_LEN: usize = BODY_START + 8;
 
-/// Section indexes into the table (see the module docs for contents).
+// Images are read in place, so the in-memory byte order must be the
+// file's.
+const _: () = assert!(
+    cfg!(target_endian = "little"),
+    "`.drkb` images are read in place and need a little-endian target"
+);
+
+/// A section's index in the table, typed with the element its body holds:
+/// [`Image::run`] reads a section only as that type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sec<T>(usize, PhantomData<fn() -> T>);
+
+impl<T> Sec<T> {
+    const fn at(idx: usize) -> Self {
+        Sec(idx, PhantomData)
+    }
+}
+
+/// Marks a CSR section whose rows hold `T`s: read only by
+/// [`Image::csr_row`], never whole by [`Image::run`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Csr<T>(PhantomData<T>);
+
+/// The sections (see the module docs for contents). Sections read only
+/// bytewise are typed `u8`.
 pub(crate) mod section {
-    pub const STRINGS: usize = 0;
-    pub const CLASS_STR: usize = 1;
-    pub const PRED_STR: usize = 2;
-    pub const INST_STR: usize = 3;
-    pub const LIT_STR: usize = 4;
-    pub const CLASS_BY_NAME: usize = 5;
-    pub const PRED_BY_NAME: usize = 6;
-    pub const INST_BY_LABEL: usize = 7;
-    pub const LIT_BY_VALUE: usize = 8;
-    pub const TAX_PARENTS: usize = 9;
-    pub const INST_CLASSES: usize = 10;
-    pub const DIRECT_INST: usize = 11;
-    pub const CLOSED_INST: usize = 12;
-    pub const PREDS_OF: usize = 13;
-    pub const SPO_KEYS: usize = 14;
-    pub const SPO_OFFS: usize = 15;
-    pub const SPO_NODES: usize = 16;
-    pub const OSP_KEYS: usize = 17;
-    pub const OSP_OFFS: usize = 18;
-    pub const OSP_SUBJS: usize = 19;
+    use super::{Csr, OspKey, Sec, SpoKey};
+    use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
+
+    pub const STRINGS: Sec<u8> = Sec::at(0);
+    pub const CLASS_STR: Sec<u8> = Sec::at(1);
+    pub const PRED_STR: Sec<u8> = Sec::at(2);
+    pub const INST_STR: Sec<u8> = Sec::at(3);
+    pub const LIT_STR: Sec<u8> = Sec::at(4);
+    pub const CLASS_BY_NAME: Sec<ClassId> = Sec::at(5);
+    pub const PRED_BY_NAME: Sec<PredId> = Sec::at(6);
+    pub const INST_BY_LABEL: Sec<InstanceId> = Sec::at(7);
+    pub const LIT_BY_VALUE: Sec<LiteralId> = Sec::at(8);
+    pub const TAX_PARENTS: Sec<Csr<ClassId>> = Sec::at(9);
+    pub const INST_CLASSES: Sec<Csr<ClassId>> = Sec::at(10);
+    pub const DIRECT_INST: Sec<Csr<InstanceId>> = Sec::at(11);
+    pub const CLOSED_INST: Sec<Csr<InstanceId>> = Sec::at(12);
+    pub const PREDS_OF: Sec<Csr<PredId>> = Sec::at(13);
+    pub const SPO_KEYS: Sec<SpoKey> = Sec::at(14);
+    pub const SPO_OFFS: Sec<u32> = Sec::at(15);
+    pub const SPO_NODES: Sec<Node> = Sec::at(16);
+    pub const OSP_KEYS: Sec<OspKey> = Sec::at(17);
+    pub const OSP_OFFS: Sec<u32> = Sec::at(18);
+    pub const OSP_SUBJS: Sec<InstanceId> = Sec::at(19);
+}
+
+/// The key of an SPO run, as the image stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(C)]
+pub(crate) struct SpoKey {
+    pub s: InstanceId,
+    pub p: PredId,
+}
+
+/// The key of an OSP run, as the image stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(C)]
+pub(crate) struct OspKey {
+    pub o: Node,
+    pub p: PredId,
+}
+
+const _: () = assert!(size_of::<SpoKey>() == 8 && size_of::<OspKey>() == 12);
+
+/// Types an image stores in their in-memory layout, so a section of them
+/// can be read in place.
+///
+/// # Safety
+///
+/// An implementor is made of `u32` words only: alignment at most 4, no
+/// padding, and every bit pattern the validator accepts for its sections
+/// is a valid value. Any bits are a valid `u32` or id; a [`Node`] needs a
+/// tag word of 0 or 1, which `ImageLayout::validate` checks for every node
+/// in the SPO runs and OSP keys, the only sections typed with it.
+pub(crate) unsafe trait Pod: Copy {}
+
+// SAFETY: plain words; see `Pod`.
+unsafe impl Pod for u32 {}
+// SAFETY: `repr(transparent)` over `u32`.
+unsafe impl Pod for InstanceId {}
+// SAFETY: `repr(transparent)` over `u32`.
+unsafe impl Pod for ClassId {}
+// SAFETY: `repr(transparent)` over `u32`.
+unsafe impl Pod for LiteralId {}
+// SAFETY: `repr(transparent)` over `u32`.
+unsafe impl Pod for PredId {}
+// SAFETY: `repr(u32)`: a tag word, then a `repr(transparent)` id; the
+// validator admits only tags 0 and 1.
+unsafe impl Pod for Node {}
+// SAFETY: `repr(C)` over two ids, 8 bytes, no padding.
+unsafe impl Pod for SpoKey {}
+// SAFETY: `repr(C)` over a `Node` and an id, 12 bytes, no padding.
+unsafe impl Pod for OspKey {}
+
+/// Reads `bytes` in place as a slice of `T`.
+///
+/// # Panics
+///
+/// If `bytes` is not aligned for `T` or not a whole number of `T`s.
+/// `ImageLayout::parse` refuses images where a section could be either.
+fn cast<T: Pod>(bytes: &[u8]) -> &[T] {
+    let ptr = bytes.as_ptr().cast::<T>();
+    assert!(
+        ptr.is_aligned() && bytes.len().is_multiple_of(size_of::<T>()),
+        "image section is not a whole, aligned run of its type"
+    );
+    // SAFETY: `ptr` is aligned for `T` and points at `bytes.len()`
+    // initialized bytes, exactly `len / size_of::<T>()` values, borrowed
+    // for the returned lifetime. `T: Pod` has no padding, and its bits are
+    // valid: any bits are a valid `u32` (what `words` reads before
+    // validation), and `Image::run` reads only images that passed
+    // `ImageLayout::parse`, which checked every `Node` tag at open.
+    unsafe { std::slice::from_raw_parts(ptr, bytes.len() / size_of::<T>()) }
+}
+
+/// A section's bytes as little-endian `u32` words.
+fn words(bytes: &[u8]) -> &[u32] {
+    cast(bytes)
 }
 
 /// Why an image failed to open or write. Mirrors `SnapshotError` in
@@ -181,28 +299,7 @@ pub fn image_checksum(body: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Bit 32 tags a literal; instances have tag 0. Chosen so the u64 order of
-/// encoded nodes equals the derived `Ord` on [`Node`] (`Instance < Literal`,
-/// then by id) — sorted mem slices and sorted image runs compare equal.
-const NODE_TAG_LITERAL: u64 = 1 << 32;
-
-pub(crate) fn encode_node(n: Node) -> u64 {
-    match n {
-        Node::Instance(i) => i.index() as u64,
-        Node::Literal(l) => NODE_TAG_LITERAL | l.index() as u64,
-    }
-}
-
-pub(crate) fn decode_node(v: u64) -> Option<Node> {
-    let id = (v & 0xFFFF_FFFF) as usize;
-    match v >> 32 {
-        0 => Some(Node::Instance(InstanceId::from_index(id))),
-        1 => Some(Node::Literal(LiteralId::from_index(id))),
-        _ => None,
-    }
-}
-
-pub(crate) fn u32_at(b: &[u8], pos: usize) -> u32 {
+fn u32_at(b: &[u8], pos: usize) -> u32 {
     let mut buf = [0u8; 4];
     buf.copy_from_slice(&b[pos..pos + 4]);
     u32::from_le_bytes(buf)
@@ -238,25 +335,41 @@ fn push_string_table<'a>(
     out.extend_from_slice(&(heap.len() as u64).to_le_bytes());
 }
 
-/// Writes a CSR section: `(n+1)` u32 offsets, then the concatenated rows.
-fn push_csr(out: &mut Vec<u8>, n: usize, mut row: impl FnMut(usize, &mut Vec<u32>)) {
-    let mut offs: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut data: Vec<u32> = Vec::new();
-    let mut buf: Vec<u32> = Vec::new();
+/// A CSR section: `(n+1)` u32 offsets, then the concatenated rows.
+fn csr<I: IntoIterator<Item = u32>>(n: usize, row: impl Fn(usize) -> I) -> Vec<u8> {
+    let mut offs = vec![0];
+    let mut data = Vec::new();
     for i in 0..n {
+        data.extend(row(i));
         offs.push(small(data.len()));
-        buf.clear();
-        row(i, &mut buf);
-        data.extend_from_slice(&buf);
     }
-    offs.push(small(data.len()));
-    push_u32s(out, offs);
-    push_u32s(out, data);
+    let mut out = Vec::new();
+    push_u32s(&mut out, offs.into_iter().chain(data));
+    out
+}
+
+/// A lookup table: the ids `0..n` sorted by their strings, ties broken
+/// by id.
+fn by_string<'a>(n: usize, string: impl Fn(usize) -> &'a str) -> Vec<u8> {
+    let mut ids: Vec<u32> = (0..small(n)).collect();
+    ids.sort_unstable_by_key(|&id| (string(id as usize), id));
+    let mut out = Vec::new();
+    push_u32s(&mut out, ids);
+    out
+}
+
+/// Writes `n` in `Node`'s in-memory layout: its tag word, then its id.
+fn push_node(out: &mut Vec<u8>, n: Node) {
+    match n {
+        Node::Instance(i) => push_u32s(out, [0, i.0]),
+        Node::Literal(l) => push_u32s(out, [1, l.0]),
+    }
 }
 
 /// Packs `kb` into image bytes. Deterministic: a KB with the same triples
 /// (same `content_hash`) always packs to byte-identical output.
 pub fn pack(kb: &KnowledgeBase) -> Vec<u8> {
+    use section::*;
     let nc = kb.num_classes();
     let np = kb.num_preds();
     let ni = kb.num_instances();
@@ -269,138 +382,79 @@ pub fn pack(kb: &KnowledgeBase) -> Vec<u8> {
 
     let mut sections: Vec<Vec<u8>> = vec![Vec::new(); NUM_SECTIONS];
 
-    // Strings: one heap, four offset tables, all in id order.
+    // Strings: one heap, four offset tables, all in id order; the heap is
+    // zero-padded so every later section starts 4-aligned.
     let mut heap: Vec<u8> = Vec::new();
     push_string_table(
         &mut heap,
-        &mut sections[section::CLASS_STR],
+        &mut sections[CLASS_STR.0],
         kb.classes().map(|c| kb.class_name(c)),
     );
     push_string_table(
         &mut heap,
-        &mut sections[section::PRED_STR],
+        &mut sections[PRED_STR.0],
         kb.preds().map(|p| kb.pred_name(p)),
     );
     push_string_table(
         &mut heap,
-        &mut sections[section::INST_STR],
+        &mut sections[INST_STR.0],
         kb.instances().map(|i| kb.instance_label(i)),
     );
     push_string_table(
         &mut heap,
-        &mut sections[section::LIT_STR],
+        &mut sections[LIT_STR.0],
         (0..nl).map(|l| kb.literal_value(LiteralId::from_index(l))),
     );
+    heap.resize(heap.len().next_multiple_of(4), 0);
     let strings_len = heap.len() as u64;
-    sections[section::STRINGS] = heap;
+    sections[STRINGS.0] = heap;
 
     // Name/label/value lookup tables: ids sorted by string (ties — only
     // possible for homonym instance labels — broken by id).
-    let mut class_by_name: Vec<u32> = (0..nc as u32).collect();
-    class_by_name.sort_unstable_by(|&a, &b| {
-        kb.class_name(ClassId::from_index(a as usize))
-            .cmp(kb.class_name(ClassId::from_index(b as usize)))
-    });
-    push_u32s(&mut sections[section::CLASS_BY_NAME], class_by_name);
-
-    let mut pred_by_name: Vec<u32> = (0..np as u32).collect();
-    pred_by_name.sort_unstable_by(|&a, &b| {
-        kb.pred_name(PredId::from_index(a as usize))
-            .cmp(kb.pred_name(PredId::from_index(b as usize)))
-    });
-    push_u32s(&mut sections[section::PRED_BY_NAME], pred_by_name);
-
-    let mut inst_by_label: Vec<u32> = (0..ni as u32).collect();
-    inst_by_label.sort_unstable_by(|&a, &b| {
-        kb.instance_label(InstanceId::from_index(a as usize))
-            .cmp(kb.instance_label(InstanceId::from_index(b as usize)))
-            .then(a.cmp(&b))
-    });
-    push_u32s(&mut sections[section::INST_BY_LABEL], inst_by_label);
-
-    let mut lit_by_value: Vec<u32> = (0..nl as u32).collect();
-    lit_by_value.sort_unstable_by(|&a, &b| {
-        kb.literal_value(LiteralId::from_index(a as usize))
-            .cmp(kb.literal_value(LiteralId::from_index(b as usize)))
-    });
-    push_u32s(&mut sections[section::LIT_BY_VALUE], lit_by_value);
+    let class = ClassId::from_index;
+    let inst = InstanceId::from_index;
+    sections[CLASS_BY_NAME.0] = by_string(nc, |c| kb.class_name(class(c)));
+    sections[PRED_BY_NAME.0] = by_string(np, |p| kb.pred_name(PredId::from_index(p)));
+    sections[INST_BY_LABEL.0] = by_string(ni, |i| kb.instance_label(inst(i)));
+    sections[LIT_BY_VALUE.0] = by_string(nl, |l| kb.literal_value(LiteralId::from_index(l)));
 
     // Adjacency CSRs, straight from the query surface they will serve.
-    push_csr(&mut sections[section::TAX_PARENTS], nc, |i, row| {
-        row.extend(
-            kb.taxonomy()
-                .parents(ClassId::from_index(i))
-                .iter()
-                .map(|p| p.index() as u32),
-        );
-    });
-    push_csr(&mut sections[section::INST_CLASSES], ni, |i, row| {
-        row.extend(
-            kb.instance_classes(InstanceId::from_index(i))
-                .iter()
-                .map(|c| c.index() as u32),
-        );
-    });
-    push_csr(&mut sections[section::DIRECT_INST], nc, |i, row| {
-        row.extend(
-            kb.direct_instances_of(ClassId::from_index(i))
-                .iter()
-                .map(|x| x.index() as u32),
-        );
-    });
-    push_csr(&mut sections[section::CLOSED_INST], nc, |i, row| {
-        row.extend(
-            kb.instances_of(ClassId::from_index(i))
-                .iter()
-                .map(|x| x.index() as u32),
-        );
-    });
-    push_csr(&mut sections[section::PREDS_OF], ni, |i, row| {
-        row.extend(
-            kb.preds_of(InstanceId::from_index(i))
-                .iter()
-                .map(|p| p.index() as u32),
-        );
-    });
+    let tax = kb.taxonomy();
+    sections[TAX_PARENTS.0] = csr(nc, |c| tax.parents(class(c)).iter().map(|c| c.0));
+    sections[INST_CLASSES.0] = csr(ni, |i| kb.instance_classes(inst(i)).iter().map(|c| c.0));
+    sections[DIRECT_INST.0] = csr(nc, |c| kb.direct_instances_of(class(c)).iter().map(|i| i.0));
+    sections[CLOSED_INST.0] = csr(nc, |c| kb.instances_of(class(c)).iter().map(|i| i.0));
+    sections[PREDS_OF.0] = csr(ni, |i| kb.preds_of(inst(i)).iter().map(|p| p.0));
 
-    // SPO runs: (s, p) keys ascend because instances and preds_of both do.
-    let mut spo_count: u32 = 0;
+    // SPO runs walk the KB's triples in (s, p, o) order and OSP runs its
+    // OSP runs in (o, p, s) order, so both come out with ascending keys:
+    // a run opens wherever the key changes.
     let mut num_spo: u32 = 0;
-    for s in kb.instances() {
-        for &p in kb.preds_of(s) {
-            let objs = kb.objects(s, p);
-            sections[section::SPO_KEYS].extend_from_slice(&(s.index() as u32).to_le_bytes());
-            sections[section::SPO_KEYS].extend_from_slice(&(p.index() as u32).to_le_bytes());
-            sections[section::SPO_OFFS].extend_from_slice(&spo_count.to_le_bytes());
-            for &o in objs {
-                sections[section::SPO_NODES].extend_from_slice(&encode_node(o).to_le_bytes());
-            }
-            spo_count += small(objs.len());
+    let mut prev = None;
+    for (j, (s, p, o)) in kb.triples().enumerate() {
+        if prev != Some((s, p)) {
+            prev = Some((s, p));
+            push_u32s(&mut sections[SPO_KEYS.0], [s.0, p.0]);
+            push_u32s(&mut sections[SPO_OFFS.0], [small(j)]);
             num_spo += 1;
         }
+        push_node(&mut sections[SPO_NODES.0], o);
     }
-    sections[section::SPO_OFFS].extend_from_slice(&spo_count.to_le_bytes());
+    push_u32s(&mut sections[SPO_OFFS.0], [ne as u32]);
 
-    // OSP runs: grouped via a BTreeMap so keys come out sorted.
-    let mut osp: std::collections::BTreeMap<(u64, u32), Vec<u32>> =
-        std::collections::BTreeMap::new();
-    for (s, p, o) in kb.triples() {
-        osp.entry((encode_node(o), p.index() as u32))
-            .or_default()
-            .push(s.index() as u32);
+    let mut num_osp: u32 = 0;
+    let mut prev = None;
+    for (j, (o, p, s)) in kb.osp_triples().enumerate() {
+        if prev != Some((o, p)) {
+            prev = Some((o, p));
+            push_node(&mut sections[OSP_KEYS.0], o);
+            push_u32s(&mut sections[OSP_KEYS.0], [p.0]);
+            push_u32s(&mut sections[OSP_OFFS.0], [small(j)]);
+            num_osp += 1;
+        }
+        push_u32s(&mut sections[OSP_SUBJS.0], [s.0]);
     }
-    let num_osp = small(osp.len());
-    let mut osp_count: u32 = 0;
-    for ((o, p), mut subs) in osp {
-        subs.sort_unstable();
-        subs.dedup();
-        sections[section::OSP_KEYS].extend_from_slice(&o.to_le_bytes());
-        sections[section::OSP_KEYS].extend_from_slice(&p.to_le_bytes());
-        sections[section::OSP_OFFS].extend_from_slice(&osp_count.to_le_bytes());
-        osp_count += small(subs.len());
-        push_u32s(&mut sections[section::OSP_SUBJS], subs);
-    }
-    sections[section::OSP_OFFS].extend_from_slice(&osp_count.to_le_bytes());
+    push_u32s(&mut sections[OSP_OFFS.0], [ne as u32]);
 
     // Header + section table + sections + checksum.
     let body_len: usize = sections.iter().map(Vec::len).sum();
@@ -472,9 +526,9 @@ pub fn write_image(path: &Path, kb: &KnowledgeBase) -> Result<(), KbImageError> 
 /// A fully validated map of an image's sections. Constructed once at open;
 /// after [`ImageLayout::parse`] succeeds, every query-time read is in
 /// bounds and every invariant queries rely on (sortedness, id ranges,
-/// UTF-8) is known to hold — corrupt files are rejected here, so the query
-/// path never panics and never returns silently wrong data.
-#[derive(Debug, Clone)]
+/// node tags, UTF-8) is known to hold — corrupt files are rejected here,
+/// so the query path never panics and never returns silently wrong data.
+#[derive(Debug)]
 pub(crate) struct ImageLayout {
     pub content_hash: u64,
     pub num_classes: usize,
@@ -488,13 +542,24 @@ pub(crate) struct ImageLayout {
 }
 
 impl ImageLayout {
-    pub fn section<'a>(&self, bytes: &'a [u8], idx: usize) -> &'a [u8] {
+    fn section<'a>(&self, bytes: &'a [u8], idx: usize) -> &'a [u8] {
         &bytes[self.sections[idx].clone()]
+    }
+
+    fn words<'a>(&self, bytes: &'a [u8], idx: usize) -> &'a [u32] {
+        words(self.section(bytes, idx))
     }
 
     pub fn parse(bytes: &[u8]) -> Result<Self, KbImageError> {
         if bytes.len() < MIN_LEN {
             return Err(KbImageError::TooShort(bytes.len()));
+        }
+        // A mapping is page-aligned; only a heap copy can be misaligned,
+        // and its sections cannot be read in place.
+        if !bytes.as_ptr().cast::<u32>().is_aligned() {
+            return Err(KbImageError::Malformed(
+                "image bytes are not 4-byte aligned in memory",
+            ));
         }
         // Checksum first: any flipped or missing byte is caught before a
         // single field is trusted.
@@ -532,6 +597,7 @@ impl ImageLayout {
 
         // Section table: packed images are contiguous in table order, so
         // require exactly that — it rules out overlap and hidden gaps.
+        // Whole u32 words keep every section 4-aligned.
         let mut sections: [Range<usize>; NUM_SECTIONS] = std::array::from_fn(|_| 0..0);
         let mut expect_off = BODY_START as u64;
         for (i, sec) in sections.iter_mut().enumerate() {
@@ -539,6 +605,11 @@ impl ImageLayout {
             let len = u64_at(body, HEADER_LEN + i * 16 + 8);
             if off != expect_off {
                 return Err(KbImageError::Malformed("section table is not contiguous"));
+            }
+            if !len.is_multiple_of(4) {
+                return Err(KbImageError::Malformed(
+                    "section length is not a multiple of 4",
+                ));
             }
             let end = off
                 .checked_add(len)
@@ -569,13 +640,13 @@ impl ImageLayout {
     }
 
     /// Structural validation beyond the checksum: section shapes, string
-    /// table monotonicity + UTF-8, CSR consistency, id bounds, and the
-    /// sort invariants every binary search relies on.
+    /// table monotonicity + UTF-8, CSR consistency, id bounds, node tags,
+    /// and the sort invariants every binary search relies on.
     fn validate(&self, body: &[u8], strings_len: u64) -> Result<(), KbImageError> {
         use section::*;
         let malformed = KbImageError::Malformed;
 
-        let heap = self.section(body, STRINGS);
+        let heap = self.section(body, STRINGS.0);
         if heap.len() as u64 != strings_len {
             return Err(malformed("strings_len disagrees with section table"));
         }
@@ -588,8 +659,8 @@ impl ImageLayout {
             (INST_STR, self.num_instances),
             (LIT_STR, self.num_literals),
         ];
-        for (idx, n) in tables {
-            let sec = self.section(body, idx);
+        for (table, n) in tables {
+            let sec = self.section(body, table.0);
             if sec.len() != (n + 1) * 8 {
                 return Err(malformed("string offset table has wrong size"));
             }
@@ -615,207 +686,219 @@ impl ImageLayout {
 
         // Lookup tables: a permutation of 0..n, strictly ascending by the
         // string they point at (ids break instance-label ties).
-        let str_of = |table: usize, id: usize| -> &[u8] {
-            let sec = self.section(body, table);
-            let start = u64_at(sec, id * 8) as usize;
-            let end = u64_at(sec, (id + 1) * 8) as usize;
-            &heap[start..end]
+        let str_of = |table: Sec<u8>, id: u32| -> &[u8] {
+            let sec = self.section(body, table.0);
+            let id = id as usize;
+            &heap[u64_at(sec, id * 8) as usize..u64_at(sec, (id + 1) * 8) as usize]
         };
         let lookups = [
-            (CLASS_BY_NAME, CLASS_STR, self.num_classes, false),
-            (PRED_BY_NAME, PRED_STR, self.num_preds, false),
-            (INST_BY_LABEL, INST_STR, self.num_instances, true),
-            (LIT_BY_VALUE, LIT_STR, self.num_literals, false),
+            (CLASS_BY_NAME.0, CLASS_STR, self.num_classes, false),
+            (PRED_BY_NAME.0, PRED_STR, self.num_preds, false),
+            (INST_BY_LABEL.0, INST_STR, self.num_instances, true),
+            (LIT_BY_VALUE.0, LIT_STR, self.num_literals, false),
         ];
         for (idx, str_table, n, ties_by_id) in lookups {
-            let sec = self.section(body, idx);
-            if sec.len() != n * 4 {
+            let ids = self.words(body, idx);
+            if ids.len() != n {
                 return Err(malformed("lookup table has wrong size"));
             }
-            let mut prev: Option<u32> = None;
-            for i in 0..n {
-                let id = u32_at(sec, i * 4);
-                if id as usize >= n {
-                    return Err(malformed("lookup table id out of range"));
+            if ids.iter().any(|&id| id as usize >= n) {
+                return Err(malformed("lookup table id out of range"));
+            }
+            let sorted = ids.windows(2).all(|w| {
+                match str_of(str_table, w[0]).cmp(str_of(str_table, w[1])) {
+                    std::cmp::Ordering::Less => true,
+                    std::cmp::Ordering::Equal => ties_by_id && w[0] < w[1],
+                    std::cmp::Ordering::Greater => false,
                 }
-                if let Some(p) = prev {
-                    let ord = str_of(str_table, p as usize).cmp(str_of(str_table, id as usize));
-                    let ok = match ord {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => ties_by_id && p < id,
-                        std::cmp::Ordering::Greater => false,
-                    };
-                    if !ok {
-                        return Err(malformed("lookup table is not sorted"));
-                    }
-                }
-                prev = Some(id);
+            });
+            if !sorted {
+                return Err(malformed("lookup table is not sorted"));
             }
         }
 
         // CSR sections: shape, final-offset consistency, id bounds, and
         // (where the in-memory KB guarantees it) sorted rows.
         let csrs = [
-            (TAX_PARENTS, self.num_classes, self.num_classes, false),
-            (INST_CLASSES, self.num_instances, self.num_classes, false),
-            (DIRECT_INST, self.num_classes, self.num_instances, true),
-            (CLOSED_INST, self.num_classes, self.num_instances, true),
-            (PREDS_OF, self.num_instances, self.num_preds, true),
+            (TAX_PARENTS.0, self.num_classes, self.num_classes, false),
+            (INST_CLASSES.0, self.num_instances, self.num_classes, false),
+            (DIRECT_INST.0, self.num_classes, self.num_instances, true),
+            (CLOSED_INST.0, self.num_classes, self.num_instances, true),
+            (PREDS_OF.0, self.num_instances, self.num_preds, true),
         ];
         for (idx, n, id_bound, sorted) in csrs {
-            let sec = self.section(body, idx);
-            if sec.len() < (n + 1) * 4 || !sec.len().is_multiple_of(4) {
+            let sec = self.words(body, idx);
+            if sec.len() < n + 1 {
                 return Err(malformed("CSR section has wrong size"));
             }
-            let data_count = sec.len() / 4 - (n + 1);
-            let mut prev_off = u32_at(sec, 0);
-            if prev_off != 0 {
+            let (offs, data) = sec.split_at(n + 1);
+            if offs[0] != 0 {
                 return Err(malformed("CSR does not start at offset zero"));
             }
-            for i in 1..=n {
-                let off = u32_at(sec, i * 4);
-                if off < prev_off || off as usize > data_count {
-                    return Err(malformed("CSR offsets are not monotonic"));
-                }
-                if sorted {
-                    let base = (n + 1 + prev_off as usize) * 4;
-                    let mut prev_val: Option<u32> = None;
-                    for j in 0..(off - prev_off) as usize {
-                        let v = u32_at(sec, base + j * 4);
-                        if v as usize >= id_bound {
-                            return Err(malformed("CSR id out of range"));
-                        }
-                        if prev_val.is_some_and(|p| p >= v) {
-                            return Err(malformed("CSR row is not sorted"));
-                        }
-                        prev_val = Some(v);
-                    }
-                }
-                prev_off = off;
+            if offs.windows(2).any(|w| w[0] > w[1]) || offs[n] as usize != data.len() {
+                return Err(malformed("CSR offsets do not tile the rows"));
             }
-            if prev_off as usize != data_count {
-                return Err(malformed("CSR final offset disagrees with data"));
+            if data.iter().any(|&v| v as usize >= id_bound) {
+                return Err(malformed("CSR id out of range"));
             }
-            if !sorted {
-                let base = (n + 1) * 4;
-                for j in 0..data_count {
-                    if u32_at(sec, base + j * 4) as usize >= id_bound {
-                        return Err(malformed("CSR id out of range"));
-                    }
-                }
+            if sorted
+                && !offs
+                    .windows(2)
+                    .all(|w| ascending(&data[w[0] as usize..w[1] as usize], 1))
+            {
+                return Err(malformed("CSR row is not sorted"));
             }
         }
 
         self.validate_runs(body)
     }
 
+    /// The SPO and OSP run indexes: strictly ascending keys, non-empty
+    /// runs that cover every edge, ids in range, node tags 0 or 1, and
+    /// strictly ascending values in each run (`has_edge` and `subjects`
+    /// binary-search them).
     fn validate_runs(&self, body: &[u8]) -> Result<(), KbImageError> {
         use section::*;
         let malformed = KbImageError::Malformed;
+        let node_ok = |w: &[u32]| match w[0] {
+            0 => (w[1] as usize) < self.num_instances,
+            1 => (w[1] as usize) < self.num_literals,
+            _ => false,
+        };
 
-        // SPO: strictly ascending (s, p) keys, non-empty runs whose nodes
-        // decode, stay in id range, and ascend (has_edge binary-searches).
-        let keys = self.section(body, SPO_KEYS);
-        let offs = self.section(body, SPO_OFFS);
-        let nodes = self.section(body, SPO_NODES);
-        if keys.len() != self.num_spo * 8 || offs.len() != (self.num_spo + 1) * 4 {
+        // SPO: (s, p) keys, object nodes.
+        let keys = self.words(body, SPO_KEYS.0);
+        let offs = self.words(body, SPO_OFFS.0);
+        let nodes = self.words(body, SPO_NODES.0);
+        if keys.len() != self.num_spo * 2 || offs.len() != self.num_spo + 1 {
             return Err(malformed("SPO index has wrong size"));
         }
-        if nodes.len() as u64 != self.num_edges * 8 {
+        if nodes.len() as u64 != self.num_edges * 2 {
             return Err(malformed("SPO nodes disagree with edge count"));
         }
-        let mut prev_key: Option<u64> = None;
-        let mut prev_off = u32_at(offs, 0);
-        if prev_off != 0 {
-            return Err(malformed("SPO runs do not start at zero"));
+        let keys_ok = keys
+            .chunks_exact(2)
+            .all(|k| (k[0] as usize) < self.num_instances && (k[1] as usize) < self.num_preds);
+        if !keys_ok || !nodes.chunks_exact(2).all(node_ok) {
+            return Err(malformed("SPO id out of range or bad node tag"));
         }
-        for r in 0..self.num_spo {
-            let s = u32_at(keys, r * 8);
-            let p = u32_at(keys, r * 8 + 4);
-            if s as usize >= self.num_instances || p as usize >= self.num_preds {
-                return Err(malformed("SPO key id out of range"));
-            }
-            let key = (s as u64) << 32 | p as u64;
-            if prev_key.is_some_and(|k| k >= key) {
-                return Err(malformed("SPO keys are not sorted"));
-            }
-            prev_key = Some(key);
-            let off = u32_at(offs, (r + 1) * 4);
-            if off <= prev_off || off as u64 > self.num_edges {
-                return Err(malformed("SPO run offsets are not ascending"));
-            }
-            let mut prev_node: Option<u64> = None;
-            for j in prev_off..off {
-                let v = u64_at(nodes, j as usize * 8);
-                let node = decode_node(v).ok_or(malformed("SPO node has a bad tag"))?;
-                let in_range = match node {
-                    Node::Instance(i) => i.index() < self.num_instances,
-                    Node::Literal(l) => l.index() < self.num_literals,
-                };
-                if !in_range {
-                    return Err(malformed("SPO node id out of range"));
-                }
-                if prev_node.is_some_and(|p| p >= v) {
-                    return Err(malformed("SPO run is not sorted"));
-                }
-                prev_node = Some(v);
-            }
-            prev_off = off;
-        }
-        if prev_off as u64 != self.num_edges {
-            return Err(malformed("SPO runs do not cover all edges"));
-        }
+        check_runs(keys, 2, offs, nodes, 2, self.num_edges).map_err(malformed)?;
 
-        // OSP: same story with 12-byte (o, p) keys and subject-id runs.
-        let keys = self.section(body, OSP_KEYS);
-        let offs = self.section(body, OSP_OFFS);
-        let subs = self.section(body, OSP_SUBJS);
-        if keys.len() != self.num_osp * 12 || offs.len() != (self.num_osp + 1) * 4 {
+        // OSP: (node, p) keys, subject ids.
+        let keys = self.words(body, OSP_KEYS.0);
+        let offs = self.words(body, OSP_OFFS.0);
+        let subs = self.words(body, OSP_SUBJS.0);
+        if keys.len() != self.num_osp * 3 || offs.len() != self.num_osp + 1 {
             return Err(malformed("OSP index has wrong size"));
         }
-        if subs.len() as u64 != self.num_edges * 4 {
+        if subs.len() as u64 != self.num_edges {
             return Err(malformed("OSP subjects disagree with edge count"));
         }
-        let mut prev_key: Option<(u64, u32)> = None;
-        let mut prev_off = u32_at(offs, 0);
-        if prev_off != 0 {
-            return Err(malformed("OSP runs do not start at zero"));
+        let keys_ok = keys
+            .chunks_exact(3)
+            .all(|k| node_ok(&k[..2]) && (k[2] as usize) < self.num_preds);
+        if !keys_ok || subs.iter().any(|&s| s as usize >= self.num_instances) {
+            return Err(malformed("OSP id out of range or bad node tag"));
         }
-        for r in 0..self.num_osp {
-            let o = u64_at(keys, r * 12);
-            let p = u32_at(keys, r * 12 + 8);
-            let node = decode_node(o).ok_or(malformed("OSP key has a bad tag"))?;
-            let in_range = match node {
-                Node::Instance(i) => i.index() < self.num_instances,
-                Node::Literal(l) => l.index() < self.num_literals,
-            };
-            if !in_range || p as usize >= self.num_preds {
-                return Err(malformed("OSP key id out of range"));
+        check_runs(keys, 3, offs, subs, 1, self.num_edges).map_err(malformed)
+    }
+}
+
+/// Whether the `width`-word records of `words` strictly ascend, compared
+/// word by word — the order of the typed keys and nodes they hold.
+fn ascending(words: &[u32], width: usize) -> bool {
+    let records = words.chunks_exact(width);
+    records.clone().zip(records.skip(1)).all(|(a, b)| a < b)
+}
+
+/// Checks a run index: `key_width`-word keys strictly ascending, `offs`
+/// the `(runs + 1)` offsets of non-empty runs tiling all `edges` values,
+/// and each run's `val_width`-word values strictly ascending.
+fn check_runs(
+    keys: &[u32],
+    key_width: usize,
+    offs: &[u32],
+    vals: &[u32],
+    val_width: usize,
+    edges: u64,
+) -> Result<(), &'static str> {
+    if !ascending(keys, key_width) {
+        return Err("run keys are not sorted");
+    }
+    if offs[0] != 0 || offs.windows(2).any(|w| w[0] >= w[1]) || offs[offs.len() - 1] as u64 != edges
+    {
+        return Err("run offsets do not tile the edges");
+    }
+    let sorted = offs.windows(2).all(|w| {
+        ascending(
+            &vals[w[0] as usize * val_width..w[1] as usize * val_width],
+            val_width,
+        )
+    });
+    if !sorted {
+        return Err("run is not sorted");
+    }
+    Ok(())
+}
+
+/// An image whose bytes passed [`ImageLayout::parse`], and the only way to
+/// read its sections in place.
+#[derive(Debug)]
+pub(crate) struct Image {
+    bytes: MmapFile,
+    layout: ImageLayout,
+}
+
+impl Image {
+    /// Maps and validates the image at `path`.
+    pub fn open(path: &Path) -> Result<Self, KbImageError> {
+        let bytes = MmapFile::open(path)?;
+        let layout = ImageLayout::parse(&bytes)?;
+        Ok(Image { bytes, layout })
+    }
+
+    /// The layout validated at open.
+    pub fn layout(&self) -> &ImageLayout {
+        &self.layout
+    }
+
+    /// The raw bytes of section `sec`.
+    pub fn bytes<T>(&self, sec: Sec<T>) -> &[u8] {
+        self.layout.section(&self.bytes, sec.0)
+    }
+
+    /// Section `sec` read in place as a slice of its element type.
+    pub fn run<T: Pod>(&self, sec: Sec<T>) -> &[T] {
+        cast(self.bytes(sec))
+    }
+
+    /// Row `i` of CSR section `sec` over `rows` rows.
+    pub fn csr_row<T: Pod>(&self, sec: Sec<Csr<T>>, rows: usize, i: usize) -> &[T] {
+        let (offs, data) = self.bytes(sec).split_at((rows + 1) * 4);
+        let offs = words(offs);
+        &cast(data)[offs[i] as usize..offs[i + 1] as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::nobel_mini_kb;
+
+    #[test]
+    fn misaligned_bytes_are_malformed_not_a_panic() {
+        let bytes = pack(&nobel_mini_kb());
+        // Of four consecutive start bytes, exactly one is 4-aligned.
+        let mut buf = vec![0u8; bytes.len() + 3];
+        for k in 0..4 {
+            buf[k..k + bytes.len()].copy_from_slice(&bytes);
+            let at = &buf[k..k + bytes.len()];
+            let aligned = at.as_ptr().cast::<u32>().is_aligned();
+            match ImageLayout::parse(at) {
+                Ok(_) => assert!(aligned, "misaligned copy at {k} parsed"),
+                Err(KbImageError::Malformed(_)) => assert!(!aligned, "aligned copy at {k}"),
+                Err(e) => panic!("copy at {k}: {e}"),
             }
-            if prev_key.is_some_and(|k| k >= (o, p)) {
-                return Err(malformed("OSP keys are not sorted"));
-            }
-            prev_key = Some((o, p));
-            let off = u32_at(offs, (r + 1) * 4);
-            if off <= prev_off || off as u64 > self.num_edges {
-                return Err(malformed("OSP run offsets are not ascending"));
-            }
-            let mut prev_sub: Option<u32> = None;
-            for j in prev_off..off {
-                let s = u32_at(subs, j as usize * 4);
-                if s as usize >= self.num_instances {
-                    return Err(malformed("OSP subject id out of range"));
-                }
-                if prev_sub.is_some_and(|p| p >= s) {
-                    return Err(malformed("OSP run is not sorted"));
-                }
-                prev_sub = Some(s);
-            }
-            prev_off = off;
         }
-        if prev_off as u64 != self.num_edges {
-            return Err(malformed("OSP runs do not cover all edges"));
-        }
-        Ok(())
     }
 }

@@ -1,37 +1,33 @@
 //! [`MappedKb`]: the out-of-core knowledge base backend.
 //!
-//! Opens a `.drkb` image (see [`crate::image`]) via [`MmapFile`] and
-//! answers the same query surface as the in-memory
-//! [`KnowledgeBase`](crate::graph::KnowledgeBase) by binary-searching the
-//! image's sorted runs in place. Nothing proportional to the KB is ever
-//! allocated at open — only the class taxonomy (tiny next to the triples)
-//! is materialized, so `subsumes`/`descendants` behave identically across
-//! backends and callers can hold a real [`Taxonomy`] reference.
+//! Opens a `.drkb` image (see [`crate::image`]) via a read-only mapping
+//! and answers the same query surface as the in-memory
+//! [`KnowledgeBase`](crate::graph::KnowledgeBase), with the same return
+//! types. The image stores ids, nodes and run keys in their in-memory
+//! layout, so every query is a binary search over a typed slice borrowed
+//! from the mapping, and every slice a query returns is borrowed from it
+//! too: nothing is decoded and nothing is allocated per query. At open
+//! only the class taxonomy (tiny next to the triples) is materialized, so
+//! `subsumes`/`descendants` behave identically across backends and callers
+//! can hold a real [`Taxonomy`] reference.
 //!
 //! All validation happens in `ImageLayout::parse` at open time; the
 //! query methods below index into the mapping without further checks,
-//! which is sound because every offset, id, and sort invariant they rely
-//! on was proven there. Corrupt files fail `open` with a typed
+//! which is sound because every offset, id, node tag and sort invariant
+//! they rely on was proven there. Corrupt files fail `open` with a typed
 //! [`KbImageError`] — they never reach a query.
 
 use std::path::{Path, PathBuf};
 
 use crate::graph;
 use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
-use crate::image::{decode_node, encode_node, section, u32_at, u64_at, ImageLayout, KbImageError};
-use crate::mmapfile::MmapFile;
+use crate::image::{section, u64_at, Image, ImageLayout, KbImageError, OspKey, Pod, Sec, SpoKey};
 use crate::taxonomy::Taxonomy;
 
 /// A knowledge base served from a memory-mapped `.drkb` image.
-///
-/// Queries return owned vectors where the in-memory KB returns slices
-/// (the image stores encoded u64 nodes, not `Node` structs); the
-/// [`KbRef`](crate::view::KbRef) dispatch layer papers over the
-/// difference with `Cow`.
 #[derive(Debug)]
 pub struct MappedKb {
-    data: MmapFile,
-    layout: ImageLayout,
+    image: Image,
     taxonomy: Taxonomy,
     generation: u64,
     path: PathBuf,
@@ -42,24 +38,19 @@ impl MappedKb {
     /// file, flipped bit, foreign magic, future version, inconsistent
     /// structure — comes back as a [`KbImageError`].
     pub fn open(path: &Path) -> Result<Self, KbImageError> {
-        let data = MmapFile::open(path)?;
-        let layout = ImageLayout::parse(&data)?;
+        let image = Image::open(path)?;
 
         // Materialize the taxonomy by replaying the packed parent edges in
         // order — the same calls the original builder made, so `parents`,
         // `descendants`, and `depth` come out identical to the oracle.
         let mut taxonomy = Taxonomy::new();
-        let sec = layout.section(&data, section::TAX_PARENTS);
-        let n = layout.num_classes;
+        let n = image.layout().num_classes;
         for c in 0..n {
             taxonomy.ensure(ClassId::from_index(c));
         }
         for c in 0..n {
-            let start = u32_at(sec, c * 4) as usize;
-            let end = u32_at(sec, (c + 1) * 4) as usize;
-            for j in start..end {
-                let p = u32_at(sec, (n + 1 + j) * 4) as usize;
-                taxonomy.add_subclass(ClassId::from_index(c), ClassId::from_index(p));
+            for &p in image.csr_row(section::TAX_PARENTS, n, c) {
+                taxonomy.add_subclass(ClassId::from_index(c), p);
             }
         }
         if taxonomy.finalize().is_err() {
@@ -67,11 +58,10 @@ impl MappedKb {
         }
 
         Ok(MappedKb {
-            layout,
+            image,
             taxonomy,
             generation: graph::alloc_generation(),
             path: path.to_path_buf(),
-            data,
         })
     }
 
@@ -89,6 +79,10 @@ impl MappedKb {
         Ok(kb)
     }
 
+    fn layout(&self) -> &ImageLayout {
+        self.image.layout()
+    }
+
     /// The image path this KB was opened from.
     pub fn path(&self) -> &Path {
         &self.path
@@ -102,32 +96,32 @@ impl MappedKb {
 
     /// The packed KB's deterministic content hash (read from the header).
     pub fn content_hash(&self) -> u64 {
-        self.layout.content_hash
+        self.layout().content_hash
     }
 
     /// Number of instances.
     pub fn num_instances(&self) -> usize {
-        self.layout.num_instances
+        self.layout().num_instances
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.layout.num_classes
+        self.layout().num_classes
     }
 
     /// Number of predicates.
     pub fn num_preds(&self) -> usize {
-        self.layout.num_preds
+        self.layout().num_preds
     }
 
     /// Number of literals.
     pub fn num_literals(&self) -> usize {
-        self.layout.num_literals
+        self.layout().num_literals
     }
 
     /// Number of distinct triples.
     pub fn num_edges(&self) -> usize {
-        self.layout.num_edges as usize
+        self.layout().num_edges as usize
     }
 
     /// The class taxonomy (materialized and finalized at open).
@@ -137,11 +131,11 @@ impl MappedKb {
 
     // ---- string reads ------------------------------------------------
 
-    fn table_str(&self, table: usize, i: usize) -> &str {
-        let sec = self.layout.section(&self.data, table);
-        let heap = self.layout.section(&self.data, section::STRINGS);
-        let start = u64_at(sec, i * 8) as usize;
-        let end = u64_at(sec, (i + 1) * 8) as usize;
+    fn table_str(&self, table: Sec<u8>, i: usize) -> &str {
+        let offs = self.image.bytes(table);
+        let heap = self.image.bytes(section::STRINGS);
+        let start = u64_at(offs, i * 8) as usize;
+        let end = u64_at(offs, (i + 1) * 8) as usize;
         // Validated as UTF-8 at open.
         std::str::from_utf8(&heap[start..end]).expect("validated at open")
     }
@@ -176,180 +170,115 @@ impl MappedKb {
 
     // ---- sorted-run lookups ------------------------------------------
 
-    /// First index in `0..n` where `pred` is false (`pred` monotone
-    /// true→false) — `partition_point` over image records.
-    fn partition(&self, n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn named_id(&self, lookup: usize, strs: usize, n: usize, want: &str) -> Option<u32> {
-        let sec = self.layout.section(&self.data, lookup);
-        let at = |i: usize| u32_at(sec, i * 4);
-        let lo = self.partition(n, |i| self.table_str(strs, at(i) as usize) < want);
-        (lo < n && self.table_str(strs, at(lo) as usize) == want).then(|| at(lo))
+    /// The ids of lookup table `by_name` whose string is `want`: a range,
+    /// because only instance labels can repeat.
+    fn named<'a, T: Pod>(
+        &'a self,
+        by_name: Sec<T>,
+        name_of: impl Fn(&'a Self, T) -> &'a str,
+        want: &str,
+    ) -> &'a [T] {
+        let ids = self.image.run(by_name);
+        let lo = ids.partition_point(|&id| name_of(self, id) < want);
+        let len = ids[lo..].partition_point(|&id| name_of(self, id) == want);
+        &ids[lo..lo + len]
     }
 
     /// The class with this exact name, if interned.
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
-        self.named_id(
-            section::CLASS_BY_NAME,
-            section::CLASS_STR,
-            self.num_classes(),
-            name,
-        )
-        .map(|id| ClassId::from_index(id as usize))
+        self.named(section::CLASS_BY_NAME, Self::class_name, name)
+            .first()
+            .copied()
     }
 
     /// The predicate with this exact name, if interned.
     pub fn pred_named(&self, name: &str) -> Option<PredId> {
-        self.named_id(
-            section::PRED_BY_NAME,
-            section::PRED_STR,
-            self.num_preds(),
-            name,
-        )
-        .map(|id| PredId::from_index(id as usize))
+        self.named(section::PRED_BY_NAME, Self::pred_name, name)
+            .first()
+            .copied()
     }
 
     /// The literal with this exact value, if interned.
     pub fn literal_with_value(&self, value: &str) -> Option<LiteralId> {
-        self.named_id(
-            section::LIT_BY_VALUE,
-            section::LIT_STR,
-            self.num_literals(),
-            value,
-        )
-        .map(|id| LiteralId::from_index(id as usize))
+        self.named(section::LIT_BY_VALUE, Self::literal_value, value)
+            .first()
+            .copied()
     }
 
     /// All instances labeled exactly `label`, ascending by id (homonyms
     /// are real: two cities named "Springfield" are two instances).
-    pub fn instances_labeled(&self, label: &str) -> Vec<InstanceId> {
-        let n = self.num_instances();
-        let sec = self.layout.section(&self.data, section::INST_BY_LABEL);
-        let at = |i: usize| u32_at(sec, i * 4);
-        let label_at = |i: usize| self.table_str(section::INST_STR, at(i) as usize);
-        let lo = self.partition(n, |i| label_at(i) < label);
-        let hi = self.partition(n, |i| label_at(i) <= label);
-        (lo..hi)
-            .map(|i| InstanceId::from_index(at(i) as usize))
-            .collect()
+    pub fn instances_labeled(&self, label: &str) -> &[InstanceId] {
+        self.named(section::INST_BY_LABEL, Self::instance_label, label)
     }
 
     // ---- CSR reads ---------------------------------------------------
 
-    fn csr_row(&self, idx: usize, n: usize, i: usize) -> impl Iterator<Item = u32> + '_ {
-        let sec = self.layout.section(&self.data, idx);
-        let start = u32_at(sec, i * 4) as usize;
-        let end = u32_at(sec, (i + 1) * 4) as usize;
-        (start..end).map(move |j| u32_at(sec, (n + 1 + j) * 4))
-    }
-
     /// The classes this instance was directly declared with, in
     /// declaration order.
-    pub fn instance_classes(&self, i: InstanceId) -> Vec<ClassId> {
-        self.csr_row(section::INST_CLASSES, self.num_instances(), i.index())
-            .map(|c| ClassId::from_index(c as usize))
-            .collect()
+    pub fn instance_classes(&self, i: InstanceId) -> &[ClassId] {
+        self.image
+            .csr_row(section::INST_CLASSES, self.num_instances(), i.index())
     }
 
     /// Whether `i` is an instance of `c`, honoring the taxonomy.
     pub fn has_type(&self, i: InstanceId, c: ClassId) -> bool {
-        self.csr_row(section::INST_CLASSES, self.num_instances(), i.index())
-            .any(|d| self.taxonomy.subsumes(c, ClassId::from_index(d as usize)))
+        self.instance_classes(i)
+            .iter()
+            .any(|&d| self.taxonomy.subsumes(c, d))
     }
 
     /// All instances of `c`, including instances of its subclasses,
     /// ascending by id.
-    pub fn instances_of(&self, c: ClassId) -> Vec<InstanceId> {
-        self.csr_row(section::CLOSED_INST, self.num_classes(), c.index())
-            .map(|i| InstanceId::from_index(i as usize))
-            .collect()
+    pub fn instances_of(&self, c: ClassId) -> &[InstanceId] {
+        self.image
+            .csr_row(section::CLOSED_INST, self.num_classes(), c.index())
     }
 
     /// Instances directly declared with class `c`, ascending by id.
-    pub fn direct_instances_of(&self, c: ClassId) -> Vec<InstanceId> {
-        self.csr_row(section::DIRECT_INST, self.num_classes(), c.index())
-            .map(|i| InstanceId::from_index(i as usize))
-            .collect()
+    pub fn direct_instances_of(&self, c: ClassId) -> &[InstanceId] {
+        self.image
+            .csr_row(section::DIRECT_INST, self.num_classes(), c.index())
     }
 
     /// The predicates on outgoing edges of `s`, ascending.
-    pub fn preds_of(&self, s: InstanceId) -> Vec<PredId> {
-        self.csr_row(section::PREDS_OF, self.num_instances(), s.index())
-            .map(|p| PredId::from_index(p as usize))
-            .collect()
+    pub fn preds_of(&self, s: InstanceId) -> &[PredId] {
+        self.image
+            .csr_row(section::PREDS_OF, self.num_instances(), s.index())
     }
 
     // ---- triple runs -------------------------------------------------
 
-    /// The SPO run index for `(s, p)`, if any triples exist.
-    fn spo_run(&self, s: InstanceId, p: PredId) -> Option<usize> {
-        let keys = self.layout.section(&self.data, section::SPO_KEYS);
-        let want = (s.index() as u64) << 32 | p.index() as u64;
-        let key_at = |r: usize| (u32_at(keys, r * 8) as u64) << 32 | u32_at(keys, r * 8 + 4) as u64;
-        let lo = self.partition(self.layout.num_spo, |r| key_at(r) < want);
-        (lo < self.layout.num_spo && key_at(lo) == want).then_some(lo)
-    }
-
-    fn spo_run_bounds(&self, r: usize) -> (usize, usize) {
-        let offs = self.layout.section(&self.data, section::SPO_OFFS);
-        (
-            u32_at(offs, r * 4) as usize,
-            u32_at(offs, (r + 1) * 4) as usize,
-        )
+    /// The values of the run keyed `key` in a run index, empty if no run
+    /// has that key.
+    fn run_values<K: Pod + Ord, V: Pod>(
+        &self,
+        keys: Sec<K>,
+        offs: Sec<u32>,
+        vals: Sec<V>,
+        key: K,
+    ) -> &[V] {
+        let Ok(r) = self.image.run(keys).binary_search(&key) else {
+            return &[];
+        };
+        let offs = self.image.run(offs);
+        &self.image.run(vals)[offs[r] as usize..offs[r + 1] as usize]
     }
 
     /// All objects of `(s, p)` triples, in `Node` order.
-    pub fn objects(&self, s: InstanceId, p: PredId) -> Vec<Node> {
-        let Some(r) = self.spo_run(s, p) else {
-            return Vec::new();
-        };
-        let (start, end) = self.spo_run_bounds(r);
-        let nodes = self.layout.section(&self.data, section::SPO_NODES);
-        (start..end)
-            .map(|j| decode_node(u64_at(nodes, j * 8)).expect("validated at open"))
-            .collect()
+    pub fn objects(&self, s: InstanceId, p: PredId) -> &[Node] {
+        use section::*;
+        self.run_values(SPO_KEYS, SPO_OFFS, SPO_NODES, SpoKey { s, p })
     }
 
     /// Whether the triple `(s, p, o)` is in the KB.
     pub fn has_edge(&self, s: InstanceId, p: PredId, o: Node) -> bool {
-        let Some(r) = self.spo_run(s, p) else {
-            return false;
-        };
-        let (start, end) = self.spo_run_bounds(r);
-        let nodes = self.layout.section(&self.data, section::SPO_NODES);
-        let want = encode_node(o);
-        let at = |j: usize| u64_at(nodes, (start + j) * 8);
-        let lo = self.partition(end - start, |j| at(j) < want);
-        lo < end - start && at(lo) == want
+        self.objects(s, p).binary_search(&o).is_ok()
     }
 
     /// All subjects with a `(s, p, o)` triple, ascending by id.
-    pub fn subjects(&self, o: Node, p: PredId) -> Vec<InstanceId> {
-        let keys = self.layout.section(&self.data, section::OSP_KEYS);
-        let want = (encode_node(o), p.index() as u32);
-        let key_at = |r: usize| (u64_at(keys, r * 12), u32_at(keys, r * 12 + 8));
-        let lo = self.partition(self.layout.num_osp, |r| key_at(r) < want);
-        if lo >= self.layout.num_osp || key_at(lo) != want {
-            return Vec::new();
-        }
-        let offs = self.layout.section(&self.data, section::OSP_OFFS);
-        let subs = self.layout.section(&self.data, section::OSP_SUBJS);
-        let start = u32_at(offs, lo * 4) as usize;
-        let end = u32_at(offs, (lo + 1) * 4) as usize;
-        (start..end)
-            .map(|j| InstanceId::from_index(u32_at(subs, j * 4) as usize))
-            .collect()
+    pub fn subjects(&self, o: Node, p: PredId) -> &[InstanceId] {
+        use section::*;
+        self.run_values(OSP_KEYS, OSP_OFFS, OSP_SUBJS, OspKey { o, p })
     }
 
     /// All class ids.
@@ -368,21 +297,15 @@ impl MappedKb {
     }
 
     /// Every triple, in strictly ascending `(s, p, o)` order: the SPO keys
-    /// are sorted, and the encoded-node order within a run is `Node`'s.
+    /// are sorted, and so is every run.
     pub fn triples(&self) -> impl Iterator<Item = (InstanceId, PredId, Node)> + '_ {
-        let keys = self.layout.section(&self.data, section::SPO_KEYS);
-        let nodes = self.layout.section(&self.data, section::SPO_NODES);
-        (0..self.layout.num_spo).flat_map(move |r| {
-            let s = InstanceId::from_index(u32_at(keys, r * 8) as usize);
-            let p = PredId::from_index(u32_at(keys, r * 8 + 4) as usize);
-            let (start, end) = self.spo_run_bounds(r);
-            (start..end).map(move |j| {
-                (
-                    s,
-                    p,
-                    decode_node(u64_at(nodes, j * 8)).expect("validated at open"),
-                )
-            })
+        let keys = self.image.run(section::SPO_KEYS);
+        let offs = self.image.run(section::SPO_OFFS);
+        let nodes = self.image.run(section::SPO_NODES);
+        keys.iter().zip(offs.windows(2)).flat_map(move |(k, w)| {
+            nodes[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |&o| (k.s, k.p, o))
         })
     }
 }

@@ -1,22 +1,26 @@
-//! A minimal read-only memory map, the one `unsafe` boundary of the
-//! out-of-core KB path (DESIGN.md §8).
+//! A minimal read-only memory map, one of the two `unsafe` boundaries of
+//! the out-of-core KB path (DESIGN.md §8); the other is the typed slice
+//! cast in `image.rs`.
 //!
 //! We stay dependency-free, so instead of the `memmap2` crate this module
 //! declares the two libc symbols it needs (`mmap`/`munmap` — std already
 //! links libc on every unix target) and wraps them in an RAII handle that
 //! derefs to `&[u8]`. On non-unix targets — and for empty files, where
 //! `mmap` with length 0 is unspecified — it falls back to reading the whole
-//! file into a `Vec<u8>`; callers only ever see a byte slice, so the
-//! fallback is behaviorally identical, just not zero-copy.
+//! file into a `Vec<u8>`; callers only ever see a byte slice. The image
+//! layer reads that slice in place, so it refuses a copy that the
+//! allocator did not place 4-aligned.
 //!
 //! Safety argument for the `Send + Sync` impls and the `Deref`: the mapping
 //! is `PROT_READ | MAP_PRIVATE`, so the kernel never lets us write through
 //! it and other processes' writes to the file are not required to be
 //! visible (private copy-on-write semantics). The image format layered on
-//! top additionally verifies a whole-file checksum at open, so a file
-//! swapped mid-read surfaces as a checksum/shape error, not UB: we never
-//! unmap until `Drop`, and the slice we hand out lives exactly as long as
-//! the mapping.
+//! top verifies a whole-file checksum at open and then reads the mapping
+//! in place as typed slices, trusting what it validated; images are
+//! replaced by rename (`write_image`), never rewritten in place, so no
+//! writer in this project changes a mapped image's bytes. We never unmap
+//! until `Drop`, and the slice we hand out lives exactly as long as the
+//! mapping.
 
 use std::fs::File;
 use std::io::Read;

@@ -4,12 +4,10 @@
 //! [`KnowledgeBase`] and the memory-mapped [`MappedKb`]. Consumers
 //! (`MatchContext`, the repairers, `dr-serve`) hold a `KbRef` and stay
 //! backend-agnostic; `From` impls keep every existing `&kb` call site
-//! compiling through `impl Into<KbRef<'_>>` parameters. Methods that
-//! return borrowed slices from the in-memory KB return [`Cow`] here — the
-//! mapped backend has to decode its compact image records into owned
-//! vectors, the in-memory backend keeps lending slices at zero cost.
-
-use std::borrow::Cow;
+//! compiling through `impl Into<KbRef<'_>>` parameters. Both backends
+//! answer every query with the same signature, a slice query with `&'a
+//! [T]` borrowed from the KB's own runs on the heap or in the mapping, so
+//! each `KbRef` query is one call of the backend's method of that name.
 
 use crate::graph::KnowledgeBase;
 use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
@@ -40,6 +38,102 @@ impl<'a> From<&'a MappedKb> for KbRef<'a> {
     }
 }
 
+/// Defines each listed query on [`KbRef`] as a call of the same-named
+/// method of whichever backend it holds: both backends answer every query
+/// with the same signature.
+macro_rules! dispatch {
+    ($($(#[$doc:meta])* fn $name:ident(self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {
+        impl<'a> KbRef<'a> {
+            $(
+                $(#[$doc])*
+                pub fn $name(self $(, $arg: $ty)*) -> $ret {
+                    match self {
+                        KbRef::Mem(kb) => kb.$name($($arg),*),
+                        KbRef::Mapped(kb) => kb.$name($($arg),*),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+dispatch! {
+    /// Process-unique generation (cache-registry key component).
+    fn generation(self) -> u64;
+
+    /// Deterministic content hash of the KB's triples.
+    fn content_hash(self) -> u64;
+
+    /// Number of instances.
+    fn num_instances(self) -> usize;
+
+    /// Number of classes.
+    fn num_classes(self) -> usize;
+
+    /// Number of predicates.
+    fn num_preds(self) -> usize;
+
+    /// Number of literals.
+    fn num_literals(self) -> usize;
+
+    /// Number of distinct triples.
+    fn num_edges(self) -> usize;
+
+    /// The class taxonomy (both backends hold a real, finalized one).
+    fn taxonomy(self) -> &'a Taxonomy;
+
+    /// The class with this exact name, if interned.
+    fn class_named(self, name: &str) -> Option<ClassId>;
+
+    /// The predicate with this exact name, if interned.
+    fn pred_named(self, name: &str) -> Option<PredId>;
+
+    /// The interned name of a class.
+    fn class_name(self, c: ClassId) -> &'a str;
+
+    /// The interned name of a predicate.
+    fn pred_name(self, p: PredId) -> &'a str;
+
+    /// The label of an instance.
+    fn instance_label(self, i: InstanceId) -> &'a str;
+
+    /// The value of a literal.
+    fn literal_value(self, l: LiteralId) -> &'a str;
+
+    /// The textual value behind either node kind.
+    fn node_value(self, n: Node) -> &'a str;
+
+    /// The literal with this exact value, if interned.
+    fn literal_with_value(self, value: &str) -> Option<LiteralId>;
+
+    /// All instances labeled exactly `label`, ascending by id.
+    fn instances_labeled(self, label: &str) -> &'a [InstanceId];
+
+    /// The classes this instance was directly declared with.
+    fn instance_classes(self, i: InstanceId) -> &'a [ClassId];
+
+    /// Whether `i` is an instance of `c`, honoring the taxonomy.
+    fn has_type(self, i: InstanceId, c: ClassId) -> bool;
+
+    /// All instances of `c` including subclass instances, ascending.
+    fn instances_of(self, c: ClassId) -> &'a [InstanceId];
+
+    /// Instances directly declared with class `c`, ascending.
+    fn direct_instances_of(self, c: ClassId) -> &'a [InstanceId];
+
+    /// All objects of `(s, p)` triples, in `Node` order.
+    fn objects(self, s: InstanceId, p: PredId) -> &'a [Node];
+
+    /// All subjects with an `(s, p, o)` triple, ascending by id.
+    fn subjects(self, o: Node, p: PredId) -> &'a [InstanceId];
+
+    /// Whether the triple `(s, p, o)` is in the KB.
+    fn has_edge(self, s: InstanceId, p: PredId, o: Node) -> bool;
+
+    /// The predicates on outgoing edges of `s`, ascending.
+    fn preds_of(self, s: InstanceId) -> &'a [PredId];
+}
+
 impl<'a> KbRef<'a> {
     /// Which backend serves this KB: `"mem"` or `"mmap"` (the label used
     /// by the `kb_load_seconds` metric).
@@ -47,206 +141,6 @@ impl<'a> KbRef<'a> {
         match self {
             KbRef::Mem(_) => "mem",
             KbRef::Mapped(_) => "mmap",
-        }
-    }
-
-    /// Process-unique generation (cache-registry key component).
-    pub fn generation(self) -> u64 {
-        match self {
-            KbRef::Mem(kb) => kb.generation(),
-            KbRef::Mapped(kb) => kb.generation(),
-        }
-    }
-
-    /// Deterministic content hash of the KB's triples.
-    pub fn content_hash(self) -> u64 {
-        match self {
-            KbRef::Mem(kb) => kb.content_hash(),
-            KbRef::Mapped(kb) => kb.content_hash(),
-        }
-    }
-
-    /// Number of instances.
-    pub fn num_instances(self) -> usize {
-        match self {
-            KbRef::Mem(kb) => kb.num_instances(),
-            KbRef::Mapped(kb) => kb.num_instances(),
-        }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(self) -> usize {
-        match self {
-            KbRef::Mem(kb) => kb.num_classes(),
-            KbRef::Mapped(kb) => kb.num_classes(),
-        }
-    }
-
-    /// Number of predicates.
-    pub fn num_preds(self) -> usize {
-        match self {
-            KbRef::Mem(kb) => kb.num_preds(),
-            KbRef::Mapped(kb) => kb.num_preds(),
-        }
-    }
-
-    /// Number of literals.
-    pub fn num_literals(self) -> usize {
-        match self {
-            KbRef::Mem(kb) => kb.num_literals(),
-            KbRef::Mapped(kb) => kb.num_literals(),
-        }
-    }
-
-    /// Number of distinct triples.
-    pub fn num_edges(self) -> usize {
-        match self {
-            KbRef::Mem(kb) => kb.num_edges(),
-            KbRef::Mapped(kb) => kb.num_edges(),
-        }
-    }
-
-    /// The class taxonomy (both backends hold a real, finalized one).
-    pub fn taxonomy(self) -> &'a Taxonomy {
-        match self {
-            KbRef::Mem(kb) => kb.taxonomy(),
-            KbRef::Mapped(kb) => kb.taxonomy(),
-        }
-    }
-
-    /// The class with this exact name, if interned.
-    pub fn class_named(self, name: &str) -> Option<ClassId> {
-        match self {
-            KbRef::Mem(kb) => kb.class_named(name),
-            KbRef::Mapped(kb) => kb.class_named(name),
-        }
-    }
-
-    /// The predicate with this exact name, if interned.
-    pub fn pred_named(self, name: &str) -> Option<PredId> {
-        match self {
-            KbRef::Mem(kb) => kb.pred_named(name),
-            KbRef::Mapped(kb) => kb.pred_named(name),
-        }
-    }
-
-    /// The interned name of a class.
-    pub fn class_name(self, c: ClassId) -> &'a str {
-        match self {
-            KbRef::Mem(kb) => kb.class_name(c),
-            KbRef::Mapped(kb) => kb.class_name(c),
-        }
-    }
-
-    /// The interned name of a predicate.
-    pub fn pred_name(self, p: PredId) -> &'a str {
-        match self {
-            KbRef::Mem(kb) => kb.pred_name(p),
-            KbRef::Mapped(kb) => kb.pred_name(p),
-        }
-    }
-
-    /// The label of an instance.
-    pub fn instance_label(self, i: InstanceId) -> &'a str {
-        match self {
-            KbRef::Mem(kb) => kb.instance_label(i),
-            KbRef::Mapped(kb) => kb.instance_label(i),
-        }
-    }
-
-    /// The value of a literal.
-    pub fn literal_value(self, l: LiteralId) -> &'a str {
-        match self {
-            KbRef::Mem(kb) => kb.literal_value(l),
-            KbRef::Mapped(kb) => kb.literal_value(l),
-        }
-    }
-
-    /// The textual value behind either node kind.
-    pub fn node_value(self, n: Node) -> &'a str {
-        match self {
-            KbRef::Mem(kb) => kb.node_value(n),
-            KbRef::Mapped(kb) => kb.node_value(n),
-        }
-    }
-
-    /// The literal with this exact value, if interned.
-    pub fn literal_with_value(self, value: &str) -> Option<LiteralId> {
-        match self {
-            KbRef::Mem(kb) => kb.literal_with_value(value),
-            KbRef::Mapped(kb) => kb.literal_with_value(value),
-        }
-    }
-
-    /// All instances labeled exactly `label`, ascending by id.
-    pub fn instances_labeled(self, label: &str) -> Cow<'a, [InstanceId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.instances_labeled(label)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.instances_labeled(label)),
-        }
-    }
-
-    /// The classes this instance was directly declared with.
-    pub fn instance_classes(self, i: InstanceId) -> Cow<'a, [ClassId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.instance_classes(i)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.instance_classes(i)),
-        }
-    }
-
-    /// Whether `i` is an instance of `c`, honoring the taxonomy.
-    pub fn has_type(self, i: InstanceId, c: ClassId) -> bool {
-        match self {
-            KbRef::Mem(kb) => kb.has_type(i, c),
-            KbRef::Mapped(kb) => kb.has_type(i, c),
-        }
-    }
-
-    /// All instances of `c` including subclass instances, ascending.
-    pub fn instances_of(self, c: ClassId) -> Cow<'a, [InstanceId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.instances_of(c)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.instances_of(c)),
-        }
-    }
-
-    /// Instances directly declared with class `c`, ascending.
-    pub fn direct_instances_of(self, c: ClassId) -> Cow<'a, [InstanceId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.direct_instances_of(c)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.direct_instances_of(c)),
-        }
-    }
-
-    /// All objects of `(s, p)` triples, in `Node` order.
-    pub fn objects(self, s: InstanceId, p: PredId) -> Cow<'a, [Node]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.objects(s, p)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.objects(s, p)),
-        }
-    }
-
-    /// All subjects with an `(s, p, o)` triple, ascending by id.
-    pub fn subjects(self, o: Node, p: PredId) -> Cow<'a, [InstanceId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.subjects(o, p)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.subjects(o, p)),
-        }
-    }
-
-    /// Whether the triple `(s, p, o)` is in the KB.
-    pub fn has_edge(self, s: InstanceId, p: PredId, o: Node) -> bool {
-        match self {
-            KbRef::Mem(kb) => kb.has_edge(s, p, o),
-            KbRef::Mapped(kb) => kb.has_edge(s, p, o),
-        }
-    }
-
-    /// The predicates on outgoing edges of `s`, ascending.
-    pub fn preds_of(self, s: InstanceId) -> Cow<'a, [PredId]> {
-        match self {
-            KbRef::Mem(kb) => Cow::Borrowed(kb.preds_of(s)),
-            KbRef::Mapped(kb) => Cow::Owned(kb.preds_of(s)),
         }
     }
 

@@ -4,11 +4,14 @@
 //! [`KbImageError`] — never a panic, never a silently wrong KB — and
 //! targeted corruptions hidden behind a re-sealed checksum must reach
 //! their *specific* rejections instead of dying as generic checksum
-//! failures.
+//! failures. Random multi-byte mutations behind a re-sealed checksum go
+//! further: an image that still opens must answer every query in range,
+//! since queries read the image in place without checks of their own.
 
 use dr_kb::fixtures::nobel_mini_kb;
 use dr_kb::image::{image_checksum, EXTENSION, MAGIC, MIN_LEN};
-use dr_kb::{pack, KbImageError, MappedKb};
+use dr_kb::{pack, KbImageError, LiteralId, MappedKb, Node};
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn scratch_file(tag: &str) -> PathBuf {
@@ -258,4 +261,111 @@ fn missing_image_is_absence_every_corruption_is_not() {
     damaged[MIN_LEN / 2] ^= 0x10;
     let err = open_bytes("not-absence", &damaged).expect_err("damaged file");
     assert!(!err.is_absence(), "{err}");
+}
+
+/// Whether `items` strictly ascend, as every sorted query promises.
+fn ascending<T: Ord>(items: &[T]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Runs every query of `kb` for every in-range id, plus `triples()`, and
+/// checks that every id they return is below its count and that every
+/// sorted answer ascends.
+fn query_everything(kb: &MappedKb) {
+    let (ni, nc, np, nl) = (
+        kb.num_instances(),
+        kb.num_classes(),
+        kb.num_preds(),
+        kb.num_literals(),
+    );
+    let node_in_range = |n: &Node| match *n {
+        Node::Instance(i) => i.index() < ni,
+        Node::Literal(l) => l.index() < nl,
+    };
+    for c in kb.classes() {
+        let name = kb.class_name(c);
+        assert!(kb.class_named(name).is_some_and(|c| c.index() < nc));
+        for extent in [kb.instances_of(c), kb.direct_instances_of(c)] {
+            assert!(ascending(extent) && extent.iter().all(|i| i.index() < ni));
+        }
+        assert!(kb.taxonomy().parents(c).iter().all(|p| p.index() < nc));
+    }
+    for p in kb.preds() {
+        assert!(kb
+            .pred_named(kb.pred_name(p))
+            .is_some_and(|p| p.index() < np));
+    }
+    let literals = (0..nl).map(LiteralId::from_index);
+    for l in literals.clone() {
+        let value = kb.literal_value(l);
+        assert!(kb.literal_with_value(value).is_some_and(|l| l.index() < nl));
+    }
+    for i in kb.instances() {
+        let labeled = kb.instances_labeled(kb.instance_label(i));
+        assert!(ascending(labeled) && labeled.iter().all(|j| j.index() < ni));
+        for &c in kb.instance_classes(i) {
+            assert!(c.index() < nc);
+            assert!(kb.has_type(i, c));
+        }
+        let preds = kb.preds_of(i);
+        assert!(ascending(preds) && preds.iter().all(|p| p.index() < np));
+        for p in kb.preds() {
+            assert!(ascending(kb.objects(i, p)));
+            for &o in kb.objects(i, p) {
+                assert!(node_in_range(&o));
+                assert!(kb.has_edge(i, p, o));
+                kb.node_value(o);
+            }
+        }
+    }
+    let nodes = kb
+        .instances()
+        .map(Node::Instance)
+        .chain(literals.map(Node::Literal));
+    for o in nodes {
+        for p in kb.preds() {
+            let subjects = kb.subjects(o, p);
+            assert!(ascending(subjects) && subjects.iter().all(|s| s.index() < ni));
+        }
+    }
+    let mut edges = 0;
+    for (s, p, o) in kb.triples() {
+        assert!(s.index() < ni && p.index() < np && node_in_range(&o));
+        edges += 1;
+    }
+    assert_eq!(edges, kb.num_edges());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A few edits anywhere before the trailer, the checksum re-sealed:
+    /// the image opens to a typed error, or it opens and answers every
+    /// query in range without a panic. An edit overwrites a byte, nudges
+    /// a u32 word by at most 2, or sets a word to 0..4, so ids, offsets
+    /// and node tags stay plausible and some mutants pass validation.
+    #[test]
+    fn accepted_mutants_answer_every_query_in_range(
+        edits in prop::collection::vec((any::<u32>(), 0u8..3, any::<u8>()), 1..5),
+    ) {
+        let mut bytes = valid_image();
+        let body_len = bytes.len() - 8;
+        for &(at, kind, value) in &edits {
+            let byte = at as usize % body_len;
+            let word = byte / 4 * 4;
+            let old = u32::from_le_bytes(bytes[word..word + 4].try_into().expect("4 bytes"));
+            let new = match kind {
+                0 => {
+                    bytes[byte] = value;
+                    continue;
+                }
+                1 => old.wrapping_add(u32::from(value % 5)).wrapping_sub(2),
+                _ => u32::from(value % 4),
+            };
+            bytes[word..word + 4].copy_from_slice(&new.to_le_bytes());
+        }
+        if let Ok(kb) = open_bytes("mutant", &reseal(bytes)) {
+            query_everything(&kb);
+        }
+    }
 }

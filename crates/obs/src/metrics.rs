@@ -231,23 +231,20 @@ impl WindowSlot {
     }
 }
 
-#[derive(Debug)]
-struct WindowInner {
-    origin: Instant,
-    slots: [WindowSlot; WINDOW_SLOTS],
-}
-
 /// A latency histogram over only the last ~60 seconds of samples, so
 /// `/metrics` can expose *live* p95/p99 without cumulative-rate math.
 ///
 /// Time is diced into 5-second epochs over a ring of 13 slots; recording
 /// lazily reclaims the slot its epoch maps onto, and reads merge the
 /// slots that are still inside the window. Unlike [`Histogram`] the hot
-/// path takes a mutex, which is fine for the per-request and per-tuple
-/// rates it serves (the lock is held for a few dozen nanoseconds).
+/// path takes a mutex, once per sample, which is fine for the per-request
+/// and per-tuple rates it serves (the lock is held for a few dozen
+/// nanoseconds). The epoch origin is fixed at construction, so reading
+/// the clock takes no lock.
 #[derive(Debug, Clone)]
 pub struct WindowHistogram {
-    inner: Arc<Mutex<WindowInner>>,
+    origin: Instant,
+    slots: Arc<Mutex<[WindowSlot; WINDOW_SLOTS]>>,
 }
 
 impl WindowHistogram {
@@ -262,15 +259,13 @@ impl WindowHistogram {
             sum_nanos: 0,
         };
         WindowHistogram {
-            inner: Arc::new(Mutex::new(WindowInner {
-                origin: Instant::now(),
-                slots: [slot; WINDOW_SLOTS],
-            })),
+            origin: Instant::now(),
+            slots: Arc::new(Mutex::new([slot; WINDOW_SLOTS])),
         }
     }
 
     fn current_epoch(&self) -> u64 {
-        self.inner.lock().origin.elapsed().as_secs() / WINDOW_SLOT_SECS
+        self.origin.elapsed().as_secs() / WINDOW_SLOT_SECS
     }
 
     /// Record one duration.
@@ -285,8 +280,8 @@ impl WindowHistogram {
     }
 
     fn record_at(&self, epoch: u64, nanos: u64) {
-        let mut inner = self.inner.lock();
-        let slot = &mut inner.slots[(epoch % WINDOW_SLOTS as u64) as usize];
+        let mut slots = self.slots.lock();
+        let slot = &mut slots[(epoch % WINDOW_SLOTS as u64) as usize];
         if slot.epoch != epoch {
             slot.reset(epoch);
         }
@@ -298,11 +293,11 @@ impl WindowHistogram {
     /// Merged in-window state as `(bucket counts, count, sum_nanos)`.
     fn merged_at(&self, epoch: u64) -> ([u64; HISTOGRAM_BUCKETS], u64, u64) {
         let oldest = epoch.saturating_sub(WINDOW_SLOTS as u64 - 1);
-        let inner = self.inner.lock();
+        let slots = self.slots.lock();
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut count = 0u64;
         let mut sum = 0u64;
-        for slot in &inner.slots {
+        for slot in slots.iter() {
             if slot.epoch >= oldest && slot.epoch <= epoch {
                 for (acc, b) in buckets.iter_mut().zip(slot.buckets.iter()) {
                     *acc += b;

@@ -23,8 +23,7 @@
 //! the buffer is one socket write, so no small trailing segment waits on
 //! Nagle's algorithm for the client's delayed ACK.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::time::Duration;
 
 /// Largest accepted request body (64 MiB) — a relation upload, not a bulk
@@ -133,13 +132,14 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Reads one request from an open connection's reader. `Ok(None)` means
-/// the peer closed — or went idle past the socket's read timeout — before
-/// sending the first byte of a request (not an error: health probes
-/// connect-and-close, and keep-alive clients idle out). A timeout *after*
-/// bytes of a request have arrived is a half-sent request and maps to
-/// `408`.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, HttpError> {
+/// Reads one request from an open connection's reader: the server passes
+/// a `BufReader<TcpStream>`, and any `BufRead` parses the same way.
+/// `Ok(None)` means the peer closed — or went idle past the socket's read
+/// timeout — before sending the first byte of a request (not an error:
+/// health probes connect-and-close, and keep-alive clients idle out). A
+/// timeout *after* bytes of a request have arrived is a half-sent request
+/// and maps to `408`.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
     let mut request_line = String::new();
     match read_limited_line(reader, &mut request_line) {
         Ok(0) => return Ok(None),
@@ -257,10 +257,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
 
 /// `read_line` with a hard per-line cap, so a malicious peer cannot grow an
 /// unbounded buffer.
-fn read_limited_line(
-    reader: &mut BufReader<TcpStream>,
-    out: &mut String,
-) -> std::io::Result<usize> {
+fn read_limited_line<R: BufRead>(reader: &mut R, out: &mut String) -> std::io::Result<usize> {
     let mut taken = reader.take(MAX_HEAD_BYTES as u64 + 1);
     let n = taken.read_line(out)?;
     if n > MAX_HEAD_BYTES {

@@ -359,14 +359,10 @@ pub mod differential {
             let name = m.class_name(c);
             assert_eq!(i.class_name(c), name, "class name {c:?}");
             assert_eq!(i.class_named(name), m.class_named(name), "class lookup");
+            assert_eq!(i.instances_of(c), m.instances_of(c), "instances_of {name}");
             assert_eq!(
-                &*i.instances_of(c),
-                &*m.instances_of(c),
-                "instances_of {name}"
-            );
-            assert_eq!(
-                &*i.direct_instances_of(c),
-                &*m.direct_instances_of(c),
+                i.direct_instances_of(c),
+                m.direct_instances_of(c),
                 "direct_instances_of {name}"
             );
             // Taxonomy ancestry: parent edges, the subsumption closure,
@@ -398,31 +394,31 @@ pub mod differential {
             let label = m.instance_label(s);
             assert_eq!(i.instance_label(s), label, "label of {s:?}");
             assert_eq!(
-                &*i.instances_labeled(label),
-                &*m.instances_labeled(label),
+                i.instances_labeled(label),
+                m.instances_labeled(label),
                 "instances_labeled({label})"
             );
             assert_eq!(
-                &*i.instance_classes(s),
-                &*m.instance_classes(s),
+                i.instance_classes(s),
+                m.instance_classes(s),
                 "classes of {label}"
             );
             for c in m.classes() {
                 assert_eq!(i.has_type(s, c), m.has_type(s, c), "has_type({label})");
             }
-            assert_eq!(&*i.preds_of(s), &*m.preds_of(s), "preds_of({label})");
+            assert_eq!(i.preds_of(s), m.preds_of(s), "preds_of({label})");
             for p in m.preds() {
                 assert_eq!(
-                    sorted(&i.objects(s, p)),
-                    sorted(&m.objects(s, p)),
+                    sorted(i.objects(s, p)),
+                    sorted(m.objects(s, p)),
                     "objects({label}, {})",
                     m.pred_name(p)
                 );
                 for &o in m.objects(s, p).iter() {
                     assert!(i.has_edge(s, p, o), "has_edge({label})");
                     assert_eq!(
-                        sorted(&i.subjects(o, p)),
-                        sorted(&m.subjects(o, p)),
+                        sorted(i.subjects(o, p)),
+                        sorted(m.subjects(o, p)),
                         "subjects({})",
                         m.node_value(o)
                     );
