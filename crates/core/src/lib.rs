@@ -46,7 +46,6 @@ pub use repair::registry::{
     CacheKey, CacheRegistry, RegistryConfig, RegistryStats, SnapshotGcConfig, SnapshotStats,
 };
 pub use repair::resilience::{BudgetHistogram, ResilienceReport, TupleOutcome};
-pub use repair::retry::RetryPolicy;
 pub use repair::rule_graph::RuleGraph;
 pub use repair::snapshot::{SnapshotError, SnapshotKey, SnapshotPayload};
 pub use repair::value_cache::{CacheStats, ValueCache};

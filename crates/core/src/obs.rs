@@ -102,10 +102,6 @@ pub(crate) fn record_relation(obs: &Obs, algo: &str, report: &RelationReport) {
         m.counter("repair_rules_applied_total", &[("rule", rule)])
             .add(n);
     }
-    if report.resilience.retried > 0 {
-        m.counter("repair_retries_total", &[])
-            .add(report.resilience.retried as u64);
-    }
     if report.resilience.quarantined > 0 {
         m.counter("repair_quarantined_total", &[])
             .add(report.resilience.quarantined as u64);
@@ -190,9 +186,8 @@ pub(crate) struct RowSpan<'p> {
 }
 
 impl<'p> RowSpan<'p> {
-    /// Opens attempt `attempt` (1 for the first pass) of row `row` under
-    /// the `repair` phase span `parent`.
-    pub(crate) fn open(parent: Option<&'p SpanCtx>, row: usize, attempt: u32) -> Self {
+    /// Opens row `row` under the `repair` phase span `parent`.
+    pub(crate) fn open(parent: Option<&'p SpanCtx>, row: usize) -> Self {
         let mut hook = RowSpan {
             span: None,
             speculative: None,
@@ -201,7 +196,6 @@ impl<'p> RowSpan<'p> {
         if parent.trace().row_detailed(row as u64) {
             let mut span = parent.child("row");
             span.attr_num("row", row as u64);
-            span.attr_num("attempt", u64::from(attempt));
             hook.span = Some(span);
         } else if parent.trace().speculative() {
             hook.speculative = Some((parent, Instant::now()));
@@ -327,12 +321,12 @@ mod tests {
 
     /// Runs `rows` through the row hook of a JSONL capture sampling at
     /// `rate`, and renders the capture.
-    fn render_rows(rate: f64, rows: &[(usize, u32, TupleReport)]) -> Vec<String> {
+    fn render_rows(rate: f64, rows: &[(usize, TupleReport)]) -> Vec<String> {
         let trace = Arc::new(ActiveTrace::sampled(Sampler::new(3, rate)));
         let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
         let parent = repair.ctx();
-        for (row, attempt, report) in rows {
-            let hook = RowSpan::open(Some(&parent), *row, *attempt);
+        for (row, report) in rows {
+            let hook = RowSpan::open(Some(&parent), *row);
             for step in &report.steps {
                 RuleSpan::open(hook.ctx().as_ref(), step.rule_index, &step.rule_name)
                     .finish(&Ok(step.application.clone()));
@@ -356,10 +350,7 @@ mod tests {
 
     #[test]
     fn unsampled_rows_emit_nothing() {
-        let got = render_rows(
-            0.0,
-            &[(7, 1, failed("boom")), (7, 2, TupleReport::default())],
-        );
+        let got = render_rows(0.0, &[(7, failed("boom")), (8, TupleReport::default())]);
         assert_eq!(got, [r#"{"ev":"repair"}"#]);
     }
 
@@ -381,7 +372,7 @@ mod tests {
         let trace = Arc::new(ActiveTrace::sampled(Sampler::new(0, 1.0)));
         let repair = SpanCtx::root(Arc::clone(&trace)).child("repair");
         let parent = repair.ctx();
-        let hook = RowSpan::open(Some(&parent), 5, 1);
+        let hook = RowSpan::open(Some(&parent), 5);
         RuleSpan::open(hook.ctx().as_ref(), 2, "r3")
             .finish(&Ok(report.steps[0].application.clone()));
         hook.finish(
@@ -399,7 +390,7 @@ mod tests {
             text.lines().collect::<Vec<_>>(),
             [
                 r#"{"ev":"repair"}"#,
-                r#"{"ev":"row","row":5,"attempt":1,"outcome":"failed","steps":1,"message":"boom","local_hits":1,"local_misses":2,"shared_hits":3,"shared_misses":4}"#,
+                r#"{"ev":"row","row":5,"outcome":"failed","steps":1,"message":"boom","local_hits":1,"local_misses":2,"shared_hits":3,"shared_misses":4}"#,
                 r#"{"ev":"rule","rule":2,"name":"r3","result":"detected_wrong"}"#,
             ]
         );
@@ -416,48 +407,10 @@ mod tests {
             },
             ..TupleReport::default()
         };
-        let got = render_rows(1.0, &[(0, 1, degraded)]);
+        let got = render_rows(1.0, &[(0, degraded)]);
         assert_eq!(
             got[1],
-            r#"{"ev":"row","row":0,"attempt":1,"outcome":"degraded","steps":0,"budget_steps":24,"cause":"deadline","local_hits":0,"local_misses":0,"shared_hits":0,"shared_misses":0}"#
-        );
-    }
-
-    #[test]
-    fn retried_row_renders_one_block_per_attempt() {
-        let healed = TupleReport {
-            steps: vec![RepairStep {
-                rule_index: 0,
-                rule_name: "r1".into(),
-                application: RuleApplication::NotApplicable,
-            }],
-            ..TupleReport::default()
-        };
-        // Recorded out of order, as a retry pass on other threads would.
-        let got = render_rows(
-            1.0,
-            &[
-                (4, 2, healed),
-                (1, 1, TupleReport::default()),
-                (4, 1, failed("boom")),
-            ],
-        );
-        let rows: Vec<_> = got
-            .iter()
-            .filter_map(|l| l.strip_prefix(r#"{"ev":"row","#))
-            .map(|l| &l[..l.find(",\"steps").unwrap()])
-            .collect();
-        assert_eq!(
-            rows,
-            [
-                r#""row":1,"attempt":1,"outcome":"completed""#,
-                r#""row":4,"attempt":1,"outcome":"failed""#,
-                r#""row":4,"attempt":2,"outcome":"completed""#,
-            ]
-        );
-        assert_eq!(
-            got.last().unwrap(),
-            r#"{"ev":"rule","rule":0,"name":"r1","result":"not_applicable"}"#
+            r#"{"ev":"row","row":0,"outcome":"degraded","steps":0,"budget_steps":24,"cause":"deadline","local_hits":0,"local_misses":0,"shared_hits":0,"shared_misses":0}"#
         );
     }
 }

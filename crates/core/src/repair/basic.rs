@@ -138,15 +138,13 @@ impl RelationReport {
         self.tuples.iter().map(|t| t.changes()).sum()
     }
 
-    /// Recomputes [`Self::resilience`] from the per-tuple outcomes (loader
-    /// quarantine and scheduler retry counts are preserved — neither is
-    /// derivable from the tuples).
+    /// Recomputes [`Self::resilience`] from the per-tuple outcomes (the
+    /// loader quarantine count is preserved — it is not derivable from the
+    /// tuples).
     pub fn tally_resilience(&mut self) {
         let quarantined = self.resilience.quarantined;
-        let retried = self.resilience.retried;
         self.resilience = ResilienceReport::tally(self.tuples.iter().map(|t| &**t));
         self.resilience.quarantined = quarantined;
-        self.resilience.retried = retried;
     }
 }
 
@@ -222,7 +220,7 @@ pub fn basic_repair(
     for row in 0..relation.len() {
         let tuple = relation.tuple_mut(row);
         let started = tuple_hist.as_ref().map(|_| std::time::Instant::now());
-        let row_span = crate::obs::RowSpan::open(rows_parent.as_ref(), row, 1);
+        let row_span = crate::obs::RowSpan::open(rows_parent.as_ref(), row);
         // A traced relation repairs each row under the row's own span, so
         // rule spans exist exactly under detailed rows.
         let row_ctx = rows_parent

@@ -205,7 +205,8 @@ pub fn fast_repair(
         &ParallelOptions {
             apply: opts.clone(),
             threads: 1,
-            ..Default::default()
+            #[cfg(feature = "fault-injection")]
+            fault_plan: None,
         },
     )
 }

@@ -5,20 +5,19 @@
 //! [`parallel_repair`](crate::repair::parallel::parallel_repair) at the
 //! moment a worker claims the row — *before* the row's tuple is touched, so
 //! a panicked or exhausted row is left exactly as loaded and every other
-//! row must come out bit-identical to a fault-free run. Plans built with
-//! [`FaultPlan::seeded`] are pure functions of `(seed, rows, spec)`:
-//! recovery tests replay the exact same faults on every run and across
-//! thread counts.
+//! row must come out bit-identical to a fault-free run. The scheduler runs
+//! each row once, so a [`Fault::Panic`] row is reported `Failed` exactly
+//! once. Plans built with [`FaultPlan::seeded`] are pure functions of
+//! `(seed, rows, spec)`: recovery tests replay the exact same faults on
+//! every run and across thread counts.
 //!
 //! This module is test infrastructure shipped in the library (the recovery
 //! proptests and any downstream chaos harness drive the real scheduler, not
 //! a mock), but it is feature-gated so production builds carry none of it.
 
 use crate::repair::budget::BudgetMeter;
-use dr_kb::{FxHashMap, FxHashSet};
-use parking_lot::Mutex;
+use dr_kb::FxHashMap;
 use rand::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What to inject at one row.
@@ -27,16 +26,7 @@ pub enum Fault {
     /// Panic in the worker (with a recognizable payload) before the row's
     /// repair starts. The scheduler must isolate it as
     /// [`TupleOutcome::Failed`](crate::repair::resilience::TupleOutcome).
-    ///
-    /// Fires on *every* trigger, including the scheduler's retry pass, so
-    /// it models a deterministic per-row bug: the row stays `Failed` even
-    /// after a retry.
     Panic,
-    /// Panic on the row's *first* trigger only; subsequent triggers (the
-    /// scheduler's retry on a fresh worker) are no-ops. Models a transient
-    /// fault — a row that heals on retry and must come out bit-identical
-    /// to a fault-free run.
-    PanicOnce,
     /// Sleep before repairing, simulating a straggler row. The row still
     /// completes; work stealing must route around it.
     Slow(Duration),
@@ -52,10 +42,8 @@ pub const INJECTED_PANIC_PREFIX: &str = "injected fault: panic at row";
 /// Per-fault-kind injection rates for [`FaultPlan::seeded`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultSpec {
-    /// Fraction of rows that panic (deterministically, on every attempt).
+    /// Fraction of rows that panic.
     pub panic_rate: f64,
-    /// Fraction of rows that panic once and then heal on retry.
-    pub panic_once_rate: f64,
     /// Fraction of rows that run slow.
     pub slow_rate: f64,
     /// Sleep injected into slow rows.
@@ -72,27 +60,12 @@ impl FaultSpec {
             ..Default::default()
         }
     }
-
-    /// A spec that only injects one-shot (healing) panics, at `rate`.
-    pub fn panics_once(rate: f64) -> Self {
-        Self {
-            panic_once_rate: rate,
-            ..Default::default()
-        }
-    }
 }
 
 /// A deterministic schedule of per-row faults.
-///
-/// Clones share the [`Fault::PanicOnce`] fired-set (it lives behind an
-/// `Arc`): a one-shot fault fires once per *plan*, not once per clone —
-/// which is what the retry pass needs, since the scheduler triggers the
-/// same plan instance on both attempts.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: FxHashMap<usize, Fault>,
-    /// Rows whose `PanicOnce` has already fired.
-    fired: Arc<Mutex<FxHashSet<usize>>>,
 }
 
 impl FaultPlan {
@@ -117,14 +90,11 @@ impl FaultPlan {
             // One draw per fate keeps each row's outcome independent and
             // the rates composable (first matching fate wins).
             let roll: f64 = rng.gen_range(0.0..1.0);
-            let once_edge = spec.panic_rate + spec.panic_once_rate;
             if roll < spec.panic_rate {
                 plan.faults.insert(row, Fault::Panic);
-            } else if roll < once_edge {
-                plan.faults.insert(row, Fault::PanicOnce);
-            } else if roll < once_edge + spec.exhaust_rate {
+            } else if roll < spec.panic_rate + spec.exhaust_rate {
                 plan.faults.insert(row, Fault::ExhaustBudget);
-            } else if roll < once_edge + spec.exhaust_rate + spec.slow_rate {
+            } else if roll < spec.panic_rate + spec.exhaust_rate + spec.slow_rate {
                 plan.faults.insert(row, Fault::Slow(spec.slow_duration));
             }
         }
@@ -148,14 +118,9 @@ impl FaultPlan {
         rows
     }
 
-    /// Rows planned to panic on every attempt, sorted.
+    /// Rows planned to panic, sorted.
     pub fn panicking_rows(&self) -> Vec<usize> {
         self.rows_with(|f| matches!(f, Fault::Panic))
-    }
-
-    /// Rows planned to panic once and heal on retry, sorted.
-    pub fn healing_rows(&self) -> Vec<usize> {
-        self.rows_with(|f| matches!(f, Fault::PanicOnce))
     }
 
     /// Rows planned for forced budget exhaustion, sorted.
@@ -165,9 +130,9 @@ impl FaultPlan {
 
     /// Rows whose repaired value may legitimately differ from a fault-free
     /// run (panicked or degraded rows), sorted. Slow rows complete
-    /// normally and one-shot panics heal on retry, so neither is included.
+    /// normally, so they are not included.
     pub fn disturbed_rows(&self) -> Vec<usize> {
-        self.rows_with(|f| !matches!(f, Fault::Slow(_) | Fault::PanicOnce))
+        self.rows_with(|f| !matches!(f, Fault::Slow(_)))
     }
 
     fn rows_with(&self, pred: impl Fn(Fault) -> bool) -> Vec<usize> {
@@ -191,12 +156,6 @@ impl FaultPlan {
     pub fn trigger(&self, row: usize, meter: &BudgetMeter) {
         match self.fault_at(row) {
             Some(Fault::Panic) => panic!("{INJECTED_PANIC_PREFIX} {row}"),
-            // `insert` is the atomic test-and-set: exactly one trigger per
-            // row sees `true`, even under concurrent claims.
-            Some(Fault::PanicOnce) if self.fired.lock().insert(row) => {
-                panic!("{INJECTED_PANIC_PREFIX} {row}");
-            }
-            Some(Fault::PanicOnce) => {}
             Some(Fault::Slow(d)) => std::thread::sleep(d),
             Some(Fault::ExhaustBudget) => meter.force_exhaust(),
             None => {}
@@ -234,7 +193,6 @@ mod tests {
     fn seeded_plans_are_deterministic() {
         let spec = FaultSpec {
             panic_rate: 0.2,
-            panic_once_rate: 0.1,
             exhaust_rate: 0.2,
             slow_rate: 0.1,
             slow_duration: Duration::from_millis(1),
@@ -279,33 +237,5 @@ mod tests {
         let payload = result.expect_err("row 5 panics");
         let message = payload.downcast_ref::<String>().expect("string payload");
         assert!(message.starts_with(INJECTED_PANIC_PREFIX), "{message}");
-    }
-
-    #[test]
-    fn panic_once_fires_exactly_once_per_row() {
-        silence_injected_panics();
-        let plan = FaultPlan::new().with_fault(2, Fault::PanicOnce);
-        let meter = BudgetMeter::unbounded();
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.trigger(2, &meter);
-        }));
-        assert!(first.is_err(), "first trigger panics");
-        plan.trigger(2, &meter); // heals: no panic
-        plan.clone().trigger(2, &meter); // clones share the fired memory
-        assert_eq!(plan.healing_rows(), vec![2]);
-        assert!(
-            plan.disturbed_rows().is_empty(),
-            "healed rows end bit-identical"
-        );
-        assert_eq!(plan.affected_rows(), vec![2]);
-    }
-
-    #[test]
-    fn seeded_panic_once_rate_draws_healing_rows() {
-        let plan = FaultPlan::seeded(7, 10_000, FaultSpec::panics_once(0.10));
-        let hit = plan.healing_rows().len();
-        assert!((600..=1400).contains(&hit), "~10% of 10k rows, got {hit}");
-        assert!(plan.panicking_rows().is_empty());
-        assert!(plan.disturbed_rows().is_empty());
     }
 }

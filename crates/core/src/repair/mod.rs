@@ -12,7 +12,6 @@ pub mod multi;
 pub mod parallel;
 pub mod registry;
 pub mod resilience;
-pub mod retry;
 pub mod rule_graph;
 pub mod snapshot;
 pub mod value_cache;

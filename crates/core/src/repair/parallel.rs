@@ -15,21 +15,16 @@
 //! stitched report is in row order and the result is bit-identical at
 //! every thread count.
 //!
-//! Rows whose worker panicked are re-run under a configurable
-//! [`RetryPolicy`] (DESIGN.md §4c/§9), on fresh worker threads spawned
-//! after each pass drains: transient faults heal to the fault-free result,
-//! deterministic ones report [`TupleOutcome::Failed`] once the attempt cap
-//! is reached, and every retry attempt lands in
-//! [`ResilienceReport::retried`](crate::repair::resilience::ResilienceReport)
-//! and the `retry_attempts_total{attempt}` counter. The default policy is
-//! the historical behavior — one retry, no backoff.
+//! A row whose worker panicked is reported [`TupleOutcome::Failed`] once
+//! and never re-run (DESIGN.md §4c): repairing a tuple is a pure function
+//! of the KB, the rules and the tuple, so a second attempt would panic the
+//! same way.
 
 use crate::context::{FootprintRecorder, MatchContext};
 use crate::repair::basic::{PhaseTimings, RelationReport, TupleReport};
 use crate::repair::cache::ElementCache;
 use crate::repair::fast::FastRepairer;
 use crate::repair::resilience::TupleOutcome;
-use crate::repair::retry::RetryPolicy;
 use crate::rule::apply::ApplyOptions;
 use crate::rule::DetectiveRule;
 use dr_kb::KbFootprint;
@@ -49,9 +44,6 @@ pub struct ParallelOptions {
     /// Worker threads (0 = one per available core). The calling thread is
     /// one of them.
     pub threads: usize,
-    /// Retry/backoff policy for rows whose worker panicked. The default is
-    /// the historical one-shot retry with no backoff.
-    pub retry: RetryPolicy,
     /// Deterministic per-row faults to inject (tests/chaos harnesses only;
     /// see [`FaultPlan`](crate::repair::fault::FaultPlan)). `None` injects
     /// nothing. Every thread count runs the same scheduler, so injection
@@ -106,8 +98,8 @@ pub fn parallel_repair(
 
     let shared = ctx.value_cache_for(relation.schema());
     let before = shared.stats();
-    // One "repair" phase span covers the scheduler passes and retries;
-    // row spans parent onto it through `row_span`.
+    // One "repair" phase span covers the scheduler pass; row spans parent
+    // onto it through `row_span`.
     let repair_span = relation_span.phase("repair");
     let row_span = repair_span.as_ref().map(|s| s.ctx());
     let repair_start = Instant::now();
@@ -140,7 +132,6 @@ pub fn parallel_repair(
             &shared,
             &rows,
             row,
-            1,
             row_span.as_ref(),
             tuple_hist.as_ref(),
         ));
@@ -156,84 +147,9 @@ pub fn parallel_repair(
         }
     });
 
-    // Retry policy (DESIGN.md §4c/§9): rows still `Failed` after a pass
-    // are re-claimed by fresh worker threads, up to `opts.retry`'s total
-    // attempt cap, with the policy's deterministic exponential backoff
-    // slept by the claiming worker just before the re-run. A transient
-    // fault (a poisoned thread-local, an injected `PanicOnce`) heals to
-    // the same report a fault-free run produces — tuples are independent,
-    // so running a row late changes nothing — while a deterministic panic
-    // fails on every attempt and keeps its `Failed` outcome once the cap
-    // is reached. The fault plan is triggered on every attempt too, so
-    // injected faults decide for themselves whether they are transient. A
-    // genuine mid-repair panic leaves at worst a prefix of atomic rule
-    // applications; the retry continues the chase from that state toward
-    // the same fixpoint.
-    let mut retried = 0usize;
-    let mut retry_attempt_counts: Vec<(u32, usize)> = Vec::new();
-    for attempt in 2..=opts.retry.attempts() {
-        let retry_rows: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| {
-                matches!(
-                    &*slot.lock(),
-                    Some((
-                        TupleReport {
-                            outcome: TupleOutcome::Failed { .. },
-                            ..
-                        },
-                        _,
-                    ))
-                )
-            })
-            .map(|(row, _)| row)
-            .collect();
-        if retry_rows.is_empty() {
-            break;
-        }
-        retried += retry_rows.len();
-        retry_attempt_counts.push((attempt, retry_rows.len()));
-        let retry_next = AtomicUsize::new(0);
-        let policy = &opts.retry;
-        std::thread::scope(|scope| {
-            // `retry_rows.len() <= rows.len()`, so retry worker indexes stay
-            // within the per-worker tally arrays sized above.
-            for w in 0..threads.min(retry_rows.len()) {
-                let (claimed, attempts) = (&claimed, &attempts);
-                let (rows, slots) = (&rows, &slots);
-                let (retry_rows, retry_next) = (&retry_rows, &retry_next);
-                let (repairer, shared, tuple_hist) = (&repairer, &shared, &tuple_hist);
-                let row_span = &row_span;
-                scope.spawn(move || loop {
-                    attempts[w].fetch_add(1, Ordering::Relaxed);
-                    let i = retry_next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&row) = retry_rows.get(i) else { break };
-                    claimed[w].fetch_add(1, Ordering::Relaxed);
-                    let backoff = policy.backoff(row, attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    *slots[row].lock() = Some(repair_row(
-                        repairer,
-                        ctx,
-                        opts,
-                        shared,
-                        rows,
-                        row,
-                        attempt,
-                        row_span.as_ref(),
-                        tuple_hist.as_ref(),
-                    ));
-                });
-            }
-        });
-    }
-
     if let Some(mut sp) = repair_span {
         sp.attr_num("rows", rows.len() as u64);
         sp.attr_num("workers", workers as u64);
-        sp.attr_num("retried", retried as u64);
         sp.attr_num("value_cache_entries", shared.len() as u64);
         sp.finish();
     }
@@ -269,7 +185,6 @@ pub fn parallel_repair(
         },
         ..RelationReport::default()
     };
-    report.resilience.retried = retried;
     report.tally_resilience();
     if let Some(obs) = obs {
         let m = obs.metrics();
@@ -281,13 +196,6 @@ pub fn parallel_repair(
                 .add(claimed[w].load(Ordering::Relaxed));
             m.counter("scheduler_steal_attempts_total", &labels)
                 .add(attempts[w].load(Ordering::Relaxed));
-        }
-        // Per-attempt retry counts; summed over attempts this equals
-        // `ResilienceReport::retried` (and `repair_retries_total`).
-        for (attempt, n) in &retry_attempt_counts {
-            let label = attempt.to_string();
-            m.counter("retry_attempts_total", &[("attempt", label.as_str())])
-                .add(*n as u64);
         }
         crate::obs::record_relation(obs, "fast", &report);
     }
@@ -351,7 +259,6 @@ pub fn parallel_repair_selective(
         selected_rows: Some(selected.len()),
         ..RelationReport::default()
     };
-    report.resilience.retried = sub_report.resilience.retried;
     let mut sub_rows = selected
         .iter()
         .zip(sub.tuples_mut())
@@ -395,16 +302,15 @@ fn repair_row(
     shared: &crate::repair::value_cache::ValueCache,
     rows: &[Mutex<&mut Tuple>],
     row: usize,
-    attempt: u32,
     span: Option<&SpanCtx>,
     hist: Option<&(Histogram, WindowHistogram)>,
 ) -> (TupleReport, KbFootprint) {
     // Every KB read the row makes lands in its own recorder, so the
     // stitched report carries a per-row footprint for selective re-repair
-    // (a panicked attempt keeps whatever was recorded before the unwind —
+    // (a panicked row keeps whatever was recorded before the unwind —
     // conservative, since failed rows are always re-selected anyway).
     let recorder = Arc::new(FootprintRecorder::new());
-    let row_span = crate::obs::RowSpan::open(span, row, attempt);
+    let row_span = crate::obs::RowSpan::open(span, row);
     let row_ctx = ctx
         .fork()
         .with_recorder(Arc::clone(&recorder))
@@ -426,18 +332,12 @@ fn repair_row(
         let started = hist.map(|_| Instant::now());
         let report =
             repairer.repair_tuple_with(&row_ctx, &mut tuple, &opts.apply, &mut cache, &meter);
-        // A `Failed` attempt must not contribute a latency sample: the row
-        // will be retried, and recording here *and* on the retry would
-        // double-count the tuple — `repair_tuple_seconds_count` is defined
-        // as exactly completed + degraded, one sample per settled tuple.
-        // (Panicked attempts skip this by unwinding; the guard covers any
-        // `Failed` outcome produced without a panic.)
+        // A panicked row unwinds before this sample, so
+        // `repair_tuple_seconds_count` is exactly completed + degraded.
         if let (Some((hist, window)), Some(started)) = (hist, started) {
-            if !matches!(report.outcome, TupleOutcome::Failed { .. }) {
-                let elapsed = started.elapsed();
-                hist.record(elapsed);
-                window.record(elapsed);
-            }
+            let elapsed = started.elapsed();
+            hist.record(elapsed);
+            window.record(elapsed);
         }
         (report, cache.level_stats())
     }));

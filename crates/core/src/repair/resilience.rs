@@ -11,7 +11,9 @@
 //!   inside budget); the remaining rules were skipped.
 //! * **Failed** — the worker panicked on this row. The panic was caught at
 //!   the row boundary ([`parallel_repair`](crate::repair::parallel)), the
-//!   payload message preserved, and every other row continued.
+//!   payload message preserved, and every other row continued. The row is
+//!   not re-run: its repair is a pure function of the KB, the rules and
+//!   the tuple, so a second attempt would panic the same way.
 //!
 //! The counts (plus loader quarantine counts and a histogram of the step
 //! spend at exhaustion) aggregate into a [`ResilienceReport`] carried by
@@ -123,16 +125,6 @@ pub struct ResilienceReport {
     /// repair ever saw them (filled in by the pipeline that loaded the
     /// relation; repairers leave it zero).
     pub quarantined: usize,
-    /// Retry *attempts* performed by
-    /// [`parallel_repair`](crate::repair::parallel) under its
-    /// [`RetryPolicy`](crate::repair::retry::RetryPolicy): every re-run of
-    /// a panicked row counts once, so a row that failed twice before
-    /// healing on its third attempt contributes 2. A healed row still
-    /// shows here (its outcome is `Completed`), and a row that exhausted
-    /// the attempt cap counts here *and* in [`failed`](Self::failed).
-    /// Advisory — a retried-but-healed run is still
-    /// [`is_clean`](Self::is_clean).
-    pub retried: usize,
     /// Step spend at exhaustion for every degraded tuple.
     pub exhaustion: BudgetHistogram,
 }
@@ -173,7 +165,6 @@ impl std::ops::AddAssign for ResilienceReport {
         self.degraded += rhs.degraded;
         self.failed += rhs.failed;
         self.quarantined += rhs.quarantined;
-        self.retried += rhs.retried;
         self.exhaustion += rhs.exhaustion;
     }
 }
@@ -233,23 +224,11 @@ mod tests {
     fn add_assign_accumulates() {
         let mut a = ResilienceReport::tally(&[degraded(4)]);
         a.add_quarantined(3);
-        a.retried = 2;
-        let mut b = ResilienceReport::tally(&[degraded(4), degraded(9)]);
-        b.retried = 1;
+        let b = ResilienceReport::tally(&[degraded(4), degraded(9)]);
         a += b;
         assert_eq!(a.degraded, 3);
         assert_eq!(a.quarantined, 3);
-        assert_eq!(a.retried, 3);
         assert_eq!(a.exhaustion.total(), 3);
         assert_eq!(a.exhaustion.buckets()[2], 2, "two exhaustions at 4 steps");
-    }
-
-    #[test]
-    fn retried_is_advisory_for_cleanliness() {
-        let r = ResilienceReport {
-            retried: 4,
-            ..Default::default()
-        };
-        assert!(r.is_clean(), "a healed retry leaves the run clean");
     }
 }

@@ -9,12 +9,11 @@ use dr_core::fixtures::{figure4_rules, nobel_schema, table1_dirty};
 use dr_core::repair::fault::silence_injected_panics;
 use dr_core::{
     fast_repair, parallel_repair, ApplyOptions, CacheRegistry, ExhaustCause, Fault, FaultPlan,
-    FaultSpec, MatchContext, ParallelOptions, RelationReport, RetryPolicy, TupleOutcome,
+    FaultSpec, MatchContext, ParallelOptions, RelationReport, TupleOutcome,
 };
 use dr_relation::Relation;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Table I repeated `copies` times.
 fn stacked_table1(copies: usize) -> Relation {
@@ -48,10 +47,10 @@ fn failed_rows(report: &RelationReport) -> Vec<usize> {
 }
 
 /// The ISSUE acceptance scenario: a seeded plan panics ~10% of rows at 8
-/// threads. The relation completes, exactly the planned rows report
-/// `Failed` (payload preserved), every other row is bit-identical to a
-/// fault-free run, and the shared `CacheRegistry` still serves warm hits
-/// to the next relation.
+/// threads. The relation completes, every row is claimed exactly once,
+/// exactly the planned rows report `Failed` (payload preserved), every
+/// other row is bit-identical to a fault-free run, and the shared
+/// `CacheRegistry` still serves warm hits to the next relation.
 #[test]
 fn seeded_ten_percent_panics_at_eight_threads() {
     silence_injected_panics();
@@ -71,19 +70,28 @@ fn seeded_ten_percent_panics_at_eight_threads() {
     );
 
     let registry = Arc::new(CacheRegistry::default());
+    let obs = Arc::new(dr_obs::Obs::new());
     let ctx = MatchContext::with_registry(&kb, Arc::clone(&registry));
     let pristine = stacked_table1(20);
     let mut faulted = stacked_table1(20);
-    let report = parallel_repair(&ctx, &rules, &mut faulted, &faulted_opts(8, plan));
+    let report = parallel_repair(
+        &ctx.fork().with_obs(Arc::clone(&obs)),
+        &rules,
+        &mut faulted,
+        &faulted_opts(8, plan),
+    );
 
-    // The relation completed; exactly the planned rows failed.
+    // The relation completed; exactly the planned rows failed, and each
+    // row (panicked or not) ran once.
     assert_eq!(report.tuples.len(), free.len());
     assert_eq!(failed_rows(&report), panicking);
     assert_eq!(report.resilience.failed, panicking.len());
     assert_eq!(
-        report.resilience.retried,
-        panicking.len(),
-        "every panicked row got its one retry before reporting Failed"
+        obs.metrics()
+            .snapshot()
+            .counter_total("scheduler_rows_claimed_total"),
+        free.len() as u64,
+        "a panicked row is reported Failed once, never re-run"
     );
     assert_eq!(report.resilience.degraded, 0);
     for &row in &panicking {
@@ -155,106 +163,61 @@ fn seeded_ten_percent_panics_at_eight_threads() {
     }
 }
 
-/// One-shot panics heal: the retry pass re-runs each panicked row once on
-/// a fresh worker, so a seeded transient fault ends bit-identical to a
-/// fault-free run at every thread count, with the retry count surfaced in
-/// the `ResilienceReport` and the run still reading as clean.
+/// A `Fault::Panic` row runs once at every thread count: it reports
+/// `Failed` (payload preserved, tuple left as loaded), the scheduler claims
+/// each row exactly once, and the outcome counters match the report.
 #[test]
-fn one_shot_panics_heal_on_retry() {
+fn panicked_rows_run_once() {
     silence_injected_panics();
     let kb = dr_kb::fixtures::nobel_mini_kb();
     let rules = figure4_rules(&kb);
-    let ctx = MatchContext::new(&kb);
-
-    let mut free = stacked_table1(6); // 24 rows
-    let free_report = fast_repair(&ctx, &rules, &mut free, &ApplyOptions::default());
-
-    let seed = 0xFEED_F00D_u64;
-    let healing = FaultPlan::seeded(seed, free.len(), FaultSpec::panics_once(0.20)).healing_rows();
-    assert!(
-        !healing.is_empty(),
-        "seed draws at least one one-shot panic"
-    );
+    let pristine = stacked_table1(3); // 12 rows
 
     for threads in [1usize, 2, 4, 8] {
-        // A fresh plan per run: the fired-set is per-plan memory.
-        let plan = FaultPlan::seeded(seed, free.len(), FaultSpec::panics_once(0.20));
-        assert!(plan.disturbed_rows().is_empty(), "one-shot panics heal");
-        let mut healed = stacked_table1(6);
-        let report = parallel_repair(&ctx, &rules, &mut healed, &faulted_opts(threads, plan));
+        let obs = Arc::new(dr_obs::Obs::new());
+        let ctx = MatchContext::new(&kb).with_obs(Arc::clone(&obs));
+        let plan = FaultPlan::new()
+            .with_fault(1, Fault::Panic)
+            .with_fault(6, Fault::Panic);
+        let mut relation = stacked_table1(3);
+        let report = parallel_repair(&ctx, &rules, &mut relation, &faulted_opts(threads, plan));
 
-        assert!(
-            report.tuples.iter().all(|t| t.outcome.is_completed()),
-            "{threads} threads: every row completes after its retry"
-        );
-        assert_eq!(report.resilience.failed, 0, "{threads} threads");
-        assert_eq!(
-            report.resilience.retried,
-            healing.len(),
-            "{threads} threads: one retry per first-pass panic"
-        );
-        assert!(
-            report.resilience.is_clean(),
-            "retries are advisory: {:?}",
-            report.resilience
-        );
-        assert_eq!(
-            free_report.tuples, report.tuples,
-            "{threads} threads: traces diverged"
-        );
-        for cell in free.cell_refs() {
-            assert_eq!(free.value(cell), healed.value(cell), "{cell:?}");
-        }
-    }
-}
-
-/// Deterministic double-panics: `Fault::Panic` fires on the retry too, so
-/// the row still reports `Failed` (payload preserved, tuple left as
-/// loaded) while a `PanicOnce` row in the same run heals — and `retried`
-/// counts both.
-#[test]
-fn double_panics_still_fail_with_retry_count() {
-    silence_injected_panics();
-    let kb = dr_kb::fixtures::nobel_mini_kb();
-    let rules = figure4_rules(&kb);
-    let ctx = MatchContext::new(&kb);
-
-    let plan = FaultPlan::new()
-        .with_fault(1, Fault::Panic)
-        .with_fault(6, Fault::Panic)
-        .with_fault(3, Fault::PanicOnce);
-    let pristine = stacked_table1(3); // 12 rows
-    let mut relation = stacked_table1(3);
-    let report = parallel_repair(&ctx, &rules, &mut relation, &faulted_opts(4, plan));
-
-    assert_eq!(failed_rows(&report), vec![1, 6]);
-    assert_eq!(report.resilience.failed, 2);
-    assert_eq!(
-        report.resilience.retried, 3,
-        "all three first-pass panics were retried once"
-    );
-    assert!(
-        report.tuples[3].outcome.is_completed(),
-        "the one-shot row healed: {:?}",
-        report.tuples[3].outcome
-    );
-    for row in [1usize, 6] {
-        match &report.tuples[row].outcome {
-            TupleOutcome::Failed { message } => {
-                assert!(message.contains(&format!("row {row}")), "{message}");
+        assert_eq!(failed_rows(&report), vec![1, 6], "{threads} threads");
+        assert_eq!(report.resilience.failed, 2);
+        for row in [1usize, 6] {
+            match &report.tuples[row].outcome {
+                TupleOutcome::Failed { message } => {
+                    assert!(message.contains(&format!("row {row}")), "{message}");
+                }
+                other => panic!("row {row}: {other:?}"),
             }
-            other => panic!("row {row}: {other:?}"),
         }
-    }
-    for cell in pristine.cell_refs() {
-        if [1usize, 6].contains(&cell.row) {
-            assert_eq!(
-                pristine.value(cell),
-                relation.value(cell),
-                "double-panicked row {} left as loaded",
-                cell.row
-            );
+        for cell in pristine.cell_refs() {
+            if [1usize, 6].contains(&cell.row) {
+                assert_eq!(
+                    pristine.value(cell),
+                    relation.value(cell),
+                    "panicked row {} left as loaded",
+                    cell.row
+                );
+            }
         }
+
+        let snap = obs.metrics().snapshot();
+        assert_eq!(
+            snap.counter_total("scheduler_rows_claimed_total"),
+            relation.len() as u64,
+            "{threads} threads: every row claimed exactly once"
+        );
+        assert_eq!(
+            snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"completed\""),
+            Some((relation.len() - 2) as u64)
+        );
+        assert_eq!(
+            snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"failed\""),
+            Some(2)
+        );
+        assert_eq!(snap.counter_total("repair_quarantined_total"), 0);
     }
 }
 
@@ -322,77 +285,6 @@ fn forced_exhaustion_degrades_planned_rows() {
     }
 }
 
-/// Retry-policy accounting under fault injection (DESIGN.md §9): a
-/// 4-attempt policy re-runs a deterministic panic exactly 3 times before
-/// accepting the failure, heals a one-shot panic on its first retry, and
-/// the books balance three ways — the `ResilienceReport` tallies, the
-/// `repair_tuples_total{outcome}` / `repair_retries_total` counters, and
-/// the per-attempt `retry_attempts_total` series.
-#[test]
-fn retry_policy_caps_attempts_and_reconciles_metrics() {
-    silence_injected_panics();
-    let kb = dr_kb::fixtures::nobel_mini_kb();
-    let rules = figure4_rules(&kb);
-    let obs = Arc::new(dr_obs::Obs::new());
-    let ctx = MatchContext::new(&kb).with_obs(Arc::clone(&obs));
-
-    let plan = FaultPlan::new()
-        .with_fault(2, Fault::Panic) // fails on every attempt
-        .with_fault(5, Fault::PanicOnce); // heals on the first retry
-    let mut relation = stacked_table1(3); // 12 rows
-    let opts = ParallelOptions {
-        threads: 4,
-        retry: RetryPolicy::with_attempts(4)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(2))
-            .with_seed(11),
-        fault_plan: Some(Arc::new(plan)),
-        ..Default::default()
-    };
-    let report = parallel_repair(&ctx, &rules, &mut relation, &opts);
-
-    // The cap holds: row 2 gets 3 retries (attempts 2..=4) then stays
-    // Failed; row 5 heals with 1 retry. 4 retry attempts in total.
-    assert_eq!(failed_rows(&report), vec![2]);
-    assert_eq!(report.resilience.failed, 1);
-    assert_eq!(
-        report.resilience.retried, 4,
-        "3 capped retries for row 2 + 1 healing retry for row 5"
-    );
-
-    let snap = obs.metrics().snapshot();
-    let res = &report.resilience;
-    // res d/f/q/r ↔ outcome counters.
-    assert_eq!(
-        snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"completed\""),
-        Some((relation.len() - res.failed - res.degraded) as u64)
-    );
-    assert_eq!(
-        snap.counter("repair_tuples_total", "algo=\"fast\",outcome=\"failed\""),
-        Some(res.failed as u64)
-    );
-    assert_eq!(res.degraded, 0);
-    assert_eq!(res.quarantined, 0);
-    assert_eq!(snap.counter_total("repair_quarantined_total"), 0);
-    // retried ↔ repair_retries_total ↔ Σ retry_attempts_total{attempt}.
-    assert_eq!(
-        snap.counter_total("repair_retries_total"),
-        res.retried as u64
-    );
-    assert_eq!(
-        snap.counter_total("retry_attempts_total"),
-        res.retried as u64
-    );
-    // Per-attempt shape: both rows run on attempt 2; only the
-    // deterministic panic is still failed for attempts 3 and 4.
-    for (attempt, expected) in [(2u32, 2u64), (3, 1), (4, 1)] {
-        assert_eq!(
-            snap.counter("retry_attempts_total", &format!("attempt=\"{attempt}\"")),
-            Some(expected),
-            "attempt {attempt}"
-        );
-    }
-}
-
 /// An empty plan routes through the scheduler unchanged.
 #[test]
 fn empty_plan_is_transparent() {
@@ -423,7 +315,6 @@ proptest! {
     fn faulted_runs_isolate_damage(
         seed in any::<u64>(),
         panic_rate in 0.0f64..0.25,
-        panic_once_rate in 0.0f64..0.2,
         exhaust_rate in 0.0f64..0.35,
         threads_idx in 0usize..4,
     ) {
@@ -438,13 +329,11 @@ proptest! {
 
         let plan = FaultPlan::seeded(seed, free.len(), FaultSpec {
             panic_rate,
-            panic_once_rate,
             exhaust_rate,
             ..Default::default()
         });
         let disturbed = plan.disturbed_rows();
         let panicking = plan.panicking_rows();
-        let healing = plan.healing_rows();
         let exhausted = plan.exhausted_rows();
 
         let registry = Arc::new(CacheRegistry::default());
@@ -452,15 +341,10 @@ proptest! {
         let mut faulted = stacked_table1(6);
         let report = parallel_repair(&ctx, &rules, &mut faulted, &faulted_opts(threads, plan));
 
-        // Outcome bookkeeping matches the plan exactly: deterministic
-        // panics stay failed after their retry, one-shot panics heal.
+        // Outcome bookkeeping matches the plan exactly.
         prop_assert_eq!(failed_rows(&report), panicking.clone());
         prop_assert_eq!(report.resilience.failed, panicking.len());
-        prop_assert_eq!(report.resilience.retried, panicking.len() + healing.len());
         prop_assert_eq!(report.resilience.degraded, exhausted.len());
-        for &row in &healing {
-            prop_assert!(report.tuples[row].outcome.is_completed(), "healed row {}", row);
-        }
 
         // Unaffected rows: bit-identical tuples and traces.
         for cell in free.cell_refs() {

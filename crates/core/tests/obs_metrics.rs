@@ -47,10 +47,6 @@ fn assert_reconciles(obs: &Obs, report: &RelationReport, threads: usize) {
         "threads={threads}"
     );
     assert_eq!(
-        snap.counter_total("repair_retries_total"),
-        report.resilience.retried as u64
-    );
-    assert_eq!(
         snap.counter_total("repair_quarantined_total"),
         report.resilience.quarantined as u64
     );
@@ -96,11 +92,7 @@ fn assert_reconciles(obs: &Obs, report: &RelationReport, threads: usize) {
         Some(threads.min(report.tuples.len()) as u64),
         "threads={threads}"
     );
-    assert_eq!(
-        rows_claimed(&snap),
-        tuples + report.resilience.retried as u64,
-        "threads={threads}"
-    );
+    assert_eq!(rows_claimed(&snap), tuples, "threads={threads}");
     let steals = snap.counter_total("scheduler_steal_attempts_total");
     assert!(steals > 0, "threads={threads}: workers made claim attempts");
     let hist = snap
@@ -108,7 +100,7 @@ fn assert_reconciles(obs: &Obs, report: &RelationReport, threads: usize) {
         .iter()
         .find(|h| h.name == "repair_tuple_seconds")
         .expect("tuple latency histogram registered");
-    assert_eq!(hist.count, tuples + report.resilience.retried as u64);
+    assert_eq!(hist.count, tuples);
 }
 
 #[test]

@@ -294,7 +294,6 @@ pub fn speed_ablation(cfg: &AblationConfig, reps: usize) -> Vec<SpeedRow> {
     let ctx = MatchContext::new(&kb).with_obs_opt(cfg.obs.clone());
     let opts = ApplyOptions::default();
     let two_threads = ParallelOptions {
-        apply: opts.clone(),
         threads: 2,
         ..Default::default()
     };

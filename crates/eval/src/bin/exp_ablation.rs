@@ -138,7 +138,7 @@ fn main() {
                 "time",
                 "cache h/m",
                 "phases pw+rep",
-                "res d/f/q/r",
+                "res d/f/q",
                 "#-changes"
             ],
             &rows,

@@ -45,7 +45,7 @@ fn print_points(title: &str, x_label: &str, points: &[TimingPoint]) {
                 "time",
                 "cache h/m",
                 "phases pw+rep",
-                "res d/f/q/r"
+                "res d/f/q"
             ],
             &rows
         )

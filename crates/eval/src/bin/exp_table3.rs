@@ -96,7 +96,7 @@ fn main() {
                 "time",
                 "cache h/m",
                 "phases pw+rep",
-                "res d/f/q/r",
+                "res d/f/q",
                 "snap w/c/r/s"
             ],
             &table_rows,

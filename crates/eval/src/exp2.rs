@@ -227,7 +227,6 @@ fn run_drs_masked(
             rules,
             &mut working,
             &dr_core::ParallelOptions {
-                apply: opts.clone(),
                 threads,
                 ..Default::default()
             },

@@ -153,7 +153,7 @@ mod tests {
         cli.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], r#"{"ev":"schema","version":2}"#);
+        assert_eq!(lines[0], r#"{"ev":"schema","version":3}"#);
         assert!(lines[1].starts_with(r#"{"ev":"relation","algo":"fast","rows":4,"#));
         let rows = lines
             .iter()

@@ -64,12 +64,9 @@ pub fn cache_cell(c: &dr_core::CacheStats) -> String {
     format!("{}/{}", c.hits(), c.misses())
 }
 
-/// Formats resilience counters as `degraded/failed/quarantined/retried`.
+/// Formats resilience counters as `degraded/failed/quarantined`.
 pub fn resilience_cell(r: &dr_core::ResilienceReport) -> String {
-    format!(
-        "{}/{}/{}/{}",
-        r.degraded, r.failed, r.quarantined, r.retried
-    )
+    format!("{}/{}/{}", r.degraded, r.failed, r.quarantined)
 }
 
 /// Formats disk-snapshot counters as `warm/cold/rejected/saves`.

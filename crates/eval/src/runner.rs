@@ -100,7 +100,6 @@ pub fn run_drs(
             rules,
             &mut working,
             &ParallelOptions {
-                apply: opts.clone(),
                 threads,
                 ..Default::default()
             },

@@ -1,7 +1,7 @@
 //! Acceptance test for the observability layer (DESIGN.md §4d): a
 //! `table3` run with `--metrics` semantics produces counter totals that
 //! reconcile EXACTLY with the report columns the table prints — the
-//! `res d/f/q/r` resilience cells and the `snap w/c/r/s` snapshot cells.
+//! `res d/f/q` resilience cells and the `snap w/c/r/s` snapshot cells.
 //! There is no second bookkeeping path to drift: the report counters and
 //! the metric cells are the same storage.
 
@@ -36,16 +36,14 @@ fn table3_metrics_reconcile_with_report_columns() {
     std::fs::remove_dir_all(&dir).ok();
     let snap = obs.metrics().snapshot();
 
-    // Resilience columns (`res d/f/q/r`): summed over every row — KATARA
+    // Resilience columns (`res d/f/q`): summed over every row — KATARA
     // rows are all-zero by construction, DR rows carry the real counters.
     let degraded: u64 = rows.iter().map(|r| r.resilience.degraded as u64).sum();
     let failed: u64 = rows.iter().map(|r| r.resilience.failed as u64).sum();
     let quarantined: u64 = rows.iter().map(|r| r.resilience.quarantined as u64).sum();
-    let retried: u64 = rows.iter().map(|r| r.resilience.retried as u64).sum();
     assert_eq!(outcome_total(&snap, "degraded"), degraded);
     assert_eq!(outcome_total(&snap, "failed"), failed);
     assert_eq!(snap.counter_total("repair_quarantined_total"), quarantined);
-    assert_eq!(snap.counter_total("repair_retries_total"), retried);
 
     // Snapshot columns (`snap w/c/r/s`): every registry the run built is
     // registered into the same metric store, so the lifetime totals match
@@ -76,9 +74,9 @@ fn table3_metrics_reconcile_with_report_columns() {
 }
 
 /// The same reconciliation discipline on a run that actually *faults*:
-/// injected panics force the retry pass and per-row failure isolation,
-/// and the metric totals must still mirror the stitched report exactly —
-/// no double-recording on the retry path (`--features fault-injection`).
+/// injected panics force per-row failure isolation, and the metric totals
+/// must still mirror the stitched report exactly, with every row run once
+/// (`--features fault-injection`).
 #[cfg(feature = "fault-injection")]
 mod faulted {
     use super::outcome_total;
@@ -92,7 +90,7 @@ mod faulted {
     use std::sync::Arc;
 
     #[test]
-    fn faulted_retry_run_reconciles_metrics_with_report() {
+    fn faulted_run_reconciles_metrics_with_report() {
         silence_injected_panics();
         let kb = dr_kb::fixtures::nobel_mini_kb();
         let rules = figure4_rules(&kb);
@@ -107,13 +105,12 @@ mod faulted {
         }
         let rows = relation.len();
 
-        // ~20% of rows panic once and heal on retry; rows 1 and 5 have a
-        // deterministic bug that panics on the retry too.
-        let plan = FaultPlan::seeded(0xC0FFEE, rows, FaultSpec::panics_once(0.20))
+        // ~20% of rows panic, plus rows 1 and 5.
+        let plan = FaultPlan::seeded(0xC0FFEE, rows, FaultSpec::panics(0.20))
             .with_fault(1, Fault::Panic)
             .with_fault(5, Fault::Panic);
-        let healing = plan.healing_rows().len() as u64;
-        assert!(healing > 0, "seeded plan must exercise the retry pass");
+        let panicking = plan.panicking_rows().len();
+        assert!(panicking > 2, "seeded plan must draw panics of its own");
 
         let obs = Arc::new(Obs::new());
         let ctx = MatchContext::new(&kb).with_obs(Arc::clone(&obs));
@@ -126,7 +123,7 @@ mod faulted {
         let snap = obs.metrics().snapshot();
 
         // Outcome counters mirror the report, and every row is accounted
-        // for exactly once despite the retry pass re-running rows.
+        // for exactly once.
         let completed = report
             .tuples
             .iter()
@@ -147,27 +144,21 @@ mod faulted {
             "every row counted exactly once"
         );
 
-        // The retry path really ran (healed rows) and really failed rows
-        // 1 and 5, and the counters carry exactly the report's numbers.
-        assert!(report.resilience.retried as u64 >= healing.min(1));
+        // Exactly the planned rows failed, rows 1 and 5 among them.
+        assert_eq!(report.resilience.failed, panicking);
         assert!(
             matches!(report.tuples[1].outcome, TupleOutcome::Failed { .. })
                 && matches!(report.tuples[5].outcome, TupleOutcome::Failed { .. })
         );
-        assert_eq!(
-            snap.counter_total("repair_retries_total"),
-            report.resilience.retried as u64
-        );
 
         // Rule applications: the per-rule counters sum to the steps the
-        // report carries (retried rows contribute their final attempt
-        // only).
+        // report carries.
         let steps: u64 = report.tuples.iter().map(|t| t.steps.len() as u64).sum();
         assert_eq!(snap.counter_total("repair_rules_applied_total"), steps);
 
         // Per-tuple latency histogram: failed rows never record (a
-        // panicked attempt unwinds before the sample, and a failed retry
-        // is excluded), so count == completed + degraded.
+        // panicked row unwinds before the sample), so count == completed +
+        // degraded.
         let tuple_hist = snap
             .histograms
             .iter()
@@ -176,14 +167,13 @@ mod faulted {
         assert_eq!(
             tuple_hist.count,
             completed + report.resilience.degraded as u64,
-            "histogram count == completed + degraded (no Failed samples, no retry double-records)"
+            "histogram count == completed + degraded (no Failed samples)"
         );
 
-        // Scheduler accounting: the retry pass claims its rows through
-        // the same counters, so claims == rows + retried.
+        // Scheduler accounting: each row is claimed once, panicked or not.
         assert_eq!(
             snap.counter_total("scheduler_rows_claimed_total"),
-            rows as u64 + report.resilience.retried as u64
+            rows as u64
         );
     }
 }

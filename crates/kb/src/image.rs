@@ -872,8 +872,12 @@ impl Image {
         cast(self.bytes(sec))
     }
 
-    /// Row `i` of CSR section `sec` over `rows` rows.
+    /// Row `i` of CSR section `sec` over `rows` rows; empty for `i >= rows`,
+    /// as the heap KB answers an id past its counts.
     pub fn csr_row<T: Pod>(&self, sec: Sec<Csr<T>>, rows: usize, i: usize) -> &[T] {
+        if i >= rows {
+            return &[];
+        }
         let (offs, data) = self.bytes(sec).split_at((rows + 1) * 4);
         let offs = words(offs);
         &cast(data)[offs[i] as usize..offs[i + 1] as usize]

@@ -16,6 +16,12 @@
 //! which is sound because every offset, id, node tag and sort invariant
 //! they rely on was proven there. Corrupt files fail `open` with a typed
 //! [`KbImageError`] — they never reach a query.
+//!
+//! An id past the image's counts is answered as the heap KB answers it:
+//! the CSR reads (`instance_classes`, `has_type`, `instances_of`,
+//! `direct_instances_of`, `preds_of`) return empty. The name reads
+//! (`class_name`, `pred_name`, `instance_label`, `literal_value`) panic
+//! on an out-of-range id, on both backends.
 
 use std::path::{Path, PathBuf};
 

@@ -69,7 +69,7 @@ impl Sampler {
 
 /// Version of the rendered line schema, written as the first line of every
 /// trace file. Bump it whenever a line's fields change.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Byte budget of one row block: a pathological row (thousands of rule
 /// spans) cannot balloon a trace file past this many bytes of lines. Lines
@@ -119,9 +119,9 @@ impl JsonlSink {
 
 /// Renders finished spans as JSON lines, one `{"ev":<name>, <attrs>…}`
 /// line per span in depth-first order, so each row's subtree is one
-/// contiguous block. Siblings sort by their `row` and `attempt`
-/// attributes, then by span id (open order), so the output does not
-/// depend on which thread finished first. Returns the text and the number
+/// contiguous block. Siblings sort by their `row` attribute, then by span
+/// id (open order), so the output does not depend on which thread
+/// finished first. Returns the text and the number
 /// of lines dropped by the per-row byte budget.
 pub fn render(spans: &[SpanRecord]) -> (String, u64) {
     let ids: HashSet<SpanId> = spans.iter().map(|s| s.id).collect();
@@ -132,7 +132,7 @@ pub fn render(spans: &[SpanRecord]) -> (String, u64) {
         children.entry(parent).or_default().push(span);
     }
     for siblings in children.values_mut() {
-        siblings.sort_by_key(|s| (num_attr(s, "row"), num_attr(s, "attempt"), s.id.0));
+        siblings.sort_by_key(|s| (num_attr(s, "row"), s.id.0));
     }
     let mut out = Renderer::default();
     for root in children.get(&None).into_iter().flatten() {
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(sink.write(&trace), 0);
         assert_eq!(
             String::from_utf8(buf.0.lock().clone()).unwrap(),
-            "{\"ev\":\"schema\",\"version\":2}\n{\"ev\":\"relation\"}\n"
+            "{\"ev\":\"schema\",\"version\":3}\n{\"ev\":\"relation\"}\n"
         );
     }
 }

@@ -9,8 +9,7 @@
 //! class with a *bounded* wait: a request that cannot get a permit within
 //! the configured queue window — or that arrives when the queue itself is
 //! full — is shed immediately with `429 Retry-After`, which is cheap for
-//! the server and actionable for the client (its own
-//! [`RetryPolicy`](dr_core::RetryPolicy)-shaped backoff can kick in).
+//! the server and actionable for the client (it knows when to come back).
 //!
 //! Three metrics make the gate observable and are reconciled by
 //! `exp_serve_chaos` against client-side observations:

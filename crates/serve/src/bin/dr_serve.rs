@@ -29,14 +29,10 @@
 //!   `--max-inflight <n>` — concurrent repair requests admitted (0 =
 //!   auto from core count); `--max-queue <n>` — waiters beyond that
 //!   before instant shedding (0 = auto); `--queue-wait-ms <n>` — longest
-//!   a queued request waits before `429`; `--retry-attempts <n>` /
-//!   `--retry-backoff-ms <n>` — default retry policy for failed rows;
-//!   `--idle-ms <n>` — keep-alive idle timeout;
-//!   `--max-requests-per-conn <n>` — keep-alive request cap (0 =
-//!   unlimited); `--breaker-threshold <n>` — consecutive failed repairs
-//!   that mark a KB degraded (0 = off); `--breaker-cooldown-ms <n>` —
-//!   fail-fast window before a probe; `--drain-ms <n>` — SIGTERM drain
-//!   deadline (default 30000).
+//!   a queued request waits before `429`; `--idle-ms <n>` — keep-alive
+//!   idle timeout; `--max-requests-per-conn <n>` — keep-alive request cap
+//!   (0 = unlimited); `--drain-ms <n>` — SIGTERM drain deadline (default
+//!   30000).
 //! * observability: `--metrics`, `--metrics-out <path>` (the metric
 //!   registry is always on — `/metrics` needs it — so these only control
 //!   the exit dump).
@@ -46,6 +42,9 @@
 //!   (default 64); `--trace-max-spans <n>` — per-trace recorded-span cap
 //!   (default 512); `--no-live-trace` — disable span capture entirely.
 //!
+//! Any other `--…` argument is an error (exit 2), so a misspelt or
+//! retired flag fails at boot instead of being silently ignored.
+//!
 //! On SIGTERM/SIGINT the server drains: `/readyz` flips to 503, new
 //! repairs are refused, in-flight streams finish (up to `--drain-ms`),
 //! cache snapshots and the final obs dump are flushed, and the process
@@ -54,10 +53,50 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dr_core::{RegistryConfig, RetryPolicy};
+use dr_core::RegistryConfig;
 use dr_eval::obsflags::ObsCli;
 use dr_obs::Obs;
 use dr_serve::{build_state, AdmissionConfig, KbSpec, ServeConfig, Server};
+
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--kb",
+    "--kb-image",
+    "--addr",
+    "--port-file",
+    "--cache-dir",
+    "--threads",
+    "--http-threads",
+    "--deadline-ms",
+    "--max-steps",
+    "--max-inflight",
+    "--max-queue",
+    "--queue-wait-ms",
+    "--idle-ms",
+    "--max-requests-per-conn",
+    "--drain-ms",
+    "--metrics-out",
+    "--trace-slow-ms",
+    "--trace-store",
+    "--trace-max-spans",
+];
+
+/// Flags that take no value.
+const BARE_FLAGS: &[&str] = &["--metrics", "--no-live-trace"];
+
+/// Checks every `--…` argument against the flags this binary reads,
+/// skipping each value flag's value. Returns the first unknown flag.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") && !BARE_FLAGS.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter()
@@ -79,6 +118,9 @@ fn die(message: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if let Some(flag) = unknown_flag(&args) {
+        die(&format!("unknown flag {flag}"));
+    }
 
     let mut specs = Vec::new();
     let mut i = 0;
@@ -117,13 +159,6 @@ fn main() {
         registry_config = registry_config.with_cache_dir(dir);
     }
     let defaults = ServeConfig::default();
-    let mut retry = RetryPolicy::default();
-    if let Some(attempts) = parsed_flag(&args, "--retry-attempts") {
-        retry.max_attempts = attempts;
-    }
-    if let Some(ms) = parsed_flag::<u64>(&args, "--retry-backoff-ms") {
-        retry.base_backoff = Duration::from_millis(ms);
-    }
     let config = ServeConfig {
         repair_threads: parsed_flag(&args, "--threads").unwrap_or(0),
         default_deadline: parsed_flag::<u64>(&args, "--deadline-ms").map(Duration::from_millis),
@@ -136,17 +171,11 @@ fn main() {
                 .unwrap_or(defaults.admission.queue_wait),
             ..AdmissionConfig::default()
         },
-        retry,
         max_requests_per_conn: parsed_flag(&args, "--max-requests-per-conn")
             .unwrap_or(defaults.max_requests_per_conn),
         idle_timeout: parsed_flag::<u64>(&args, "--idle-ms")
             .map(Duration::from_millis)
             .unwrap_or(defaults.idle_timeout),
-        breaker_threshold: parsed_flag(&args, "--breaker-threshold")
-            .unwrap_or(defaults.breaker_threshold),
-        breaker_cooldown: parsed_flag::<u64>(&args, "--breaker-cooldown-ms")
-            .map(Duration::from_millis)
-            .unwrap_or(defaults.breaker_cooldown),
         trace_capture: !args.iter().any(|a| a == "--no-live-trace"),
         trace_slow: match parsed_flag::<u64>(&args, "--trace-slow-ms") {
             Some(0) => None,
@@ -276,5 +305,59 @@ mod sig {
     /// Whether a termination signal has arrived.
     pub fn pending() -> bool {
         TERM.load(Ordering::Acquire)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_flag;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        std::iter::once("dr-serve")
+            .chain(args.iter().copied())
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn known_flags_pass_and_values_are_skipped() {
+        let args = argv(&[
+            "--kb",
+            "nobel-mini",
+            "--kb-image",
+            "nobel-mini=/tmp/nm.drkb",
+            "--addr",
+            "127.0.0.1:0",
+            "--port-file",
+            "--weird-but-a-value",
+            "--cache-dir",
+            "/tmp/c",
+            "--metrics",
+            "--metrics-out",
+            "m.prom",
+            "--no-live-trace",
+            "--trace-slow-ms",
+            "0",
+        ]);
+        assert_eq!(unknown_flag(&args), None);
+        assert_eq!(unknown_flag(&argv(&[])), None);
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_named() {
+        for flag in [
+            "--retry-attempts",
+            "--retry-backoff-ms",
+            "--breaker-threshold",
+            "--breaker-cooldown-ms",
+            "--max-inflght",
+            "--trace",
+        ] {
+            let args = argv(&["--kb", "nobel-mini", flag, "3"]);
+            assert_eq!(unknown_flag(&args), Some(flag));
+        }
+        // A bare flag does not swallow the argument after it.
+        let args = argv(&["--metrics", "--nope", "--kb", "nobel-mini"]);
+        assert_eq!(unknown_flag(&args), Some("--nope"));
     }
 }

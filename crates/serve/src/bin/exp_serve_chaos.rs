@@ -12,15 +12,9 @@
 //!    `serve_requests_total`.
 //! 2. **keep-alive** — many requests over one [`Connection`](dr_serve::client::Connection) must
 //!    reuse the socket (`serve_connections_total` grows by exactly 1).
-//! 3. **retry** — seeded `PanicOnce` faults must heal under the retry
-//!    policy, with client-summed `retried` equal to both
-//!    `repair_retries_total` and `retry_attempts_total`, and the same
-//!    seeds must reproduce the same outcome counts.
-//! 4. **disconnect** — a client that hangs up mid-stream must cost the
+//! 3. **disconnect** — a client that hangs up mid-stream must cost the
 //!    server nothing but a `serve_client_disconnect_total` tick.
-//! 5. **breaker** — persistent failures must trip the KB health breaker:
-//!    fail-fast `503`, `"health":"degraded"` in `/kbs`.
-//! 6. **drain** — SIGTERM semantics driven in-process: `/readyz` flips to
+//! 4. **drain** — SIGTERM semantics driven in-process: `/readyz` flips to
 //!    503, new repairs are refused, the in-flight NDJSON stream completes
 //!    intact, and `.drsnap` snapshots are flushed.
 //!
@@ -51,7 +45,7 @@ mod chaos {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use dr_core::{RegistryConfig, RetryPolicy};
+    use dr_core::RegistryConfig;
     use dr_obs::{MetricsSnapshot, Obs};
     use dr_serve::client::{self, Connection};
     use dr_serve::{build_state, AdmissionConfig, KbSpec, ServeConfig, Server};
@@ -80,12 +74,6 @@ mod chaos {
             .collect::<String>()
             .parse()
             .unwrap_or(0)
-    }
-
-    fn summary_line(text: &str) -> Option<&str> {
-        text.lines()
-            .rev()
-            .find(|l| l.contains("\"kind\":\"summary\""))
     }
 
     fn boot(config: ServeConfig, cache_dir: Option<&std::path::Path>) -> (Server, Arc<Obs>) {
@@ -275,83 +263,7 @@ mod chaos {
         ))
     }
 
-    /// Leg 3: seeded healing faults; `retried` must reconcile across the
-    /// response summaries and both retry metrics, and reproduce by seed.
-    fn leg_retry(server: &Server, obs: &Obs, quick: bool) -> Result<String, String> {
-        let requests = if quick { 3 } else { 6 };
-        let rows = 12;
-        let before = obs.metrics().snapshot();
-        let mut client_retried = 0u64;
-        let mut first_summary = Vec::new();
-        for round in 0..2 {
-            for i in 0..requests {
-                // Same seeds both rounds: outcomes must reproduce.
-                let target = format!(
-                    "/v1/repair/nobel-mini?label=retry&threads=2&retry_attempts=3&retry_seed=9\
-                     &fault_panic_once_rate=0.5&fault_seed={}",
-                    i + 1
-                );
-                let resp = client::request(
-                    server.addr(),
-                    "POST",
-                    &target,
-                    "text/csv",
-                    csv_body(rows).as_bytes(),
-                )
-                .map_err(|e| format!("retry: request {i}: {e}"))?;
-                if resp.status != 200 {
-                    return Err(format!("retry: request {i} got {}", resp.status));
-                }
-                let text = resp.text();
-                let summary = summary_line(&text)
-                    .ok_or_else(|| format!("retry: request {i} has no summary"))?;
-                let counts = (
-                    summary_field(summary, "completed"),
-                    summary_field(summary, "degraded"),
-                    summary_field(summary, "failed"),
-                    summary_field(summary, "retried"),
-                );
-                if counts.2 != 0 {
-                    return Err(format!(
-                        "retry: healing faults left {} failed rows: {summary}",
-                        counts.2
-                    ));
-                }
-                if round == 0 {
-                    first_summary.push(counts);
-                    client_retried += counts.3;
-                } else if first_summary[i] != counts {
-                    return Err(format!(
-                        "retry: seed {} not reproducible: {:?} then {:?}",
-                        i + 1,
-                        first_summary[i],
-                        counts
-                    ));
-                } else {
-                    client_retried += counts.3;
-                }
-            }
-        }
-        if client_retried == 0 {
-            return Err("retry: no row ever retried — faults did not engage".into());
-        }
-        let after = obs.metrics().snapshot();
-        let retries_metric = delta(&before, &after, "repair_retries_total");
-        let attempts_metric = delta(&before, &after, "retry_attempts_total");
-        if retries_metric != client_retried || attempts_metric != client_retried {
-            return Err(format!(
-                "retry: summaries say {client_retried}, repair_retries_total moved \
-                 {retries_metric}, retry_attempts_total moved {attempts_metric}"
-            ));
-        }
-        Ok(format!(
-            "retry: {} requests, {client_retried} healed retries; summaries == \
-             repair_retries_total == retry_attempts_total; seeds reproduce",
-            requests * 2
-        ))
-    }
-
-    /// Leg 4: hang up mid-stream; the server counts it and keeps serving.
+    /// Leg 3: hang up mid-stream; the server counts it and keeps serving.
     fn leg_disconnect(server: &Server, obs: &Obs, quick: bool) -> Result<String, String> {
         let rows = if quick { 300 } else { 800 };
         let before = obs.metrics().snapshot();
@@ -401,63 +313,7 @@ mod chaos {
         Ok("disconnect: mid-stream hangup counted, worker kept serving".into())
     }
 
-    /// Leg 5: persistent failures trip the per-KB breaker.
-    fn leg_breaker(quick: bool) -> Result<String, String> {
-        let _ = quick;
-        let config = ServeConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(600),
-            retry: RetryPolicy::with_attempts(2),
-            ..ServeConfig::default()
-        };
-        let (server, obs) = boot(config, None);
-        let body = csv_body(4);
-        let target =
-            "/v1/repair/nobel-mini?label=breaker&threads=1&fault_panic_rate=1&fault_seed=5";
-        for i in 0..2 {
-            let resp = client::request(server.addr(), "POST", target, "text/csv", body.as_bytes())
-                .map_err(|e| format!("breaker: request {i}: {e}"))?;
-            if resp.status != 200 {
-                return Err(format!(
-                    "breaker: failing request {i} got {} before threshold",
-                    resp.status
-                ));
-            }
-            let text = resp.text();
-            let summary = summary_line(&text).unwrap_or("");
-            if summary_field(summary, "failed") == 0 {
-                return Err(format!("breaker: faults did not fail rows: {summary}"));
-            }
-        }
-        let resp = client::request(server.addr(), "POST", target, "text/csv", body.as_bytes())
-            .map_err(|e| format!("breaker: tripped request: {e}"))?;
-        if resp.status != 503 || resp.header("retry-after").is_none() {
-            return Err(format!(
-                "breaker: expected fail-fast 503+retry-after after trip, got {}",
-                resp.status
-            ));
-        }
-        let kbs = client::get(server.addr(), "/kbs").map_err(|e| format!("breaker: /kbs: {e}"))?;
-        if !kbs.text().contains("\"health\":\"degraded\"") {
-            return Err(format!(
-                "breaker: /kbs does not show degraded: {}",
-                kbs.text()
-            ));
-        }
-        let trips = obs
-            .metrics()
-            .snapshot()
-            .counter_total("serve_breaker_trips_total");
-        if trips != 1 {
-            return Err(format!(
-                "breaker: serve_breaker_trips_total = {trips}, expected 1"
-            ));
-        }
-        server.shutdown();
-        Ok("breaker: tripped after 2 failures, fail-fast 503, /kbs degraded".into())
-    }
-
-    /// Leg 6: drain with a stream in flight — the stream completes intact,
+    /// Leg 4: drain with a stream in flight — the stream completes intact,
     /// new work is refused, snapshots land on disk.
     fn leg_drain(quick: bool) -> Result<String, String> {
         let rows = if quick { 8 } else { 16 };
@@ -551,8 +407,7 @@ mod chaos {
         dr_core::repair::fault::silence_injected_panics();
 
         // Server A carries the traffic legs. Tiny gate so overload can
-        // actually shed; breaker off so injected failures in other legs
-        // never poison the route.
+        // actually shed.
         let config = ServeConfig {
             admission: AdmissionConfig {
                 max_inflight_repairs: 2,
@@ -560,7 +415,6 @@ mod chaos {
                 queue_wait: Duration::from_millis(150),
                 retry_after_secs: 1,
             },
-            breaker_threshold: 0,
             idle_timeout: Duration::from_secs(5),
             ..ServeConfig::default()
         };
@@ -574,9 +428,7 @@ mod chaos {
         let legs: Vec<(&str, Result<String, String>)> = vec![
             ("overload", leg_overload(&server, &obs, quick)),
             ("keepalive", leg_keepalive(&server, &obs, quick)),
-            ("retry", leg_retry(&server, &obs, quick)),
             ("disconnect", leg_disconnect(&server, &obs, quick)),
-            ("breaker", leg_breaker(quick)),
             ("drain", leg_drain(quick)),
         ];
         server.shutdown();

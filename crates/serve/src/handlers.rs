@@ -242,7 +242,7 @@ fn kbs(state: &ServerState) -> Response {
         body.push_str(&format!(
             concat!(
                 "\"rules\":{},\"instances\":{},\"edges\":{},\"literals\":{},",
-                "\"generation\":{},\"backend\":\"{}\",\"health\":\"{}\"}}"
+                "\"generation\":{},\"backend\":\"{}\"}}"
             ),
             core.rules.len(),
             kb.num_instances(),
@@ -250,11 +250,6 @@ fn kbs(state: &ServerState) -> Response {
             kb.num_literals(),
             kb.generation(),
             kb.backend(),
-            if entry.health.is_degraded() {
-                "degraded"
-            } else {
-                "ok"
-            },
         ));
     }
     body.push_str("]}");
@@ -345,9 +340,6 @@ struct RepairParams {
     deadline_ms: Option<u64>,
     max_steps: Option<u64>,
     threads: Option<usize>,
-    retry_attempts: Option<u32>,
-    retry_backoff_ms: Option<u64>,
-    retry_seed: Option<u64>,
     label: String,
     /// Seeded per-row faults (chaos harness only): `(seed, spec)`, built
     /// into a [`FaultPlan`](dr_core::FaultPlan) once the row count is
@@ -391,7 +383,6 @@ fn parse_params(req: &Request) -> Result<RepairParams, String> {
     let fault = if has_fault_params {
         let spec = dr_core::FaultSpec {
             panic_rate: num::<f64>(req, "fault_panic_rate")?.unwrap_or(0.0),
-            panic_once_rate: num::<f64>(req, "fault_panic_once_rate")?.unwrap_or(0.0),
             slow_rate: num::<f64>(req, "fault_slow_rate")?.unwrap_or(0.0),
             slow_duration: std::time::Duration::from_millis(
                 num::<u64>(req, "fault_slow_ms")?.unwrap_or(10),
@@ -406,9 +397,6 @@ fn parse_params(req: &Request) -> Result<RepairParams, String> {
         deadline_ms: num(req, "deadline_ms")?,
         max_steps: num(req, "max_steps")?,
         threads: num(req, "threads")?,
-        retry_attempts: num(req, "retry_attempts")?,
-        retry_backoff_ms: num(req, "retry_backoff_ms")?,
-        retry_seed: num(req, "retry_seed")?,
         label,
         #[cfg(feature = "fault-injection")]
         fault,
@@ -433,16 +421,6 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
         Ok(p) => p,
         Err(msg) => return Response::error(400, &msg),
     };
-    if !entry.health.allow() {
-        return Response::error(
-            503,
-            &format!("KB {kb_name:?} is degraded (breaker open); see /kbs"),
-        )
-        .with_header(
-            "retry-after",
-            state.config.breaker_cooldown.as_secs().max(1).to_string(),
-        );
-    }
 
     // Admission: everything beyond this point (body parse + repair) holds
     // a permit, so the in-flight cap bounds memory and scheduler load, not
@@ -458,9 +436,9 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     };
 
     // Arm the live span capture now — the root `request` span covers body
-    // parse and repair (breaker and admission rejections are not worth a
-    // trace). Whether the capture is *kept* is decided at the end by the
-    // tail policy; `?trace=1` forces it.
+    // parse and repair (admission rejections are not worth a trace).
+    // Whether the capture is *kept* is decided at the end by the tail
+    // policy; `?trace=1` forces it.
     let mut capture = state.start_trace(req, "repair", kb_name);
 
     // Parse the body with the entry's canonical schema *name* so the
@@ -495,19 +473,8 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
         .context(Arc::clone(&state.registry), Arc::clone(&state.obs))
         .with_budget(state.budget(params.deadline_ms, params.max_steps))
         .with_span_opt(capture.as_ref().map(|c| c.root.ctx()));
-    let mut retry = state.config.retry;
-    if let Some(attempts) = params.retry_attempts {
-        retry.max_attempts = attempts;
-    }
-    if let Some(ms) = params.retry_backoff_ms {
-        retry.base_backoff = std::time::Duration::from_millis(ms);
-    }
-    if let Some(seed) = params.retry_seed {
-        retry.seed = seed;
-    }
     let opts = ParallelOptions {
         threads: request_threads(params.threads, state.config.repair_threads),
-        retry,
         #[cfg(feature = "fault-injection")]
         fault_plan: params.fault.map(|(seed, spec)| {
             std::sync::Arc::new(dr_core::FaultPlan::seeded(seed, relation.len(), spec))
@@ -516,7 +483,6 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     };
     let mut report = parallel_repair(&ctx, &core.rules, &mut relation, &opts);
     report.resilience.add_quarantined(quarantine.quarantined());
-    entry.health.record(report.resilience.failed == 0);
 
     // Persist after every repair: the snapshot directory stays current
     // even if the process is killed, and concurrent requests exercising
@@ -679,7 +645,7 @@ fn render_ndjson(
     let mut summary = format!(
         concat!(
             "{{\"kind\":\"summary\",\"completed\":{},\"degraded\":{},",
-            "\"failed\":{},\"retried\":{},\"quarantined\":{},",
+            "\"failed\":{},\"quarantined\":{},",
             "\"cache\":{{\"node_hits\":{},\"node_misses\":{},",
             "\"edge_hits\":{},\"edge_misses\":{},\"snapshot_warm\":{}}},",
             "\"prewarm_seconds\":{:.6},\"repair_seconds\":{:.6}}}"
@@ -687,7 +653,6 @@ fn render_ndjson(
         completed,
         r.degraded,
         r.failed,
-        r.retried,
         r.quarantined,
         report.cache.node_hits,
         report.cache.node_misses,

@@ -18,9 +18,8 @@
 //! On top of the pipeline sits the survival layer (DESIGN.md §9):
 //! admission control sheds excess repair load with `429 Retry-After`
 //! instead of queueing it unboundedly ([`admission`]), connections are
-//! keep-alive with idle timeouts and per-connection request caps, each
-//! KB carries a health breaker that fails fast when repairs keep failing,
-//! and [`Server::drain`] turns SIGTERM into a graceful exit: `/readyz`
+//! keep-alive with idle timeouts and per-connection request caps, and
+//! [`Server::drain`] turns SIGTERM into a graceful exit: `/readyz`
 //! goes 503, accepting stops, in-flight streams finish under a deadline,
 //! and `.drsnap` snapshots are flushed.
 //!
@@ -30,7 +29,7 @@
 //! |------------------------|--------|-------------------------------------|
 //! | `/healthz`             | GET    | liveness + uptime                   |
 //! | `/readyz`              | GET    | readiness (503 while draining)      |
-//! | `/kbs`                 | GET    | served KBs, schemas, generations, health |
+//! | `/kbs`                 | GET    | served KBs, schemas, generations, backends |
 //! | `/metrics`             | GET    | live Prometheus text                |
 //! | `/v1/repair/{kb}`      | POST   | CSV or JSON relation → NDJSON repair stream |
 //! | `/v1/kbs/{kb}/delta`   | POST   | TSV KB delta → next generation (incremental cache invalidation) |
@@ -72,8 +71,8 @@ use crate::admission::AcceptBackoff;
 pub use admission::{Admission, AdmissionConfig, AdmissionGate, Permit, ShedReason};
 pub use handlers::{handle, Body, Response};
 pub use state::{
-    build_state, Breaker, DeltaApplyError, DeltaOutcome, ImageFamily, KbCore, KbEntry, KbSpec,
-    Lifecycle, OwnedKb, RequestTrace, ServeConfig, ServerState,
+    build_state, DeltaApplyError, DeltaOutcome, ImageFamily, KbCore, KbEntry, KbSpec, Lifecycle,
+    OwnedKb, RequestTrace, ServeConfig, ServerState,
 };
 
 /// A bound, running server: a shared listener drained by a fixed pool of

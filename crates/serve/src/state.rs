@@ -17,16 +17,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dr_core::{CacheRegistry, IndexMemo, MatchContext, RegistryConfig, RepairBudget, RetryPolicy};
+use dr_core::{CacheRegistry, IndexMemo, MatchContext, RegistryConfig, RepairBudget};
 use dr_datasets::{KbProfile, NobelWorld, UisWorld};
 use dr_kb::graph::KnowledgeBase;
 use dr_kb::{KbDelta, KbRef, MappedKb};
-use dr_obs::{
-    parse_traceparent, ActiveTrace, MetricRegistry, Obs, Span, SpanCtx, TailPolicy, TraceId,
-    TraceStore,
-};
+use dr_obs::{parse_traceparent, ActiveTrace, Obs, Span, SpanCtx, TailPolicy, TraceId, TraceStore};
 use dr_relation::Schema;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::admission::{AdmissionConfig, AdmissionGate};
 use crate::http::Request;
@@ -107,9 +104,6 @@ pub struct KbEntry {
     /// order). The schema name also keys the cache fingerprint, so posted
     /// relations are re-homed onto this schema before repair.
     pub schema: Arc<Schema>,
-    /// Health breaker: repeated repair failures mark this KB degraded in
-    /// `/kbs` and fail requests fast instead of burning workers.
-    pub health: Breaker,
     /// The current core, `None` once unloaded. Swapped whole on delta.
     core: RwLock<Option<Arc<KbCore>>>,
 }
@@ -191,9 +185,6 @@ pub struct ServeConfig {
     pub default_max_steps: u64,
     /// Admission-control limits for the repair route.
     pub admission: AdmissionConfig,
-    /// Default retry policy for `Failed` rows (overridable per request
-    /// via `retry_attempts` / `retry_backoff_ms` / `retry_seed`).
-    pub retry: RetryPolicy,
     /// Requests served on one keep-alive connection before the server
     /// forces a close (0 = unlimited).
     pub max_requests_per_conn: usize,
@@ -203,12 +194,6 @@ pub struct ServeConfig {
     /// full (request line + headers + body); a half-sent request past
     /// this gets `408`.
     pub header_timeout: Duration,
-    /// Consecutive failed repairs (post-retry `failed > 0`) that trip a
-    /// KB's breaker (0 = breaker disabled).
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker fails fast before letting a probe
-    /// request through.
-    pub breaker_cooldown: Duration,
     /// Whether repair requests capture live span trees at all. Off means
     /// `?trace=1` is ignored and `/v1/traces` stays empty.
     pub trace_capture: bool,
@@ -231,12 +216,9 @@ impl Default for ServeConfig {
             default_deadline: None,
             default_max_steps: 0,
             admission: AdmissionConfig::default(),
-            retry: RetryPolicy::default(),
             max_requests_per_conn: 1000,
             idle_timeout: Duration::from_secs(5),
             header_timeout: crate::http::IO_TIMEOUT,
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_secs(10),
             trace_capture: true,
             trace_slow: Some(Duration::from_millis(500)),
             trace_errors: true,
@@ -291,96 +273,6 @@ pub struct ActiveGuard<'a> {
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.lifecycle.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Per-KB health breaker (DESIGN.md §9).
-///
-/// A KB whose repairs keep failing — a corrupted `.drkb` image, a rule
-/// set that panics on this schema — should not have every request burn a
-/// full scheduler fan-out (plus retries) just to report the same failure.
-/// After `threshold` *consecutive* requests with failed rows the breaker
-/// trips: requests fail fast with `503` and `/kbs` reports the KB
-/// `degraded`. After `cooldown` one probe request is let through
-/// (half-open); a clean probe resets the breaker, a failed one re-trips
-/// it immediately.
-#[derive(Debug)]
-pub struct Breaker {
-    threshold: u32,
-    cooldown: Duration,
-    inner: Mutex<BreakerInner>,
-    trips: dr_obs::Counter,
-    degraded: dr_obs::Gauge,
-}
-
-#[derive(Debug, Default)]
-struct BreakerInner {
-    consecutive_failures: u32,
-    tripped_at: Option<Instant>,
-}
-
-impl Breaker {
-    /// Builds a breaker and registers its `serve_breaker_trips_total` /
-    /// `serve_kb_degraded` cells under the KB's name.
-    pub fn new(
-        threshold: u32,
-        cooldown: Duration,
-        metrics: &MetricRegistry,
-        kb_name: &str,
-    ) -> Self {
-        Self {
-            threshold,
-            cooldown,
-            inner: Mutex::new(BreakerInner::default()),
-            trips: metrics.counter("serve_breaker_trips_total", &[("kb", kb_name)]),
-            degraded: metrics.gauge("serve_kb_degraded", &[("kb", kb_name)]),
-        }
-    }
-
-    /// Whether a request may proceed. A tripped breaker fails fast until
-    /// its cooldown elapses, then admits probes (half-open: one more
-    /// failure re-trips instantly, a success resets).
-    pub fn allow(&self) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
-        let mut inner = self.inner.lock();
-        match inner.tripped_at {
-            None => true,
-            Some(tripped) if tripped.elapsed() >= self.cooldown => {
-                inner.tripped_at = None;
-                inner.consecutive_failures = self.threshold.saturating_sub(1);
-                self.degraded.set(0);
-                true
-            }
-            Some(_) => false,
-        }
-    }
-
-    /// Records one finished repair: `ok` when no rows failed post-retry.
-    pub fn record(&self, ok: bool) {
-        if self.threshold == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        if ok {
-            inner.consecutive_failures = 0;
-            inner.tripped_at = None;
-            self.degraded.set(0);
-            return;
-        }
-        inner.consecutive_failures += 1;
-        if inner.consecutive_failures >= self.threshold && inner.tripped_at.is_none() {
-            inner.tripped_at = Some(Instant::now());
-            self.trips.inc();
-            self.degraded.set(1);
-        }
-    }
-
-    /// Whether the breaker is currently tripped (the `/kbs` `health`
-    /// field).
-    pub fn is_degraded(&self) -> bool {
-        self.inner.lock().tripped_at.is_some()
     }
 }
 
@@ -724,16 +616,9 @@ pub fn build_state(
         // `/metrics` shows `snapshot_warm_loads_total` before any POST.
         let _ = ctx.value_cache_for(&schema);
         drop(ctx);
-        let health = Breaker::new(
-            config.breaker_threshold,
-            config.breaker_cooldown,
-            obs.metrics(),
-            &name,
-        );
         entries.push(KbEntry {
             name,
             schema,
-            health,
             core: RwLock::new(Some(core)),
         });
     }

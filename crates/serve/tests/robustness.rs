@@ -1,9 +1,9 @@
 //! Survival-layer integration tests (DESIGN.md §9), feature-free so they
 //! run in the tier-1 suite: the 408/413/431 failure-mapping matrix over
 //! raw sockets, keep-alive semantics (reuse, request caps, idle timeouts),
-//! mid-stream client disconnects, admission shedding, breaker transitions,
-//! and graceful drain. The seeded-fault versions of these scenarios live
-//! in `exp_serve_chaos` (`--features fault-injection`).
+//! mid-stream client disconnects, admission shedding, and graceful drain.
+//! The seeded-fault versions of these scenarios live in `exp_serve_chaos`
+//! (`--features fault-injection`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,7 +13,7 @@ use std::time::Duration;
 use dr_core::RegistryConfig;
 use dr_obs::Obs;
 use dr_serve::client::{self, Connection};
-use dr_serve::{build_state, Admission, Breaker, KbSpec, ServeConfig, Server};
+use dr_serve::{build_state, Admission, KbSpec, ServeConfig, Server};
 
 fn boot_with(config: ServeConfig) -> (Server, Arc<Obs>) {
     let obs = Arc::new(Obs::new());
@@ -340,69 +340,6 @@ fn admission_sheds_with_429_and_retry_after() {
 
     server.shutdown();
     server.join();
-}
-
-/// Breaker state machine at the unit level (the served end-to-end trip is
-/// chaos-harness territory): trip at threshold, fail fast through the
-/// cooldown, half-open probe, and both probe outcomes.
-#[test]
-fn breaker_trips_cools_down_and_half_opens() {
-    let obs = Obs::new();
-    let b = Breaker::new(2, Duration::from_millis(80), obs.metrics(), "t");
-    // The operator gauge, read as `/metrics` renders it.
-    let degraded_gauge = || {
-        obs.metrics()
-            .snapshot()
-            .gauges
-            .iter()
-            .find(|g| g.name == "serve_kb_degraded" && g.labels == "kb=\"t\"")
-            .map(|g| g.value)
-    };
-    assert!(b.allow() && !b.is_degraded());
-    assert_eq!(degraded_gauge(), Some(0));
-
-    b.record(false);
-    assert!(b.allow(), "one failure is below threshold");
-    b.record(false);
-    assert!(b.is_degraded(), "second consecutive failure trips");
-    assert!(!b.allow(), "tripped breaker fails fast");
-    assert_eq!(degraded_gauge(), Some(1), "a trip raises the gauge");
-
-    std::thread::sleep(Duration::from_millis(120));
-    assert!(b.allow(), "cooldown elapsed: probe admitted");
-    b.record(false);
-    assert!(b.is_degraded(), "failed probe re-trips instantly");
-    assert_eq!(degraded_gauge(), Some(1), "a re-trip raises it again");
-
-    std::thread::sleep(Duration::from_millis(120));
-    assert!(b.allow(), "second probe admitted");
-    b.record(true);
-    assert!(!b.is_degraded(), "clean probe resets");
-    assert_eq!(
-        degraded_gauge(),
-        Some(0),
-        "a clean half-open probe clears it"
-    );
-    b.record(false);
-    assert!(b.allow(), "reset breaker needs a full streak again");
-
-    let snap = obs.metrics().snapshot();
-    assert_eq!(
-        snap.counter("serve_breaker_trips_total", "kb=\"t\""),
-        Some(2)
-    );
-    // A success streak also resets an untripped counter.
-    let ok = Breaker::new(2, Duration::from_secs(60), obs.metrics(), "ok");
-    ok.record(false);
-    ok.record(true);
-    ok.record(false);
-    assert!(!ok.is_degraded(), "non-consecutive failures never trip");
-    // Threshold 0 disables the breaker entirely.
-    let off = Breaker::new(0, Duration::from_secs(60), obs.metrics(), "off");
-    off.record(false);
-    off.record(false);
-    off.record(false);
-    assert!(off.allow() && !off.is_degraded());
 }
 
 /// Graceful drain end to end: an in-flight stream completes intact while

@@ -331,10 +331,9 @@ fn keepalive_pipeline_counts_each_request_exactly_once() {
 
 #[test]
 fn error_outcomes_are_tail_sampled_without_forcing() {
-    // A breaker-free config with an impossible step budget: every row
-    // degrades, which the default policy retains as `error`.
+    // An impossible step budget: every row degrades, which the default
+    // policy retains as `error`.
     let config = ServeConfig {
-        breaker_threshold: 0,
         trace_slow: Some(Duration::from_secs(3600)),
         ..ServeConfig::default()
     };

@@ -12,8 +12,8 @@ pub mod differential {
 
     use dr_core::{parallel_repair, DetectiveRule, MatchContext, ParallelOptions};
     use dr_kb::{
-        pack, write_image, DeltaNode, DeltaOp, KbBuilder, KbDelta, KbRef, KnowledgeBase, MappedKb,
-        Node,
+        pack, write_image, ClassId, DeltaNode, DeltaOp, InstanceId, KbBuilder, KbDelta, KbRef,
+        KnowledgeBase, MappedKb, Node,
     };
     use dr_relation::Relation;
     use rand::rngs::StdRng;
@@ -445,6 +445,28 @@ pub mod differential {
         assert_eq!(i.triples(), m.triples(), "full triple sequence");
 
         assert_eq!(dr_kb::stats::stats(i), dr_kb::stats::stats(m), "KbStats");
+
+        // Ids past every count answer empty on both backends, never panic.
+        let far_class = ClassId::from_index(m.num_classes() + 5);
+        let far_instance = InstanceId::from_index(m.num_instances() + 5);
+        assert_eq!(i.instances_of(far_class), m.instances_of(far_class));
+        assert_eq!(
+            i.direct_instances_of(far_class),
+            m.direct_instances_of(far_class)
+        );
+        assert_eq!(
+            i.instance_classes(far_instance),
+            m.instance_classes(far_instance)
+        );
+        assert_eq!(i.preds_of(far_instance), m.preds_of(far_instance));
+        assert!(m.instances_of(far_class).is_empty());
+        assert!(m.instance_classes(far_instance).is_empty());
+        for c in m.classes().chain([far_class]) {
+            assert_eq!(i.has_type(far_instance, c), m.has_type(far_instance, c));
+        }
+        for s in m.instances() {
+            assert_eq!(i.has_type(s, far_class), m.has_type(s, far_class));
+        }
     }
 
     /// Runs `parallel_repair` over `dirty` against both backends at one
