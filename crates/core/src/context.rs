@@ -393,11 +393,6 @@ impl<'kb> MatchContext<'kb> {
         }
     }
 
-    /// Whether `node` satisfies both the type and the value constraint.
-    pub fn node_matches(&self, node: Node, ty: NodeType, sim: SimFn, value: &str) -> bool {
-        self.type_ok(node, ty) && sim.matches(value, self.kb.node_value(node))
-    }
-
     /// Whether the KB contains the edge `(s, rel, o)`, recording the read
     /// as an out-pair dependency on `(s, rel)`.
     pub fn kb_has_edge(&self, s: InstanceId, rel: PredId, o: Node) -> bool {

@@ -389,7 +389,7 @@ pub fn speed_ablation(cfg: &AblationConfig, reps: usize) -> Vec<SpeedRow> {
     let workload = format!("{} lookups, {} labels, k={K}", queries.len(), labels.len());
     for (config, seconds) in [
         ("PASS-JOIN SignatureIndex", index_s),
-        ("linear scan (banded ED)", scan_s),
+        ("linear scan (bit-parallel ED)", scan_s),
     ] {
         rows.push(SpeedRow {
             workload: workload.clone(),

@@ -348,7 +348,24 @@ struct RepairParams {
     fault: Option<(u64, dr_core::FaultSpec)>,
 }
 
+/// The query keys a repair reads, besides the `fault_*` family; `trace` is
+/// read when the request's span capture is armed.
+const REPAIR_PARAMS: [&str; 5] = ["label", "deadline_ms", "max_steps", "threads", "trace"];
+
 fn parse_params(req: &Request) -> Result<RepairParams, String> {
+    // A misspelt or retired key is an error, not a silent default.
+    let mut has_fault_params = false;
+    for pair in req.query.split('&').filter(|pair| !pair.is_empty()) {
+        let key = pair.split_once('=').map_or(pair, |(key, _)| key);
+        if key.starts_with("fault_") {
+            has_fault_params = true;
+        } else if !REPAIR_PARAMS.contains(&key) {
+            return Err(format!(
+                "unknown query parameter {key:?}; known: {}",
+                REPAIR_PARAMS.join(", ")
+            ));
+        }
+    }
     fn num<T: std::str::FromStr>(req: &Request, key: &str) -> Result<Option<T>, String> {
         req.query_param(key)
             .map(|v| v.parse::<T>().map_err(|_| format!("bad {key}={v:?}")))
@@ -368,11 +385,6 @@ fn parse_params(req: &Request) -> Result<RepairParams, String> {
             l.to_owned()
         }
     };
-    let has_fault_params = req.query.split('&').any(|pair| {
-        pair.split('=')
-            .next()
-            .is_some_and(|k| k.starts_with("fault_"))
-    });
     #[cfg(not(feature = "fault-injection"))]
     if has_fault_params {
         return Err(
@@ -808,6 +820,28 @@ mod tests {
             "Name,DOB,Country,Prize,Institution,City\nx,1,2,3,4,5\n",
         );
         assert_eq!(handle(&state, &bad_param).status, 400);
+    }
+
+    #[test]
+    fn repair_rejects_unknown_query_parameters() {
+        let state = test_state();
+        let body = "Name,DOB,Country,Prize,Institution,City\nx,1,2,3,4,5\n";
+        for (query, key) in [
+            ("thraeds=2", "thraeds"),
+            ("label=a&retry_attempts=3", "retry_attempts"),
+            ("explain", "explain"),
+        ] {
+            let resp = handle(&state, &post_csv("/v1/repair/nobel-mini", query, body));
+            assert_eq!(resp.status, 400, "{query}");
+            let text = String::from_utf8(resp.body_bytes()).unwrap();
+            assert!(
+                text.contains("unknown query parameter") && text.contains(key),
+                "{query}: {text}"
+            );
+        }
+        let known = "label=a&deadline_ms=5000&max_steps=100&threads=1&trace=0&";
+        let resp = handle(&state, &post_csv("/v1/repair/nobel-mini", known, body));
+        assert_eq!(resp.status, 200);
     }
 
     fn post_tsv(path: &str, body: &str) -> Request {

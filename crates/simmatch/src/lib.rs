@@ -3,7 +3,8 @@
 //! Implements the matching operations (`sim(u)`, §II-B of the paper) and the
 //! signature-based indexes that make similarity matching fast (§IV-B(2)):
 //!
-//! * [`edit_distance()`] / [`within`] — full and banded Levenshtein;
+//! * [`edit_distance()`] / [`within`] — full Levenshtein and the threshold
+//!   check (bit-parallel, banded DP past 64 chars);
 //! * [`SimFn`] — the per-node matching operation (`=`, `ED,k`, `JAC,t`,
 //!   `COS,t`);
 //! * [`SignatureIndex`] — PASS-JOIN partition signatures for threshold

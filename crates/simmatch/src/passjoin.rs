@@ -7,15 +7,23 @@
 //! unedited and occurs in `q` as a contiguous substring, displaced by at most
 //! `k` positions. Probing the inverted index with the `O(k²)` windowed
 //! substrings of `q` therefore finds **every** true match (no false
-//! negatives); candidates are then verified with the banded edit-distance DP.
+//! negatives).
+//!
+//! A lookup allocates per query, never per probe or per candidate: each
+//! window is a borrowed slice of the normalized query, cut at char
+//! boundaries found in one pass, and every candidate is verified against
+//! one `Pattern` built from the query. The pattern runs Myers'
+//! bit-parallel kernel for queries up to 64 chars and the banded DP beyond
+//! (see [`mod@crate::edit_distance`]), streaming each candidate's chars from
+//! its stored string.
 
-use crate::edit_distance::within;
+use crate::edit_distance::Pattern;
 use crate::normalize::normalize;
 use dr_kb::FxHashMap;
 
-/// Key of one posting list: (indexed string char-length, segment index,
-/// segment content).
-type SigKey = (u16, u8, Box<str>);
+/// Posting lists of one (indexed string char-length, segment index) pair,
+/// keyed by segment content; values are offsets into strings/ids.
+type Segments = FxHashMap<Box<str>, Vec<u32>>;
 
 /// A verified match returned by [`SignatureIndex::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,20 +35,19 @@ pub struct Match {
 }
 
 /// The start offset and length (in chars) of each of the `k+1` segments of a
-/// string with `len` chars.
-fn partition(len: usize, k: usize) -> Vec<(usize, usize)> {
+/// string with `len` chars; the first `len % (k+1)` get one char more.
+fn partition(len: usize, k: usize) -> impl Iterator<Item = (usize, usize)> {
     let parts = k + 1;
-    let base = len / parts;
-    let extra = len % parts; // first `extra` segments get one more char
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let seg_len = base + usize::from(i < extra);
-        out.push((start, seg_len));
-        start += seg_len;
-    }
-    debug_assert_eq!(start, len);
-    out
+    let (base, extra) = (len / parts, len % parts);
+    (0..parts).map(move |i| (i * base + i.min(extra), base + usize::from(i < extra)))
+}
+
+/// Fills `out` with the byte offset of every char of `s`, then `s.len()`,
+/// so chars `i..j` of `s` are `&s[out[i]..out[j]]`.
+fn char_bounds(s: &str, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(s.char_indices().map(|(at, _)| at));
+    out.push(s.len());
 }
 
 /// An inverted index over segment signatures supporting
@@ -51,7 +58,7 @@ pub struct SignatureIndex {
     /// caller id of `strings[i]`.
     strings: Vec<Box<str>>,
     ids: Vec<u32>,
-    postings: FxHashMap<SigKey, Vec<u32>>, // values are offsets into strings/ids
+    postings: FxHashMap<(u16, u8), Segments>,
     /// Char-lengths present in the index (sorted, deduped).
     lengths: Vec<u16>,
 }
@@ -63,25 +70,29 @@ impl SignatureIndex {
         let k = k as usize;
         let mut strings = Vec::new();
         let mut ids = Vec::new();
-        let mut postings: FxHashMap<SigKey, Vec<u32>> = FxHashMap::default();
+        let mut postings: FxHashMap<(u16, u8), Segments> = FxHashMap::default();
         let mut lengths = Vec::new();
+        let mut bounds = Vec::new();
         for (id, raw) in items {
             let value = normalize(raw);
-            let chars: Vec<char> = value.chars().collect();
-            let len = chars.len();
+            char_bounds(&value, &mut bounds);
+            let len = bounds.len() - 1;
             let offset = strings.len() as u32;
-            strings.push(value.into_boxed_str());
-            ids.push(id);
             lengths.push(len.min(u16::MAX as usize) as u16);
-            for (seg_idx, &(start, seg_len)) in partition(len, k).iter().enumerate() {
+            for (seg_idx, (start, seg_len)) in partition(len, k).enumerate() {
                 // Zero-length segments (len < k+1) match the empty substring;
                 // index them too so short strings remain findable.
-                let content: String = chars[start..start + seg_len].iter().collect();
-                postings
-                    .entry((len as u16, seg_idx as u8, content.into_boxed_str()))
-                    .or_default()
-                    .push(offset);
+                let segment = &value[bounds[start]..bounds[start + seg_len]];
+                let lists = postings.entry((len as u16, seg_idx as u8)).or_default();
+                match lists.get_mut(segment) {
+                    Some(list) => list.push(offset),
+                    None => {
+                        lists.insert(segment.into(), vec![offset]);
+                    }
+                }
             }
+            strings.push(value.into_boxed_str());
+            ids.push(id);
         }
         lengths.sort_unstable();
         lengths.dedup();
@@ -109,10 +120,11 @@ impl SignatureIndex {
         self.strings.is_empty()
     }
 
-    /// Candidate offsets whose strings *may* be within distance `k` of
-    /// `query` (superset of the true matches). Deduplicated.
-    fn candidate_offsets(&self, query_chars: &[char]) -> Vec<u32> {
-        let qlen = query_chars.len();
+    /// Candidate offsets whose strings *may* be within distance `k` of the
+    /// normalized `query`, whose char boundaries are `bounds` (superset of
+    /// the true matches). Deduplicated.
+    fn candidate_offsets(&self, query: &str, bounds: &[usize]) -> Vec<u32> {
+        let qlen = bounds.len() - 1;
         let mut out: Vec<u32> = Vec::new();
         let lo = qlen.saturating_sub(self.k) as u16;
         let hi = (qlen + self.k).min(u16::MAX as usize) as u16;
@@ -121,18 +133,17 @@ impl SignatureIndex {
             if len > hi {
                 break;
             }
-            for (seg_idx, &(start, seg_len)) in partition(len as usize, self.k).iter().enumerate() {
+            for (seg_idx, (start, seg_len)) in partition(len as usize, self.k).enumerate() {
                 if seg_len > qlen {
                     continue;
                 }
+                let Some(lists) = self.postings.get(&(len, seg_idx as u8)) else {
+                    continue;
+                };
                 let win_lo = start.saturating_sub(self.k);
                 let win_hi = (start + self.k).min(qlen - seg_len);
                 for sp in win_lo..=win_hi {
-                    let content: String = query_chars[sp..sp + seg_len].iter().collect();
-                    if let Some(list) =
-                        self.postings
-                            .get(&(len, seg_idx as u8, content.into_boxed_str()))
-                    {
+                    if let Some(list) = lists.get(&query[bounds[sp]..bounds[sp + seg_len]]) {
                         out.extend_from_slice(list);
                     }
                 }
@@ -143,42 +154,38 @@ impl SignatureIndex {
         out
     }
 
-    /// All indexed ids within edit distance `k` of `query`, verified with the
-    /// banded DP. Results are sorted by offset (insertion order).
+    /// All indexed ids within edit distance `k` of `query`. Results are
+    /// sorted by offset (insertion order).
     pub fn lookup(&self, query: &str) -> Vec<Match> {
         let q = normalize(query);
-        let q_chars: Vec<char> = q.chars().collect();
-        self.candidate_offsets(&q_chars)
+        let mut bounds = Vec::new();
+        char_bounds(&q, &mut bounds);
+        let mut pattern = Pattern::new(&q);
+        self.candidate_offsets(&q, &bounds)
             .into_iter()
             .filter_map(|off| {
-                within(&q, &self.strings[off as usize], self.k).map(|d| Match {
-                    id: self.ids[off as usize],
-                    distance: d as u32,
-                })
+                pattern
+                    .within(&self.strings[off as usize], self.k)
+                    .map(|d| Match {
+                        id: self.ids[off as usize],
+                        distance: d as u32,
+                    })
             })
             .collect()
-    }
-
-    /// Number of raw candidates generated for `query` before verification
-    /// (for filtering-effectiveness diagnostics and ablation benches).
-    pub fn candidate_count(&self, query: &str) -> usize {
-        let q = normalize(query);
-        let q_chars: Vec<char> = q.chars().collect();
-        self.candidate_offsets(&q_chars).len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit_distance::edit_distance;
+    use crate::edit_distance::{edit_distance, within};
     use proptest::prelude::*;
 
     #[test]
     fn partition_covers_string() {
         for len in 0..40 {
             for k in 0..5 {
-                let parts = partition(len, k);
+                let parts: Vec<_> = partition(len, k).collect();
                 assert_eq!(parts.len(), k + 1);
                 let total: usize = parts.iter().map(|&(_, l)| l).sum();
                 assert_eq!(total, len);
@@ -271,6 +278,33 @@ mod tests {
                     prop_assert!(hit.is_none(), "false positive {s:?} at distance {d} (k={k})");
                 }
             }
+        }
+
+        /// Lookup equals a brute-force `within` scan on multi-byte
+        /// alphabets, where a window cut at the wrong byte offset would
+        /// miss a match or panic.
+        #[test]
+        fn lookup_equals_scan_on_multibyte_strings(
+            strings in prop::collection::vec("[aé北 ]{0,12}", 1..20),
+            query in "[aé北 ]{0,12}",
+            k in 0u32..4,
+        ) {
+            let idx = SignatureIndex::build(
+                k,
+                strings.iter().enumerate().map(|(i, s)| (i as u32, s.as_str())),
+            );
+            let q = normalize(&query);
+            let want: Vec<Match> = strings
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| {
+                    within(&q, &normalize(s), k as usize).map(|d| Match {
+                        id: i as u32,
+                        distance: d as u32,
+                    })
+                })
+                .collect();
+            prop_assert_eq!(idx.lookup(&query), want);
         }
     }
 }
