@@ -12,8 +12,8 @@
 //! every run and across thread counts.
 //!
 //! This module is test infrastructure shipped in the library (the recovery
-//! proptests and any downstream chaos harness drive the real scheduler, not
-//! a mock), but it is feature-gated so production builds carry none of it.
+//! proptests in dr-core and dr-eval drive the real scheduler, not a mock),
+//! but it is feature-gated so production builds carry none of it.
 
 use crate::repair::budget::BudgetMeter;
 use dr_kb::FxHashMap;

@@ -44,7 +44,7 @@ pub struct ParallelOptions {
     /// Worker threads (0 = one per available core). The calling thread is
     /// one of them.
     pub threads: usize,
-    /// Deterministic per-row faults to inject (tests/chaos harnesses only;
+    /// Deterministic per-row faults to inject (tests only;
     /// see [`FaultPlan`](crate::repair::fault::FaultPlan)). `None` injects
     /// nothing. Every thread count runs the same scheduler, so injection
     /// behaves identically at all of them.

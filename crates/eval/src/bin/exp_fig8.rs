@@ -19,36 +19,16 @@ use dr_eval::exp3::{
     keyed_rule_sweep, uis_tuple_sweep, webtables_rule_sweep, Exp3Config, TimingPoint,
 };
 use dr_eval::obsflags::ObsCli;
-use dr_eval::report::{cache_cell, phases_cell, render_table, resilience_cell, secs};
+use dr_eval::report::{render_table, secs};
 
 fn print_points(title: &str, x_label: &str, points: &[TimingPoint]) {
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
-            vec![
-                p.x.to_string(),
-                p.method.clone(),
-                secs(p.seconds),
-                cache_cell(&p.cache),
-                phases_cell(&p.timing),
-                resilience_cell(&p.resilience),
-            ]
-        })
+        .map(|p| vec![p.x.to_string(), p.method.clone(), secs(p.seconds)])
         .collect();
     println!(
         "{}",
-        render_table(
-            title,
-            &[
-                x_label,
-                "method",
-                "time",
-                "cache h/m",
-                "phases pw+rep",
-                "res d/f/q"
-            ],
-            &rows
-        )
+        render_table(title, &[x_label, "method", "time"], &rows)
     );
 }
 

@@ -17,9 +17,7 @@
 
 use dr_eval::exp1::{table3, Exp1Config};
 use dr_eval::obsflags::ObsCli;
-use dr_eval::report::{
-    cache_cell, f3, phases_cell, render_table, resilience_cell, secs, snapshot_cell,
-};
+use dr_eval::report::{f3, render_table, secs};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -74,10 +72,6 @@ fn main() {
                 f3(r.quality.f_measure),
                 r.pos.to_string(),
                 secs(r.seconds),
-                cache_cell(&r.cache),
-                phases_cell(&r.timing),
-                resilience_cell(&r.resilience),
-                snapshot_cell(&r.snapshot),
             ]
         })
         .collect();
@@ -93,11 +87,7 @@ fn main() {
                 "Recall",
                 "F-measure",
                 "#-POS",
-                "time",
-                "cache h/m",
-                "phases pw+rep",
-                "res d/f/q",
-                "snap w/c/r/s"
+                "time"
             ],
             &table_rows,
         )

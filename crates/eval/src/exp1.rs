@@ -65,10 +65,6 @@ pub struct Exp1Row {
     pub pos: usize,
     /// Repair seconds (extra diagnostic).
     pub seconds: f64,
-    /// Value-cache counters (all-zero for KATARA, which has none).
-    pub cache: dr_core::CacheStats,
-    /// Per-phase repair timings (all-zero for KATARA).
-    pub timing: dr_core::PhaseTimings,
     /// Degraded / failed / quarantined counters (all-zero for KATARA and
     /// for fault-free unbounded runs).
     pub resilience: dr_core::ResilienceReport,
@@ -202,8 +198,6 @@ fn webtables_rows(cfg: &Exp1Config, flavor: KbFlavor, rows: &mut Vec<Exp1Row>) {
 
     let mut dr_totals = (0usize, 0f64, 0usize, 0usize, 0f64); // repaired, correct, errors, pos, secs
     let mut ka_totals = (0usize, 0f64, 0usize, 0usize, 0f64);
-    let mut dr_cache = dr_core::CacheStats::default();
-    let mut dr_timing = dr_core::PhaseTimings::default();
     let mut dr_resilience = dr_core::ResilienceReport::default();
     for table in &world.tables {
         let table_rules = WebTablesWorld::applicable_rules(&rules, table.dirty.schema().arity());
@@ -213,8 +207,6 @@ fn webtables_rows(cfg: &Exp1Config, flavor: KbFlavor, rows: &mut Vec<Exp1Row>) {
         dr_totals.2 += outcome.quality.errors;
         dr_totals.3 += outcome.pos_marks;
         dr_totals.4 += outcome.seconds;
-        dr_cache += outcome.cache;
-        dr_timing += outcome.timing;
         dr_resilience += outcome.resilience;
 
         if let Some(pattern) = &katara_patterns[table.domain] {
@@ -245,8 +237,6 @@ fn webtables_rows(cfg: &Exp1Config, flavor: KbFlavor, rows: &mut Vec<Exp1Row>) {
         quality: quality_from_totals(dr_totals),
         pos: dr_totals.3,
         seconds: dr_totals.4,
-        cache: dr_cache,
-        timing: dr_timing,
         resilience: dr_resilience,
         snapshot: registry.stats().snapshot,
     });
@@ -257,8 +247,6 @@ fn webtables_rows(cfg: &Exp1Config, flavor: KbFlavor, rows: &mut Vec<Exp1Row>) {
         quality: quality_from_totals(ka_totals),
         pos: ka_totals.3,
         seconds: ka_totals.4,
-        cache: dr_core::CacheStats::default(),
-        timing: dr_core::PhaseTimings::default(),
         resilience: dr_core::ResilienceReport::default(),
         snapshot: dr_core::SnapshotStats::default(),
     });
@@ -331,8 +319,6 @@ fn keyed_rows(
         quality: outcome.quality,
         pos: outcome.pos_marks,
         seconds: outcome.seconds,
-        cache: outcome.cache,
-        timing: outcome.timing,
         resilience: outcome.resilience,
         snapshot,
     });
@@ -345,8 +331,6 @@ fn keyed_rows(
         quality: outcome.quality,
         pos: outcome.pos_marks,
         seconds: outcome.seconds,
-        cache: outcome.cache,
-        timing: outcome.timing,
         resilience: outcome.resilience,
         snapshot: dr_core::SnapshotStats::default(),
     });

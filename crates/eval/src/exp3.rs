@@ -20,26 +20,6 @@ pub struct TimingPoint {
     pub method: String,
     /// Wall-clock repair seconds.
     pub seconds: f64,
-    /// Value-cache counters (all-zero for methods without one).
-    pub cache: dr_core::CacheStats,
-    /// Per-phase repair timings (all-zero for methods without phases).
-    pub timing: dr_core::PhaseTimings,
-    /// Degraded / failed / quarantined counters (all-zero for baselines
-    /// and fault-free unbounded runs).
-    pub resilience: dr_core::ResilienceReport,
-}
-
-impl TimingPoint {
-    fn bare(x: usize, method: String, seconds: f64) -> Self {
-        Self {
-            x,
-            method,
-            seconds,
-            cache: dr_core::CacheStats::default(),
-            timing: dr_core::PhaseTimings::default(),
-            resilience: dr_core::ResilienceReport::default(),
-        }
-    }
 }
 
 /// Configuration for the efficiency experiments.
@@ -83,9 +63,6 @@ pub fn webtables_rule_sweep(rule_counts: &[usize], cfg: &Exp3Config) -> Vec<Timi
             let rules = &all_rules[..n.min(all_rules.len())];
             for algo in [DrAlgo::Basic, DrAlgo::Fast] {
                 let mut seconds = 0.0;
-                let mut cache = dr_core::CacheStats::default();
-                let mut timing = dr_core::PhaseTimings::default();
-                let mut resilience = dr_core::ResilienceReport::default();
                 for table in &world.tables {
                     let table_rules = dr_datasets::WebTablesWorld::applicable_rules(
                         rules,
@@ -93,17 +70,11 @@ pub fn webtables_rule_sweep(rule_counts: &[usize], cfg: &Exp3Config) -> Vec<Timi
                     );
                     let outcome = run_drs(&ctx, &table_rules, &table.clean, &table.dirty, algo);
                     seconds += outcome.seconds;
-                    cache += outcome.cache;
-                    timing += outcome.timing;
-                    resilience += outcome.resilience;
                 }
                 out.push(TimingPoint {
                     x: n,
                     method: format!("{}({})", algo.label(), flavor.label()),
                     seconds,
-                    cache,
-                    timing,
-                    resilience,
                 });
             }
         }
@@ -189,9 +160,6 @@ fn sweep_rules(
                 x: n,
                 method: format!("{}({})", algo.label(), flavor.label()),
                 seconds: outcome.seconds,
-                cache: outcome.cache,
-                timing: outcome.timing,
-                resilience: outcome.resilience,
             });
         }
     }
@@ -225,35 +193,32 @@ pub fn uis_tuple_sweep(sizes: &[usize], cfg: &Exp3Config) -> Vec<TimingPoint> {
                     x: size,
                     method: format!("{}({})", algo.label(), flavor.label()),
                     seconds: kb_seconds + outcome.seconds,
-                    cache: outcome.cache,
-                    timing: outcome.timing,
-                    resilience: outcome.resilience,
                 });
             }
             // KATARA only on Yago/DBpedia like the paper's plot.
             let pattern = katara_pattern(&rules);
             let outcome = run_katara(&ctx, &pattern, &clean, &dirty);
-            out.push(TimingPoint::bare(
-                size,
-                format!("KATARA({})", flavor.label()),
-                kb_seconds + outcome.seconds,
-            ));
+            out.push(TimingPoint {
+                x: size,
+                method: format!("KATARA({})", flavor.label()),
+                seconds: kb_seconds + outcome.seconds,
+            });
         }
 
         let fd_list = fds::uis(clean.schema());
         let outcome = run_llunatic(&fd_list, &clean, &dirty);
-        out.push(TimingPoint::bare(
-            size,
-            "Llunatic".to_owned(),
-            outcome.seconds,
-        ));
+        out.push(TimingPoint {
+            x: size,
+            method: "Llunatic".to_owned(),
+            seconds: outcome.seconds,
+        });
         let cfds = mine_constant_cfds(&clean, &fd_list);
         let outcome = run_ccfd(&cfds, &clean, &dirty);
-        out.push(TimingPoint::bare(
-            size,
-            "constant CFDs".to_owned(),
-            outcome.seconds,
-        ));
+        out.push(TimingPoint {
+            x: size,
+            method: "constant CFDs".to_owned(),
+            seconds: outcome.seconds,
+        });
     }
     out
 }

@@ -1,5 +1,9 @@
 //! Structural tests for the experiment harness: every driver emits the
-//! series its figure requires, with sane values.
+//! series its figure requires, with sane values, and `results/README.md`
+//! lists exactly the harness binaries that exist.
+
+use std::collections::BTreeSet;
+use std::path::Path;
 
 use dr_eval::exp1::{table2, table3, Exp1Config};
 use dr_eval::exp2::{error_rate_sweep, typo_rate_sweep, Exp2Config, SweepDataset};
@@ -78,4 +82,55 @@ fn timing_drivers_cover_both_algorithms() {
         assert!(p.seconds >= 0.0);
         assert!(p.method.starts_with("bRepair") || p.method.starts_with("fRepair"));
     }
+}
+
+/// `results/README.md`'s regeneration table and the harness binaries stay
+/// in sync: every `exp_*` binary under `crates/*/src/bin` has a row, and
+/// every row's command names an existing binary of its package.
+#[test]
+fn results_readme_table_lists_exactly_the_harness_binaries() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut binaries = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = krate.expect("crate dir").path();
+        let Ok(bins) = std::fs::read_dir(dir.join("src/bin")) else {
+            continue;
+        };
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("Cargo.toml");
+        let package = manifest
+            .lines()
+            .find_map(|line| line.strip_prefix("name = "))
+            .expect("package name")
+            .trim_matches('"')
+            .to_owned();
+        for bin in bins {
+            let path = bin.expect("bin file").path();
+            let stem = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("utf-8 name");
+            if stem.starts_with("exp_") {
+                binaries.insert((package.clone(), stem.to_owned()));
+            }
+        }
+    }
+
+    let readme = std::fs::read_to_string(root.join("results/README.md")).expect("README");
+    let mut listed = BTreeSet::new();
+    for row in readme.lines().filter(|line| line.starts_with("| `")) {
+        let command = row.split('|').nth(2).expect("command cell").trim();
+        let words: Vec<&str> = command.trim_matches('`').split_whitespace().collect();
+        let arg = |flag: &str| {
+            let at = words.iter().position(|w| *w == flag);
+            at.and_then(|i| words.get(i + 1))
+                .unwrap_or_else(|| panic!("{command} has no {flag}"))
+                .to_string()
+        };
+        listed.insert((arg("-p"), arg("--bin")));
+    }
+    assert!(!binaries.is_empty(), "found the harness binaries");
+    assert_eq!(
+        listed, binaries,
+        "results/README.md table (left) vs crates/*/src/bin/exp_*.rs (right)"
+    );
 }

@@ -1,7 +1,6 @@
 //! Acceptance test for the observability layer (DESIGN.md §4d): a
 //! `table3` run with `--metrics` semantics produces counter totals that
-//! reconcile EXACTLY with the report columns the table prints — the
-//! `res d/f/q` resilience cells and the `snap w/c/r/s` snapshot cells.
+//! reconcile EXACTLY with its rows' resilience and snapshot counters.
 //! There is no second bookkeeping path to drift: the report counters and
 //! the metric cells are the same storage.
 
@@ -36,8 +35,8 @@ fn table3_metrics_reconcile_with_report_columns() {
     std::fs::remove_dir_all(&dir).ok();
     let snap = obs.metrics().snapshot();
 
-    // Resilience columns (`res d/f/q`): summed over every row — KATARA
-    // rows are all-zero by construction, DR rows carry the real counters.
+    // Resilience counters, summed over every row: KATARA rows are
+    // all-zero by construction, DR rows carry the real counters.
     let degraded: u64 = rows.iter().map(|r| r.resilience.degraded as u64).sum();
     let failed: u64 = rows.iter().map(|r| r.resilience.failed as u64).sum();
     let quarantined: u64 = rows.iter().map(|r| r.resilience.quarantined as u64).sum();
@@ -45,9 +44,9 @@ fn table3_metrics_reconcile_with_report_columns() {
     assert_eq!(outcome_total(&snap, "failed"), failed);
     assert_eq!(snap.counter_total("repair_quarantined_total"), quarantined);
 
-    // Snapshot columns (`snap w/c/r/s`): every registry the run built is
-    // registered into the same metric store, so the lifetime totals match
-    // the per-row sums exactly.
+    // Snapshot counters: every registry the run built is registered into
+    // the same metric store, so the lifetime totals match the per-row sums
+    // exactly.
     let warm: u64 = rows.iter().map(|r| r.snapshot.warm_loads).sum();
     let cold: u64 = rows.iter().map(|r| r.snapshot.cold_loads).sum();
     let rejected: u64 = rows.iter().map(|r| r.snapshot.rejected).sum();

@@ -11,11 +11,11 @@
 //! full — is shed immediately with `429 Retry-After`, which is cheap for
 //! the server and actionable for the client (it knows when to come back).
 //!
-//! Three metrics make the gate observable and are reconciled by
-//! `exp_serve_chaos` against client-side observations:
-//! `serve_inflight{route}` (gauge), `serve_shed_total{route,reason}`
-//! (counter), and `serve_queue_wait_seconds` (histogram over *admitted*
-//! requests' queue time).
+//! Three metrics make the gate observable: `serve_inflight{route}`
+//! (gauge), `serve_shed_total{route,reason}` (counter), and
+//! `serve_queue_wait_seconds` (histogram over *admitted* requests' queue
+//! time). `crates/serve/tests/robustness.rs` reconciles the shed and
+//! request counters exactly against client-side observations.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -159,7 +159,7 @@ impl AdmissionGate {
         self.limit
     }
 
-    /// Current in-flight count (for tests and `exp_serve_chaos` gates).
+    /// Current in-flight count (for tests).
     pub fn inflight(&self) -> usize {
         self.lock_state().inflight
     }

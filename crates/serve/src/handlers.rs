@@ -341,25 +341,17 @@ struct RepairParams {
     max_steps: Option<u64>,
     threads: Option<usize>,
     label: String,
-    /// Seeded per-row faults (chaos harness only): `(seed, spec)`, built
-    /// into a [`FaultPlan`](dr_core::FaultPlan) once the row count is
-    /// known.
-    #[cfg(feature = "fault-injection")]
-    fault: Option<(u64, dr_core::FaultSpec)>,
 }
 
-/// The query keys a repair reads, besides the `fault_*` family; `trace` is
-/// read when the request's span capture is armed.
+/// The query keys a repair reads; `trace` is read when the request's span
+/// capture is armed.
 const REPAIR_PARAMS: [&str; 5] = ["label", "deadline_ms", "max_steps", "threads", "trace"];
 
 fn parse_params(req: &Request) -> Result<RepairParams, String> {
     // A misspelt or retired key is an error, not a silent default.
-    let mut has_fault_params = false;
     for pair in req.query.split('&').filter(|pair| !pair.is_empty()) {
         let key = pair.split_once('=').map_or(pair, |(key, _)| key);
-        if key.starts_with("fault_") {
-            has_fault_params = true;
-        } else if !REPAIR_PARAMS.contains(&key) {
+        if !REPAIR_PARAMS.contains(&key) {
             return Err(format!(
                 "unknown query parameter {key:?}; known: {}",
                 REPAIR_PARAMS.join(", ")
@@ -385,33 +377,11 @@ fn parse_params(req: &Request) -> Result<RepairParams, String> {
             l.to_owned()
         }
     };
-    #[cfg(not(feature = "fault-injection"))]
-    if has_fault_params {
-        return Err(
-            "fault_* parameters need a server built with --features fault-injection".into(),
-        );
-    }
-    #[cfg(feature = "fault-injection")]
-    let fault = if has_fault_params {
-        let spec = dr_core::FaultSpec {
-            panic_rate: num::<f64>(req, "fault_panic_rate")?.unwrap_or(0.0),
-            slow_rate: num::<f64>(req, "fault_slow_rate")?.unwrap_or(0.0),
-            slow_duration: std::time::Duration::from_millis(
-                num::<u64>(req, "fault_slow_ms")?.unwrap_or(10),
-            ),
-            exhaust_rate: num::<f64>(req, "fault_exhaust_rate")?.unwrap_or(0.0),
-        };
-        Some((num::<u64>(req, "fault_seed")?.unwrap_or(0), spec))
-    } else {
-        None
-    };
     Ok(RepairParams {
         deadline_ms: num(req, "deadline_ms")?,
         max_steps: num(req, "max_steps")?,
         threads: num(req, "threads")?,
         label,
-        #[cfg(feature = "fault-injection")]
-        fault,
     })
 }
 
@@ -487,10 +457,6 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
         .with_span_opt(capture.as_ref().map(|c| c.root.ctx()));
     let opts = ParallelOptions {
         threads: request_threads(params.threads, state.config.repair_threads),
-        #[cfg(feature = "fault-injection")]
-        fault_plan: params.fault.map(|(seed, spec)| {
-            std::sync::Arc::new(dr_core::FaultPlan::seeded(seed, relation.len(), spec))
-        }),
         ..ParallelOptions::default()
     };
     let mut report = parallel_repair(&ctx, &core.rules, &mut relation, &opts);
@@ -830,6 +796,7 @@ mod tests {
             ("thraeds=2", "thraeds"),
             ("label=a&retry_attempts=3", "retry_attempts"),
             ("explain", "explain"),
+            ("fault_seed=1", "fault_seed"),
         ] {
             let resp = handle(&state, &post_csv("/v1/repair/nobel-mini", query, body));
             assert_eq!(resp.status, 400, "{query}");

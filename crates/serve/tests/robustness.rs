@@ -1,12 +1,12 @@
 //! Survival-layer integration tests (DESIGN.md §9), feature-free so they
 //! run in the tier-1 suite: the 408/413/431 failure-mapping matrix over
 //! raw sockets, keep-alive semantics (reuse, request caps, idle timeouts),
-//! mid-stream client disconnects, admission shedding, and graceful drain.
-//! The seeded-fault versions of these scenarios live in `exp_serve_chaos`
-//! (`--features fault-injection`).
+//! mid-stream client disconnects, admission shedding with exact overload
+//! accounting, and graceful drain.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -337,6 +337,96 @@ fn admission_sheds_with_429_and_retry_after() {
     )
     .expect("admitted");
     assert_eq!(resp.status, 200);
+
+    server.shutdown();
+    server.join();
+}
+
+/// Overload accounting: a stampede against a saturated gate sheds every
+/// request with `429` + `Retry-After`, never lets the in-flight count pass
+/// the cap, and moves the shed and 2xx counters by exactly what the
+/// clients saw.
+#[test]
+fn overload_sheds_are_bounded_and_exactly_accounted() {
+    const N: usize = 8;
+    let (server, obs) = boot_with(ServeConfig {
+        admission: dr_serve::AdmissionConfig {
+            max_inflight_repairs: 1,
+            max_queue: 1,
+            queue_wait: Duration::from_millis(20),
+            retry_after_secs: 3,
+        },
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let state = Arc::clone(server.state());
+    let ok_2xx = |snap: &dr_obs::MetricsSnapshot| {
+        snap.counter("serve_requests_total", "route=\"repair\",status=\"2xx\"")
+            .unwrap_or(0)
+    };
+    let body = csv_body(1);
+    let repair = || {
+        client::request(
+            addr,
+            "POST",
+            "/v1/repair/nobel-mini",
+            "text/csv",
+            body.as_bytes(),
+        )
+        .expect("repair response")
+    };
+
+    let done = AtomicBool::new(false);
+    let max_inflight = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        // Sampler: the in-flight count never passes the cap of 1.
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                max_inflight.fetch_max(state.gate.inflight(), Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+
+        // Phase 1: the only permit is held, so all N concurrent repairs
+        // are shed.
+        let permit = match state.gate.acquire() {
+            Admission::Granted(p) => p,
+            Admission::Shed { .. } => panic!("empty gate grants"),
+        };
+        let before = obs.metrics().snapshot();
+        let clients: Vec<_> = (0..N).map(|_| s.spawn(repair)).collect();
+        for client in clients {
+            let resp = client.join().expect("client thread");
+            assert_eq!(resp.status, 429, "{}", resp.text());
+            assert_eq!(resp.header("retry-after"), Some("3"));
+        }
+        let after = obs.metrics().snapshot();
+        assert_eq!(
+            after.counter_total("serve_shed_total") - before.counter_total("serve_shed_total"),
+            N as u64,
+            "one shed counted per 429"
+        );
+        assert_eq!(ok_2xx(&after), ok_2xx(&before), "nothing was admitted");
+
+        // Phase 2: with the permit back, N repairs are all served.
+        drop(permit);
+        let before = obs.metrics().snapshot();
+        for _ in 0..N {
+            assert_eq!(repair().status, 200);
+        }
+        let after = obs.metrics().snapshot();
+        assert_eq!(
+            ok_2xx(&after) - ok_2xx(&before),
+            N as u64,
+            "one 2xx per 200"
+        );
+        done.store(true, Ordering::Release);
+    });
+    assert!(
+        max_inflight.load(Ordering::Relaxed) <= 1,
+        "in-flight cap held"
+    );
+    assert_eq!(state.gate.inflight(), 0, "every permit released");
 
     server.shutdown();
     server.join();

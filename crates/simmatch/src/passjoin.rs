@@ -58,9 +58,9 @@ pub struct SignatureIndex {
     /// caller id of `strings[i]`.
     strings: Vec<Box<str>>,
     ids: Vec<u32>,
-    postings: FxHashMap<(u16, u8), Segments>,
+    postings: FxHashMap<(u32, u8), Segments>,
     /// Char-lengths present in the index (sorted, deduped).
-    lengths: Vec<u16>,
+    lengths: Vec<u32>,
 }
 
 impl SignatureIndex {
@@ -70,20 +70,21 @@ impl SignatureIndex {
         let k = k as usize;
         let mut strings = Vec::new();
         let mut ids = Vec::new();
-        let mut postings: FxHashMap<(u16, u8), Segments> = FxHashMap::default();
+        let mut postings: FxHashMap<(u32, u8), Segments> = FxHashMap::default();
         let mut lengths = Vec::new();
         let mut bounds = Vec::new();
         for (id, raw) in items {
             let value = normalize(raw);
             char_bounds(&value, &mut bounds);
             let len = bounds.len() - 1;
+            let len_key = u32::try_from(len).expect("indexed string under 4G chars");
             let offset = strings.len() as u32;
-            lengths.push(len.min(u16::MAX as usize) as u16);
+            lengths.push(len_key);
             for (seg_idx, (start, seg_len)) in partition(len, k).enumerate() {
                 // Zero-length segments (len < k+1) match the empty substring;
                 // index them too so short strings remain findable.
                 let segment = &value[bounds[start]..bounds[start + seg_len]];
-                let lists = postings.entry((len as u16, seg_idx as u8)).or_default();
+                let lists = postings.entry((len_key, seg_idx as u8)).or_default();
                 match lists.get_mut(segment) {
                     Some(list) => list.push(offset),
                     None => {
@@ -126,11 +127,10 @@ impl SignatureIndex {
     fn candidate_offsets(&self, query: &str, bounds: &[usize]) -> Vec<u32> {
         let qlen = bounds.len() - 1;
         let mut out: Vec<u32> = Vec::new();
-        let lo = qlen.saturating_sub(self.k) as u16;
-        let hi = (qlen + self.k).min(u16::MAX as usize) as u16;
-        let from = self.lengths.partition_point(|&l| l < lo);
+        let (lo, hi) = (qlen.saturating_sub(self.k), qlen + self.k);
+        let from = self.lengths.partition_point(|&l| (l as usize) < lo);
         for &len in &self.lengths[from..] {
-            if len > hi {
+            if len as usize > hi {
                 break;
             }
             for (seg_idx, (start, seg_len)) in partition(len as usize, self.k).enumerate() {
@@ -247,6 +247,21 @@ mod tests {
         let ids: Vec<u32> = hits.iter().map(|m| m.id).collect();
         assert!(ids.contains(&1));
         assert!(ids.contains(&2));
+    }
+
+    #[test]
+    fn strings_past_u16_chars_are_found() {
+        // A 70,000-char string (an abstract, say) is longer than a u16
+        // length key holds; it is found by itself and by a one-edit variant.
+        let long: String = (0..70_000u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let idx = SignatureIndex::build(1, [(9u32, long.as_str())]);
+        assert_eq!(idx.lookup(&long), vec![Match { id: 9, distance: 0 }]);
+        let mut one_edit = long.clone();
+        one_edit.replace_range(40_000..40_001, "z");
+        assert_ne!(one_edit, long);
+        assert_eq!(idx.lookup(&one_edit), vec![Match { id: 9, distance: 1 }]);
     }
 
     #[test]
