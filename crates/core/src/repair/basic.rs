@@ -9,6 +9,7 @@
 
 use crate::context::MatchContext;
 use crate::repair::cache::ElementCache;
+use crate::repair::read_index::RowIndex;
 use crate::repair::resilience::{ResilienceReport, TupleOutcome};
 use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
 use crate::rule::DetectiveRule;
@@ -101,7 +102,12 @@ impl std::ops::AddAssign for PhaseTimings {
 ///
 /// Per-row traces and footprints are `Arc`-shared, so selective re-repair
 /// takes an unchanged row's from the prior report without copying them.
-#[derive(Debug, Clone, Default)]
+/// The report also carries a reverse index from KB region to row, built
+/// on its first selective re-repair and shared with the reports that
+/// re-repair produces, so selection looks up a delta's regions instead of
+/// intersecting every row's footprint. A clone starts without one, so
+/// editing either copy cannot leave the other's index short of a row.
+#[derive(Debug, Default)]
 pub struct RelationReport {
     /// Per-tuple traces, indexed by row.
     pub tuples: Vec<Arc<TupleReport>>,
@@ -116,15 +122,32 @@ pub struct RelationReport {
     /// histogram; all-zero on a healthy run (DESIGN.md §4c).
     pub resilience: ResilienceReport,
     /// Per-row KB read footprints, indexed like [`Self::tuples`] — what
-    /// selective re-repair intersects with a delta's footprint to decide
+    /// selective re-repair checks against a delta's footprint to decide
     /// which rows to re-run. Empty for repairers that do not record
-    /// (the basic chase).
+    /// (the basic chase). Read-only once the report has served a selective
+    /// re-repair: its row index was built from them.
     pub footprints: Vec<Arc<dr_kb::KbFootprint>>,
     /// `Some(n)` when this report came from
     /// [`parallel_repair_selective`](crate::repair::parallel::parallel_repair_selective):
     /// `n` rows were actually re-repaired, the rest reused prior results.
     /// `None` on full repairs.
     pub selected_rows: Option<usize>,
+    /// Region → row index over [`Self::footprints`], built lazily.
+    pub(crate) row_index: RowIndex,
+}
+
+impl Clone for RelationReport {
+    fn clone(&self) -> Self {
+        Self {
+            tuples: self.tuples.clone(),
+            cache: self.cache,
+            timing: self.timing,
+            resilience: self.resilience,
+            footprints: self.footprints.clone(),
+            selected_rows: self.selected_rows,
+            row_index: RowIndex::default(),
+        }
+    }
 }
 
 impl RelationReport {
@@ -145,6 +168,37 @@ impl RelationReport {
         let quarantined = self.resilience.quarantined;
         self.resilience = ResilienceReport::tally(self.tuples.iter().map(|t| &**t));
         self.resilience.quarantined = quarantined;
+    }
+
+    /// The rows a KB delta with write footprint `delta_fp` may have
+    /// changed, ascending: every row whose footprint intersects `delta_fp`,
+    /// plus every row whose repair never settled (a non-`Completed` row
+    /// carries no trustworthy result). Requires a footprint per row.
+    pub(crate) fn rows_to_rerun(&self, delta_fp: &dr_kb::KbFootprint) -> Vec<usize> {
+        self.row_index.select(self, delta_fp)
+    }
+
+    /// The report of a selective re-repair: `sub`'s per-row results at
+    /// `rows` (ascending, one per row of `sub`), this report's shared ones
+    /// everywhere else. Requires a footprint per row on both reports.
+    pub(crate) fn splice(&self, rows: &[usize], sub: RelationReport) -> RelationReport {
+        let mut tuples = self.tuples.clone();
+        let mut footprints = self.footprints.clone();
+        for ((&row, tuple), fp) in rows.iter().zip(sub.tuples).zip(sub.footprints) {
+            tuples[row] = tuple;
+            footprints[row] = fp;
+        }
+        let mut next = RelationReport {
+            tuples,
+            footprints,
+            cache: sub.cache,
+            timing: sub.timing,
+            selected_rows: Some(rows.len()),
+            ..RelationReport::default()
+        };
+        next.row_index = self.row_index.successor(self, rows, &next);
+        next.tally_resilience();
+        next
     }
 }
 

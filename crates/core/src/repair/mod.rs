@@ -10,6 +10,7 @@ pub mod fast;
 pub mod fault;
 pub mod multi;
 pub mod parallel;
+mod read_index;
 pub mod registry;
 pub mod resilience;
 pub mod rule_graph;

@@ -19,6 +19,14 @@
 //! and never re-run (DESIGN.md §4c): repairing a tuple is a pure function
 //! of the KB, the rules and the tuple, so a second attempt would panic the
 //! same way.
+//!
+//! The same independence makes a KB delta's re-repair O(delta)
+//! ([`parallel_repair_selective`], DESIGN.md §10): only the rows whose
+//! recorded reads the delta reaches run again, found through the prior
+//! report's region → row index, and every other row of the result is the
+//! prior result's own `Arc<Tuple>`. Relations share rows by reference;
+//! the scheduler copies a shared row on the calling thread before the
+//! workers start, so a worker never pays for copy-on-write.
 
 use crate::context::{FootprintRecorder, MatchContext};
 use crate::repair::basic::{PhaseTimings, RelationReport, TupleReport};
@@ -107,7 +115,9 @@ pub fn parallel_repair(
     // per-row mutexes are never contended — they exist to hand a
     // `&mut Tuple` through a `Sync` type. A claimed row's report lands in
     // its row-indexed slot, keeping the stitched report in row order.
-    let rows: Vec<Mutex<&mut Tuple>> = relation.tuples_mut().iter_mut().map(Mutex::new).collect();
+    // Collecting `tuples_mut` copies every row another relation still
+    // shares here, on the calling thread, before any worker starts.
+    let rows: Vec<Mutex<&mut Tuple>> = relation.tuples_mut().map(Mutex::new).collect();
     let slots: Vec<Mutex<Option<(TupleReport, KbFootprint)>>> =
         (0..rows.len()).map(|_| Mutex::new(None)).collect();
     let workers = threads.min(rows.len());
@@ -203,24 +213,29 @@ pub fn parallel_repair(
     report
 }
 
-/// Re-repairs only the rows a KB delta could have affected, splicing every
-/// other row's tuple and report straight from the prior run: the tuple is
-/// copied into `relation`'s buffers, the report and footprint are shared
-/// by reference.
+/// Re-repairs only the rows a KB delta could have affected, and shares
+/// every other row's tuple, report and footprint with the prior run by
+/// reference.
 ///
 /// A row is selected when its recorded [`KbFootprint`] in `prior`
 /// intersects `delta_fp`, or when its prior outcome never settled
 /// (non-`Completed` rows carry no trustworthy result, so they always
-/// re-run). Unselected rows copy their repaired tuple verbatim from
-/// `prior_repaired`: tuples are mutually independent and the footprint
-/// over-approximates every KB read the row made, so a row whose reads the
-/// delta did not touch reproduces its prior result exactly — the
-/// delta≡rebuild differential suite holds this to byte equality.
+/// re-run). Selection looks the delta's regions up in the prior report's
+/// region → row index (built on the report's first selective call, then
+/// shared with the report this call returns) and checks each row it
+/// reaches against that row's own footprint, so its cost follows the
+/// delta, not the relation. Unselected rows take their repaired tuple
+/// from `prior_repaired` as a shared `Arc`: tuples are mutually
+/// independent and the footprint over-approximates every KB read the row
+/// made, so a row whose reads the delta did not touch reproduces its
+/// prior result exactly — the delta≡rebuild differential suite holds this
+/// to byte equality.
 ///
 /// `relation` must be the same dirty input (same rows, same order) the
-/// prior run started from. If the shapes disagree — row count mismatch, or
-/// `prior` carries no per-row footprints — the call degrades to a full
-/// [`parallel_repair`], reporting `selected_rows = Some(len)`.
+/// prior run started from; only its selected rows are read. If the shapes
+/// disagree — row count mismatch, or `prior` carries no per-row
+/// footprints — the call degrades to a full [`parallel_repair`],
+/// reporting `selected_rows = Some(len)`.
 pub fn parallel_repair_selective(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
@@ -236,51 +251,29 @@ pub fn parallel_repair_selective(
         report.selected_rows = Some(len);
         return report;
     }
-    let selected: Vec<usize> = (0..len)
-        .filter(|&row| {
-            !prior.tuples[row].outcome.is_completed() || prior.footprints[row].intersects(delta_fp)
-        })
-        .collect();
+    let selected = prior.rows_to_rerun(delta_fp);
 
     // Repair the selected rows as their own sub-relation through the same
     // scheduler — tuple independence makes the sub-run indistinguishable
-    // from those rows' share of a full re-repair.
-    let mut sub = Relation::new(Arc::clone(relation.schema()));
-    for &row in &selected {
-        sub.push(relation.tuple(row).clone());
-    }
+    // from those rows' share of a full re-repair. The sub-relation shares
+    // the dirty rows; the scheduler copies them before it writes.
+    let schema = Arc::clone(relation.schema());
+    let dirty = relation.tuples();
+    let mut sub = Relation::from_tuples(
+        Arc::clone(&schema),
+        selected
+            .iter()
+            .map(|&row| Arc::clone(&dirty[row]))
+            .collect(),
+    );
     let sub_report = parallel_repair(ctx, rules, &mut sub, opts);
 
-    let mut report = RelationReport {
-        tuples: Vec::with_capacity(len),
-        footprints: Vec::with_capacity(len),
-        cache: sub_report.cache,
-        timing: sub_report.timing,
-        selected_rows: Some(selected.len()),
-        ..RelationReport::default()
-    };
-    let mut sub_rows = selected
-        .iter()
-        .zip(sub.tuples_mut())
-        .zip(sub_report.tuples.into_iter().zip(sub_report.footprints))
-        .peekable();
-    for row in 0..len {
-        match sub_rows.next_if(|((&selected_row, _), _)| selected_row == row) {
-            Some(((_, repaired), (tuple_report, fp))) => {
-                std::mem::swap(relation.tuple_mut(row), repaired);
-                report.tuples.push(tuple_report);
-                report.footprints.push(fp);
-            }
-            None => {
-                relation
-                    .tuple_mut(row)
-                    .clone_from(prior_repaired.tuple(row));
-                report.tuples.push(Arc::clone(&prior.tuples[row]));
-                report.footprints.push(Arc::clone(&prior.footprints[row]));
-            }
-        }
+    let mut rows = prior_repaired.tuples().to_vec();
+    for (&row, repaired) in selected.iter().zip(sub.tuples()) {
+        rows[row] = Arc::clone(repaired);
     }
-    report.tally_resilience();
+    *relation = Relation::from_tuples(schema, rows);
+    let report = prior.splice(&selected, sub_report);
     if let Some(obs) = ctx.obs() {
         obs.metrics()
             .counter("rerepair_selected_rows", &[])
@@ -540,6 +533,75 @@ mod tests {
                 again.tuple(cell.row).is_positive(cell.attr),
                 prior_repaired.tuple(cell.row).is_positive(cell.attr),
             );
+        }
+    }
+
+    /// Repairing a clone writes through copy-on-write: the original
+    /// relation keeps every value and mark byte for byte.
+    #[test]
+    fn repairing_a_clone_leaves_the_original_intact() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let ctx = MatchContext::new(&kb);
+        let original = table1_dirty();
+        let before: Vec<Tuple> = original.tuples().iter().map(|t| (**t).clone()).collect();
+        let mut repaired = original.clone();
+        let opts = ParallelOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let report = parallel_repair(&ctx, &rules, &mut repaired, &opts);
+        assert!(report.total_changes() > 0, "table1 has errors to repair");
+        assert_eq!(&before[..], original.tuples());
+        assert!(original
+            .tuples()
+            .iter()
+            .zip(repaired.tuples())
+            .any(|(a, b)| a != b));
+    }
+
+    /// A selective re-repair shares every unselected row with the prior
+    /// result instead of copying it; the re-run rows are new tuples.
+    #[test]
+    fn selective_shares_unselected_rows_with_the_prior_result() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let ctx = MatchContext::new(&kb);
+        let opts = ParallelOptions::default();
+        let mut prior_repaired = table1_dirty();
+        let prior = parallel_repair(&ctx, &rules, &mut prior_repaired, &opts);
+
+        // Re-run exactly the rows that read one of the first row's edges.
+        let pair = *prior.footprints[0]
+            .out_pairs
+            .iter()
+            .next()
+            .expect("row 0 reads an edge");
+        let delta_fp = KbFootprint {
+            out_pairs: [pair].into_iter().collect(),
+            ..Default::default()
+        };
+        let selected: Vec<usize> = (0..prior.footprints.len())
+            .filter(|&row| prior.footprints[row].intersects(&delta_fp))
+            .collect();
+        assert!(!selected.is_empty() && selected.len() < prior_repaired.len());
+
+        let mut again = table1_dirty();
+        let report = parallel_repair_selective(
+            &ctx,
+            &rules,
+            &mut again,
+            &opts,
+            &prior,
+            &prior_repaired,
+            &delta_fp,
+        );
+        assert_eq!(report.selected_rows, Some(selected.len()));
+        assert!(report.row_index.shared_with(&prior.row_index));
+        for row in 0..again.len() {
+            let shared = Arc::ptr_eq(&again.tuples()[row], &prior_repaired.tuples()[row]);
+            assert_eq!(shared, !selected.contains(&row), "row {row}");
+            assert_eq!(again.tuple(row), prior_repaired.tuple(row));
         }
     }
 

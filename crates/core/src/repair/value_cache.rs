@@ -32,6 +32,7 @@
 
 use crate::context::MatchContext;
 use crate::graph::schema::{NodeType, SchemaNode};
+use crate::repair::read_index::{Dep, ReadIndex};
 use crate::repair::snapshot::SnapshotPayload;
 use dr_kb::{FxHashMap, InstanceId, KbFootprint, Node, PredId};
 use dr_obs::{Counter, MetricRegistry};
@@ -207,144 +208,41 @@ fn edge_stale(fp: &KbFootprint, sig: &EdgeSig, entry: &EdgeEntry) -> bool {
             .any(|&f| fp.out_pairs.contains(&(f, *rel)))
 }
 
-/// One KB region a cached answer was computed from.
-#[derive(Debug, Clone, Copy)]
-enum Dep {
-    /// The extent of a schema-node type (a class, or the literal pool).
-    Ty(NodeType),
-    /// The out-edges `(instance, pred, *)`.
-    Out(InstanceId, PredId),
-}
-
 /// A cache key that names the KB regions its entry was computed from. An
-/// entry is stale under a delta exactly when one of its regions is:
-/// [`ty_stale`] for a type, membership in `out_pairs` for an out-pair —
-/// the same rule [`edge_stale`] spells out for the full-scan oracle.
+/// entry is stale under a delta exactly when one of its regions is
+/// ([`Dep::stale`]) — the same rule [`edge_stale`] spells out for the
+/// full-scan oracle.
 trait Reads<V> {
-    /// Calls `f` with each region the entry `(self, value)` read.
-    fn reads(&self, value: &V, f: impl FnMut(Dep));
+    /// The regions the entry `(self, value)` read.
+    fn reads<'a>(&'a self, value: &'a V) -> impl Iterator<Item = Dep> + 'a;
 
     fn stale(&self, value: &V, fp: &KbFootprint) -> bool {
-        let mut stale = false;
-        self.reads(value, |dep| {
-            stale |= match dep {
-                Dep::Ty(ty) => ty_stale(fp, ty),
-                Dep::Out(s, p) => fp.out_pairs.contains(&(s, p)),
-            }
-        });
-        stale
-    }
-
-    fn read_count(&self, value: &V) -> usize {
-        let mut n = 0;
-        self.reads(value, |_| n += 1);
-        n
+        self.reads(value).any(|dep| dep.stale(fp))
     }
 }
 
 impl Reads<Arc<Vec<Node>>> for NodeKey {
-    fn reads(&self, _: &Arc<Vec<Node>>, mut f: impl FnMut(Dep)) {
-        f(Dep::Ty(self.0.ty));
+    fn reads<'a>(&'a self, _: &'a Arc<Vec<Node>>) -> impl Iterator<Item = Dep> + 'a {
+        std::iter::once(Dep::Ty(self.0.ty))
     }
 }
 
 impl Reads<EdgeEntry> for EdgeKey {
-    fn reads(&self, entry: &EdgeEntry, mut f: impl FnMut(Dep)) {
+    fn reads<'a>(&'a self, entry: &'a EdgeEntry) -> impl Iterator<Item = Dep> + 'a {
         let ((from, rel, to), _, _) = self;
-        f(Dep::Ty(from.ty));
-        if to.ty != from.ty {
-            f(Dep::Ty(to.ty));
-        }
-        for &i in &entry.probed {
-            f(Dep::Out(i, *rel));
-        }
+        std::iter::once(Dep::Ty(from.ty))
+            .chain((to.ty != from.ty).then_some(Dep::Ty(to.ty)))
+            .chain(entry.probed.iter().map(move |&i| Dep::Out(i, *rel)))
     }
 }
 
-/// Lazily removed index references a shard tolerates beyond twice its live
-/// count before it rebuilds the index.
-const LAZY_SLACK: usize = 64;
-
-/// A shard's reverse index from KB region to the entries that read it, so
-/// a sweep reaches the entries a footprint can make stale without scanning
-/// the rest.
-///
-/// Removal is lazy: an entry that leaves the map keeps its references
-/// under the regions a sweep did not visit, and a sweep re-checks every
-/// entry it reaches against the footprint before removing it. `refs`
-/// counts the references held and `live` those the entries still in the
-/// map account for; once dead references outnumber live ones (plus
-/// [`LAZY_SLACK`]) the index is rebuilt from the map.
-struct ReadIndex<K> {
-    by_ty: FxHashMap<NodeType, Vec<Arc<K>>>,
-    by_out: FxHashMap<(InstanceId, PredId), Vec<Arc<K>>>,
-    refs: usize,
-    live: usize,
-}
-
-impl<K> ReadIndex<K> {
-    /// Indexes every entry of `map` (one full scan).
-    fn build<V>(map: &FxHashMap<Arc<K>, V>) -> Self
-    where
-        K: Reads<V>,
-    {
-        let mut index = Self {
-            by_ty: FxHashMap::default(),
-            by_out: FxHashMap::default(),
-            refs: 0,
-            live: 0,
-        };
-        for (key, value) in map {
-            index.add(key, value);
-        }
-        index
+/// Indexes every entry of `map` by the regions it read (one full scan).
+fn build_index<K: Reads<V>, V>(map: &FxHashMap<Arc<K>, V>) -> ReadIndex<Arc<K>> {
+    let mut index = ReadIndex::default();
+    for (key, value) in map {
+        index.add(key, key.reads(value));
     }
-
-    fn add<V>(&mut self, key: &Arc<K>, value: &V)
-    where
-        K: Reads<V>,
-    {
-        let mut added = 0;
-        key.reads(value, |dep| {
-            let list = match dep {
-                Dep::Ty(ty) => self.by_ty.entry(ty).or_default(),
-                Dep::Out(s, p) => self.by_out.entry((s, p)).or_default(),
-            };
-            list.push(Arc::clone(key));
-            added += 1;
-        });
-        self.refs += added;
-        self.live += added;
-    }
-
-    /// Drains the reference lists of every region `fp` makes stale. Types
-    /// are few per shard, so the type lists are filtered whole; out-pairs
-    /// are looked up one by one.
-    fn take_stale(&mut self, fp: &KbFootprint) -> Vec<Arc<K>> {
-        let mut out = Vec::new();
-        if touches_types(fp) {
-            self.by_ty.retain(|&ty, keys| {
-                let stale = ty_stale(fp, ty);
-                if stale {
-                    out.append(keys);
-                }
-                !stale
-            });
-        }
-        if !self.by_out.is_empty() {
-            for pair in &fp.out_pairs {
-                if let Some(keys) = self.by_out.remove(pair) {
-                    out.extend(keys);
-                }
-            }
-        }
-        self.refs -= out.len();
-        out
-    }
-
-    fn needs_rebuild(&self) -> bool {
-        self.refs > 2 * self.live + LAZY_SLACK
-    }
+    index
 }
 
 /// One lock's worth of a cache map.
@@ -355,7 +253,7 @@ struct Shard<K, V> {
     map: FxHashMap<Arc<K>, V>,
     /// Region → entries reverse index, built by the shard's first sweep. A
     /// shard that is never swept carries none.
-    reads: Option<ReadIndex<K>>,
+    reads: Option<ReadIndex<Arc<K>>>,
 }
 
 impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
@@ -372,7 +270,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
             return false;
         };
         if let Some(reads) = &mut self.reads {
-            reads.live -= key.read_count(&value);
+            reads.forget(key.reads(&value).count());
         }
         true
     }
@@ -384,7 +282,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
             Entry::Occupied(o) => o.into_mut(),
             Entry::Vacant(v) => {
                 if let Some(reads) = &mut self.reads {
-                    reads.add(v.key(), &value);
+                    reads.add(v.key(), v.key().reads(&value));
                 }
                 v.insert(value)
             }
@@ -396,7 +294,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
     /// (which builds the reverse index with one full scan).
     fn sweep(&mut self, fp: &KbFootprint) -> u64 {
         let map = &self.map;
-        let reads = self.reads.get_or_insert_with(|| ReadIndex::build(map));
+        let reads = self.reads.get_or_insert_with(|| build_index(map));
         let reached = reads.take_stale(fp);
         let mut removed = 0;
         for key in reached {
@@ -406,7 +304,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
             }
         }
         if self.reads.as_ref().is_some_and(ReadIndex::needs_rebuild) {
-            self.reads = Some(ReadIndex::build(&self.map));
+            self.reads = Some(build_index(&self.map));
         }
         removed
     }

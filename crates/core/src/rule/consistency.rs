@@ -188,8 +188,11 @@ pub fn check_consistency_multi(
                     .map(|(a, b)| (a.clone(), b.clone()))
                     .unwrap_or_else(|| {
                         (
-                            baseline.last().cloned().unwrap_or_else(|| tuple.clone()),
-                            other.last().cloned().unwrap_or_else(|| tuple.clone()),
+                            baseline
+                                .last()
+                                .cloned()
+                                .unwrap_or_else(|| (**tuple).clone()),
+                            other.last().cloned().unwrap_or_else(|| (**tuple).clone()),
                         )
                     });
                 let (col, value_a, value_b) = first_diff(&a, &b).unwrap_or((

@@ -510,7 +510,7 @@ pub fn rule_repairs_examples(
 ) -> bool {
     let col = rule.repair_col();
     negatives.tuples().iter().enumerate().all(|(row, t)| {
-        let mut probe = t.clone();
+        let mut probe = (**t).clone();
         match apply_rule(ctx, rule, &mut probe, &ApplyOptions::default()) {
             RuleApplication::Repaired { candidates, .. } => {
                 candidates.iter().any(|c| c == truth.tuple(row).get(col))
@@ -532,7 +532,7 @@ pub fn rule_respects_positives(
         ..Default::default()
     };
     positives.tuples().iter().all(|t| {
-        let mut probe = t.clone();
+        let mut probe = (**t).clone();
         !matches!(
             apply_rule(ctx, rule, &mut probe, &opts),
             RuleApplication::Repaired { .. }

@@ -754,9 +754,10 @@ impl ImageLayout {
     }
 
     /// The SPO and OSP run indexes: strictly ascending keys, non-empty
-    /// runs that cover every edge, ids in range, node tags 0 or 1, and
+    /// runs that cover every edge, ids in range, node tags 0 or 1,
     /// strictly ascending values in each run (`has_edge` and `subjects`
-    /// binary-search them).
+    /// binary-search them), and OSP holding exactly the transpose of SPO,
+    /// so `objects` and `subjects` answer from the same edges.
     fn validate_runs(&self, body: &[u8]) -> Result<(), KbImageError> {
         use section::*;
         let malformed = KbImageError::Malformed;
@@ -800,8 +801,61 @@ impl ImageLayout {
         if !keys_ok || subs.iter().any(|&s| s as usize >= self.num_instances) {
             return Err(malformed("OSP id out of range or bad node tag"));
         }
-        check_runs(keys, 3, offs, subs, 1, self.num_edges).map_err(malformed)
+        check_runs(keys, 3, offs, subs, 1, self.num_edges).map_err(malformed)?;
+        let spo = (
+            self.words(body, SPO_KEYS.0),
+            self.words(body, SPO_OFFS.0),
+            self.words(body, SPO_NODES.0),
+        );
+        let nodes = self.num_instances + self.num_literals;
+        check_transpose(spo, (keys, offs, subs), self.num_instances, nodes).map_err(malformed)
     }
+}
+
+/// Checks that the OSP runs hold exactly the SPO edges, transposed, in
+/// one merge pass: SPO's edges, visited in `(s, p, o)` order, are dealt
+/// into the OSP run of their `(o, p)` key, where a cursor per run must
+/// meet `s` next, since a run's subjects ascend. Both sides hold the same
+/// number of distinct edges (checked before), so an edge for every slot
+/// means the two sets are equal. A run is found from its node's span of
+/// OSP keys (keys sort by node, instances before literals, then by
+/// predicate), so the pass is linear in edges plus nodes. Expects run
+/// indexes that `check_runs` and the id checks passed.
+fn check_transpose(
+    (spo_keys, spo_offs, nodes): (&[u32], &[u32], &[u32]),
+    (osp_keys, osp_offs, subjects): (&[u32], &[u32], &[u32]),
+    num_instances: usize,
+    num_nodes: usize,
+) -> Result<(), &'static str> {
+    let (spo_keys, _) = spo_keys.as_chunks::<2>();
+    let (nodes, _) = nodes.as_chunks::<2>();
+    let (osp_keys, _) = osp_keys.as_chunks::<3>();
+    let node = |tag: u32, id: u32| id as usize + if tag == 0 { 0 } else { num_instances };
+    // Node n's OSP runs are `first[n]..first[n + 1]`.
+    let mut first = vec![0usize; num_nodes + 1];
+    for &[tag, id, _] in osp_keys {
+        first[node(tag, id) + 1] += 1;
+    }
+    for n in 1..first.len() {
+        first[n] += first[n - 1];
+    }
+    let mut cursor = osp_offs[..osp_keys.len()].to_vec();
+    for (run, &[s, p]) in spo_keys.iter().enumerate() {
+        for &[tag, id] in &nodes[spo_offs[run] as usize..spo_offs[run + 1] as usize] {
+            let n = node(tag, id);
+            let span = &osp_keys[first[n]..first[n + 1]];
+            let Ok(at) = span.binary_search_by_key(&p, |key| key[2]) else {
+                return Err("an SPO edge has no OSP run");
+            };
+            let o = first[n] + at;
+            let next = cursor[o] as usize;
+            if next == osp_offs[o + 1] as usize || subjects[next] != s {
+                return Err("OSP is not the transpose of SPO");
+            }
+            cursor[o] += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Whether the `width`-word records of `words` strictly ascend, compared

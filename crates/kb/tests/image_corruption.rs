@@ -6,7 +6,8 @@
 //! their *specific* rejections instead of dying as generic checksum
 //! failures. Random multi-byte mutations behind a re-sealed checksum go
 //! further: an image that still opens must answer every query in range,
-//! since queries read the image in place without checks of their own.
+//! since queries read the image in place without checks of their own, and
+//! its `objects` and `subjects` must name the same edges.
 
 use dr_kb::fixtures::nobel_mini_kb;
 use dr_kb::image::{image_checksum, EXTENSION, MAGIC, MIN_LEN};
@@ -235,6 +236,31 @@ fn resealed_payload_corruptions_are_malformed() {
     ));
 }
 
+/// An OSP subject moved to another instance behind a re-sealed checksum:
+/// every section is well-formed alone, but `subjects` would disagree with
+/// `objects`, so the image must not open.
+#[test]
+fn resealed_osp_that_is_not_spo_transposed_is_malformed() {
+    let bytes = valid_image();
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    // Sections 18 and 19 hold the OSP run offsets and subjects.
+    let (offs_at, offs_len) = section_entry(&bytes, 18);
+    let (subjects_at, _) = section_entry(&bytes, 19);
+    let offs: Vec<u32> = (0..offs_len / 4).map(|i| word(offs_at + 4 * i)).collect();
+    let run = offs
+        .windows(2)
+        .position(|w| w[1] - w[0] == 1)
+        .expect("fixture has a one-subject OSP run");
+    let at = subjects_at + 4 * offs[run] as usize;
+    let instances = nobel_mini_kb().num_instances() as u32;
+    let mut moved = bytes.clone();
+    moved[at..at + 4].copy_from_slice(&((word(at) + 1) % instances).to_le_bytes());
+    assert!(matches!(
+        open_bytes("transpose", &reseal(moved)),
+        Err(KbImageError::Malformed(_))
+    ));
+}
+
 /// `open_expecting` with a foreign content hash is a `KeyMismatch` — the
 /// image itself is fine, it is just not the KB the caller wanted.
 #[test]
@@ -269,8 +295,8 @@ fn ascending<T: Ord>(items: &[T]) -> bool {
 }
 
 /// Runs every query of `kb` for every in-range id, plus `triples()`, and
-/// checks that every id they return is below its count and that every
-/// sorted answer ascends.
+/// checks that every id they return is below its count, that every sorted
+/// answer ascends, and that `objects` and `subjects` name the same edges.
 fn query_everything(kb: &MappedKb) {
     let (ni, nc, np, nl) = (
         kb.num_instances(),
@@ -314,6 +340,7 @@ fn query_everything(kb: &MappedKb) {
             for &o in kb.objects(i, p) {
                 assert!(node_in_range(&o));
                 assert!(kb.has_edge(i, p, o));
+                assert!(kb.subjects(o, p).binary_search(&i).is_ok());
                 kb.node_value(o);
             }
         }
@@ -326,6 +353,7 @@ fn query_everything(kb: &MappedKb) {
         for p in kb.preds() {
             let subjects = kb.subjects(o, p);
             assert!(ascending(subjects) && subjects.iter().all(|s| s.index() < ni));
+            assert!(subjects.iter().all(|&s| kb.objects(s, p).contains(&o)));
         }
     }
     let mut edges = 0;
@@ -341,9 +369,10 @@ proptest! {
 
     /// A few edits anywhere before the trailer, the checksum re-sealed:
     /// the image opens to a typed error, or it opens and answers every
-    /// query in range without a panic. An edit overwrites a byte, nudges
-    /// a u32 word by at most 2, or sets a word to 0..4, so ids, offsets
-    /// and node tags stay plausible and some mutants pass validation.
+    /// query in range, consistently, without a panic. An edit overwrites
+    /// a byte, nudges a u32 word by at most 2, or sets a word to 0..4, so
+    /// ids, offsets and node tags stay plausible and some mutants pass
+    /// validation.
     #[test]
     fn accepted_mutants_answer_every_query_in_range(
         edits in prop::collection::vec((any::<u32>(), 0u8..3, any::<u8>()), 1..5),

@@ -15,10 +15,15 @@ pub struct CellRef {
 }
 
 /// A table: a shared schema plus rows of [`Tuple`]s.
+///
+/// Rows are held by reference (`Arc<Tuple>`), so cloning a relation copies
+/// pointers, and two relations can share their unchanged rows. Every write
+/// goes through [`Arc::make_mut`], which copies a row only while another
+/// relation still shares it.
 #[derive(Clone)]
 pub struct Relation {
     schema: Arc<Schema>,
-    tuples: Vec<Tuple>,
+    tuples: Vec<Arc<Tuple>>,
 }
 
 impl Relation {
@@ -30,11 +35,12 @@ impl Relation {
         }
     }
 
-    /// Creates a relation from ready-made tuples.
+    /// Creates a relation from ready-made tuples, owned or shared.
     ///
     /// # Panics
     /// Panics if any tuple's arity differs from the schema's.
-    pub fn from_tuples(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Self {
+    pub fn from_tuples<T: Into<Arc<Tuple>>>(schema: Arc<Schema>, tuples: Vec<T>) -> Self {
+        let tuples: Vec<Arc<Tuple>> = tuples.into_iter().map(Into::into).collect();
         for (i, t) in tuples.iter().enumerate() {
             assert_eq!(
                 t.arity(),
@@ -53,11 +59,12 @@ impl Relation {
         &self.schema
     }
 
-    /// Appends a tuple.
+    /// Appends a tuple, owned or shared.
     ///
     /// # Panics
     /// Panics on arity mismatch.
-    pub fn push(&mut self, tuple: Tuple) {
+    pub fn push(&mut self, tuple: impl Into<Arc<Tuple>>) {
+        let tuple = tuple.into();
         assert_eq!(tuple.arity(), self.schema.arity(), "arity mismatch");
         self.tuples.push(tuple);
     }
@@ -82,19 +89,22 @@ impl Relation {
         &self.tuples[row]
     }
 
-    /// Mutable access to the tuple at `row`.
+    /// Mutable access to the tuple at `row`, copying it first if another
+    /// relation shares it.
     pub fn tuple_mut(&mut self, row: usize) -> &mut Tuple {
-        &mut self.tuples[row]
+        Arc::make_mut(&mut self.tuples[row])
     }
 
     /// All tuples.
-    pub fn tuples(&self) -> &[Tuple] {
+    pub fn tuples(&self) -> &[Arc<Tuple>] {
         &self.tuples
     }
 
-    /// Mutable access to all tuples.
-    pub fn tuples_mut(&mut self) -> &mut [Tuple] {
-        &mut self.tuples
+    /// Mutable access to all tuples, in row order. Each row is copied as
+    /// the iterator reaches it if another relation shares it, so collecting
+    /// the iterator does every copy on the calling thread.
+    pub fn tuples_mut(&mut self) -> impl Iterator<Item = &mut Tuple> {
+        self.tuples.iter_mut().map(Arc::make_mut)
     }
 
     /// The value at `cell`.
@@ -131,16 +141,18 @@ impl Relation {
         out
     }
 
-    /// Clears every tuple's marks.
+    /// Clears every tuple's marks. Unmarked rows stay shared.
     pub fn clear_marks(&mut self) {
         for t in &mut self.tuples {
-            t.clear_marks();
+            if t.is_marked() {
+                Arc::make_mut(t).clear_marks();
+            }
         }
     }
 
     /// Total positively marked cells across all tuples (the paper's #-POS).
     pub fn positive_count(&self) -> usize {
-        self.tuples.iter().map(Tuple::positive_count).sum()
+        self.tuples.iter().map(|t| t.positive_count()).sum()
     }
 }
 
@@ -215,5 +227,21 @@ mod tests {
         let schema = Schema::new("R", &["A"]);
         let r = Relation::from_tuples(schema.clone(), vec![Tuple::from_strs(&["x"])]);
         assert_eq!(r.len(), 1);
+    }
+
+    /// A clone shares every row; writing one copies that row only, and the
+    /// original keeps its values and marks byte for byte.
+    #[test]
+    fn writing_a_clone_leaves_the_original_intact() {
+        let original = nobel();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&copy.tuples()[0], &original.tuples()[0]));
+        let city = copy.schema().attr_expect("City");
+        copy.tuple_mut(0).set(city, "Haifa");
+        copy.tuple_mut(0).mark_positive(city);
+        assert_eq!(original.tuple(0).get(city), "Karcag");
+        assert!(!original.tuple(0).is_positive(city));
+        assert!(!Arc::ptr_eq(&copy.tuples()[0], &original.tuples()[0]));
+        assert!(Arc::ptr_eq(&copy.tuples()[1], &original.tuples()[1]));
     }
 }

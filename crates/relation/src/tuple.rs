@@ -19,25 +19,17 @@ pub enum Mark {
 }
 
 /// One row of a relation, with marks.
-#[derive(PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Tuple {
     cells: Vec<String>,
     marks: Vec<Mark>,
 }
 
-impl Clone for Tuple {
-    fn clone(&self) -> Self {
-        Self {
-            cells: self.cells.clone(),
-            marks: self.marks.clone(),
-        }
-    }
-
-    /// Copies `source` into this tuple's existing cell buffers, allocating
-    /// only where a cell outgrows its buffer.
-    fn clone_from(&mut self, source: &Self) {
-        self.cells.clone_from(&source.cells);
-        self.marks.clone_from(&source.marks);
+/// Compares a tuple with a relation's shared row (see
+/// [`Relation::tuples`](crate::Relation::tuples)).
+impl PartialEq<Arc<Tuple>> for Tuple {
+    fn eq(&self, other: &Arc<Tuple>) -> bool {
+        self == &**other
     }
 }
 
