@@ -122,10 +122,15 @@ pub struct MatchContext<'kb> {
     obs: Option<Arc<Obs>>,
     recorder: Option<Arc<FootprintRecorder>>,
     span: Option<SpanCtx>,
+    /// A snapshot of the memo read without locking (see [`Self::pinned`]).
+    pinned: Option<Arc<IndexMap>>,
 }
 
+/// A `(type, sim) → index` map.
+type IndexMap = FxHashMap<(NodeType, SimFn), Arc<MatchIndex>>;
+
 /// The fork-shared `(type, sim) → index` memo.
-type SharedIndexMap = Arc<Mutex<FxHashMap<(NodeType, SimFn), Arc<MatchIndex>>>>;
+type SharedIndexMap = Arc<Mutex<IndexMap>>;
 
 /// Contexts are shared by reference across scheduler worker threads and by
 /// value across serving threads; both require `Send + Sync`, so regressing
@@ -148,6 +153,7 @@ impl<'kb> MatchContext<'kb> {
             obs: None,
             recorder: None,
             span: None,
+            pinned: None,
         }
     }
 
@@ -163,6 +169,7 @@ impl<'kb> MatchContext<'kb> {
             obs: None,
             recorder: None,
             span: None,
+            pinned: None,
         }
     }
 
@@ -183,6 +190,7 @@ impl<'kb> MatchContext<'kb> {
             obs: None,
             recorder: None,
             span: None,
+            pinned: None,
         }
     }
 
@@ -200,7 +208,21 @@ impl<'kb> MatchContext<'kb> {
             obs: self.obs.clone(),
             recorder: self.recorder.clone(),
             span: self.span.clone(),
+            pinned: self.pinned.clone(),
         }
+    }
+
+    /// A [`Self::fork`] that reads every index the memo holds now from a
+    /// snapshot, without locking the memo. A repair pins its context after
+    /// prewarm, so its value-cache misses and normalization checks neither
+    /// lock nor clone an `Arc` per lookup; an index built later still
+    /// comes from the shared memo. The snapshot lives as long as the fork
+    /// (and its forks), so it keeps no index past the repair.
+    pub(crate) fn pinned(&self) -> MatchContext<'kb> {
+        let snapshot = self.indexes.lock().clone();
+        let mut fork = self.fork();
+        fork.pinned = Some(Arc::new(snapshot));
+        fork
     }
 
     /// Attaches a live span context (builder style): phases and repairers
@@ -309,6 +331,9 @@ impl<'kb> MatchContext<'kb> {
     /// attached registry, which holds the indexes of this KB generation
     /// (inherited across deltas), or is built.
     pub fn index_for(&self, ty: NodeType, sim: SimFn) -> Arc<MatchIndex> {
+        if let Some(idx) = self.pinned_index(ty, sim) {
+            return Arc::clone(idx);
+        }
         if let Some(idx) = self.indexes.lock().get(&(ty, sim)) {
             return Arc::clone(idx);
         }
@@ -364,11 +389,7 @@ impl<'kb> MatchContext<'kb> {
 
     /// All KB nodes of type `ty` whose value matches `value` under `sim`.
     pub fn candidates(&self, ty: NodeType, sim: SimFn, value: &str) -> Vec<Node> {
-        if let Some(rec) = &self.recorder {
-            rec.record_ty(ty);
-        }
-        let index = self.index_for(ty, sim);
-        let hits = index.lookup(value);
+        let hits = self.lookup(ty, sim, value);
         match ty {
             NodeType::Class(_) => hits
                 .into_iter()
@@ -379,6 +400,28 @@ impl<'kb> MatchContext<'kb> {
                 .map(|id| Node::Literal(LiteralId::from_index(id as usize)))
                 .collect(),
         }
+    }
+
+    /// Whether some KB node of type `ty` matches `value` under `sim` (a
+    /// [`Self::candidates`] that keeps only the answer's emptiness).
+    pub(crate) fn matches_any(&self, ty: NodeType, sim: SimFn, value: &str) -> bool {
+        !self.lookup(ty, sim, value).is_empty()
+    }
+
+    /// The ids of the `(ty, sim)` index matching `value`, recording the
+    /// read. A pinned context reads its index without locking the memo.
+    fn lookup(&self, ty: NodeType, sim: SimFn, value: &str) -> Vec<u32> {
+        if let Some(rec) = &self.recorder {
+            rec.record_ty(ty);
+        }
+        match self.pinned_index(ty, sim) {
+            Some(index) => index.lookup(value),
+            None => self.index_for(ty, sim).lookup(value),
+        }
+    }
+
+    fn pinned_index(&self, ty: NodeType, sim: SimFn) -> Option<&Arc<MatchIndex>> {
+        self.pinned.as_ref()?.get(&(ty, sim))
     }
 
     /// Whether `node` has the required type.
@@ -423,20 +466,22 @@ impl<'kb> MatchContext<'kb> {
     /// Every KB node of type `ty` (the unfiltered extent) — the fallback
     /// candidate set for unconstrained pattern nodes.
     pub fn extent(&self, ty: NodeType) -> Vec<Node> {
+        self.extent_iter(ty).collect()
+    }
+
+    /// [`Self::extent`] without collecting it.
+    pub(crate) fn extent_iter(&self, ty: NodeType) -> impl Iterator<Item = Node> + 'kb {
         if let Some(rec) = &self.recorder {
             rec.record_ty(ty);
         }
-        match ty {
-            NodeType::Class(c) => self
-                .kb
-                .instances_of(c)
-                .iter()
-                .map(|&i| Node::Instance(i))
-                .collect(),
-            NodeType::Literal => (0..self.kb.num_literals())
-                .map(|i| Node::Literal(LiteralId::from_index(i)))
-                .collect(),
-        }
+        let (instances, literals) = match ty {
+            NodeType::Class(c) => (self.kb.instances_of(c), 0),
+            NodeType::Literal => (&[][..], self.kb.num_literals()),
+        };
+        instances
+            .iter()
+            .map(|&i| Node::Instance(i))
+            .chain((0..literals).map(|i| Node::Literal(LiteralId::from_index(i))))
     }
 
     /// Number of indexes built so far (diagnostics).

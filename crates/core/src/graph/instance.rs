@@ -3,11 +3,13 @@
 //! satisfied.
 //!
 //! The solver is a backtracking subgraph search specialized for detective
-//! rules: patterns are tiny (a handful of nodes), every node carries a value
-//! constraint except at most one *free* node (the positive node during proof
-//! negative), and candidates are drawn from the memoized
-//! [`MatchContext`] indexes or derived from KB
-//! adjacency.
+//! rules: patterns are tiny (a handful of nodes), most nodes carry a value
+//! constraint and the rest are *free* (the positive node during proof
+//! negative, auxiliary nodes), and candidates are drawn from the memoized
+//! [`MatchContext`] indexes or derived from KB adjacency. The repair
+//! kernel calls it with rule shapes compiled once and buffers it keeps per
+//! worker, so a search allocates nothing; the [`Pattern`] functions below
+//! are the self-contained form.
 
 use crate::context::MatchContext;
 use crate::graph::schema::NodeType;
@@ -74,41 +76,6 @@ impl Pattern {
             .as_deref()
             .map(|v| Arc::new(ctx.candidates(node.ty, node.sim, v)))
     }
-
-    /// A search order: start from the constrained node with the fewest base
-    /// candidates, then expand along edges (BFS); disconnected leftovers are
-    /// appended with fresh starts.
-    fn order(&self, base: &[Option<Arc<Vec<Node>>>]) -> Vec<usize> {
-        let n = self.nodes.len();
-        let mut order = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        // Undirected adjacency.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(u, _, v) in &self.edges {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-        while order.len() < n {
-            // Next start: unplaced constrained node with fewest candidates,
-            // else any unplaced node.
-            let start = (0..n)
-                .filter(|&i| !placed[i])
-                .min_by_key(|&i| base[i].as_ref().map_or(usize::MAX, |c| c.len()))
-                .expect("unplaced node exists");
-            let mut queue = std::collections::VecDeque::from([start]);
-            placed[start] = true;
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &v in &adj[u] {
-                    if !placed[v] {
-                        placed[v] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        order
-    }
 }
 
 /// A complete assignment: `assignment[i]` is the KB node bound to pattern
@@ -121,9 +88,9 @@ pub type Assignment = Vec<Node>;
 pub fn find_assignment(ctx: &MatchContext<'_>, pattern: &Pattern) -> Option<Assignment> {
     let meter = BudgetMeter::unbounded();
     let mut result = None;
-    solve(ctx, pattern, &meter, &mut |assignment| {
+    solve_pattern(ctx, pattern, &meter, &mut |assignment| {
         result = Some(assignment.to_vec());
-        Control::Stop
+        false
     });
     result
 }
@@ -133,30 +100,14 @@ pub fn has_assignment(ctx: &MatchContext<'_>, pattern: &Pattern) -> bool {
     find_assignment(ctx, pattern).is_some()
 }
 
-/// [`has_assignment`] charging candidate expansions to `meter`; when the
-/// meter exhausts mid-search the result is `false` and the caller must
-/// consult [`BudgetMeter::exhaustion`] to tell "no match" from "ran out".
-pub fn has_assignment_metered(
-    ctx: &MatchContext<'_>,
-    pattern: &Pattern,
-    meter: &BudgetMeter,
-) -> bool {
-    let mut found = false;
-    solve(ctx, pattern, meter, &mut |_| {
-        found = true;
-        Control::Stop
-    });
-    found
-}
-
 /// Collects the distinct KB nodes that pattern node `target` takes across
 /// **all** assignments (used to enumerate repair candidates; sorted).
 pub fn collect_bindings(ctx: &MatchContext<'_>, pattern: &Pattern, target: usize) -> Vec<Node> {
     let meter = BudgetMeter::unbounded();
     let mut out: Vec<Node> = Vec::new();
-    solve(ctx, pattern, &meter, &mut |assignment| {
+    solve_pattern(ctx, pattern, &meter, &mut |assignment| {
         out.push(assignment[target]);
-        Control::Continue
+        true
     });
     out.sort_unstable();
     out.dedup();
@@ -184,160 +135,229 @@ pub fn for_each_assignment_metered(
     meter: &BudgetMeter,
     mut f: impl FnMut(&Assignment) -> bool,
 ) {
-    solve(ctx, pattern, meter, &mut |assignment| {
-        if f(assignment) {
-            Control::Continue
-        } else {
-            Control::Stop
-        }
-    });
+    solve_pattern(ctx, pattern, meter, &mut f);
 }
 
-/// Visitor control flow.
-enum Control {
-    Continue,
-    Stop,
-}
-
-fn solve(
+/// Solves a [`Pattern`]: resolves each node's base candidates, then
+/// searches with throwaway buffers.
+fn solve_pattern(
     ctx: &MatchContext<'_>,
     pattern: &Pattern,
     meter: &BudgetMeter,
-    visit: &mut dyn FnMut(&Assignment) -> Control,
+    visit: &mut dyn FnMut(&Assignment) -> bool,
 ) {
     let n = pattern.nodes.len();
     if n == 0 || meter.is_exhausted() {
         return;
     }
+    let tys: Vec<NodeType> = pattern.nodes.iter().map(|node| node.ty).collect();
     let base: Vec<Option<Arc<Vec<Node>>>> =
         (0..n).map(|i| pattern.base_candidates(ctx, i)).collect();
+    let mut scratch = SolverScratch::default();
+    solve(
+        ctx,
+        Shape {
+            tys: &tys,
+            edges: &pattern.edges,
+            base: &base,
+        },
+        meter,
+        &mut scratch,
+        visit,
+    );
+}
+
+/// What the search reads of a pattern: each node's KB type and base
+/// candidate list (`None` for a free node), and the directed edges between
+/// nodes.
+#[derive(Clone, Copy)]
+pub(crate) struct Shape<'a> {
+    /// Node types, by pattern node.
+    pub(crate) tys: &'a [NodeType],
+    /// Directed edges `(from, rel, to)`.
+    pub(crate) edges: &'a [(usize, PredId, usize)],
+    /// Type+value candidates of each constrained node; `None` when free.
+    pub(crate) base: &'a [Option<Arc<Vec<Node>>>],
+}
+
+/// The search's buffers, kept by a caller that solves many patterns (one
+/// per repair worker) so a search allocates nothing once they have grown
+/// to the widest pattern. Every search starts by resetting them.
+#[derive(Debug, Default)]
+pub(crate) struct SolverScratch {
+    /// The order in which pattern nodes are bound.
+    order: Vec<usize>,
+    /// Nodes already placed in `order`.
+    placed: Vec<bool>,
+    /// The partial assignment, by pattern node.
+    partial: Vec<Option<Node>>,
+    /// The complete assignment handed to the visitor.
+    complete: Assignment,
+    /// The candidate lists of the open search levels: each level pushes
+    /// its list on top and truncates it away when it backtracks.
+    stack: Vec<Node>,
+}
+
+/// Visits every complete assignment of `shape` until `visit` returns
+/// `false` or `meter` exhausts (see [`for_each_assignment_metered`]).
+pub(crate) fn solve(
+    ctx: &MatchContext<'_>,
+    shape: Shape<'_>,
+    meter: &BudgetMeter,
+    scratch: &mut SolverScratch,
+    visit: &mut dyn FnMut(&Assignment) -> bool,
+) {
+    let n = shape.tys.len();
+    if n == 0 || meter.is_exhausted() {
+        return;
+    }
     // A constrained node with zero candidates makes the pattern unsatisfiable.
-    if base
+    if shape
+        .base
         .iter()
         .any(|b| b.as_ref().is_some_and(|c| c.is_empty()))
     {
         return;
     }
-    let order = pattern.order(&base);
-    let mut assignment: Vec<Option<Node>> = vec![None; n];
-    recurse(
-        ctx,
-        pattern,
-        &base,
-        &order,
-        0,
-        &mut assignment,
-        meter,
-        visit,
-    );
+    scratch.plan(shape);
+    scratch.partial.clear();
+    scratch.partial.resize(n, None);
+    scratch.stack.clear();
+    scratch.recurse(ctx, shape, 0, meter, visit);
 }
 
-/// Candidates for `node` given the current partial assignment.
-fn candidates_for(
-    ctx: &MatchContext<'_>,
-    pattern: &Pattern,
-    base: &[Option<Arc<Vec<Node>>>],
-    assignment: &[Option<Node>],
-    node: usize,
-) -> Vec<Node> {
-    let pnode = &pattern.nodes[node];
+impl SolverScratch {
+    /// Fills `order`: start from the constrained node with the fewest base
+    /// candidates, then expand along edges (BFS, neighbours in edge order);
+    /// disconnected leftovers are appended with fresh starts. The BFS queue
+    /// is `order` itself, read from `head`.
+    fn plan(&mut self, shape: Shape<'_>) {
+        let n = shape.tys.len();
+        self.order.clear();
+        self.placed.clear();
+        self.placed.resize(n, false);
+        while self.order.len() < n {
+            // Next start: unplaced constrained node with fewest candidates,
+            // else any unplaced node.
+            let start = (0..n)
+                .filter(|&i| !self.placed[i])
+                .min_by_key(|&i| shape.base[i].as_ref().map_or(usize::MAX, |c| c.len()))
+                .expect("unplaced node exists");
+            self.placed[start] = true;
+            let mut head = self.order.len();
+            self.order.push(start);
+            while head < self.order.len() {
+                let u = self.order[head];
+                head += 1;
+                for &(a, _, b) in shape.edges {
+                    for (end, other) in [(a, b), (b, a)] {
+                        if end == u && !self.placed[other] {
+                            self.placed[other] = true;
+                            self.order.push(other);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
+    fn recurse(
+        &mut self,
+        ctx: &MatchContext<'_>,
+        shape: Shape<'_>,
+        pos: usize,
+        meter: &BudgetMeter,
+        visit: &mut dyn FnMut(&Assignment) -> bool,
+    ) -> bool {
+        if pos == self.order.len() {
+            self.complete.clear();
+            self.complete
+                .extend(self.partial.iter().map(|a| a.expect("complete assignment")));
+            return visit(&self.complete);
+        }
+        let node = self.order[pos];
+        let start = self.stack.len();
+        push_candidates(ctx, shape, &self.partial, node, &mut self.stack);
+        let end = self.stack.len();
+        // Budget: every candidate the solver considers binding is one step (+1
+        // so zero-candidate dead ends still cost something). The count depends
+        // only on the KB, the pattern, and the tuple values — not on cache
+        // warmth or thread schedule — so exhaustion is deterministic.
+        let mut go_on = meter.charge((end - start) as u64 + 1);
+        let mut i = start;
+        while go_on && i < end {
+            self.partial[node] = Some(self.stack[i]);
+            go_on = self.recurse(ctx, shape, pos + 1, meter, visit);
+            i += 1;
+        }
+        self.partial[node] = None;
+        self.stack.truncate(start);
+        go_on
+    }
+}
+
+/// Pushes onto `out` the candidates for `node` given the partial
+/// assignment.
+fn push_candidates(
+    ctx: &MatchContext<'_>,
+    shape: Shape<'_>,
+    partial: &[Option<Node>],
+    node: usize,
+    out: &mut Vec<Node>,
+) {
     // Constraint check against every edge touching `node` whose other
-    // endpoint is already assigned. KB reads go through the context so an
-    // attached recorder captures them as footprint dependencies.
+    // endpoint is already assigned (or is `node` itself: a self-loop). KB
+    // reads go through the context so an attached recorder captures them
+    // as footprint dependencies.
     let edge_ok = |candidate: Node| -> bool {
-        pattern.edges.iter().all(|&(u, rel, v)| {
-            if u == node {
-                match assignment[v] {
-                    Some(xv) => match candidate {
-                        Node::Instance(ci) => ctx.kb_has_edge(ci, rel, xv),
-                        Node::Literal(_) => false,
-                    },
-                    None => true,
-                }
-            } else if v == node {
-                match assignment[u] {
-                    Some(Node::Instance(xu)) => ctx.kb_has_edge(xu, rel, candidate),
-                    Some(Node::Literal(_)) => false,
-                    None => true,
-                }
-            } else {
-                true
+        shape.edges.iter().all(|&(u, rel, v)| {
+            let (from, to) = match (u == node, v == node) {
+                (true, true) => (Some(candidate), Some(candidate)),
+                (true, false) => (Some(candidate), partial[v]),
+                (false, true) => (partial[u], Some(candidate)),
+                (false, false) => return true,
+            };
+            match (from, to) {
+                (Some(Node::Instance(s)), Some(o)) => ctx.kb_has_edge(s, rel, o),
+                (Some(Node::Literal(_)), Some(_)) => false,
+                _ => true,
             }
         })
     };
 
-    if let Some(base_list) = &base[node] {
-        return base_list.iter().copied().filter(|&c| edge_ok(c)).collect();
+    if let Some(base_list) = &shape.base[node] {
+        out.extend(base_list.iter().copied().filter(|&c| edge_ok(c)));
+        return;
     }
 
     // Free node: derive candidates from an assigned neighbor if possible.
-    for &(u, rel, v) in &pattern.edges {
+    let ty = shape.tys[node];
+    for &(u, rel, v) in shape.edges {
         if u == node {
-            if let Some(xv) = assignment[v] {
-                return ctx
-                    .kb_subjects(xv, rel)
-                    .iter()
-                    .map(|&s| Node::Instance(s))
-                    .filter(|&c| ctx.type_ok(c, pnode.ty) && edge_ok(c))
-                    .collect();
+            if let Some(xv) = partial[v] {
+                out.extend(
+                    ctx.kb_subjects(xv, rel)
+                        .iter()
+                        .map(|&s| Node::Instance(s))
+                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c)),
+                );
+                return;
             }
         } else if v == node {
-            if let Some(Node::Instance(xu)) = assignment[u] {
-                return ctx
-                    .kb_objects(xu, rel)
-                    .iter()
-                    .copied()
-                    .filter(|&c| ctx.type_ok(c, pnode.ty) && edge_ok(c))
-                    .collect();
+            if let Some(Node::Instance(xu)) = partial[u] {
+                out.extend(
+                    ctx.kb_objects(xu, rel)
+                        .iter()
+                        .copied()
+                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c)),
+                );
+                return;
             }
         }
     }
 
     // No assigned neighbor: fall back to the full type extent.
-    ctx.extent(pnode.ty)
-        .into_iter()
-        .filter(|&c| edge_ok(c))
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion frame, not an API
-fn recurse(
-    ctx: &MatchContext<'_>,
-    pattern: &Pattern,
-    base: &[Option<Arc<Vec<Node>>>],
-    order: &[usize],
-    pos: usize,
-    assignment: &mut Vec<Option<Node>>,
-    meter: &BudgetMeter,
-    visit: &mut dyn FnMut(&Assignment) -> Control,
-) -> Control {
-    if pos == order.len() {
-        let complete: Assignment = assignment
-            .iter()
-            .map(|a| a.expect("complete assignment"))
-            .collect();
-        return visit(&complete);
-    }
-    let node = order[pos];
-    let candidates = candidates_for(ctx, pattern, base, assignment, node);
-    // Budget: every candidate the solver considers binding is one step (+1
-    // so zero-candidate dead ends still cost something). The count depends
-    // only on the KB, the pattern, and the tuple values — not on cache
-    // warmth or thread schedule — so exhaustion is deterministic.
-    if !meter.charge(candidates.len() as u64 + 1) {
-        return Control::Stop;
-    }
-    for candidate in candidates {
-        assignment[node] = Some(candidate);
-        if let Control::Stop = recurse(ctx, pattern, base, order, pos + 1, assignment, meter, visit)
-        {
-            assignment[node] = None;
-            return Control::Stop;
-        }
-        assignment[node] = None;
-    }
-    Control::Continue
+    out.extend(ctx.extent_iter(ty).filter(|&c| edge_ok(c)));
 }
 
 #[cfg(test)]
@@ -521,5 +541,75 @@ mod tests {
         node.base = Some(Arc::new(Vec::new()));
         p.nodes.push(node);
         assert!(find_assignment(&ctx, &p).is_none());
+    }
+
+    /// The first `limit` assignments of `pattern`, solved through
+    /// `scratch`.
+    fn solve_with(
+        ctx: &MatchContext<'_>,
+        pattern: &Pattern,
+        scratch: &mut SolverScratch,
+        limit: usize,
+    ) -> Vec<Assignment> {
+        let tys: Vec<NodeType> = pattern.nodes.iter().map(|node| node.ty).collect();
+        let base: Vec<_> = (0..pattern.nodes.len())
+            .map(|i| pattern.base_candidates(ctx, i))
+            .collect();
+        let shape = Shape {
+            tys: &tys,
+            edges: &pattern.edges,
+            base: &base,
+        };
+        let mut out = Vec::new();
+        solve(ctx, shape, &BudgetMeter::unbounded(), scratch, &mut |a| {
+            out.push(a.clone());
+            out.len() < limit
+        });
+        out
+    }
+
+    /// A scratch reused across searches of different widths, after one
+    /// its visitor cut short mid-recursion, answers like a fresh one.
+    #[test]
+    fn reused_scratch_answers_like_a_fresh_one() {
+        let kb = nobel_mini_kb();
+        let ctx = MatchContext::new(&kb);
+        let mut calvin = Pattern::default();
+        calvin.nodes.push(PatternNode::constrained(
+            class(&kb, names::LAUREATE),
+            SimFn::Equal,
+            "Melvin Calvin",
+        ));
+        calvin.nodes.push(PatternNode::free(
+            class(&kb, names::ORGANIZATION),
+            SimFn::Equal,
+        ));
+        calvin
+            .nodes
+            .push(PatternNode::free(class(&kb, names::CITY), SimFn::Equal));
+        calvin
+            .edges
+            .push((0, kb.pred_named(names::WORKS_AT).unwrap(), 1));
+        calvin
+            .edges
+            .push((1, kb.pred_named(names::LOCATED_IN).unwrap(), 2));
+        let mut curie = Pattern::default();
+        curie.nodes.push(PatternNode::constrained(
+            class(&kb, names::LAUREATE),
+            SimFn::Equal,
+            "Marie Curie",
+        ));
+        let fresh = |p: &Pattern| solve_with(&ctx, p, &mut SolverScratch::default(), usize::MAX);
+        assert_eq!(fresh(&calvin).len(), 2);
+        assert_eq!(fresh(&curie).len(), 1);
+
+        let mut scratch = SolverScratch::default();
+        assert_eq!(solve_with(&ctx, &calvin, &mut scratch, 1).len(), 1);
+        for pattern in [&curie, &calvin, &curie, &calvin] {
+            assert_eq!(
+                solve_with(&ctx, pattern, &mut scratch, usize::MAX),
+                fresh(pattern)
+            );
+        }
     }
 }

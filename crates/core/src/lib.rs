@@ -41,7 +41,9 @@ pub use repair::fast::{fast_repair, FastRepairer};
 #[cfg(feature = "fault-injection")]
 pub use repair::fault::{Fault, FaultPlan, FaultSpec};
 pub use repair::multi::{multi_repair_tuple, MultiOptions};
-pub use repair::parallel::{parallel_repair, parallel_repair_selective, ParallelOptions};
+pub use repair::parallel::{
+    available_cores, parallel_repair, parallel_repair_selective, ParallelOptions,
+};
 pub use repair::registry::{
     CacheKey, CacheRegistry, RegistryConfig, RegistryStats, SnapshotGcConfig, SnapshotStats,
 };

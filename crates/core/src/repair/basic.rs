@@ -11,7 +11,7 @@ use crate::context::MatchContext;
 use crate::repair::cache::ElementCache;
 use crate::repair::read_index::RowIndex;
 use crate::repair::resilience::{ResilienceReport, TupleOutcome};
-use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
+use crate::rule::apply::{apply_with, ApplyOptions, RuleApplication, Scratch};
 use crate::rule::DetectiveRule;
 use dr_relation::{AttrId, Relation, Tuple};
 use std::sync::Arc;
@@ -214,6 +214,18 @@ pub fn basic_repair_tuple(
     tuple: &mut Tuple,
     opts: &ApplyOptions,
 ) -> TupleReport {
+    basic_repair_tuple_with(ctx, rules, tuple, opts, &mut Scratch::default())
+}
+
+/// [`basic_repair_tuple`] through rule-check buffers the caller keeps
+/// across tuples.
+fn basic_repair_tuple_with<'kb>(
+    ctx: &MatchContext<'kb>,
+    rules: &[DetectiveRule],
+    tuple: &mut Tuple,
+    opts: &ApplyOptions,
+    scratch: &mut Scratch<'kb>,
+) -> TupleReport {
     let meter = ctx.budget().meter();
     let mut remaining: Vec<usize> = (0..rules.len()).collect();
     let mut report = TupleReport::default();
@@ -224,7 +236,7 @@ pub fn basic_repair_tuple(
         for (pos, &ri) in remaining.iter().enumerate() {
             let mut cache = ElementCache::new();
             let rule_span = crate::obs::RuleSpan::open(ctx.span(), ri, rules[ri].name());
-            let result = apply_rule_metered(ctx, &rules[ri], tuple, opts, &mut cache, &meter);
+            let result = apply_with(ctx, &rules[ri], tuple, opts, &mut cache, &meter, scratch);
             rule_span.finish(&result);
             match result {
                 Ok(application) if application.applied() => {
@@ -271,6 +283,7 @@ pub fn basic_repair(
     let tuple_hist = obs.map(|o| o.metrics().histogram("repair_tuple_seconds", &[]));
     let repair_start = std::time::Instant::now();
     let mut report = RelationReport::default();
+    let mut scratch = Scratch::default();
     for row in 0..relation.len() {
         let tuple = relation.tuple_mut(row);
         let started = tuple_hist.as_ref().map(|_| std::time::Instant::now());
@@ -280,7 +293,13 @@ pub fn basic_repair(
         let row_ctx = rows_parent
             .as_ref()
             .map(|_| ctx.fork().with_span_opt(row_span.ctx()));
-        let tuple_report = basic_repair_tuple(row_ctx.as_ref().unwrap_or(ctx), rules, tuple, opts);
+        let tuple_report = basic_repair_tuple_with(
+            row_ctx.as_ref().unwrap_or(ctx),
+            rules,
+            tuple,
+            opts,
+            &mut scratch,
+        );
         if let (Some(hist), Some(started)) = (&tuple_hist, started) {
             hist.record(started.elapsed());
         }

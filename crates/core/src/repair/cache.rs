@@ -164,6 +164,17 @@ impl<'v> ElementCache<'v> {
         self.edges.clear();
     }
 
+    /// Clears everything local and zeroes the counters: a repair worker
+    /// keeps one cache across its rows (the maps keep their capacity) and
+    /// starts each row this way, so the counters are per row.
+    pub(crate) fn reset(&mut self) {
+        self.clear();
+        self.hits = 0;
+        self.misses = 0;
+        self.shared_hits = 0;
+        self.shared_misses = 0;
+    }
+
     /// `(hits, misses)` counters for diagnostics and ablation benches.
     pub fn stats(&self) -> (usize, usize) {
         (self.hits, self.misses)

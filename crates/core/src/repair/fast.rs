@@ -27,7 +27,7 @@ use crate::repair::parallel::{parallel_repair, ParallelOptions};
 use crate::repair::resilience::TupleOutcome;
 use crate::repair::rule_graph::RuleGraph;
 use crate::repair::value_cache::ValueCache;
-use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
+use crate::rule::apply::{apply_with, ApplyOptions, RuleApplication, Scratch};
 use crate::rule::DetectiveRule;
 use dr_relation::{Relation, Tuple};
 
@@ -38,6 +38,27 @@ use dr_relation::{Relation, Tuple};
 pub struct FastRepairer<'r> {
     rules: &'r [DetectiveRule],
     order: Vec<Vec<usize>>,
+}
+
+/// One repair worker's reusable per-tuple state: the element cache, reset
+/// at the start of every tuple so its counters are that tuple's, and the
+/// rule kernel's buffers.
+pub(crate) struct TupleScratch<'v, 'kb> {
+    pub(crate) cache: ElementCache<'v>,
+    rules: Scratch<'kb>,
+    /// The members of a dependency cycle that fired on this tuple.
+    fired: Vec<bool>,
+}
+
+impl<'v> TupleScratch<'v, '_> {
+    /// Fresh state around `cache`.
+    pub(crate) fn new(cache: ElementCache<'v>) -> Self {
+        Self {
+            cache,
+            rules: Scratch::default(),
+            fired: Vec::new(),
+        }
+    }
 }
 
 impl<'r> FastRepairer<'r> {
@@ -61,7 +82,8 @@ impl<'r> FastRepairer<'r> {
         opts: &ApplyOptions,
     ) -> TupleReport {
         let meter = ctx.budget().meter();
-        self.repair_tuple_with(ctx, tuple, opts, &mut ElementCache::new(), &meter)
+        let mut scratch = TupleScratch::new(ElementCache::new());
+        self.repair_tuple_with(ctx, tuple, opts, &mut scratch, &meter)
     }
 
     /// [`Self::repair_tuple`] with the per-tuple overlay backed by a
@@ -75,59 +97,57 @@ impl<'r> FastRepairer<'r> {
         shared: &ValueCache,
     ) -> TupleReport {
         let meter = ctx.budget().meter();
-        self.repair_tuple_with(
-            ctx,
-            tuple,
-            opts,
-            &mut ElementCache::with_shared(shared),
-            &meter,
-        )
+        let mut scratch = TupleScratch::new(ElementCache::with_shared(shared));
+        self.repair_tuple_with(ctx, tuple, opts, &mut scratch, &meter)
     }
 
-    /// Innermost entry point: repairs one tuple through a caller-owned
-    /// element cache and budget meter. Crate-visible so the relation
-    /// driver ([`parallel_repair`]) can keep the cache after the call and
-    /// read its per-tuple [`level_stats`](ElementCache::level_stats) for
-    /// the row span.
-    pub(crate) fn repair_tuple_with(
+    /// Innermost entry point: repairs one tuple through a worker's
+    /// reusable state and a budget meter. Crate-visible so the relation
+    /// driver ([`parallel_repair`]) can keep the state across rows and
+    /// read the element cache's per-tuple
+    /// [`level_stats`](ElementCache::level_stats) for the row span.
+    pub(crate) fn repair_tuple_with<'kb>(
         &self,
-        ctx: &MatchContext<'_>,
+        ctx: &MatchContext<'kb>,
         tuple: &mut Tuple,
         opts: &ApplyOptions,
-        cache: &mut ElementCache<'_>,
+        scratch: &mut TupleScratch<'_, 'kb>,
         meter: &BudgetMeter,
     ) -> TupleReport {
+        scratch.cache.reset();
         let mut report = TupleReport::default();
         for group in &self.order {
-            if group.len() == 1 {
+            if let [ri] = group[..] {
                 if self
-                    .try_rule(ctx, group[0], tuple, opts, cache, meter, &mut report)
+                    .try_rule(ctx, ri, tuple, opts, scratch, meter, &mut report)
                     .is_err()
                 {
                     return report;
                 }
-            } else {
-                // A dependency cycle: re-scan the group until no member
-                // fires. Each rule still applies at most once.
-                let mut remaining = group.clone();
-                loop {
-                    let mut fired = None;
-                    for (pos, &ri) in remaining.iter().enumerate() {
-                        match self.try_rule(ctx, ri, tuple, opts, cache, meter, &mut report) {
-                            Ok(true) => {
-                                fired = Some(pos);
-                                break;
-                            }
-                            Ok(false) => {}
-                            Err(()) => return report,
-                        }
+                continue;
+            }
+            // A dependency cycle: re-scan the group until no member fires.
+            // Each rule still applies at most once.
+            scratch.fired.clear();
+            scratch.fired.resize(group.len(), false);
+            loop {
+                let mut fired = false;
+                for (pos, &ri) in group.iter().enumerate() {
+                    if scratch.fired[pos] {
+                        continue;
                     }
-                    match fired {
-                        Some(pos) => {
-                            remaining.remove(pos);
+                    match self.try_rule(ctx, ri, tuple, opts, scratch, meter, &mut report) {
+                        Ok(true) => {
+                            scratch.fired[pos] = true;
+                            fired = true;
+                            break;
                         }
-                        None => break,
+                        Ok(false) => {}
+                        Err(()) => return report,
                     }
+                }
+                if !fired {
+                    break;
                 }
             }
         }
@@ -139,19 +159,21 @@ impl<'r> FastRepairer<'r> {
     /// degraded outcome is already recorded on `report` and the caller
     /// must stop this tuple.
     #[allow(clippy::too_many_arguments)] // internal helper threading the meter
-    fn try_rule(
+    fn try_rule<'kb>(
         &self,
-        ctx: &MatchContext<'_>,
+        ctx: &MatchContext<'kb>,
         ri: usize,
         tuple: &mut Tuple,
         opts: &ApplyOptions,
-        cache: &mut ElementCache<'_>,
+        scratch: &mut TupleScratch<'_, 'kb>,
         meter: &BudgetMeter,
         report: &mut TupleReport,
     ) -> Result<bool, ()> {
+        let rule = &self.rules[ri];
+        let cache = &mut scratch.cache;
         // The rule hook: a span per check, only under a detailed row.
-        let rule_span = crate::obs::RuleSpan::open(ctx.span(), ri, self.rules[ri].name());
-        let result = apply_rule_metered(ctx, &self.rules[ri], tuple, opts, cache, meter);
+        let rule_span = crate::obs::RuleSpan::open(ctx.span(), ri, rule.name());
+        let result = apply_with(ctx, rule, tuple, opts, cache, meter, &mut scratch.rules);
         rule_span.finish(&result);
         let application = match result {
             Ok(application) => application,
@@ -183,7 +205,7 @@ impl<'r> FastRepairer<'r> {
         }
         report.steps.push(RepairStep {
             rule_index: ri,
-            rule_name: self.rules[ri].name().to_owned(),
+            rule_name: rule.name().to_owned(),
             application,
         });
         Ok(true)

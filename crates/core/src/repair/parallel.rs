@@ -31,7 +31,7 @@
 use crate::context::{FootprintRecorder, MatchContext};
 use crate::repair::basic::{PhaseTimings, RelationReport, TupleReport};
 use crate::repair::cache::ElementCache;
-use crate::repair::fast::FastRepairer;
+use crate::repair::fast::{FastRepairer, TupleScratch};
 use crate::repair::resilience::TupleOutcome;
 use crate::rule::apply::ApplyOptions;
 use crate::rule::DetectiveRule;
@@ -41,7 +41,7 @@ use dr_relation::{Relation, Tuple};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Relation repair configuration.
@@ -60,6 +60,13 @@ pub struct ParallelOptions {
     pub fault_plan: Option<std::sync::Arc<crate::repair::fault::FaultPlan>>,
 }
 
+/// The number of cores this process may run on, read once: reading it
+/// opens cgroup files, which costs tens of microseconds per call.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Repairs `relation` with up to `threads` workers, the calling thread
 /// being worker 0. The result is row for row the same at every thread
 /// count.
@@ -69,12 +76,9 @@ pub fn parallel_repair(
     relation: &mut Relation,
     opts: &ParallelOptions,
 ) -> RelationReport {
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
+    let threads = match opts.threads {
+        0 => available_cores(),
+        n => n,
     };
     let repairer = FastRepairer::new(rules);
 
@@ -96,6 +100,10 @@ pub fn parallel_repair(
     if let Some(sp) = prewarm_span {
         sp.finish();
     }
+    // Every index the rules read now exists: workers read them from a
+    // snapshot instead of locking the context's memo.
+    let pinned = ctx.pinned();
+    let ctx = &pinned;
     let tuple_hist = obs.map(|o| {
         (
             o.metrics().histogram("repair_tuple_seconds", &[]),
@@ -123,28 +131,39 @@ pub fn parallel_repair(
     let workers = threads.min(rows.len());
     // Per-worker claim tallies: `attempts` counts every `fetch_add` on the
     // claim counter (including the final, failing one that ends the loop),
-    // `claimed` counts rows actually won. Cheap plain atomics either way;
-    // exported as `scheduler_*` metrics when observability is attached.
+    // `claimed` counts rows actually won. A worker counts in locals and
+    // publishes once, so workers share no counter line per row; exported
+    // as `scheduler_*` metrics when observability is attached.
     let claimed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let attempts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let next = AtomicUsize::new(0);
-    let work = |w: usize| loop {
-        attempts[w].fetch_add(1, Ordering::Relaxed);
-        let row = next.fetch_add(1, Ordering::Relaxed);
-        if row >= rows.len() {
-            break;
+    let work = |w: usize| {
+        // The worker's reusable state: one element cache, kernel buffers
+        // and footprint recorder for all the rows it claims.
+        let mut scratch = TupleScratch::new(ElementCache::with_shared(&shared));
+        let recorder = Arc::new(FootprintRecorder::new());
+        let (mut won, mut tries) = (0u64, 0u64);
+        loop {
+            tries += 1;
+            let row = next.fetch_add(1, Ordering::Relaxed);
+            if row >= rows.len() {
+                break;
+            }
+            won += 1;
+            *slots[row].lock() = Some(repair_row(
+                &repairer,
+                ctx,
+                opts,
+                &mut scratch,
+                &recorder,
+                &rows,
+                row,
+                row_span.as_ref(),
+                tuple_hist.as_ref(),
+            ));
         }
-        claimed[w].fetch_add(1, Ordering::Relaxed);
-        *slots[row].lock() = Some(repair_row(
-            &repairer,
-            ctx,
-            opts,
-            &shared,
-            &rows,
-            row,
-            row_span.as_ref(),
-            tuple_hist.as_ref(),
-        ));
+        claimed[w].store(won, Ordering::Relaxed);
+        attempts[w].store(tries, Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
         let work = &work;
@@ -288,11 +307,12 @@ pub fn parallel_repair_selective(
 /// message, so the other rows — and the shared caches, whose locks recover
 /// from poisoning (see `vendor/parking_lot`) — continue unharmed.
 #[allow(clippy::too_many_arguments)] // scheduler plumbing, all call-local
-fn repair_row(
+fn repair_row<'kb>(
     repairer: &FastRepairer<'_>,
-    ctx: &MatchContext<'_>,
+    ctx: &MatchContext<'kb>,
     opts: &ParallelOptions,
-    shared: &crate::repair::value_cache::ValueCache,
+    scratch: &mut TupleScratch<'_, 'kb>,
+    recorder: &Arc<FootprintRecorder>,
     rows: &[Mutex<&mut Tuple>],
     row: usize,
     span: Option<&SpanCtx>,
@@ -302,11 +322,10 @@ fn repair_row(
     // stitched report carries a per-row footprint for selective re-repair
     // (a panicked row keeps whatever was recorded before the unwind —
     // conservative, since failed rows are always re-selected anyway).
-    let recorder = Arc::new(FootprintRecorder::new());
     let row_span = crate::obs::RowSpan::open(span, row);
     let row_ctx = ctx
         .fork()
-        .with_recorder(Arc::clone(&recorder))
+        .with_recorder(Arc::clone(recorder))
         .with_span_opt(row_span.ctx());
     // The closure captures `&mut Tuple` behind the row mutex, which is not
     // `UnwindSafe` by type; it is unwind-safe by construction: a fault is
@@ -321,10 +340,8 @@ fn repair_row(
             plan.trigger(row, &meter);
         }
         let mut tuple = rows[row].lock();
-        let mut cache = ElementCache::with_shared(shared);
         let started = hist.map(|_| Instant::now());
-        let report =
-            repairer.repair_tuple_with(&row_ctx, &mut tuple, &opts.apply, &mut cache, &meter);
+        let report = repairer.repair_tuple_with(&row_ctx, &mut tuple, &opts.apply, scratch, &meter);
         // A panicked row unwinds before this sample, so
         // `repair_tuple_seconds_count` is exactly completed + degraded.
         if let (Some((hist, window)), Some(started)) = (hist, started) {
@@ -332,7 +349,7 @@ fn repair_row(
             hist.record(elapsed);
             window.record(elapsed);
         }
-        (report, cache.level_stats())
+        (report, scratch.cache.level_stats())
     }));
     let (report, cache_stats) = match result {
         Ok((report, stats)) => (report, Some(stats)),

@@ -32,15 +32,19 @@
 
 use crate::context::MatchContext;
 use crate::graph::schema::{NodeType, SchemaNode};
+use crate::repair::parallel::available_cores;
 use crate::repair::read_index::{Dep, ReadIndex};
 use crate::repair::snapshot::SnapshotPayload;
-use dr_kb::{FxHashMap, InstanceId, KbFootprint, Node, PredId};
+use dr_kb::hash::FxHasher;
+use dr_kb::{InstanceId, KbFootprint, Node, PredId};
 use dr_obs::{Counter, MetricRegistry};
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An edge signature: source node, predicate, target node.
 pub type EdgeSig = (SchemaNode, PredId, SchemaNode);
@@ -62,20 +66,146 @@ pub struct EdgeEntry {
     pub probed: Vec<InstanceId>,
 }
 
-type NodeKey = (SchemaNode, String);
-type EdgeKey = (EdgeSig, String, String);
+/// A cache key: an element signature, the cell value(s) it was computed
+/// for, and the Fx hash of both. A node key holds one value, an edge key
+/// its from-value then its to-value. The map and the reverse index share
+/// it by `Arc`, so each holds a pointer to one stored key.
+struct Key<S>(Arc<KeyData<S>>);
+
+struct KeyData<S> {
+    hash: u64,
+    sig: S,
+    text: Box<str>,
+    /// Where the from-value ends in `text` (`text.len()` for a node key).
+    split: usize,
+}
+
+impl<S> Clone for Key<S> {
+    fn clone(&self) -> Self {
+        Key(Arc::clone(&self.0))
+    }
+}
+
+type NodeKey = Key<SchemaNode>;
+type EdgeKey = Key<EdgeSig>;
+
+/// A lookup's borrowed key: the probed cells are not copied.
+struct Probe<'a, S> {
+    hash: u64,
+    sig: S,
+    from: &'a str,
+    to: &'a str,
+}
+
+impl<'a, S: Hash + Copy> Probe<'a, S> {
+    /// Hashes the probe once: the hash picks the shard and, unchanged,
+    /// the map bucket.
+    fn new(sig: S, from: &'a str, to: &'a str) -> Self {
+        let mut h = FxHasher::default();
+        sig.hash(&mut h);
+        from.hash(&mut h);
+        to.hash(&mut h);
+        Self {
+            hash: h.finish(),
+            sig,
+            from,
+            to,
+        }
+    }
+
+    /// The owned key an insert stores.
+    fn to_key(&self) -> Key<S> {
+        Key(Arc::new(KeyData {
+            hash: self.hash,
+            sig: self.sig,
+            text: [self.from, self.to].concat().into_boxed_str(),
+            split: self.from.len(),
+        }))
+    }
+}
+
+/// What key equality compares, for stored keys and borrowed probes alike;
+/// a map of [`Key`]s is looked up through `&dyn KeyView`, so a probe
+/// neither allocates nor hashes again.
+trait KeyView<S> {
+    /// `(hash, signature, from-value, to-value)`.
+    fn view(&self) -> (u64, &S, &str, &str);
+}
+
+impl<S> KeyView<S> for Key<S> {
+    fn view(&self) -> (u64, &S, &str, &str) {
+        let key = &*self.0;
+        let (from, to) = key.text.split_at(key.split);
+        (key.hash, &key.sig, from, to)
+    }
+}
+
+impl<S> KeyView<S> for Probe<'_, S> {
+    fn view(&self) -> (u64, &S, &str, &str) {
+        (self.hash, &self.sig, self.from, self.to)
+    }
+}
+
+impl<S: PartialEq> PartialEq for dyn KeyView<S> + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl<S: Eq> Eq for dyn KeyView<S> + '_ {}
+
+impl<S> Hash for dyn KeyView<S> + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.view().0);
+    }
+}
+
+impl<S: PartialEq> PartialEq for Key<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl<S: Eq> Eq for Key<S> {}
+
+impl<S> Hash for Key<S> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl<'a, S: 'a> Borrow<dyn KeyView<S> + 'a> for Key<S> {
+    fn borrow(&self) -> &(dyn KeyView<S> + 'a) {
+        self
+    }
+}
+
+/// Passes a key's precomputed hash through to the map.
+#[derive(Default)]
+struct PassHasher(u64);
+
+impl Hasher for PassHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cache keys hash as their precomputed u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A map of [`Key`]s, bucketed by the keys' own hashes.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<PassHasher>>;
 
 /// Shards per map: the next power of two of four per available core, at
 /// least 16 and at most 256. A power of two keeps the shard pick a mask, and
-/// more shards than workers means writers essentially never collide. The
-/// core count is read once per process: reading it opens cgroup files, and
-/// a relation-scoped cache is created per repair.
+/// more shards than workers means writers essentially never collide.
 fn shard_count() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (4 * cores).next_power_of_two().clamp(16, 256)
-    })
+    (4 * available_cores()).next_power_of_two().clamp(16, 256)
 }
 
 /// Aggregated cache counters, surfaced through
@@ -223,21 +353,21 @@ trait Reads<V> {
 
 impl Reads<Arc<Vec<Node>>> for NodeKey {
     fn reads<'a>(&'a self, _: &'a Arc<Vec<Node>>) -> impl Iterator<Item = Dep> + 'a {
-        std::iter::once(Dep::Ty(self.0.ty))
+        std::iter::once(Dep::Ty(self.0.sig.ty))
     }
 }
 
 impl Reads<EdgeEntry> for EdgeKey {
     fn reads<'a>(&'a self, entry: &'a EdgeEntry) -> impl Iterator<Item = Dep> + 'a {
-        let ((from, rel, to), _, _) = self;
+        let (from, rel, to) = self.0.sig;
         std::iter::once(Dep::Ty(from.ty))
             .chain((to.ty != from.ty).then_some(Dep::Ty(to.ty)))
-            .chain(entry.probed.iter().map(move |&i| Dep::Out(i, *rel)))
+            .chain(entry.probed.iter().map(move |&i| Dep::Out(i, rel)))
     }
 }
 
 /// Indexes every entry of `map` by the regions it read (one full scan).
-fn build_index<K: Reads<V>, V>(map: &FxHashMap<Arc<K>, V>) -> ReadIndex<Arc<K>> {
+fn build_index<K: Clone + Reads<V>, V>(map: &KeyMap<K, V>) -> ReadIndex<K> {
     let mut index = ReadIndex::default();
     for (key, value) in map {
         index.add(key, key.reads(value));
@@ -247,19 +377,18 @@ fn build_index<K: Reads<V>, V>(map: &FxHashMap<Arc<K>, V>) -> ReadIndex<Arc<K>> 
 
 /// One lock's worth of a cache map.
 ///
-/// Keys are `Arc`-shared between the map and the reverse index, so each
-/// key's cell values are stored once.
+/// The map and the reverse index share each key by `Arc`.
 struct Shard<K, V> {
-    map: FxHashMap<Arc<K>, V>,
+    map: KeyMap<K, V>,
     /// Region → entries reverse index, built by the shard's first sweep. A
     /// shard that is never swept carries none.
-    reads: Option<ReadIndex<Arc<K>>>,
+    reads: Option<ReadIndex<K>>,
 }
 
-impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
+impl<K: Clone + Hash + Eq + Reads<V>, V> Shard<K, V> {
     fn new() -> Self {
         Self {
-            map: FxHashMap::default(),
+            map: KeyMap::default(),
             reads: None,
         }
     }
@@ -278,7 +407,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
     /// Inserts `value` under `key` unless present (first insert wins),
     /// returning a reference to the winning value.
     fn insert(&mut self, key: K, value: V) -> &V {
-        match self.map.entry(Arc::new(key)) {
+        match self.map.entry(key) {
             Entry::Occupied(o) => o.into_mut(),
             Entry::Vacant(v) => {
                 if let Some(reads) = &mut self.reads {
@@ -298,7 +427,7 @@ impl<K: Hash + Eq + Reads<V>, V> Shard<K, V> {
         let reached = reads.take_stale(fp);
         let mut removed = 0;
         for key in reached {
-            let stale = self.map.get(&*key).is_some_and(|v| key.stale(v, fp));
+            let stale = self.map.get(&key).is_some_and(|v| key.stale(v, fp));
             if stale && self.remove(&key) {
                 removed += 1;
             }
@@ -343,12 +472,6 @@ impl Default for ValueCache {
     }
 }
 
-fn hash_of<K: Hash>(key: &K) -> usize {
-    let mut h = std::hash::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish() as usize
-}
-
 impl ValueCache {
     /// An empty cache that serves every context.
     pub fn new() -> Self {
@@ -371,6 +494,13 @@ impl ValueCache {
             snapshot_warm: Counter::new(),
             snapshot_cold: Counter::new(),
         }
+    }
+
+    /// The shard of a key hashing to `hash`: bits from the upper half,
+    /// which neither a map's bucket index (the low bits) nor its control
+    /// tag (the top seven) is taken from.
+    fn shard(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & self.mask
     }
 
     /// Attaches this cache's hit/miss cells to `metrics` under the
@@ -414,10 +544,11 @@ impl ValueCache {
         node: &SchemaNode,
         value: &str,
     ) -> (Arc<Vec<Node>>, bool) {
-        let key = (*node, value.to_owned());
-        let shard = &self.nodes[hash_of(&key) & self.mask];
+        let probe = Probe::new(*node, value, "");
+        let shard = &self.nodes[self.shard(probe.hash)];
         let hit = if self.serves(ctx) {
-            shard.read().map.get(&key).map(Arc::clone)
+            let key: &dyn KeyView<_> = &probe;
+            shard.read().map.get(key).map(Arc::clone)
         } else {
             None
         };
@@ -439,7 +570,7 @@ impl ValueCache {
         if !self.serves(ctx) {
             return (cands, false);
         }
-        (Arc::clone(guard.insert(key, cands)), false)
+        (Arc::clone(guard.insert(probe.to_key(), cands)), false)
     }
 
     /// Whether some candidate pair of `(from, to)` is connected by `rel`,
@@ -468,12 +599,12 @@ impl ValueCache {
         from_value: &str,
         to_value: &str,
     ) -> (bool, bool) {
-        let sig = (*from, rel, *to);
-        let key = (sig, from_value.to_owned(), to_value.to_owned());
-        let shard = &self.edges[hash_of(&key) & self.mask];
+        let probe = Probe::new((*from, rel, *to), from_value, to_value);
+        let shard = &self.edges[self.shard(probe.hash)];
         if self.serves(ctx) {
             let guard = shard.read();
-            if let Some(entry) = guard.map.get(&key) {
+            let key: &dyn KeyView<_> = &probe;
+            if let Some(entry) = guard.map.get(key) {
                 self.edge_hits.inc();
                 // Replay the entry's recorded reads into the row's
                 // footprint: endpoint candidate sets plus every out-pair
@@ -496,7 +627,7 @@ impl ValueCache {
         if !self.serves(ctx) {
             return (ok, false);
         }
-        guard.insert(key, EdgeEntry { ok, probed });
+        guard.insert(probe.to_key(), EdgeEntry { ok, probed });
         (ok, false)
     }
 
@@ -562,12 +693,12 @@ impl ValueCache {
         for shard in &self.nodes {
             stale += shard
                 .read()
-                .count_matching(|(sn, _), _| ty_stale(fp, sn.ty));
+                .count_matching(|key, _| ty_stale(fp, key.0.sig.ty));
         }
         for shard in &self.edges {
             stale += shard
                 .read()
-                .count_matching(|(sig, _, _), entry| edge_stale(fp, sig, entry));
+                .count_matching(|key, entry| edge_stale(fp, &key.0.sig, entry));
         }
         stale
     }
@@ -591,17 +722,19 @@ impl ValueCache {
         let mut payload = SnapshotPayload::default();
         for shard in &self.nodes {
             for (key, cands) in &shard.read().map {
-                let (sn, value) = &**key;
-                payload.nodes.push((*sn, value.clone(), (**cands).clone()));
+                let (_, sn, value, _) = key.view();
+                payload
+                    .nodes
+                    .push((*sn, value.to_owned(), (**cands).clone()));
             }
         }
         for shard in &self.edges {
             for (key, entry) in &shard.read().map {
-                let (sig, from, to) = &**key;
+                let (_, sig, from, to) = key.view();
                 payload.edges.push((
                     *sig,
-                    from.clone(),
-                    to.clone(),
+                    from.to_owned(),
+                    to.to_owned(),
                     entry.ok,
                     entry.probed.clone(),
                 ));
@@ -616,19 +749,21 @@ impl ValueCache {
     pub fn import(&self, payload: &SnapshotPayload) -> usize {
         let mut imported = 0usize;
         for (sn, value, cands) in &payload.nodes {
-            let key = (*sn, value.clone());
-            let shard = &self.nodes[hash_of(&key) & self.mask];
-            shard.write().insert(key, Arc::new(cands.clone()));
+            let probe = Probe::new(*sn, value, "");
+            let shard = &self.nodes[self.shard(probe.hash)];
+            shard
+                .write()
+                .insert(probe.to_key(), Arc::new(cands.clone()));
             imported += 1;
         }
         for (sig, from, to, ok, probed) in &payload.edges {
-            let key = (*sig, from.clone(), to.clone());
-            let shard = &self.edges[hash_of(&key) & self.mask];
+            let probe = Probe::new(*sig, from, to);
+            let shard = &self.edges[self.shard(probe.hash)];
             let entry = EdgeEntry {
                 ok: *ok,
                 probed: probed.clone(),
             };
-            shard.write().insert(key, entry);
+            shard.write().insert(probe.to_key(), entry);
             imported += 1;
         }
         self.snapshot_warm.add(imported as u64);

@@ -23,13 +23,15 @@
 //! [`ApplyOptions::normalize_fuzzy`] for ablations.
 
 use crate::context::MatchContext;
-use crate::graph::instance::{for_each_assignment_metered, Pattern, PatternNode};
-use crate::graph::schema::SchemaNode;
+use crate::graph::instance::{solve, Shape, SolverScratch};
+use crate::graph::schema::{NodeType, SchemaNode};
 use crate::repair::budget::{BudgetExhaustion, BudgetMeter};
-use crate::repair::cache::ElementCache;
-use crate::rule::{DetectiveRule, RuleNodeRef};
-use dr_kb::{FxHashSet, Node};
+use crate::repair::cache::{EdgeSig, ElementCache};
+use crate::rule::{DetectiveRule, RuleEdge, RuleNodeRef};
+use dr_kb::{Node, PredId};
 use dr_relation::{AttrId, Tuple};
+use dr_simmatch::SimFn;
+use std::sync::Arc;
 
 /// Options controlling rule application.
 #[derive(Debug, Clone)]
@@ -117,134 +119,221 @@ impl RuleApplication {
     }
 }
 
-/// Builds a constrained pattern node for `node`, seeding its base candidate
-/// list from the shared element cache.
-fn cached_node(
-    ctx: &MatchContext<'_>,
-    cache: &mut ElementCache<'_>,
-    tuple: &Tuple,
-    node: &SchemaNode,
-) -> PatternNode {
-    let mut pn = PatternNode::constrained(node.ty, node.sim, tuple.get(node.col));
-    pn.base = Some(cache.candidates(ctx, tuple, node));
-    pn
+/// One side of a rule compiled to the solver's shape: evidence nodes
+/// `0..k`, the side's kept nodes from `k`, then the auxiliary nodes its
+/// edges use, in order of first use.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Side {
+    tys: Vec<NodeType>,
+    /// The schema node whose candidates seed each constrained node; `None`
+    /// for a free node.
+    seeds: Vec<Option<SchemaNode>>,
+    edges: Vec<(usize, PredId, usize)>,
 }
 
-/// Builds the proof-positive pattern `Ve ∪ {p}` for `tuple`.
-/// Node indexes: evidence `0..k`, then `p` at `k`.
-pub(crate) fn positive_pattern(
-    ctx: &MatchContext<'_>,
-    cache: &mut ElementCache<'_>,
-    rule: &DetectiveRule,
-    tuple: &Tuple,
-) -> Pattern {
-    let mut pattern = Pattern::default();
-    for ev in rule.evidence() {
-        pattern.nodes.push(cached_node(ctx, cache, tuple, ev));
-    }
-    pattern
-        .nodes
-        .push(cached_node(ctx, cache, tuple, rule.positive()));
-    let p_idx = rule.evidence().len();
-    // Auxiliary nodes used by positive-side edges join as free nodes.
-    let mut aux_idx: dr_kb::FxHashMap<usize, usize> = dr_kb::FxHashMap::default();
-    for e in rule.positive_edges() {
-        for end in [e.from, e.to] {
-            if let RuleNodeRef::Aux(i) = end {
-                aux_idx.entry(i).or_insert_with(|| {
-                    pattern
-                        .nodes
-                        .push(PatternNode::free(rule.aux()[i], dr_simmatch::SimFn::Equal));
-                    pattern.nodes.len() - 1
-                });
+impl Side {
+    /// Compiles the side of `rule` made of the evidence, `kept` (rule node,
+    /// type, seed) and `edges`.
+    fn new<'r>(
+        rule: &DetectiveRule,
+        kept: &[(RuleNodeRef, NodeType, Option<SchemaNode>)],
+        edges: impl Iterator<Item = &'r RuleEdge>,
+    ) -> Self {
+        let edges: Vec<&RuleEdge> = edges.collect();
+        let k = rule.evidence().len();
+        let mut tys: Vec<NodeType> = rule.evidence().iter().map(|ev| ev.ty).collect();
+        let mut seeds: Vec<Option<SchemaNode>> =
+            rule.evidence().iter().copied().map(Some).collect();
+        for &(_, ty, seed) in kept {
+            tys.push(ty);
+            seeds.push(seed);
+        }
+        let mut aux_at = vec![None; rule.aux().len()];
+        for e in &edges {
+            for end in [e.from, e.to] {
+                if let RuleNodeRef::Aux(i) = end {
+                    if aux_at[i].is_none() {
+                        aux_at[i] = Some(tys.len());
+                        tys.push(rule.aux()[i]);
+                        seeds.push(None);
+                    }
+                }
             }
         }
-    }
-    for e in rule.positive_edges() {
-        let map = |r: RuleNodeRef| match r {
+        let at = |r: RuleNodeRef| match r {
             RuleNodeRef::Evidence(i) => i,
-            RuleNodeRef::Positive => p_idx,
-            RuleNodeRef::Aux(i) => aux_idx[&i],
-            RuleNodeRef::Negative => unreachable!("positive edges never touch n"),
-        };
-        pattern.edges.push((map(e.from), e.rel, map(e.to)));
-    }
-    pattern
-}
-
-/// Builds the combined proof-negative pattern `Ve ∪ {n} ∪ {p·free}`.
-/// Node indexes: evidence `0..k`, `n` at `k`, free `p` at `k + 1`.
-pub(crate) fn negative_pattern(
-    ctx: &MatchContext<'_>,
-    cache: &mut ElementCache<'_>,
-    rule: &DetectiveRule,
-    tuple: &Tuple,
-) -> Pattern {
-    let mut pattern = Pattern::default();
-    for ev in rule.evidence() {
-        pattern.nodes.push(cached_node(ctx, cache, tuple, ev));
-    }
-    let k = rule.evidence().len();
-    pattern
-        .nodes
-        .push(cached_node(ctx, cache, tuple, rule.negative()));
-    let p = rule.positive();
-    pattern.nodes.push(PatternNode::free(p.ty, p.sim));
-    // All auxiliary nodes may be needed (the negative check replays the
-    // positive structure for x_p).
-    let mut aux_idx: dr_kb::FxHashMap<usize, usize> = dr_kb::FxHashMap::default();
-    for e in rule.edges() {
-        for end in [e.from, e.to] {
-            if let RuleNodeRef::Aux(i) = end {
-                aux_idx.entry(i).or_insert_with(|| {
-                    pattern
-                        .nodes
-                        .push(PatternNode::free(rule.aux()[i], dr_simmatch::SimFn::Equal));
-                    pattern.nodes.len() - 1
-                });
+            RuleNodeRef::Aux(i) => aux_at[i].expect("aux placed above"),
+            r => {
+                k + kept
+                    .iter()
+                    .position(|&(kept, ..)| kept == r)
+                    .expect("a side's edges end on its own nodes")
             }
-        }
-    }
-    for e in rule.edges() {
-        let map = |r: RuleNodeRef| match r {
-            RuleNodeRef::Evidence(i) => i,
-            RuleNodeRef::Negative => k,
-            RuleNodeRef::Positive => k + 1,
-            RuleNodeRef::Aux(i) => aux_idx[&i],
         };
-        pattern.edges.push((map(e.from), e.rel, map(e.to)));
+        let edges = edges
+            .iter()
+            .map(|e| (at(e.from), e.rel, at(e.to)))
+            .collect();
+        Self { tys, seeds, edges }
     }
-    pattern
 }
 
-/// Per-node label observations across assignments, driving normalization.
-struct LabelObservations {
-    /// `labels[i]` = distinct canonical labels bound to pattern node `i`.
-    labels: Vec<FxHashSet<String>>,
+/// A rule's instance-matching patterns and prefilter edges, compiled once
+/// when the rule is built, so a rule check only fills in the candidate
+/// lists of the tuple at hand.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct CompiledRule {
+    /// Proof positive `Ve ∪ {p}`: `p` at `k`.
+    positive: Side,
+    /// Proof negative `Ve ∪ {n} ∪ {p·free}`: `n` at `k`, free `p` at
+    /// `k + 1`; all auxiliary nodes may be needed (the negative check
+    /// replays the positive structure for `x_p`).
+    negative: Side,
+    /// The negative side alone `Ve ∪ {n}` (detection without repair).
+    negative_only: Side,
+    /// The edges each prefilter checks through the element cache: those
+    /// with a column on both ends. An edge touching an auxiliary node
+    /// cannot be decided from per-column signatures and passes.
+    evidence_edges: Vec<EdgeSig>,
+    positive_edges: Vec<EdgeSig>,
+    negative_edges: Vec<EdgeSig>,
 }
 
-impl LabelObservations {
-    fn new(n: usize) -> Self {
+impl CompiledRule {
+    pub(crate) fn new(rule: &DetectiveRule) -> Self {
+        let (p, n) = (*rule.positive(), *rule.negative());
+        let column_edges = |edges: &mut dyn Iterator<Item = &RuleEdge>| -> Vec<EdgeSig> {
+            edges
+                .filter_map(|e| Some((ref_node(rule, e.from)?, e.rel, ref_node(rule, e.to)?)))
+                .collect()
+        };
         Self {
-            labels: (0..n).map(|_| FxHashSet::default()).collect(),
+            positive: Side::new(
+                rule,
+                &[(RuleNodeRef::Positive, p.ty, Some(p))],
+                rule.positive_edges(),
+            ),
+            negative: Side::new(
+                rule,
+                &[
+                    (RuleNodeRef::Negative, n.ty, Some(n)),
+                    (RuleNodeRef::Positive, p.ty, None),
+                ],
+                rule.edges().iter(),
+            ),
+            negative_only: Side::new(
+                rule,
+                &[(RuleNodeRef::Negative, n.ty, Some(n))],
+                rule.negative_edges(),
+            ),
+            evidence_edges: column_edges(&mut rule.evidence_edges()),
+            positive_edges: column_edges(&mut rule.positive_edges()),
+            negative_edges: column_edges(&mut rule.negative_edges()),
         }
     }
+}
 
-    fn record(&mut self, kb: dr_kb::KbRef<'_>, assignment: &[Node]) {
-        for (i, &node) in assignment.iter().enumerate() {
-            // Bound: sets stay tiny in practice; only distinct labels stored.
-            self.labels[i].insert(kb.node_value(node).to_owned());
-        }
+/// Maps a [`RuleNodeRef`] to its schema node; `None` for auxiliary nodes
+/// (which carry no column and cannot be prefiltered by value).
+fn ref_node(rule: &DetectiveRule, r: RuleNodeRef) -> Option<SchemaNode> {
+    match r {
+        RuleNodeRef::Evidence(i) => Some(rule.evidence()[i]),
+        RuleNodeRef::Positive => Some(*rule.positive()),
+        RuleNodeRef::Negative => Some(*rule.negative()),
+        RuleNodeRef::Aux(_) => None,
+    }
+}
+
+/// The canonical labels one pattern node was bound to across assignments,
+/// deduplicated by label: all that normalization asks is whether there was
+/// exactly one.
+#[derive(Debug, Clone, Copy)]
+enum Label<'kb> {
+    Unbound,
+    One(&'kb str),
+    Ambiguous,
+}
+
+impl<'kb> Label<'kb> {
+    fn observe(&mut self, label: &'kb str) {
+        *self = match *self {
+            Label::Unbound => Label::One(label),
+            Label::One(seen) if seen == label => Label::One(seen),
+            _ => Label::Ambiguous,
+        };
     }
 
-    /// The unique label for node `i`, if unambiguous.
-    fn unique(&self, i: usize) -> Option<&str> {
-        let set = &self.labels[i];
-        if set.len() == 1 {
-            set.iter().next().map(String::as_str)
-        } else {
-            None
+    /// The unique label, if unambiguous.
+    fn unique(self) -> Option<&'kb str> {
+        match self {
+            Label::One(label) => Some(label),
+            _ => None,
         }
+    }
+}
+
+/// Records each node's label in one assignment.
+fn observe_labels<'kb>(labels: &mut [Label<'kb>], kb: dr_kb::KbRef<'kb>, assignment: &[Node]) {
+    for (label, &node) in labels.iter_mut().zip(assignment) {
+        label.observe(kb.node_value(node));
+    }
+}
+
+/// A rule check's reusable buffers: the solver's, each pattern node's
+/// candidate list and label, and the proof-negative repair values. A
+/// repair worker keeps one, so checking a rule allocates nothing beyond
+/// what its [`RuleApplication`] keeps.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch<'kb> {
+    solver: SolverScratch,
+    base: Vec<Option<Arc<Vec<Node>>>>,
+    labels: Vec<Label<'kb>>,
+    repairs: Vec<&'kb str>,
+}
+
+impl<'kb> Scratch<'kb> {
+    /// Seeds `side`'s constrained nodes from the element cache (in node
+    /// order, the evidence first) and resets the labels.
+    fn seed(
+        &mut self,
+        ctx: &MatchContext<'kb>,
+        cache: &mut ElementCache<'_>,
+        tuple: &Tuple,
+        side: &Side,
+    ) {
+        self.base.clear();
+        self.base.extend(
+            side.seeds
+                .iter()
+                .map(|seed| seed.map(|node| cache.candidates(ctx, tuple, &node))),
+        );
+        self.labels.clear();
+        self.labels.resize(side.tys.len(), Label::Unbound);
+    }
+
+    /// Visits `side`'s assignments (seeded by [`Self::seed`]) with `f`,
+    /// which also sees the label slots.
+    fn solve(
+        &mut self,
+        ctx: &MatchContext<'kb>,
+        side: &Side,
+        meter: &BudgetMeter,
+        mut f: impl FnMut(&[Node], &mut [Label<'kb>], &mut Vec<&'kb str>) -> bool,
+    ) {
+        let Scratch {
+            solver,
+            base,
+            labels,
+            repairs,
+        } = self;
+        let shape = Shape {
+            tys: &side.tys,
+            edges: &side.edges,
+            base: &base[..],
+        };
+        solve(ctx, shape, meter, solver, &mut |assignment| {
+            f(assignment, labels, repairs)
+        });
     }
 }
 
@@ -257,26 +346,20 @@ impl LabelObservations {
 /// rewriting it would trade a trusted value for a guess.
 fn normalize_cells(
     ctx: &MatchContext<'_>,
-    rule: &DetectiveRule,
     tuple: &mut Tuple,
-    obs: &LabelObservations,
+    labels: &[Label<'_>],
     // (pattern node index, node) pairs to consider.
-    nodes: &[(usize, SchemaNode)],
+    nodes: impl Iterator<Item = (usize, SchemaNode)>,
 ) -> Vec<Normalization> {
     let mut out = Vec::new();
-    let _ = rule;
-    for &(idx, node) in nodes {
+    for (idx, node) in nodes {
         let col = node.col;
         if node.sim.is_exact() || tuple.is_positive(col) {
             continue;
         }
-        if let Some(label) = obs.unique(idx) {
+        if let Some(label) = labels[idx].unique() {
             let current = tuple.get(col);
-            if current != label
-                && ctx
-                    .candidates(node.ty, dr_simmatch::SimFn::Equal, current)
-                    .is_empty()
-            {
+            if current != label && !ctx.matches_any(node.ty, SimFn::Equal, current) {
                 let old = current.to_owned();
                 tuple.set(col, label);
                 out.push(Normalization {
@@ -288,6 +371,30 @@ fn normalize_cells(
         }
     }
     out
+}
+
+/// Whether every edge passes the element cache's connectivity check.
+fn edges_ok(
+    ctx: &MatchContext<'_>,
+    cache: &mut ElementCache<'_>,
+    tuple: &Tuple,
+    edges: &[EdgeSig],
+) -> bool {
+    edges
+        .iter()
+        .all(|(from, rel, to)| cache.edge_ok(ctx, tuple, from, *rel, to))
+}
+
+/// Marks every unmarked column of `col(Ve ∪ {p})`, returning them.
+fn mark_rule_cols(rule: &DetectiveRule, tuple: &mut Tuple) -> Vec<AttrId> {
+    let mut newly_marked = Vec::new();
+    for c in rule.marked_cols() {
+        if !tuple.is_positive(c) {
+            tuple.mark_positive(c);
+            newly_marked.push(c);
+        }
+    }
+    newly_marked
 }
 
 /// Applies `rule` to `tuple` against `ctx`, mutating the tuple on success.
@@ -306,32 +413,6 @@ pub fn apply_rule(
 ) -> RuleApplication {
     let mut cache = ElementCache::new();
     apply_rule_cached(ctx, rule, tuple, opts, &mut cache)
-}
-
-/// Maps a [`RuleNodeRef`] to its schema node; `None` for auxiliary nodes
-/// (which carry no column and cannot be prefiltered by value).
-fn ref_node(rule: &DetectiveRule, r: RuleNodeRef) -> Option<&SchemaNode> {
-    match r {
-        RuleNodeRef::Evidence(i) => Some(&rule.evidence()[i]),
-        RuleNodeRef::Positive => Some(rule.positive()),
-        RuleNodeRef::Negative => Some(rule.negative()),
-        RuleNodeRef::Aux(_) => None,
-    }
-}
-
-/// Prefilter check for one edge; edges touching auxiliary nodes cannot be
-/// decided from per-column signatures and pass the prefilter.
-fn prefilter_edge(
-    ctx: &MatchContext<'_>,
-    cache: &mut ElementCache<'_>,
-    rule: &DetectiveRule,
-    tuple: &Tuple,
-    e: &crate::rule::RuleEdge,
-) -> bool {
-    match (ref_node(rule, e.from), ref_node(rule, e.to)) {
-        (Some(from), Some(to)) => cache.edge_ok(ctx, tuple, from, e.rel, to),
-        _ => true,
-    }
 }
 
 /// [`apply_rule`] with a caller-provided element cache shared across rules
@@ -366,15 +447,36 @@ pub fn apply_rule_metered(
     cache: &mut ElementCache<'_>,
     meter: &BudgetMeter,
 ) -> Result<RuleApplication, BudgetExhaustion> {
+    apply_with(
+        ctx,
+        rule,
+        tuple,
+        opts,
+        cache,
+        meter,
+        &mut Scratch::default(),
+    )
+}
+
+/// [`apply_rule_metered`] with buffers the caller keeps across rule
+/// checks: the repair drivers' per-tuple kernel.
+pub(crate) fn apply_with<'kb>(
+    ctx: &MatchContext<'kb>,
+    rule: &DetectiveRule,
+    tuple: &mut Tuple,
+    opts: &ApplyOptions,
+    cache: &mut ElementCache<'_>,
+    meter: &BudgetMeter,
+    scratch: &mut Scratch<'kb>,
+) -> Result<RuleApplication, BudgetExhaustion> {
     let kb = ctx.kb();
+    let compiled = rule.compiled();
     meter.check()?;
     let k = rule.evidence().len();
-    let marked_cols = rule.marked_cols();
-    let would_mark_new = marked_cols.iter().any(|&c| !tuple.is_positive(c));
+    let would_mark_new = rule.marked_cols().any(|c| !tuple.is_positive(c));
     if !would_mark_new {
         return Ok(RuleApplication::NotApplicable);
     }
-
     // ---- Shared evidence prefilter ----------------------------------------
     // Both proofs need every evidence node and evidence-internal edge to
     // match individually; these checks are memoized across rules.
@@ -383,26 +485,21 @@ pub fn apply_rule_metered(
             return Ok(RuleApplication::NotApplicable);
         }
     }
-    for e in rule.evidence_edges() {
-        if !prefilter_edge(ctx, cache, rule, tuple, e) {
-            return Ok(RuleApplication::NotApplicable);
-        }
+    if !edges_ok(ctx, cache, tuple, &compiled.evidence_edges) {
+        return Ok(RuleApplication::NotApplicable);
     }
 
     // ---- Proof positive ----------------------------------------------------
-    let positive_edges: Vec<_> = rule.positive_edges().cloned().collect();
     let positive_prefilter_ok = cache.node_ok(ctx, tuple, rule.positive())
-        && positive_edges
-            .iter()
-            .all(|e| prefilter_edge(ctx, cache, rule, tuple, e));
+        && edges_ok(ctx, cache, tuple, &compiled.positive_edges);
     if positive_prefilter_ok {
-        let pattern = positive_pattern(ctx, cache, rule, tuple);
-        let mut obs = LabelObservations::new(pattern.nodes.len());
+        let side = &compiled.positive;
+        scratch.seed(ctx, cache, tuple, side);
         let mut found = false;
         let mut visits = 0usize;
-        for_each_assignment_metered(ctx, &pattern, meter, |assignment| {
+        scratch.solve(ctx, side, meter, |assignment, labels, _| {
             found = true;
-            obs.record(kb, assignment);
+            observe_labels(labels, kb, assignment);
             visits += 1;
             visits < opts.max_assignments
         });
@@ -410,27 +507,14 @@ pub fn apply_rule_metered(
         // assignments, so normalization/marks would be unreliable.
         meter.check()?;
         if found {
-            let mut to_normalize: Vec<(usize, SchemaNode)> = rule
-                .evidence()
-                .iter()
-                .enumerate()
-                .map(|(i, ev)| (i, *ev))
-                .collect();
-            to_normalize.push((k, *rule.positive()));
             let normalized = if opts.normalize_fuzzy {
-                normalize_cells(ctx, rule, tuple, &obs, &to_normalize)
+                let nodes = rule.evidence().iter().copied().chain([*rule.positive()]);
+                normalize_cells(ctx, tuple, &scratch.labels, nodes.enumerate())
             } else {
                 Vec::new()
             };
-            let mut newly_marked = Vec::new();
-            for &c in &marked_cols {
-                if !tuple.is_positive(c) {
-                    tuple.mark_positive(c);
-                    newly_marked.push(c);
-                }
-            }
             return Ok(RuleApplication::ProofPositive {
-                newly_marked,
+                newly_marked: mark_rule_cols(rule, tuple),
                 normalized,
             });
         }
@@ -443,26 +527,20 @@ pub fn apply_rule_metered(
     }
     // Prefilter the negative node and the negative edges that do not touch
     // the (value-unconstrained) positive node.
-    if !cache.node_ok(ctx, tuple, rule.negative()) {
+    if !cache.node_ok(ctx, tuple, rule.negative())
+        || !edges_ok(ctx, cache, tuple, &compiled.negative_edges)
+    {
         return Ok(RuleApplication::NotApplicable);
     }
-    let negative_edges: Vec<_> = rule.negative_edges().cloned().collect();
-    let negative_prefilter_ok = negative_edges
-        .iter()
-        .all(|e| prefilter_edge(ctx, cache, rule, tuple, e));
-    if !negative_prefilter_ok {
-        return Ok(RuleApplication::NotApplicable);
-    }
-    let pattern = negative_pattern(ctx, cache, rule, tuple);
-    let n_idx = k;
-    let p_idx = k + 1;
-    let mut obs = LabelObservations::new(pattern.nodes.len());
-    let mut candidates: FxHashSet<String> = FxHashSet::default();
+    let side = &compiled.negative;
+    scratch.seed(ctx, cache, tuple, side);
+    scratch.repairs.clear();
+    let (n_idx, p_idx) = (k, k + 1);
     let mut visits = 0usize;
-    for_each_assignment_metered(ctx, &pattern, meter, |assignment| {
+    scratch.solve(ctx, side, meter, |assignment, labels, repairs| {
         if assignment[p_idx] != assignment[n_idx] {
-            candidates.insert(kb.node_value(assignment[p_idx]).to_owned());
-            obs.record(kb, assignment);
+            repairs.push(kb.node_value(assignment[p_idx]));
+            observe_labels(labels, kb, assignment);
         }
         visits += 1;
         visits < opts.max_assignments
@@ -470,43 +548,18 @@ pub fn apply_rule_metered(
     // Abort before the repair write: exhaustion mid-enumeration may have
     // missed candidates, and candidates[0] must be deterministic.
     meter.check()?;
-    if candidates.is_empty() {
+    if scratch.repairs.is_empty() {
         if opts.detect_without_repair {
             // Does the negative side alone match (evidence + n, ignoring
             // the positive structure)? Then §II-C case (2) marks the
             // evidence correct and flags the cell as potentially wrong.
-            let mut negative_only = Pattern::default();
-            for ev in rule.evidence() {
-                negative_only.nodes.push(cached_node(ctx, cache, tuple, ev));
-            }
-            negative_only
-                .nodes
-                .push(cached_node(ctx, cache, tuple, rule.negative()));
-            let mut aux_idx: dr_kb::FxHashMap<usize, usize> = dr_kb::FxHashMap::default();
-            let negative_edges: Vec<_> = rule.negative_edges().cloned().collect();
-            for e in &negative_edges {
-                for end in [e.from, e.to] {
-                    if let RuleNodeRef::Aux(i) = end {
-                        aux_idx.entry(i).or_insert_with(|| {
-                            negative_only
-                                .nodes
-                                .push(PatternNode::free(rule.aux()[i], dr_simmatch::SimFn::Equal));
-                            negative_only.nodes.len() - 1
-                        });
-                    }
-                }
-            }
-            for e in &negative_edges {
-                let map = |r: RuleNodeRef| match r {
-                    RuleNodeRef::Evidence(i) => i,
-                    RuleNodeRef::Negative => k,
-                    RuleNodeRef::Aux(i) => aux_idx[&i],
-                    RuleNodeRef::Positive => unreachable!("negative edges never touch p"),
-                };
-                negative_only.edges.push((map(e.from), e.rel, map(e.to)));
-            }
-            let negative_matches =
-                crate::graph::instance::has_assignment_metered(ctx, &negative_only, meter);
+            let side = &compiled.negative_only;
+            scratch.seed(ctx, cache, tuple, side);
+            let mut negative_matches = false;
+            scratch.solve(ctx, side, meter, |_, _, _| {
+                negative_matches = true;
+                false
+            });
             meter.check()?;
             if negative_matches {
                 let mut newly_marked = Vec::new();
@@ -526,17 +579,15 @@ pub fn apply_rule_metered(
         }
         return Ok(RuleApplication::NotApplicable);
     }
-    let mut candidates: Vec<String> = candidates.into_iter().collect();
-    candidates.sort_unstable();
+    // The repair values, deduplicated by label and sorted; the first is
+    // written.
+    scratch.repairs.sort_unstable();
+    scratch.repairs.dedup();
+    let candidates: Vec<String> = scratch.repairs.iter().map(|&v| v.to_owned()).collect();
 
-    let to_normalize: Vec<(usize, SchemaNode)> = rule
-        .evidence()
-        .iter()
-        .enumerate()
-        .map(|(i, ev)| (i, *ev))
-        .collect();
     let normalized = if opts.normalize_fuzzy {
-        normalize_cells(ctx, rule, tuple, &obs, &to_normalize)
+        let nodes = rule.evidence().iter().copied().enumerate();
+        normalize_cells(ctx, tuple, &scratch.labels, nodes)
     } else {
         Vec::new()
     };
@@ -544,19 +595,12 @@ pub fn apply_rule_metered(
     let old = tuple.get(repair_col).to_owned();
     let new = candidates[0].clone();
     tuple.set(repair_col, new.clone());
-    let mut newly_marked = Vec::new();
-    for &c in &marked_cols {
-        if !tuple.is_positive(c) {
-            tuple.mark_positive(c);
-            newly_marked.push(c);
-        }
-    }
     Ok(RuleApplication::Repaired {
         col: repair_col,
         old,
         new,
         candidates,
-        newly_marked,
+        newly_marked: mark_rule_cols(rule, tuple),
         normalized,
     })
 }

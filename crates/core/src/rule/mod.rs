@@ -12,10 +12,12 @@ pub mod generation;
 pub mod text;
 
 use crate::graph::schema::{NodeType, SchemaGraph, SchemaGraphError, SchemaNode};
+use apply::CompiledRule;
 use dr_kb::{KnowledgeBase, PredId};
 use dr_relation::{AttrId, Schema};
 use dr_simmatch::SimFn;
 use std::fmt;
+use std::sync::Arc;
 
 /// Refers to a node of a detective rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,6 +111,10 @@ pub struct DetectiveRule {
     /// KB types of the auxiliary (column-free, value-free) nodes.
     aux: Vec<NodeType>,
     edges: Vec<RuleEdge>,
+    /// The pattern shapes and prefilter edges applying the rule reads,
+    /// compiled once when the rule is validated (a function of the fields
+    /// above).
+    compiled: Arc<CompiledRule>,
 }
 
 impl DetectiveRule {
@@ -178,13 +184,14 @@ impl DetectiveRule {
         if let Some(i) = aux_used.iter().position(|&u| !u) {
             return Err(RuleError::DanglingAux(i));
         }
-        let rule = Self {
+        let mut rule = Self {
             name: name.into(),
             evidence,
             positive,
             negative,
             aux,
             edges,
+            compiled: Arc::default(),
         };
         if rule.aux.is_empty() {
             // Aux-free rules validate through the schema-graph machinery
@@ -201,6 +208,7 @@ impl DetectiveRule {
             rule.validate_side_with_aux(false)
                 .map_err(RuleError::BadNegativeSide)?;
         }
+        rule.compiled = Arc::new(CompiledRule::new(&rule));
         Ok(rule)
     }
 
@@ -268,6 +276,11 @@ impl DetectiveRule {
             }
         }
         Ok(())
+    }
+
+    /// The rule's compiled pattern shapes.
+    pub(crate) fn compiled(&self) -> &CompiledRule {
+        &self.compiled
     }
 
     /// The auxiliary node types (empty for plain rules).
@@ -340,10 +353,8 @@ impl DetectiveRule {
     }
 
     /// Columns marked positive when the rule applies: `col(Ve ∪ {p})`.
-    pub fn marked_cols(&self) -> Vec<AttrId> {
-        let mut cols: Vec<AttrId> = self.evidence_cols().collect();
-        cols.push(self.repair_col());
-        cols
+    pub fn marked_cols(&self) -> impl Iterator<Item = AttrId> + '_ {
+        self.evidence_cols().chain([self.repair_col()])
     }
 
     /// Edges that belong to the positive side (i.e. not touching `n`).

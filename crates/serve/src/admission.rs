@@ -54,10 +54,7 @@ impl AdmissionConfig {
         if self.max_inflight_repairs > 0 {
             return self.max_inflight_repairs;
         }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        (2 * cores).max(8)
+        (2 * dr_core::available_cores()).max(8)
     }
 
     fn resolved_queue(&self) -> usize {

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dr_core::{parallel_repair, ParallelOptions, RelationReport, TupleOutcome};
+use dr_core::{available_cores, parallel_repair, ParallelOptions, RelationReport, TupleOutcome};
 use dr_kb::quarantine::{LenientOptions, Quarantine};
 use dr_kb::KbDelta;
 use dr_obs::json::escape_into;
@@ -504,7 +504,7 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
 /// Outputs are identical at every width.
 fn request_threads(requested: Option<usize>, server: usize) -> usize {
     let width = match server {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => available_cores(),
         n => n,
     };
     requested.filter(|&t| t > 0).map_or(width, |t| t.min(width))
