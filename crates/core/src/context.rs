@@ -4,73 +4,69 @@
 //! under `sim`?". A [`MatchContext`] owns one [`MatchIndex`] per `(type,
 //! sim)` pair, built on first use and shared across rules, tuples, and
 //! threads — the "efficient instance matching" machinery of §IV-B(2).
+//!
+//! The context itself records nothing. The KB regions a row reads are
+//! recorded by the repair kernel into a worker-owned `ReadSet`, which
+//! hands the row's sorted [`KbFootprint`] to its report.
 
 use crate::graph::schema::NodeType;
 use crate::repair::budget::RepairBudget;
 use crate::repair::registry::CacheRegistry;
 use crate::repair::value_cache::ValueCache;
-use dr_kb::{FxHashMap, InstanceId, KbFootprint, KbRef, LiteralId, Node, PredId};
+use dr_kb::{FxHashMap, FxHashSet, InstanceId, KbFootprint, KbRef, LiteralId, Node, Region};
 use dr_obs::{Obs, SpanCtx};
 use dr_simmatch::{MatchIndex, SimFn};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Accumulates the KB regions a repair *reads* — the read-side twin of the
-/// write-side [`KbFootprint`] a [`dr_kb::KbDelta`] produces. Repairers fork
-/// their context with a recorder per tuple; every KB read routed through the
-/// context (candidate lookups, type checks, edge probes) lands in it, and the
-/// resulting per-row footprint is what selective re-repair intersects with a
-/// delta's footprint to decide which rows must be re-run.
+/// The KB regions one row reads: the read-side [`KbFootprint`] selective
+/// re-repair checks against a delta's write footprint.
 ///
-/// Interior-mutable so one recorder can be shared through an immutable
-/// context; recording is a short lock around small hash-set inserts.
+/// Recording takes no lock. A repair worker owns one set inside its
+/// per-tuple state ([`ElementCache`](crate::repair::cache::ElementCache)),
+/// reaches it by `&mut` from every read site of the kernel (the element
+/// and value caches, the solver), and reuses it across rows. Recording
+/// dedups as it goes, so the row end sorts only distinct regions.
+///
+/// Only [`crate::parallel_repair`]'s workers keep the footprint, so only
+/// they record ([`Self::recording`]); the default set, which single-tuple
+/// repairs, Algorithm 1 and the `Pattern` functions use, ignores reads.
 #[derive(Debug, Default)]
-pub struct FootprintRecorder {
-    fp: Mutex<KbFootprint>,
+pub(crate) struct ReadSet {
+    /// `None` for a set nobody reads.
+    seen: Option<FxHashSet<Region>>,
+    buf: Vec<Region>,
 }
 
-impl FootprintRecorder {
-    /// A fresh, empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a dependency on the extent/labels of class `c`.
-    pub fn record_class(&self, c: dr_kb::ClassId) {
-        self.fp.lock().classes.insert(c);
-    }
-
-    /// Records a dependency on the literal pool.
-    pub fn record_literals(&self) {
-        self.fp.lock().literals = true;
-    }
-
-    /// Records a dependency on the outgoing edges `(s, rel, *)`.
-    pub fn record_out_pair(&self, s: InstanceId, rel: PredId) {
-        self.fp.lock().out_pairs.insert((s, rel));
-    }
-
-    /// Records a dependency on the incoming edges `(*, rel, o)`.
-    pub fn record_in_pair(&self, o: Node, rel: PredId) {
-        self.fp.lock().in_pairs.insert((o, rel));
-    }
-
-    /// Records a dependency on a schema-node type (class extent or literals).
-    pub fn record_ty(&self, ty: NodeType) {
-        match ty {
-            NodeType::Class(c) => self.record_class(c),
-            NodeType::Literal => self.record_literals(),
+impl ReadSet {
+    /// A set that records every read.
+    pub(crate) fn recording() -> Self {
+        Self {
+            seen: Some(FxHashSet::default()),
+            buf: Vec::new(),
         }
     }
 
-    /// Drains the accumulated footprint, leaving the recorder empty.
-    pub fn take(&self) -> KbFootprint {
-        std::mem::take(&mut *self.fp.lock())
+    /// Records a read of `region`.
+    pub(crate) fn record(&mut self, region: Region) {
+        if let Some(seen) = &mut self.seen {
+            seen.insert(region);
+        }
     }
 
-    /// A copy of the accumulated footprint without draining it.
-    pub fn snapshot(&self) -> KbFootprint {
-        self.fp.lock().clone()
+    /// Forgets every recorded region, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        if let Some(seen) = &mut self.seen {
+            seen.clear();
+        }
+    }
+
+    /// The recorded regions as a footprint, leaving the set empty.
+    pub(crate) fn take(&mut self) -> KbFootprint {
+        if let Some(seen) = &mut self.seen {
+            self.buf.extend(seen.drain());
+        }
+        KbFootprint::from_buf(&mut self.buf)
     }
 }
 
@@ -120,7 +116,6 @@ pub struct MatchContext<'kb> {
     registry: Option<Arc<CacheRegistry>>,
     budget: RepairBudget,
     obs: Option<Arc<Obs>>,
-    recorder: Option<Arc<FootprintRecorder>>,
     span: Option<SpanCtx>,
     /// A snapshot of the memo read without locking (see [`Self::pinned`]).
     pinned: Option<Arc<IndexMap>>,
@@ -151,7 +146,6 @@ impl<'kb> MatchContext<'kb> {
             registry: None,
             budget: RepairBudget::default(),
             obs: None,
-            recorder: None,
             span: None,
             pinned: None,
         }
@@ -167,7 +161,6 @@ impl<'kb> MatchContext<'kb> {
             registry: Some(registry),
             budget: RepairBudget::default(),
             obs: None,
-            recorder: None,
             span: None,
             pinned: None,
         }
@@ -188,7 +181,6 @@ impl<'kb> MatchContext<'kb> {
             registry,
             budget: RepairBudget::default(),
             obs: None,
-            recorder: None,
             span: None,
             pinned: None,
         }
@@ -206,7 +198,6 @@ impl<'kb> MatchContext<'kb> {
             registry: self.registry.clone(),
             budget: self.budget,
             obs: self.obs.clone(),
-            recorder: self.recorder.clone(),
             span: self.span.clone(),
             pinned: self.pinned.clone(),
         }
@@ -244,19 +235,6 @@ impl<'kb> MatchContext<'kb> {
     /// The attached live span context, if the request is being traced.
     pub fn span(&self) -> Option<&SpanCtx> {
         self.span.as_ref()
-    }
-
-    /// Attaches a [`FootprintRecorder`] (builder style): every KB read made
-    /// through this context (and its forks) is accumulated into it. Repairers
-    /// fork with a fresh recorder per tuple to capture per-row footprints.
-    pub fn with_recorder(mut self, recorder: Arc<FootprintRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The attached footprint recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<FootprintRecorder>> {
-        self.recorder.as_ref()
     }
 
     /// Sets the per-tuple [`RepairBudget`] every repairer running through
@@ -408,12 +386,9 @@ impl<'kb> MatchContext<'kb> {
         !self.lookup(ty, sim, value).is_empty()
     }
 
-    /// The ids of the `(ty, sim)` index matching `value`, recording the
-    /// read. A pinned context reads its index without locking the memo.
+    /// The ids of the `(ty, sim)` index matching `value`. A pinned context
+    /// reads its index without locking the memo.
     fn lookup(&self, ty: NodeType, sim: SimFn, value: &str) -> Vec<u32> {
-        if let Some(rec) = &self.recorder {
-            rec.record_ty(ty);
-        }
         match self.pinned_index(ty, sim) {
             Some(index) => index.lookup(value),
             None => self.index_for(ty, sim).lookup(value),
@@ -426,41 +401,11 @@ impl<'kb> MatchContext<'kb> {
 
     /// Whether `node` has the required type.
     pub fn type_ok(&self, node: Node, ty: NodeType) -> bool {
-        if let Some(rec) = &self.recorder {
-            rec.record_ty(ty);
-        }
         match (ty, node) {
             (NodeType::Class(c), Node::Instance(i)) => self.kb.has_type(i, c),
             (NodeType::Literal, Node::Literal(_)) => true,
             _ => false,
         }
-    }
-
-    /// Whether the KB contains the edge `(s, rel, o)`, recording the read
-    /// as an out-pair dependency on `(s, rel)`.
-    pub fn kb_has_edge(&self, s: InstanceId, rel: PredId, o: Node) -> bool {
-        if let Some(rec) = &self.recorder {
-            rec.record_out_pair(s, rel);
-        }
-        self.kb.has_edge(s, rel, o)
-    }
-
-    /// The objects of `(s, rel, *)`, recording the read as an out-pair
-    /// dependency on `(s, rel)`.
-    pub fn kb_objects(&self, s: InstanceId, rel: PredId) -> &'kb [Node] {
-        if let Some(rec) = &self.recorder {
-            rec.record_out_pair(s, rel);
-        }
-        self.kb.objects(s, rel)
-    }
-
-    /// The subjects of `(*, rel, o)`, recording the read as an in-pair
-    /// dependency on `(o, rel)`.
-    pub fn kb_subjects(&self, o: Node, rel: PredId) -> &'kb [InstanceId] {
-        if let Some(rec) = &self.recorder {
-            rec.record_in_pair(o, rel);
-        }
-        self.kb.subjects(o, rel)
     }
 
     /// Every KB node of type `ty` (the unfiltered extent) — the fallback
@@ -471,9 +416,6 @@ impl<'kb> MatchContext<'kb> {
 
     /// [`Self::extent`] without collecting it.
     pub(crate) fn extent_iter(&self, ty: NodeType) -> impl Iterator<Item = Node> + 'kb {
-        if let Some(rec) = &self.recorder {
-            rec.record_ty(ty);
-        }
         let (instances, literals) = match ty {
             NodeType::Class(c) => (self.kb.instances_of(c), 0),
             NodeType::Literal => (&[][..], self.kb.num_literals()),

@@ -8,13 +8,14 @@
 //! negative, auxiliary nodes), and candidates are drawn from the memoized
 //! [`MatchContext`] indexes or derived from KB adjacency. The repair
 //! kernel calls it with rule shapes compiled once and buffers it keeps per
-//! worker, so a search allocates nothing; the [`Pattern`] functions below
-//! are the self-contained form.
+//! worker, so a search allocates nothing, and records every KB region the
+//! search reads into the worker's `ReadSet`; the [`Pattern`] functions
+//! below are the self-contained form.
 
-use crate::context::MatchContext;
+use crate::context::{MatchContext, ReadSet};
 use crate::graph::schema::NodeType;
 use crate::repair::budget::BudgetMeter;
-use dr_kb::{Node, PredId};
+use dr_kb::{Node, PredId, Region};
 use dr_simmatch::SimFn;
 use std::sync::Arc;
 
@@ -153,7 +154,6 @@ fn solve_pattern(
     let tys: Vec<NodeType> = pattern.nodes.iter().map(|node| node.ty).collect();
     let base: Vec<Option<Arc<Vec<Node>>>> =
         (0..n).map(|i| pattern.base_candidates(ctx, i)).collect();
-    let mut scratch = SolverScratch::default();
     solve(
         ctx,
         Shape {
@@ -162,7 +162,8 @@ fn solve_pattern(
             base: &base,
         },
         meter,
-        &mut scratch,
+        &mut SolverScratch::default(),
+        &mut ReadSet::default(),
         visit,
     );
 }
@@ -199,12 +200,14 @@ pub(crate) struct SolverScratch {
 }
 
 /// Visits every complete assignment of `shape` until `visit` returns
-/// `false` or `meter` exhausts (see [`for_each_assignment_metered`]).
+/// `false` or `meter` exhausts (see [`for_each_assignment_metered`]),
+/// recording the KB regions the search reads into `reads`.
 pub(crate) fn solve(
     ctx: &MatchContext<'_>,
     shape: Shape<'_>,
     meter: &BudgetMeter,
     scratch: &mut SolverScratch,
+    reads: &mut ReadSet,
     visit: &mut dyn FnMut(&Assignment) -> bool,
 ) {
     let n = shape.tys.len();
@@ -223,7 +226,7 @@ pub(crate) fn solve(
     scratch.partial.clear();
     scratch.partial.resize(n, None);
     scratch.stack.clear();
-    scratch.recurse(ctx, shape, 0, meter, visit);
+    scratch.recurse(ctx, shape, 0, meter, reads, visit);
 }
 
 impl SolverScratch {
@@ -267,6 +270,7 @@ impl SolverScratch {
         shape: Shape<'_>,
         pos: usize,
         meter: &BudgetMeter,
+        reads: &mut ReadSet,
         visit: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
         if pos == self.order.len() {
@@ -277,7 +281,7 @@ impl SolverScratch {
         }
         let node = self.order[pos];
         let start = self.stack.len();
-        push_candidates(ctx, shape, &self.partial, node, &mut self.stack);
+        push_candidates(ctx, shape, &self.partial, node, reads, &mut self.stack);
         let end = self.stack.len();
         // Budget: every candidate the solver considers binding is one step (+1
         // so zero-candidate dead ends still cost something). The count depends
@@ -287,7 +291,7 @@ impl SolverScratch {
         let mut i = start;
         while go_on && i < end {
             self.partial[node] = Some(self.stack[i]);
-            go_on = self.recurse(ctx, shape, pos + 1, meter, visit);
+            go_on = self.recurse(ctx, shape, pos + 1, meter, reads, visit);
             i += 1;
         }
         self.partial[node] = None;
@@ -297,19 +301,19 @@ impl SolverScratch {
 }
 
 /// Pushes onto `out` the candidates for `node` given the partial
-/// assignment.
+/// assignment, recording each KB region it reads into `reads`.
 fn push_candidates(
     ctx: &MatchContext<'_>,
     shape: Shape<'_>,
     partial: &[Option<Node>],
     node: usize,
+    reads: &mut ReadSet,
     out: &mut Vec<Node>,
 ) {
+    let kb = ctx.kb();
     // Constraint check against every edge touching `node` whose other
-    // endpoint is already assigned (or is `node` itself: a self-loop). KB
-    // reads go through the context so an attached recorder captures them
-    // as footprint dependencies.
-    let edge_ok = |candidate: Node| -> bool {
+    // endpoint is already assigned (or is `node` itself: a self-loop).
+    let edge_ok = |candidate: Node, reads: &mut ReadSet| -> bool {
         shape.edges.iter().all(|&(u, rel, v)| {
             let (from, to) = match (u == node, v == node) {
                 (true, true) => (Some(candidate), Some(candidate)),
@@ -318,7 +322,10 @@ fn push_candidates(
                 (false, false) => return true,
             };
             match (from, to) {
-                (Some(Node::Instance(s)), Some(o)) => ctx.kb_has_edge(s, rel, o),
+                (Some(Node::Instance(s)), Some(o)) => {
+                    reads.record(Region::Out(s, rel));
+                    kb.has_edge(s, rel, o)
+                }
                 (Some(Node::Literal(_)), Some(_)) => false,
                 _ => true,
             }
@@ -326,30 +333,41 @@ fn push_candidates(
     };
 
     if let Some(base_list) = &shape.base[node] {
-        out.extend(base_list.iter().copied().filter(|&c| edge_ok(c)));
+        out.extend(base_list.iter().copied().filter(|&c| edge_ok(c, reads)));
         return;
     }
 
     // Free node: derive candidates from an assigned neighbor if possible.
+    // Checking a neighbour's type reads the type's extent.
     let ty = shape.tys[node];
     for &(u, rel, v) in shape.edges {
         if u == node {
             if let Some(xv) = partial[v] {
+                reads.record(Region::In(xv, rel));
+                let subjects = kb.subjects(xv, rel);
+                if !subjects.is_empty() {
+                    reads.record(ty.region());
+                }
                 out.extend(
-                    ctx.kb_subjects(xv, rel)
+                    subjects
                         .iter()
                         .map(|&s| Node::Instance(s))
-                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c)),
+                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c, reads)),
                 );
                 return;
             }
         } else if v == node {
             if let Some(Node::Instance(xu)) = partial[u] {
+                reads.record(Region::Out(xu, rel));
+                let objects = kb.objects(xu, rel);
+                if !objects.is_empty() {
+                    reads.record(ty.region());
+                }
                 out.extend(
-                    ctx.kb_objects(xu, rel)
+                    objects
                         .iter()
                         .copied()
-                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c)),
+                        .filter(|&c| ctx.type_ok(c, ty) && edge_ok(c, reads)),
                 );
                 return;
             }
@@ -357,7 +375,8 @@ fn push_candidates(
     }
 
     // No assigned neighbor: fall back to the full type extent.
-    out.extend(ctx.extent_iter(ty).filter(|&c| edge_ok(c)));
+    reads.record(ty.region());
+    out.extend(ctx.extent_iter(ty).filter(|&c| edge_ok(c, reads)));
 }
 
 #[cfg(test)]
@@ -561,10 +580,18 @@ mod tests {
             base: &base,
         };
         let mut out = Vec::new();
-        solve(ctx, shape, &BudgetMeter::unbounded(), scratch, &mut |a| {
-            out.push(a.clone());
-            out.len() < limit
-        });
+        let reads = &mut ReadSet::default();
+        solve(
+            ctx,
+            shape,
+            &BudgetMeter::unbounded(),
+            scratch,
+            reads,
+            &mut |a| {
+                out.push(a.clone());
+                out.len() < limit
+            },
+        );
         out
     }
 

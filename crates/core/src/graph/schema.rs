@@ -6,7 +6,7 @@
 //! relationship or property. It is a *local* interpretation — any connected
 //! induced subgraph of a schema-level matching graph is again one.
 
-use dr_kb::{ClassId, KnowledgeBase, PredId};
+use dr_kb::{ClassId, KnowledgeBase, PredId, Region};
 use dr_relation::{AttrId, Schema};
 use dr_simmatch::SimFn;
 use std::fmt;
@@ -26,6 +26,15 @@ impl NodeType {
         match *self {
             NodeType::Class(c) => kb.class_name(c),
             NodeType::Literal => "literal",
+        }
+    }
+
+    /// The KB region holding this type's extent: the class, or the
+    /// literal pool.
+    pub fn region(self) -> Region {
+        match self {
+            NodeType::Class(c) => Region::Class(c),
+            NodeType::Literal => Region::Literals,
         }
     }
 }

@@ -29,7 +29,7 @@ mod obs;
 pub mod repair;
 pub mod rule;
 
-pub use context::{FootprintRecorder, IndexMemo, MatchContext};
+pub use context::{IndexMemo, MatchContext};
 pub use graph::schema::{NodeType, SchemaGraph, SchemaNode};
 pub use repair::basic::PhaseTimings;
 pub use repair::basic::{

@@ -100,12 +100,12 @@ impl std::ops::AddAssign for PhaseTimings {
 
 /// The repair trace of a relation.
 ///
-/// Per-row traces and footprints are `Arc`-shared, so selective re-repair
-/// takes an unchanged row's from the prior report without copying them.
-/// The report also carries a reverse index from KB region to row, built
-/// on its first selective re-repair and shared with the reports that
-/// re-repair produces, so selection looks up a delta's regions instead of
-/// intersecting every row's footprint. A clone starts without one, so
+/// Per-row traces and footprints are shared by reference, so selective
+/// re-repair takes an unchanged row's from the prior report without
+/// copying them. The report also carries a reverse index from KB region to
+/// row, built on its first selective re-repair and shared with the reports
+/// that re-repair produces, so selection looks up a delta's regions instead
+/// of testing every row's footprint. A clone starts without one, so
 /// editing either copy cannot leave the other's index short of a row.
 #[derive(Debug, Default)]
 pub struct RelationReport {
@@ -126,7 +126,7 @@ pub struct RelationReport {
     /// which rows to re-run. Empty for repairers that do not record
     /// (the basic chase). Read-only once the report has served a selective
     /// re-repair: its row index was built from them.
-    pub footprints: Vec<Arc<dr_kb::KbFootprint>>,
+    pub footprints: Vec<dr_kb::KbFootprint>,
     /// `Some(n)` when this report came from
     /// [`parallel_repair_selective`](crate::repair::parallel::parallel_repair_selective):
     /// `n` rows were actually re-repaired, the rest reused prior results.
@@ -171,9 +171,10 @@ impl RelationReport {
     }
 
     /// The rows a KB delta with write footprint `delta_fp` may have
-    /// changed, ascending: every row whose footprint intersects `delta_fp`,
-    /// plus every row whose repair never settled (a non-`Completed` row
-    /// carries no trustworthy result). Requires a footprint per row.
+    /// changed, ascending: every row whose footprint is stale under
+    /// `delta_fp`, plus every row whose repair never settled (a
+    /// non-`Completed` row carries no trustworthy result). Requires a
+    /// footprint per row.
     pub(crate) fn rows_to_rerun(&self, delta_fp: &dr_kb::KbFootprint) -> Vec<usize> {
         self.row_index.select(self, delta_fp)
     }

@@ -16,11 +16,15 @@
 //! entries are keyed by signature only (the tuple's value is implicit), so
 //! column invalidation stays local — the shared entries are value-keyed and
 //! never go stale.
+//!
+//! The cache also holds the tuple's `ReadSet`: every lookup it cannot
+//! answer locally records the KB regions behind the answer, so the regions
+//! a tuple read are known when its repair ends.
 
-use crate::context::MatchContext;
+use crate::context::{MatchContext, ReadSet};
 use crate::graph::schema::SchemaNode;
-use crate::repair::value_cache::{edge_connected, ValueCache};
-use dr_kb::{FxHashMap, Node, PredId};
+use crate::repair::value_cache::{edge_probe, ValueCache};
+use dr_kb::{FxHashMap, Node, PredId, Region};
 use dr_relation::{AttrId, Tuple};
 use std::sync::Arc;
 
@@ -54,6 +58,9 @@ pub struct ElementCache<'v> {
     misses: usize,
     shared_hits: usize,
     shared_misses: usize,
+    /// The KB regions read since the last [`Self::clear`]. A local hit
+    /// reads nothing new: its entry's miss recorded the regions.
+    pub(crate) reads: ReadSet,
 }
 
 impl ElementCache<'static> {
@@ -85,6 +92,7 @@ impl<'v> ElementCache<'v> {
             return Arc::clone(cands);
         }
         self.misses += 1;
+        self.reads.record(node.ty.region());
         let cands = match self.shared {
             Some(shared) => {
                 let (cands, hit) = shared.candidates_with_outcome(ctx, node, tuple.get(node.col));
@@ -126,11 +134,10 @@ impl<'v> ElementCache<'v> {
             Some(shared) => {
                 let (ok, hit) = shared.edge_ok_with_outcome(
                     ctx,
-                    from,
-                    rel,
-                    to,
+                    (*from, rel, *to),
                     tuple.get(from.col),
                     tuple.get(to.col),
+                    &mut self.reads,
                 );
                 if hit {
                     self.shared_hits += 1;
@@ -142,7 +149,11 @@ impl<'v> ElementCache<'v> {
             None => {
                 let from_cands = self.candidates(ctx, tuple, from);
                 let to_cands = self.candidates(ctx, tuple, to);
-                edge_connected(ctx, &from_cands, rel, &to_cands)
+                let (ok, probed) = edge_probe(ctx, &from_cands, rel, &to_cands);
+                for s in probed {
+                    self.reads.record(Region::Out(s, rel));
+                }
+                ok
             }
         };
         self.edges.insert(sig, ok);
@@ -158,10 +169,11 @@ impl<'v> ElementCache<'v> {
             .retain(|(f, _, t), _| f.col != col && t.col != col);
     }
 
-    /// Clears everything local (new tuple).
+    /// Clears everything local (new tuple), the recorded reads included.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.edges.clear();
+        self.reads.clear();
     }
 
     /// Clears everything local and zeroes the counters: a repair worker

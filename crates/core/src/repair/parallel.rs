@@ -28,7 +28,7 @@
 //! the scheduler copies a shared row on the calling thread before the
 //! workers start, so a worker never pays for copy-on-write.
 
-use crate::context::{FootprintRecorder, MatchContext};
+use crate::context::{MatchContext, ReadSet};
 use crate::repair::basic::{PhaseTimings, RelationReport, TupleReport};
 use crate::repair::cache::ElementCache;
 use crate::repair::fast::{FastRepairer, TupleScratch};
@@ -59,6 +59,10 @@ pub struct ParallelOptions {
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<std::sync::Arc<crate::repair::fault::FaultPlan>>,
 }
+
+/// One row's scheduler slot: the row's tuple, and its report and footprint
+/// once a worker has repaired it.
+type RowSlot<'t> = (&'t mut Tuple, Option<(TupleReport, KbFootprint)>);
 
 /// The number of cores this process may run on, read once: reading it
 /// opens cgroup files, which costs tens of microseconds per call.
@@ -121,14 +125,16 @@ pub fn parallel_repair(
     let repair_start = Instant::now();
     // Each row index is claimed exactly once via `fetch_add`, so the
     // per-row mutexes are never contended — they exist to hand a
-    // `&mut Tuple` through a `Sync` type. A claimed row's report lands in
-    // its row-indexed slot, keeping the stitched report in row order.
-    // Collecting `tuples_mut` copies every row another relation still
-    // shares here, on the calling thread, before any worker starts.
-    let rows: Vec<Mutex<&mut Tuple>> = relation.tuples_mut().map(Mutex::new).collect();
-    let slots: Vec<Mutex<Option<(TupleReport, KbFootprint)>>> =
-        (0..rows.len()).map(|_| Mutex::new(None)).collect();
-    let workers = threads.min(rows.len());
+    // `&mut Tuple` through a `Sync` type. A claimed row's report and
+    // footprint land in the same row-indexed slot, keeping the stitched
+    // report in row order. Collecting `tuples_mut` copies every row another
+    // relation still shares here, on the calling thread, before any worker
+    // starts.
+    let slots: Vec<Mutex<RowSlot<'_>>> = relation
+        .tuples_mut()
+        .map(|tuple| Mutex::new((tuple, None)))
+        .collect();
+    let workers = threads.min(slots.len());
     // Per-worker claim tallies: `attempts` counts every `fetch_add` on the
     // claim counter (including the final, failing one that ends the loop),
     // `claimed` counts rows actually won. A worker counts in locals and
@@ -138,25 +144,28 @@ pub fn parallel_repair(
     let attempts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let next = AtomicUsize::new(0);
     let work = |w: usize| {
-        // The worker's reusable state: one element cache, kernel buffers
-        // and footprint recorder for all the rows it claims.
-        let mut scratch = TupleScratch::new(ElementCache::with_shared(&shared));
-        let recorder = Arc::new(FootprintRecorder::new());
+        // The worker's reusable state: one element cache (holding the
+        // row's read set, which records for the report's footprints) and
+        // kernel buffers for all the rows it claims.
+        let mut cache = ElementCache::with_shared(&shared);
+        cache.reads = ReadSet::recording();
+        let mut scratch = TupleScratch::new(cache);
         let (mut won, mut tries) = (0u64, 0u64);
         loop {
             tries += 1;
             let row = next.fetch_add(1, Ordering::Relaxed);
-            if row >= rows.len() {
+            if row >= slots.len() {
                 break;
             }
             won += 1;
-            *slots[row].lock() = Some(repair_row(
+            let mut slot = slots[row].lock();
+            let (tuple, result) = &mut *slot;
+            *result = Some(repair_row(
                 &repairer,
                 ctx,
                 opts,
                 &mut scratch,
-                &recorder,
-                &rows,
+                tuple,
                 row,
                 row_span.as_ref(),
                 tuple_hist.as_ref(),
@@ -177,7 +186,7 @@ pub fn parallel_repair(
     });
 
     if let Some(mut sp) = repair_span {
-        sp.attr_num("rows", rows.len() as u64);
+        sp.attr_num("rows", slots.len() as u64);
         sp.attr_num("workers", workers as u64);
         sp.attr_num("value_cache_entries", shared.len() as u64);
         sp.finish();
@@ -190,7 +199,7 @@ pub fn parallel_repair(
         // `repair_row` converts the panic to a `Failed` report), so
         // an empty slot can only mean a scheduler hole. Surface it
         // as a failed row instead of panicking the whole stitch.
-        let (tuple_report, fp) = slot.into_inner().unwrap_or_else(|| {
+        let (tuple_report, fp) = slot.into_inner().1.unwrap_or_else(|| {
             (
                 TupleReport {
                     outcome: TupleOutcome::Failed {
@@ -202,7 +211,7 @@ pub fn parallel_repair(
             )
         });
         tuples.push(Arc::new(tuple_report));
-        footprints.push(Arc::new(fp));
+        footprints.push(fp);
     }
     let mut report = RelationReport {
         tuples,
@@ -236,8 +245,8 @@ pub fn parallel_repair(
 /// every other row's tuple, report and footprint with the prior run by
 /// reference.
 ///
-/// A row is selected when its recorded [`KbFootprint`] in `prior`
-/// intersects `delta_fp`, or when its prior outcome never settled
+/// A row is selected when its recorded [`KbFootprint`] in `prior` is
+/// stale under `delta_fp`, or when its prior outcome never settled
 /// (non-`Completed` rows carry no trustworthy result, so they always
 /// re-run). Selection looks the delta's regions up in the prior report's
 /// region → row index (built on the report's first selective call, then
@@ -312,36 +321,31 @@ fn repair_row<'kb>(
     ctx: &MatchContext<'kb>,
     opts: &ParallelOptions,
     scratch: &mut TupleScratch<'_, 'kb>,
-    recorder: &Arc<FootprintRecorder>,
-    rows: &[Mutex<&mut Tuple>],
+    tuple: &mut Tuple,
     row: usize,
     span: Option<&SpanCtx>,
     hist: Option<&(Histogram, WindowHistogram)>,
 ) -> (TupleReport, KbFootprint) {
-    // Every KB read the row makes lands in its own recorder, so the
+    // Every KB read the row makes lands in the worker's read set, so the
     // stitched report carries a per-row footprint for selective re-repair
     // (a panicked row keeps whatever was recorded before the unwind —
     // conservative, since failed rows are always re-selected anyway).
     let row_span = crate::obs::RowSpan::open(span, row);
-    let row_ctx = ctx
-        .fork()
-        .with_recorder(Arc::clone(recorder))
-        .with_span_opt(row_span.ctx());
-    // The closure captures `&mut Tuple` behind the row mutex, which is not
-    // `UnwindSafe` by type; it is unwind-safe by construction: a fault is
-    // injected *before* the tuple is touched, and a genuine mid-repair
-    // panic leaves at worst a tuple whose completed rule applications stand
-    // (each application mutates only after its enumeration finished) — and
-    // the row is reported `Failed`, so consumers know not to trust it.
+    let row_ctx = ctx.fork().with_span_opt(row_span.ctx());
+    // The closure captures `&mut Tuple`, which is not `UnwindSafe` by type;
+    // it is unwind-safe by construction: a fault is injected *before* the
+    // tuple is touched, and a genuine mid-repair panic leaves at worst a
+    // tuple whose completed rule applications stand (each application
+    // mutates only after its enumeration finished) — and the row is
+    // reported `Failed`, so consumers know not to trust it.
     let result = catch_unwind(AssertUnwindSafe(|| {
         let meter = ctx.budget().meter();
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = &opts.fault_plan {
             plan.trigger(row, &meter);
         }
-        let mut tuple = rows[row].lock();
         let started = hist.map(|_| Instant::now());
-        let report = repairer.repair_tuple_with(&row_ctx, &mut tuple, &opts.apply, scratch, &meter);
+        let report = repairer.repair_tuple_with(&row_ctx, tuple, &opts.apply, scratch, &meter);
         // A panicked row unwinds before this sample, so
         // `repair_tuple_seconds_count` is exactly completed + degraded.
         if let (Some((hist, window)), Some(started)) = (hist, started) {
@@ -364,7 +368,7 @@ fn repair_row<'kb>(
         ),
     };
     row_span.finish(&report, cache_stats);
-    (report, recorder.take())
+    (report, scratch.cache.reads.take())
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -383,7 +387,9 @@ mod tests {
     use super::*;
     use crate::fixtures::{figure4_rules, table1_dirty};
     use crate::repair::fast::fast_repair;
+    use crate::repair::registry::CacheRegistry;
     use dr_kb::fixtures::nobel_mini_kb;
+    use dr_kb::Region;
 
     #[test]
     fn parallel_matches_sequential_on_table1() {
@@ -590,16 +596,13 @@ mod tests {
 
         // Re-run exactly the rows that read one of the first row's edges.
         let pair = *prior.footprints[0]
-            .out_pairs
+            .regions()
             .iter()
-            .next()
+            .find(|region| matches!(region, Region::Out(..)))
             .expect("row 0 reads an edge");
-        let delta_fp = KbFootprint {
-            out_pairs: [pair].into_iter().collect(),
-            ..Default::default()
-        };
+        let delta_fp = KbFootprint::from_iter([pair]);
         let selected: Vec<usize> = (0..prior.footprints.len())
-            .filter(|&row| prior.footprints[row].intersects(&delta_fp))
+            .filter(|&row| prior.footprints[row].stale(&delta_fp))
             .collect();
         assert!(!selected.is_empty() && selected.len() < prior_repaired.len());
 
@@ -622,8 +625,9 @@ mod tests {
         }
     }
 
-    /// A taxonomy-wide delta (`all_classes`) intersects every class-reading
-    /// row: the selective result still matches a full re-repair exactly.
+    /// A taxonomy-wide delta ([`Region::AllClasses`]) reaches every
+    /// class-reading row: the selective result still matches a full
+    /// re-repair exactly.
     #[test]
     fn selective_with_global_delta_matches_full_rerepair() {
         let kb = nobel_mini_kb();
@@ -640,10 +644,7 @@ mod tests {
         let mut full = table1_dirty();
         let full_report = parallel_repair(&ctx, &rules, &mut full, &opts);
 
-        let delta_fp = KbFootprint {
-            all_classes: true,
-            ..Default::default()
-        };
+        let delta_fp = KbFootprint::from_iter([Region::AllClasses]);
         let mut selective = table1_dirty();
         let report = parallel_repair_selective(
             &ctx,
@@ -660,6 +661,38 @@ mod tests {
         for cell in full.cell_refs() {
             assert_eq!(selective.value(cell), full.value(cell));
         }
+    }
+
+    /// A row's footprint depends only on the row and the KB: it is the
+    /// same whether the row is repaired alone, at any position of a
+    /// one-worker pass (where repeated rows hit the value cache), in a
+    /// warm registry pass, or at two threads. A worker whose read set kept
+    /// one row's reads into the next would fail this.
+    #[test]
+    fn a_rows_footprint_depends_only_on_the_row_and_the_kb() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let base = table1_dirty();
+        let rows: Vec<Arc<Tuple>> = (0..8).flat_map(|_| base.tuples().to_vec()).collect();
+        let footprints = |ctx: &MatchContext<'_>, rows: &[Arc<Tuple>], threads: usize| {
+            let mut relation = Relation::from_tuples(Arc::clone(base.schema()), rows.to_vec());
+            let opts = ParallelOptions {
+                threads,
+                ..Default::default()
+            };
+            parallel_repair(ctx, &rules, &mut relation, &opts).footprints
+        };
+        let plain = MatchContext::new(&kb);
+        let alone: Vec<KbFootprint> = rows
+            .iter()
+            .map(|row| footprints(&plain, std::slice::from_ref(row), 1).remove(0))
+            .collect();
+        assert!(alone.iter().all(|fp| !fp.is_empty()));
+        assert_eq!(footprints(&plain, &rows, 1), alone, "one worker");
+        assert_eq!(footprints(&plain, &rows, 2), alone, "two threads");
+        let warm = MatchContext::with_registry(&kb, Arc::new(CacheRegistry::default()));
+        assert_eq!(footprints(&warm, &rows, 1), alone, "cold registry pass");
+        assert_eq!(footprints(&warm, &rows, 1), alone, "warm registry pass");
     }
 
     /// A prior report with no footprints (e.g. from a build predating the

@@ -1,13 +1,13 @@
 //! Reverse index from KB region to the readers that read it.
 //!
 //! A KB delta names the regions it wrote in its [`KbFootprint`]; a reader
-//! names the regions it read. Indexing readers by region turns "which
-//! readers can this delta have made stale?" into a few lookups instead of
-//! a scan over every reader. Two kinds of reader use the one
-//! [`ReadIndex`]: each value-cache shard indexes its entries, so a sweep
-//! reaches only the entries a delta can make stale, and a
-//! [`RelationReport`] indexes its rows ([`RowIndex`]), so selective
-//! re-repair reaches only the rows a delta can have changed.
+//! names the regions it read, in the same sorted [`Region`] slice.
+//! Indexing readers by region turns "which readers can this delta have
+//! made stale?" into a few lookups instead of a scan over every reader.
+//! Two kinds of reader use the one [`ReadIndex`]: each value-cache shard
+//! indexes its entries, so a sweep reaches only the entries a delta can
+//! make stale, and a [`RelationReport`] indexes its rows ([`RowIndex`]),
+//! so selective re-repair reaches only the rows a delta can have changed.
 //!
 //! Removal is lazy. A reader that goes away (a swept cache entry, a row
 //! re-run with a new footprint) keeps its references under the regions
@@ -17,55 +17,12 @@
 //! dead references outnumber live ones (plus [`LAZY_SLACK`]) the owner
 //! builds a fresh index.
 
-use crate::graph::schema::NodeType;
 use crate::repair::basic::{RelationReport, TupleReport};
-use crate::repair::value_cache::ty_stale;
-use dr_kb::{FxHashMap, InstanceId, KbFootprint, Node, PredId};
+use dr_kb::{FxHashMap, KbFootprint, Region};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
-
-/// One KB region a reader depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Dep {
-    /// The extent of a schema-node type (a class, or the literal pool).
-    Ty(NodeType),
-    /// Every class at once: a reader of the whole taxonomy.
-    AnyClass,
-    /// The out-edges `(instance, pred, *)`.
-    Out(InstanceId, PredId),
-    /// The in-edges `(*, pred, node)`.
-    In(Node, PredId),
-    /// No region: the reader must be reached by every delta (a row whose
-    /// prior repair never settled).
-    Always,
-}
-
-impl Dep {
-    /// Whether a delta with write footprint `fp` can change what a reader
-    /// of this region saw.
-    pub(crate) fn stale(self, fp: &KbFootprint) -> bool {
-        match self {
-            Dep::Ty(ty) => ty_stale(fp, ty),
-            Dep::AnyClass => fp.all_classes || !fp.classes.is_empty(),
-            Dep::Out(s, p) => fp.out_pairs.contains(&(s, p)),
-            Dep::In(o, p) => fp.in_pairs.contains(&(o, p)),
-            Dep::Always => true,
-        }
-    }
-}
-
-/// The regions a recorded read footprint names. A reader of these is
-/// stale under a delta exactly when [`KbFootprint::intersects`] says so.
-fn footprint_reads(fp: &KbFootprint) -> impl Iterator<Item = Dep> + '_ {
-    fp.classes
-        .iter()
-        .map(|&c| Dep::Ty(NodeType::Class(c)))
-        .chain(fp.literals.then_some(Dep::Ty(NodeType::Literal)))
-        .chain(fp.all_classes.then_some(Dep::AnyClass))
-        .chain(fp.out_pairs.iter().map(|&(s, p)| Dep::Out(s, p)))
-        .chain(fp.in_pairs.iter().map(|&(o, p)| Dep::In(o, p)))
-}
 
 /// Lazily removed references an index tolerates beyond twice its live
 /// count before its owner rebuilds it.
@@ -73,7 +30,9 @@ const LAZY_SLACK: usize = 64;
 
 /// Region → readers, with lazy removal (see the module docs).
 pub(crate) struct ReadIndex<R> {
-    readers: FxHashMap<Dep, Vec<R>>,
+    readers: FxHashMap<Region, Vec<R>>,
+    /// Readers every delta reaches, whatever it wrote.
+    always: Vec<R>,
     refs: usize,
     live: usize,
 }
@@ -82,6 +41,7 @@ impl<R> Default for ReadIndex<R> {
     fn default() -> Self {
         Self {
             readers: FxHashMap::default(),
+            always: Vec::new(),
             refs: 0,
             live: 0,
         }
@@ -90,12 +50,19 @@ impl<R> Default for ReadIndex<R> {
 
 impl<R: Clone> ReadIndex<R> {
     /// Files `reader` under each region it read.
-    pub(crate) fn add(&mut self, reader: &R, reads: impl IntoIterator<Item = Dep>) {
-        for dep in reads {
-            self.readers.entry(dep).or_default().push(reader.clone());
+    pub(crate) fn add(&mut self, reader: &R, reads: impl IntoIterator<Item = Region>) {
+        for region in reads {
+            self.readers.entry(region).or_default().push(reader.clone());
             self.refs += 1;
             self.live += 1;
         }
+    }
+
+    /// Files `reader` where every delta reaches it.
+    fn add_always(&mut self, reader: &R) {
+        self.always.push(reader.clone());
+        self.refs += 1;
+        self.live += 1;
     }
 
     /// Records that a reader holding `refs` references went away; its
@@ -106,34 +73,22 @@ impl<R: Clone> ReadIndex<R> {
 
     /// The indexed regions `fp` makes stale: filtered from the index for a
     /// taxonomy-wide footprint, which reaches every class without naming
-    /// one, and looked up one by one otherwise.
-    fn stale_regions(&self, fp: &KbFootprint) -> Vec<Dep> {
-        if fp.all_classes {
-            return self
-                .readers
-                .keys()
-                .copied()
-                .filter(|dep| dep.stale(fp))
-                .collect();
+    /// one, and `fp`'s own regions otherwise.
+    fn stale_regions<'a>(&self, fp: &'a KbFootprint) -> Cow<'a, [Region]> {
+        if fp.contains(Region::AllClasses) {
+            let keys = self.readers.keys().copied();
+            return Cow::Owned(keys.filter(|region| region.stale(fp)).collect());
         }
-        fp.classes
-            .iter()
-            .map(|&c| Dep::Ty(NodeType::Class(c)))
-            .chain(fp.literals.then_some(Dep::Ty(NodeType::Literal)))
-            .chain(Dep::AnyClass.stale(fp).then_some(Dep::AnyClass))
-            .chain(fp.out_pairs.iter().map(|&(s, p)| Dep::Out(s, p)))
-            .chain(fp.in_pairs.iter().map(|&(o, p)| Dep::In(o, p)))
-            .chain([Dep::Always])
-            .collect()
+        Cow::Borrowed(fp.regions())
     }
 
-    /// Drains the readers of every region `fp` makes stale, once per
-    /// reference (a reader of several such regions comes back several
-    /// times).
+    /// Drains the readers of every region `fp` makes stale, and those every
+    /// delta reaches, once per reference (a reader of several such regions
+    /// comes back several times).
     pub(crate) fn take_stale(&mut self, fp: &KbFootprint) -> Vec<R> {
-        let mut out = Vec::new();
-        for dep in self.stale_regions(fp) {
-            if let Some(readers) = self.readers.remove(&dep) {
+        let mut out = std::mem::take(&mut self.always);
+        for region in self.stale_regions(fp).iter() {
+            if let Some(readers) = self.readers.remove(region) {
                 out.extend(readers);
             }
         }
@@ -141,11 +96,13 @@ impl<R: Clone> ReadIndex<R> {
         out
     }
 
-    /// Calls `f` with each reader of every region `fp` makes stale, once
-    /// per reference, leaving the index as it is.
+    /// Calls `f` with each reader of every region `fp` makes stale, and
+    /// each reader every delta reaches, once per reference, leaving the
+    /// index as it is.
     pub(crate) fn visit_stale(&self, fp: &KbFootprint, mut f: impl FnMut(&R)) {
-        for dep in self.stale_regions(fp) {
-            if let Some(readers) = self.readers.get(&dep) {
+        self.always.iter().for_each(&mut f);
+        for region in self.stale_regions(fp).iter() {
+            if let Some(readers) = self.readers.get(region) {
                 readers.iter().for_each(&mut f);
             }
         }
@@ -157,10 +114,18 @@ impl<R: Clone> ReadIndex<R> {
     }
 }
 
-/// The regions a report's row read: its footprint, plus [`Dep::Always`]
-/// when its repair never settled.
-fn row_reads<'a>(tuple: &TupleReport, fp: &'a KbFootprint) -> impl Iterator<Item = Dep> + 'a {
-    footprint_reads(fp).chain((!tuple.outcome.is_completed()).then_some(Dep::Always))
+/// Files a report's row under the regions it read, and where every delta
+/// reaches it when its repair never settled.
+fn add_row(index: &mut ReadIndex<u32>, row: usize, tuple: &TupleReport, fp: &KbFootprint) {
+    index.add(&(row as u32), fp.regions().iter().copied());
+    if !tuple.outcome.is_completed() {
+        index.add_always(&(row as u32));
+    }
+}
+
+/// The references [`add_row`] files for a row.
+fn row_refs(tuple: &TupleReport, fp: &KbFootprint) -> usize {
+    fp.len() + usize::from(!tuple.outcome.is_completed())
 }
 
 /// A [`RelationReport`]'s reverse index from KB region to row, for
@@ -184,8 +149,8 @@ impl fmt::Debug for RowIndex {
 
 impl RowIndex {
     /// The rows of `report` a delta with write footprint `fp` may have
-    /// changed, ascending: those whose footprint intersects `fp`, plus
-    /// every row whose repair never settled.
+    /// changed, ascending: those whose footprint is stale under `fp`,
+    /// plus every row whose repair never settled.
     pub(crate) fn select(&self, report: &RelationReport, fp: &KbFootprint) -> Vec<usize> {
         let mut rows = Vec::new();
         {
@@ -195,7 +160,7 @@ impl RowIndex {
                 for (row, (tuple, row_fp)) in
                     report.tuples.iter().zip(&report.footprints).enumerate()
                 {
-                    index.add(&(row as u32), row_reads(tuple, row_fp));
+                    add_row(&mut index, row, tuple, row_fp);
                 }
                 index
             });
@@ -204,7 +169,7 @@ impl RowIndex {
         rows.sort_unstable();
         rows.dedup();
         rows.retain(|&row| {
-            !report.tuples[row].outcome.is_completed() || report.footprints[row].intersects(fp)
+            !report.tuples[row].outcome.is_completed() || report.footprints[row].stale(fp)
         });
         rows
     }
@@ -222,11 +187,8 @@ impl RowIndex {
         match guard.as_mut() {
             Some(index) if !index.needs_rebuild() => {
                 for &row in rows {
-                    index.forget(row_reads(&prior.tuples[row], &prior.footprints[row]).count());
-                    index.add(
-                        &(row as u32),
-                        row_reads(&next.tuples[row], &next.footprints[row]),
-                    );
+                    index.forget(row_refs(&prior.tuples[row], &prior.footprints[row]));
+                    add_row(index, row, &next.tuples[row], &next.footprints[row]);
                 }
                 self.clone()
             }
@@ -245,7 +207,7 @@ impl RowIndex {
 mod tests {
     use super::*;
     use crate::repair::resilience::TupleOutcome;
-    use dr_kb::{ClassId, FxHashSet, LiteralId};
+    use dr_kb::{ClassId, InstanceId, LiteralId, Node, PredId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -253,14 +215,13 @@ mod tests {
     /// A footprint over a small id space, so random rows and deltas
     /// overlap often; a few read every class or the literal pool.
     fn footprint(rng: &mut StdRng) -> KbFootprint {
-        let mut fp = KbFootprint::new();
+        let mut regions = Vec::new();
         for _ in 0..rng.gen_range(0..3) {
-            fp.classes.insert(ClassId::from_index(rng.gen_range(0..4)));
+            regions.push(Region::Class(ClassId::from_index(rng.gen_range(0..4))));
         }
         for _ in 0..rng.gen_range(0..4) {
             let s = InstanceId::from_index(rng.gen_range(0..6));
-            fp.out_pairs
-                .insert((s, PredId::from_index(rng.gen_range(0..3))));
+            regions.push(Region::Out(s, PredId::from_index(rng.gen_range(0..3))));
         }
         for _ in 0..rng.gen_range(0..3) {
             let o = if rng.gen_bool(0.3) {
@@ -268,12 +229,15 @@ mod tests {
             } else {
                 Node::Instance(InstanceId::from_index(rng.gen_range(0..5)))
             };
-            fp.in_pairs
-                .insert((o, PredId::from_index(rng.gen_range(0..3))));
+            regions.push(Region::In(o, PredId::from_index(rng.gen_range(0..3))));
         }
-        fp.literals = rng.gen_bool(0.15);
-        fp.all_classes = rng.gen_bool(0.08);
-        fp
+        if rng.gen_bool(0.15) {
+            regions.push(Region::Literals);
+        }
+        if rng.gen_bool(0.08) {
+            regions.push(Region::AllClasses);
+        }
+        KbFootprint::from_buf(&mut regions)
     }
 
     /// A report over `rows` (footprint, settled) pairs.
@@ -291,7 +255,7 @@ mod tests {
                 outcome,
                 ..TupleReport::default()
             }));
-            report.footprints.push(Arc::new(fp));
+            report.footprints.push(fp);
         }
         report
     }
@@ -305,12 +269,11 @@ mod tests {
         )
     }
 
-    /// The selection oracle: one intersection test per row.
+    /// The selection oracle: one staleness test per row.
     fn linear(report: &RelationReport, delta: &KbFootprint) -> Vec<usize> {
         (0..report.tuples.len())
             .filter(|&row| {
-                !report.tuples[row].outcome.is_completed()
-                    || report.footprints[row].intersects(delta)
+                !report.tuples[row].outcome.is_completed() || report.footprints[row].stale(delta)
             })
             .collect()
     }
@@ -357,23 +320,18 @@ mod tests {
     /// either copy cannot leave the other's index short of a row.
     #[test]
     fn a_clone_starts_its_own_index() {
-        let row = |i: usize| KbFootprint {
-            out_pairs: pairs(&[i]),
-            ..KbFootprint::default()
-        };
+        let row = |i: usize| KbFootprint::from_iter([pair(i)]);
         let original = report((0..4).map(|i| (row(i), true)));
         assert_eq!(original.rows_to_rerun(&row(1)), vec![1]);
         let mut copy = original.clone();
         assert!(!copy.row_index.shared_with(&original.row_index));
-        copy.footprints[2] = Arc::new(row(1));
+        copy.footprints[2] = row(1);
         assert_eq!(copy.rows_to_rerun(&row(1)), vec![1, 2]);
         assert_eq!(original.rows_to_rerun(&row(1)), vec![1]);
     }
 
-    fn pairs(ids: &[usize]) -> FxHashSet<(InstanceId, PredId)> {
-        ids.iter()
-            .map(|&i| (InstanceId::from_index(i), PredId::from_index(0)))
-            .collect()
+    fn pair(i: usize) -> Region {
+        Region::Out(InstanceId::from_index(i), PredId::from_index(0))
     }
 
     /// Re-running every row on every step piles dead references into the
@@ -381,16 +339,9 @@ mod tests {
     /// the rebuild still select exactly, from the index they kept.
     #[test]
     fn a_rebuild_leaves_prior_reports_valid() {
-        let row = |i: usize| KbFootprint {
-            out_pairs: pairs(&[i]),
-            literals: true,
-            ..KbFootprint::default()
-        };
+        let row = |i: usize| KbFootprint::from_iter([pair(i), Region::Literals]);
         let rows = || (0..8).map(|i| (row(i), true));
-        let everything = KbFootprint {
-            literals: true,
-            ..KbFootprint::default()
-        };
+        let everything = KbFootprint::from_iter([Region::Literals]);
         let mut history = vec![report(rows())];
         let mut rebuilt = false;
         while !rebuilt && history.len() < 64 {
@@ -402,10 +353,7 @@ mod tests {
             history.push(next);
         }
         assert!(rebuilt, "the shared index was never rebuilt");
-        let one = KbFootprint {
-            out_pairs: pairs(&[3]),
-            ..KbFootprint::default()
-        };
+        let one = KbFootprint::from_iter([pair(3)]);
         for report in &history {
             assert_eq!(report.rows_to_rerun(&one), vec![3]);
         }

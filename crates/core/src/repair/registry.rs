@@ -24,7 +24,7 @@
 //! A [`dr_kb::KbDelta`] applied *in place* is the one mutation that should
 //! NOT cold-start everything: [`CacheRegistry::apply_delta`] re-keys the old
 //! generation's caches to the new generation, sweeping only the entries
-//! whose recorded footprint intersects the delta's [`KbFootprint`]
+//! that read a region the delta's [`KbFootprint`] makes stale
 //! ([`ValueCache::invalidate`]); everything else stays warm across the
 //! generation bump. A migrated cache answers only for the new generation,
 //! so a request still running on the old KB cannot poison it.
@@ -63,7 +63,7 @@
 
 use crate::graph::schema::NodeType;
 use crate::repair::snapshot::{self, SnapshotKey, SnapshotPayload};
-use crate::repair::value_cache::{ty_stale, ValueCache};
+use crate::repair::value_cache::ValueCache;
 use dr_kb::{FxHashMap, KbFootprint, KbRef};
 use dr_obs::{Counter, MetricRegistry};
 use dr_relation::Schema;
@@ -437,7 +437,7 @@ impl CacheRegistry {
     }
 
     /// Migrates every cache of `old_generation` across a KB delta: sweeps
-    /// the entries whose recorded footprint intersects `fp`
+    /// the entries that read a region `fp` makes stale
     /// ([`ValueCache::invalidate`]), re-keys the cache under
     /// `new_generation`, and re-points its disk identity at
     /// `new_content_hash` so later persists land under the post-delta KB's
@@ -445,11 +445,11 @@ impl CacheRegistry {
     /// `cache_invalidated_entries_total` metric).
     ///
     /// The old generation's match indexes move to `new_generation` too,
-    /// except those of a type `fp` makes stale, by the rule node entries
-    /// follow. A class index reads only the class's closed extent and its
-    /// labels, the literal index only the literal pool, and a delta that
-    /// changes either marks the class (ancestor-expanded) or the literals
-    /// in its footprint.
+    /// except those whose type's region `fp` makes stale, by the rule node
+    /// entries follow ([`dr_kb::Region::stale`]). A class index reads only
+    /// the class's closed extent and its labels, the literal index only the
+    /// literal pool, and a delta that changes either writes the class
+    /// (ancestor-expanded) or the literal pool in its footprint.
     ///
     /// Everything the delta did not touch survives warm — this is the whole
     /// point of footprint-based invalidation; compare
@@ -464,7 +464,7 @@ impl CacheRegistry {
         {
             let mut sets = self.index_sets.lock();
             if let Some(mut set) = sets.remove(&old_generation) {
-                set.indexes.retain(|&(ty, _), _| !ty_stale(fp, ty));
+                set.indexes.retain(|&(ty, _), _| !ty.region().stale(fp));
                 let successor = sets.entry(new_generation).or_default();
                 for (key, index) in set.indexes {
                     successor.indexes.entry(key).or_insert(index);
@@ -757,7 +757,7 @@ mod tests {
     use crate::fixtures::nobel_schema;
     use crate::graph::schema::{NodeType, SchemaNode};
     use dr_kb::fixtures::{names, nobel_mini_kb};
-    use dr_kb::KnowledgeBase;
+    use dr_kb::{KnowledgeBase, Region};
     use dr_simmatch::SimFn;
 
     fn city_node(kb: &KnowledgeBase) -> SchemaNode {
@@ -901,8 +901,9 @@ mod tests {
         let _ = cache.candidates(&ctx, &country, "Israel");
         assert_eq!(cache.len(), 2);
 
-        let mut fp = KbFootprint::new();
-        fp.classes.insert(kb.class_named(names::CITY).unwrap());
+        let fp: KbFootprint = [Region::Class(kb.class_named(names::CITY).unwrap())]
+            .into_iter()
+            .collect();
         let new_gen = kb.generation() + 1_000_000; // simulated bump
         let swept = registry.apply_delta(kb.generation(), new_gen, 0xFEED, &fp);
         assert_eq!(swept, 1, "only the city entry intersects");

@@ -17,11 +17,13 @@
 //!
 //! When the KB *does* change (a [`dr_kb::KbDelta`]), the delta's
 //! [`KbFootprint`] names exactly the regions it touched, and
-//! [`ValueCache::invalidate`] removes only the entries whose recorded reads
-//! intersect it: node entries depend on their schema-node type (a class
-//! extent or the literal pool), edge entries additionally on the `(from
-//! instance, predicate)` out-pairs they probed (see [`EdgeEntry`]). Every
-//! other entry survives and keeps warm-starting repairs.
+//! [`ValueCache::invalidate`] removes only the entries that read a region
+//! it makes stale ([`Region::stale`]): node entries read their schema-node
+//! type's region (a class extent or the literal pool), edge entries
+//! additionally the `(from instance, predicate)` out-pairs they probed (see
+//! [`EdgeEntry`]). Every other entry survives and keeps warm-starting
+//! repairs. The same regions go into the reading row's footprint on a hit
+//! and on a miss alike.
 //!
 //! A cache may outlive one relation: the
 //! [`CacheRegistry`](crate::repair::registry::CacheRegistry) keys shared
@@ -30,13 +32,13 @@
 //! a sweep removes it or the registry drops the whole cache; there is no
 //! per-entry budget.
 
-use crate::context::MatchContext;
-use crate::graph::schema::{NodeType, SchemaNode};
+use crate::context::{MatchContext, ReadSet};
+use crate::graph::schema::SchemaNode;
 use crate::repair::parallel::available_cores;
-use crate::repair::read_index::{Dep, ReadIndex};
+use crate::repair::read_index::ReadIndex;
 use crate::repair::snapshot::SnapshotPayload;
 use dr_kb::hash::FxHasher;
-use dr_kb::{InstanceId, KbFootprint, Node, PredId};
+use dr_kb::{InstanceId, KbFootprint, Node, PredId, Region};
 use dr_obs::{Counter, MetricRegistry};
 use parking_lot::RwLock;
 use std::borrow::Borrow;
@@ -279,19 +281,8 @@ impl std::ops::AddAssign for CacheStats {
 }
 
 /// Whether any candidate pair of `(from, to)` is connected by `rel` in the
-/// KB. Shared by the per-tuple and relation-scoped caches.
-pub(crate) fn edge_connected(
-    ctx: &MatchContext<'_>,
-    from_cands: &[Node],
-    rel: PredId,
-    to_cands: &[Node],
-) -> bool {
-    edge_probe(ctx, from_cands, rel, to_cands).0
-}
-
-/// [`edge_connected`] plus the probed-instance record an [`EdgeEntry`]
-/// stores. Out-edge reads go through the context, so an attached
-/// [`FootprintRecorder`](crate::context::FootprintRecorder) sees each probe.
+/// KB, plus the probed-instance record an [`EdgeEntry`] stores: the
+/// out-pairs `(probed[i], rel)` are the edge reads the answer rests on.
 pub(crate) fn edge_probe(
     ctx: &MatchContext<'_>,
     from_cands: &[Node],
@@ -303,7 +294,7 @@ pub(crate) fn edge_probe(
     for &f in from_cands {
         if let Node::Instance(i) = f {
             probed.push(i);
-            if ctx.kb_objects(i, rel).iter().any(|o| to_set.contains(o)) {
+            if ctx.kb().objects(i, rel).iter().any(|o| to_set.contains(o)) {
                 return (true, probed);
             }
         }
@@ -311,58 +302,38 @@ pub(crate) fn edge_probe(
     (false, probed)
 }
 
-/// Whether a delta footprint invalidates a dependency on `ty`'s extent —
-/// the one staleness rule for node entries, edge endpoints and the
-/// registry's per-generation match indexes.
-pub(crate) fn ty_stale(fp: &KbFootprint, ty: NodeType) -> bool {
-    match ty {
-        NodeType::Class(c) => fp.touches_class(c),
-        NodeType::Literal => fp.literals,
-    }
-}
-
-/// Whether a delta footprint can make any type's extent stale; when it
-/// cannot, a sweep skips every node entry.
-fn touches_types(fp: &KbFootprint) -> bool {
-    fp.all_classes || fp.literals || !fp.classes.is_empty()
-}
-
-/// Whether a delta footprint invalidates a cached edge entry.
-fn edge_stale(fp: &KbFootprint, sig: &EdgeSig, entry: &EdgeEntry) -> bool {
-    let (from, rel, to) = sig;
-    ty_stale(fp, from.ty)
-        || ty_stale(fp, to.ty)
-        || entry
-            .probed
-            .iter()
-            .any(|&f| fp.out_pairs.contains(&(f, *rel)))
+/// The regions an edge entry read: both endpoint types and every probed
+/// out-pair.
+fn edge_reads(
+    (from, rel, to): EdgeSig,
+    probed: &[InstanceId],
+) -> impl Iterator<Item = Region> + '_ {
+    std::iter::once(from.ty.region())
+        .chain((to.ty != from.ty).then_some(to.ty.region()))
+        .chain(probed.iter().map(move |&i| Region::Out(i, rel)))
 }
 
 /// A cache key that names the KB regions its entry was computed from. An
 /// entry is stale under a delta exactly when one of its regions is
-/// ([`Dep::stale`]) — the same rule [`edge_stale`] spells out for the
-/// full-scan oracle.
+/// ([`Region::stale`]).
 trait Reads<V> {
     /// The regions the entry `(self, value)` read.
-    fn reads<'a>(&'a self, value: &'a V) -> impl Iterator<Item = Dep> + 'a;
+    fn reads<'a>(&'a self, value: &'a V) -> impl Iterator<Item = Region> + 'a;
 
     fn stale(&self, value: &V, fp: &KbFootprint) -> bool {
-        self.reads(value).any(|dep| dep.stale(fp))
+        self.reads(value).any(|region| region.stale(fp))
     }
 }
 
 impl Reads<Arc<Vec<Node>>> for NodeKey {
-    fn reads<'a>(&'a self, _: &'a Arc<Vec<Node>>) -> impl Iterator<Item = Dep> + 'a {
-        std::iter::once(Dep::Ty(self.0.sig.ty))
+    fn reads<'a>(&'a self, _: &'a Arc<Vec<Node>>) -> impl Iterator<Item = Region> + 'a {
+        std::iter::once(self.0.sig.ty.region())
     }
 }
 
 impl Reads<EdgeEntry> for EdgeKey {
-    fn reads<'a>(&'a self, entry: &'a EdgeEntry) -> impl Iterator<Item = Dep> + 'a {
-        let (from, rel, to) = self.0.sig;
-        std::iter::once(Dep::Ty(from.ty))
-            .chain((to.ty != from.ty).then_some(Dep::Ty(to.ty)))
-            .chain(entry.probed.iter().map(move |&i| Dep::Out(i, rel)))
+    fn reads<'a>(&'a self, entry: &'a EdgeEntry) -> impl Iterator<Item = Region> + 'a {
+        edge_reads(self.0.sig, &entry.probed)
     }
 }
 
@@ -438,10 +409,10 @@ impl<K: Clone + Hash + Eq + Reads<V>, V> Shard<K, V> {
         removed
     }
 
-    /// Counts the entries for which `stale` holds — the full-scan oracle
-    /// the indexed [`Shard::sweep`] is tested against.
-    fn count_matching(&self, mut stale: impl FnMut(&K, &V) -> bool) -> u64 {
-        self.map.iter().filter(|(k, v)| stale(k, v)).count() as u64
+    /// Counts the entries that read a region `fp` makes stale, by a full
+    /// scan: the oracle the indexed [`Shard::sweep`] is tested against.
+    fn count_stale(&self, fp: &KbFootprint) -> u64 {
+        self.map.iter().filter(|(k, v)| k.stale(v, fp)).count() as u64
     }
 }
 
@@ -537,7 +508,8 @@ impl ValueCache {
 
     /// Like [`ValueCache::candidates`], also reporting whether the lookup
     /// was answered from the cache (`true` = hit). Used by the per-tuple
-    /// overlay to attribute hit/miss source levels in traces.
+    /// overlay to attribute hit/miss source levels in traces. A hit and a
+    /// miss both read `node.ty`'s region, which the overlay records.
     pub fn candidates_with_outcome(
         &self,
         ctx: &MatchContext<'_>,
@@ -554,11 +526,6 @@ impl ValueCache {
         };
         if let Some(cands) = hit {
             self.node_hits.inc();
-            // A cached answer still *depends* on the KB region it was
-            // computed from — record it so per-row footprints stay sound.
-            if let Some(rec) = ctx.recorder() {
-                rec.record_ty(node.ty);
-            }
             return (cands, true);
         }
         self.node_misses.inc();
@@ -584,45 +551,40 @@ impl ValueCache {
         from_value: &str,
         to_value: &str,
     ) -> bool {
-        self.edge_ok_with_outcome(ctx, from, rel, to, from_value, to_value)
+        let sig = (*from, rel, *to);
+        self.edge_ok_with_outcome(ctx, sig, from_value, to_value, &mut ReadSet::default())
             .0
     }
 
-    /// Like [`ValueCache::edge_ok`], also reporting whether the check was
-    /// answered from the cache (`true` = hit).
-    pub fn edge_ok_with_outcome(
+    /// Like [`ValueCache::edge_ok`] on `sig`, also reporting whether the
+    /// check was answered from the cache (`true` = hit), and recording the
+    /// regions the answer rests on into `reads`, the same on a hit as on
+    /// a miss.
+    pub(crate) fn edge_ok_with_outcome(
         &self,
         ctx: &MatchContext<'_>,
-        from: &SchemaNode,
-        rel: PredId,
-        to: &SchemaNode,
+        sig: EdgeSig,
         from_value: &str,
         to_value: &str,
+        reads: &mut ReadSet,
     ) -> (bool, bool) {
-        let probe = Probe::new((*from, rel, *to), from_value, to_value);
+        let probe = Probe::new(sig, from_value, to_value);
         let shard = &self.edges[self.shard(probe.hash)];
         if self.serves(ctx) {
             let guard = shard.read();
             let key: &dyn KeyView<_> = &probe;
             if let Some(entry) = guard.map.get(key) {
                 self.edge_hits.inc();
-                // Replay the entry's recorded reads into the row's
-                // footprint: endpoint candidate sets plus every out-pair
-                // the original computation probed.
-                if let Some(rec) = ctx.recorder() {
-                    rec.record_ty(from.ty);
-                    rec.record_ty(to.ty);
-                    for &f in &entry.probed {
-                        rec.record_out_pair(f, rel);
-                    }
-                }
+                edge_reads(sig, &entry.probed).for_each(|region| reads.record(region));
                 return (entry.ok, true);
             }
         }
         self.edge_misses.inc();
-        let from_cands = self.candidates(ctx, from, from_value);
-        let to_cands = self.candidates(ctx, to, to_value);
+        let (from, rel, to) = sig;
+        let from_cands = self.candidates(ctx, &from, from_value);
+        let to_cands = self.candidates(ctx, &to, to_value);
         let (ok, probed) = edge_probe(ctx, &from_cands, rel, &to_cands);
+        edge_reads(sig, &probed).for_each(|region| reads.record(region));
         let mut guard = shard.write();
         if !self.serves(ctx) {
             return (ok, false);
@@ -658,20 +620,20 @@ impl ValueCache {
         removed
     }
 
-    /// Removes every entry whose recorded KB reads intersect `fp` (the
-    /// footprint of an applied [`dr_kb::KbDelta`]), returning how many
-    /// entries were dropped. Everything else survives the delta.
+    /// Removes every entry that read a region `fp` (the footprint of an
+    /// applied [`dr_kb::KbDelta`]) makes stale, returning how many entries
+    /// were dropped. Everything else survives the delta.
     ///
     /// The cost is that of the entries the footprint reaches: each shard
     /// keeps a reverse index from KB region to entries, built by its first
-    /// sweep. A footprint without a class or literal part skips the node
-    /// entries outright.
+    /// sweep. A footprint without a class or literal region skips the node
+    /// entries outright: those sort first, so its first region tells.
     pub fn invalidate(&self, fp: &KbFootprint) -> u64 {
         if fp.is_empty() {
             return 0;
         }
         let mut removed = 0u64;
-        if touches_types(fp) {
+        if !matches!(fp.regions()[0], Region::Out(..) | Region::In(..)) {
             for shard in &self.nodes {
                 removed += shard.write().sweep(fp);
             }
@@ -689,18 +651,9 @@ impl ValueCache {
         if fp.is_empty() {
             return 0;
         }
-        let mut stale = 0u64;
-        for shard in &self.nodes {
-            stale += shard
-                .read()
-                .count_matching(|key, _| ty_stale(fp, key.0.sig.ty));
-        }
-        for shard in &self.edges {
-            stale += shard
-                .read()
-                .count_matching(|key, entry| edge_stale(fp, &key.0.sig, entry));
-        }
-        stale
+        let nodes: u64 = self.nodes.iter().map(|s| s.read().count_stale(fp)).sum();
+        let edges: u64 = self.edges.iter().map(|s| s.read().count_stale(fp)).sum();
+        nodes + edges
     }
 
     /// Snapshot of the hit/miss and snapshot counters.
@@ -961,16 +914,16 @@ mod tests {
         let _ = cache.candidates(&ctx, &node, "Haifa");
         assert_eq!(cache.len(), 1);
 
-        let mut other = KbFootprint::new();
-        other
-            .classes
-            .insert(kb.class_named(names::COUNTRY).unwrap());
+        let other: KbFootprint = [Region::Class(kb.class_named(names::COUNTRY).unwrap())]
+            .into_iter()
+            .collect();
         assert_eq!(cache.count_stale(&other), 0);
         assert_eq!(cache.invalidate(&other), 0);
         assert_eq!(cache.len(), 1, "unrelated delta leaves the entry warm");
 
-        let mut hit = KbFootprint::new();
-        hit.classes.insert(kb.class_named(names::CITY).unwrap());
+        let hit: KbFootprint = [Region::Class(kb.class_named(names::CITY).unwrap())]
+            .into_iter()
+            .collect();
         assert_eq!(cache.count_stale(&hit), 1);
         assert_eq!(cache.invalidate(&hit), 1);
         assert!(cache.is_empty());
@@ -1007,8 +960,7 @@ mod tests {
             "Israel Institute of Technology",
         ));
         let hershko = kb.instances_labeled("Avram Hershko")[0];
-        let mut fp = KbFootprint::new();
-        fp.out_pairs.insert((hershko, works_at));
+        let fp: KbFootprint = [Region::Out(hershko, works_at)].into_iter().collect();
         // Only the edge entry probed (hershko, worksAt); the two node
         // entries depend on class extents, which this delta leaves alone.
         assert_eq!(cache.count_stale(&fp), 1);
@@ -1016,21 +968,41 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    /// Cache hits replay the entry's recorded reads into an attached
-    /// footprint recorder, so per-row footprints stay sound on warm paths.
+    /// A lookup the shared cache answers records the same regions in the
+    /// tuple's read set as the miss that computed it, so per-row
+    /// footprints stay sound on warm paths.
     #[test]
     fn hits_record_footprints_like_misses() {
+        use crate::repair::cache::ElementCache;
         let kb = nobel_mini_kb();
-        let base = MatchContext::new(&kb);
+        let ctx = MatchContext::new(&kb);
+        let schema = nobel_schema();
         let cache = ValueCache::new();
-        let node = city_node(&kb);
-        // Warm the entry without a recorder attached.
-        let _ = cache.candidates(&base, &node, "Haifa");
-        let rec = Arc::new(crate::context::FootprintRecorder::new());
-        let ctx = base.fork().with_recorder(Arc::clone(&rec));
-        let (_, was_hit) = cache.candidates_with_outcome(&ctx, &node, "Haifa");
-        assert!(was_hit);
-        let fp = rec.take();
-        assert!(fp.touches_class(kb.class_named(names::CITY).unwrap()));
+        let city = city_node(&kb);
+        let name = SchemaNode::new(
+            schema.attr_expect("Name"),
+            NodeType::Class(kb.class_named(names::LAUREATE).unwrap()),
+            SimFn::Equal,
+        );
+        let works_at = kb.pred_named(names::WORKS_AT).unwrap();
+        let inst = SchemaNode::new(
+            schema.attr_expect("Institution"),
+            NodeType::Class(kb.class_named(names::ORGANIZATION).unwrap()),
+            SimFn::EditDistance(2),
+        );
+        let tuple = crate::fixtures::table1_dirty().tuple(0).clone();
+        let footprint = || {
+            let mut overlay = ElementCache::with_shared(&cache);
+            overlay.reads = ReadSet::recording();
+            let _ = overlay.candidates(&ctx, &tuple, &city);
+            assert!(overlay.edge_ok(&ctx, &tuple, &name, works_at, &inst));
+            (overlay.reads.take(), overlay.level_stats())
+        };
+        let (cold, cold_stats) = footprint();
+        let (warm, warm_stats) = footprint();
+        assert_eq!(cold_stats.shared_hits, 0);
+        assert_eq!(warm_stats.shared_misses, 0, "the second pass only hits");
+        assert!(warm.contains(Region::Class(kb.class_named(names::CITY).unwrap())));
+        assert_eq!(warm, cold);
     }
 }

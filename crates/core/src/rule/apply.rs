@@ -22,7 +22,7 @@
 //! different labels) or the cell is already frozen. It can be disabled via
 //! [`ApplyOptions::normalize_fuzzy`] for ablations.
 
-use crate::context::MatchContext;
+use crate::context::{MatchContext, ReadSet};
 use crate::graph::instance::{solve, Shape, SolverScratch};
 use crate::graph::schema::{NodeType, SchemaNode};
 use crate::repair::budget::{BudgetExhaustion, BudgetMeter};
@@ -312,12 +312,14 @@ impl<'kb> Scratch<'kb> {
     }
 
     /// Visits `side`'s assignments (seeded by [`Self::seed`]) with `f`,
-    /// which also sees the label slots.
+    /// which also sees the label slots, recording the search's KB reads
+    /// into `reads`.
     fn solve(
         &mut self,
         ctx: &MatchContext<'kb>,
         side: &Side,
         meter: &BudgetMeter,
+        reads: &mut ReadSet,
         mut f: impl FnMut(&[Node], &mut [Label<'kb>], &mut Vec<&'kb str>) -> bool,
     ) {
         let Scratch {
@@ -331,7 +333,7 @@ impl<'kb> Scratch<'kb> {
             edges: &side.edges,
             base: &base[..],
         };
-        solve(ctx, shape, meter, solver, &mut |assignment| {
+        solve(ctx, shape, meter, solver, reads, &mut |assignment| {
             f(assignment, labels, repairs)
         });
     }
@@ -343,7 +345,8 @@ impl<'kb> Scratch<'kb> {
 /// A cell is only rewritten when its current value matches **no** KB value
 /// of the node's type exactly: an exact match means the value names a real
 /// entity (possibly a near-twin of the bound one), not a typo, and
-/// rewriting it would trade a trusted value for a guess.
+/// rewriting it would trade a trusted value for a guess. That check reads
+/// the node type's extent, which seeding the node already recorded.
 fn normalize_cells(
     ctx: &MatchContext<'_>,
     tuple: &mut Tuple,
@@ -497,12 +500,18 @@ pub(crate) fn apply_with<'kb>(
         scratch.seed(ctx, cache, tuple, side);
         let mut found = false;
         let mut visits = 0usize;
-        scratch.solve(ctx, side, meter, |assignment, labels, _| {
-            found = true;
-            observe_labels(labels, kb, assignment);
-            visits += 1;
-            visits < opts.max_assignments
-        });
+        scratch.solve(
+            ctx,
+            side,
+            meter,
+            &mut cache.reads,
+            |assignment, labels, _| {
+                found = true;
+                observe_labels(labels, kb, assignment);
+                visits += 1;
+                visits < opts.max_assignments
+            },
+        );
         // Abort before mutating: an exhausted enumeration may have missed
         // assignments, so normalization/marks would be unreliable.
         meter.check()?;
@@ -537,14 +546,20 @@ pub(crate) fn apply_with<'kb>(
     scratch.repairs.clear();
     let (n_idx, p_idx) = (k, k + 1);
     let mut visits = 0usize;
-    scratch.solve(ctx, side, meter, |assignment, labels, repairs| {
-        if assignment[p_idx] != assignment[n_idx] {
-            repairs.push(kb.node_value(assignment[p_idx]));
-            observe_labels(labels, kb, assignment);
-        }
-        visits += 1;
-        visits < opts.max_assignments
-    });
+    scratch.solve(
+        ctx,
+        side,
+        meter,
+        &mut cache.reads,
+        |assignment, labels, repairs| {
+            if assignment[p_idx] != assignment[n_idx] {
+                repairs.push(kb.node_value(assignment[p_idx]));
+                observe_labels(labels, kb, assignment);
+            }
+            visits += 1;
+            visits < opts.max_assignments
+        },
+    );
     // Abort before the repair write: exhaustion mid-enumeration may have
     // missed candidates, and candidates[0] must be deterministic.
     meter.check()?;
@@ -556,7 +571,7 @@ pub(crate) fn apply_with<'kb>(
             let side = &compiled.negative_only;
             scratch.seed(ctx, cache, tuple, side);
             let mut negative_matches = false;
-            scratch.solve(ctx, side, meter, |_, _, _| {
+            scratch.solve(ctx, side, meter, &mut cache.reads, |_, _, _| {
                 negative_matches = true;
                 false
             });

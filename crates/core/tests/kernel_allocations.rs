@@ -1,7 +1,7 @@
 //! Allocation budget of Algorithm 2's per-tuple kernel: a warm
 //! `fast_repair` pass allocates for what its report keeps (steps, repaired
-//! values, per-row footprints), not per rule check, per solver level or
-//! per value-cache probe.
+//! values, per-row footprints), not per rule check, per solver level, per
+//! value-cache probe or per recorded KB read.
 //!
 //! The counting allocator is installed for this test binary only, and it
 //! counts on the calling thread — `fast_repair` runs its one worker there —
@@ -80,9 +80,11 @@ fn warm_fast_repair_allocates_little_per_row() {
     assert_eq!(warm_report.tuples, cold_report.tuples);
     assert_eq!(warm.tuples(), cold.tuples());
     assert_eq!(warm_report.cache.misses(), 0, "{:?}", warm_report.cache);
+    // A warm row allocates about 20.5 times: its report (steps, repaired
+    // values, the row's `Arc`) and its footprint, one sorted slice.
     let rows = warm.len();
     assert!(
-        allocated < 50 * rows,
+        allocated < 22 * rows,
         "{allocated} allocations for {rows} warm rows ({} per row)",
         allocated / rows
     );

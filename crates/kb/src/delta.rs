@@ -5,11 +5,12 @@
 //! place (DESIGN.md §10). A [`KbDelta`] is an ordered batch of edits —
 //! insert/retract triples, add/remove `rdf:type` edges, add/remove
 //! `subClassOf` edges — that [`KnowledgeBase::apply_delta`] applies
-//! in place, bumping the KB generation and returning a [`KbFootprint`]
-//! describing exactly which classes, adjacency pairs, and literal state
-//! changed. Cache layers record the footprint they *read* during matching
-//! and invalidate only entries whose read footprint intersects a delta's
-//! write footprint.
+//! in place, bumping the KB generation and returning a [`KbFootprint`]:
+//! the sorted [`Region`]s (classes, adjacency pairs, the literal pool)
+//! that changed. Readers record the regions they *read* during matching in
+//! the same type, and a reader is stale under a delta exactly when one of
+//! its regions is ([`Region::stale`]), so caches invalidate only the
+//! entries, and selective re-repair re-runs only the rows, a delta reaches.
 //!
 //! Every delta op names entities **by label/value**, with the same
 //! resolution semantics as [`KbBuilder`]: an instance label resolves to
@@ -22,9 +23,10 @@
 //! [`KnowledgeBase::apply_delta`]: crate::KnowledgeBase::apply_delta
 //! [`KbBuilder`]: crate::KbBuilder
 
-use crate::hash::FxHashSet;
 use crate::ids::{ClassId, InstanceId, Node, PredId};
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// An edge target named by content: an instance label or a literal value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,89 +345,117 @@ impl fmt::Display for DeltaParseError {
 
 impl std::error::Error for DeltaParseError {}
 
-/// The set of KB regions a delta **wrote** — or, symmetrically, the set of
-/// regions a cache entry / repaired tuple **read** while matching.
+/// One KB region: what a delta can write and a reader can depend on.
 ///
 /// Granularity (DESIGN.md §10):
-/// * `classes` — classes whose *closed extent* (`instances_of`) or typing
-///   answer may have changed. A type edit on class `c` lands here together
-///   with every ancestor of `c`; readers record the class a rule node
-///   names, so ancestor expansion on the write side makes the overlap
-///   check a plain set intersection.
-/// * `out_pairs` / `in_pairs` — forward/backward adjacency keys touched by
-///   an edge insert or retract; readers record the `(subject, pred)` /
-///   `(object, pred)` keys they probed.
-/// * `literals` — set by a writer when a **new** literal value is interned
-///   (a reader that looked a literal up by value and missed could now
-///   hit); readers set it when they resolve literals by value.
-/// * `all_classes` — a taxonomy edit moved subsumption itself; every
-///   class-dependent reader intersects.
-#[derive(Debug, Clone, Default)]
-pub struct KbFootprint {
-    /// Classes whose extent or typing answers changed / were read.
-    pub classes: FxHashSet<ClassId>,
-    /// Forward-adjacency keys `(subject, pred)` changed / probed.
-    pub out_pairs: FxHashSet<(InstanceId, PredId)>,
-    /// Backward-adjacency keys `(object, pred)` changed / probed.
-    pub in_pairs: FxHashSet<(Node, PredId)>,
-    /// A new literal value was interned / literals were resolved by value.
-    pub literals: bool,
-    /// The taxonomy itself changed; subsumes every class reader.
-    pub all_classes: bool,
+/// * `Class(c)` — the *closed extent* (`instances_of`) and typing answers
+///   of class `c`. A type edit on `c` writes `c` together with every
+///   ancestor of `c`; readers record the class a rule node names, so the
+///   ancestor expansion on the write side makes staleness an equality.
+/// * `AllClasses` — a taxonomy edit moved subsumption itself. Only
+///   writers produce it; it makes every `Class` reader stale.
+/// * `Literals` — the literal pool. A writer writes it when it interns a
+///   **new** literal value (a reader that looked the value up and missed
+///   could now hit); readers record it when they resolve literals by value.
+/// * `Out(s, p)` / `In(o, p)` — the forward/backward adjacency keys an
+///   edge insert or retract changed, or a reader probed.
+///
+/// The variant order is the sort order of a [`KbFootprint`]: the class
+/// regions come first, so "does this footprint name a class" reads its
+/// first region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Region {
+    /// The closed extent of a class.
+    Class(ClassId),
+    /// Every class at once (taxonomy edits only).
+    AllClasses,
+    /// The literal pool.
+    Literals,
+    /// The out-edges `(subject, pred, *)`.
+    Out(InstanceId, PredId),
+    /// The in-edges `(*, pred, object)`.
+    In(Node, PredId),
+}
+
+impl Region {
+    /// Whether a delta with write footprint `write` can change what a
+    /// reader of this region saw: the one staleness rule.
+    pub fn stale(self, write: &KbFootprint) -> bool {
+        write.contains(self)
+            || matches!(self, Region::Class(_)) && write.contains(Region::AllClasses)
+    }
+}
+
+/// A set of KB regions, sorted and deduplicated: the regions a delta
+/// **wrote** ([`KnowledgeBase::apply_delta`](crate::KnowledgeBase::apply_delta)
+/// returns it), or the regions a cache entry or a repaired row **read**.
+///
+/// The slice is shared by reference, so a report and its selective
+/// successor hold one copy of an unchanged row's footprint.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct KbFootprint(Arc<[Region]>);
+
+impl Default for KbFootprint {
+    fn default() -> Self {
+        Self(Arc::new([]))
+    }
 }
 
 impl KbFootprint {
-    /// Creates an empty footprint.
-    pub fn new() -> Self {
-        Self::default()
+    /// Sorts and dedups `buf`, copies it into a footprint, and leaves it
+    /// empty with its capacity, so a caller can reuse one buffer.
+    pub fn from_buf(buf: &mut Vec<Region>) -> Self {
+        buf.sort_unstable();
+        buf.dedup();
+        let fp = Self(Arc::from(&buf[..]));
+        buf.clear();
+        fp
     }
 
-    /// Whether the footprint touches nothing.
+    /// The regions, ascending.
+    pub fn regions(&self) -> &[Region] {
+        &self.0
+    }
+
+    /// Number of regions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the footprint names no region.
     pub fn is_empty(&self) -> bool {
-        !self.all_classes
-            && !self.literals
-            && self.classes.is_empty()
-            && self.out_pairs.is_empty()
-            && self.in_pairs.is_empty()
+        self.0.is_empty()
     }
 
-    /// Whether the footprint covers class `c`.
-    pub fn touches_class(&self, c: ClassId) -> bool {
-        self.all_classes || self.classes.contains(&c)
+    /// Whether the footprint names `region` itself.
+    pub fn contains(&self, region: Region) -> bool {
+        self.0.binary_search(&region).is_ok()
     }
 
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &KbFootprint) {
-        self.classes.extend(other.classes.iter().copied());
-        self.out_pairs.extend(other.out_pairs.iter().copied());
-        self.in_pairs.extend(other.in_pairs.iter().copied());
-        self.literals |= other.literals;
-        self.all_classes |= other.all_classes;
-    }
-
-    /// Whether two footprints overlap — the staleness test between a
-    /// reader's recorded footprint and a delta's write footprint.
-    /// Symmetric.
-    pub fn intersects(&self, other: &KbFootprint) -> bool {
-        if self.literals && other.literals {
+    /// Whether a reader of these regions is stale under a delta that
+    /// wrote `write`: some region is ([`Region::stale`]), decided by one
+    /// merge of the two sorted slices.
+    pub fn stale(&self, write: &KbFootprint) -> bool {
+        if matches!(self.0.first(), Some(Region::Class(_))) && write.contains(Region::AllClasses) {
             return true;
         }
-        let classes_overlap = if self.all_classes {
-            other.all_classes || !other.classes.is_empty()
-        } else if other.all_classes {
-            !self.classes.is_empty()
-        } else {
-            intersect_sets(&self.classes, &other.classes)
-        };
-        classes_overlap
-            || intersect_sets(&self.out_pairs, &other.out_pairs)
-            || intersect_sets(&self.in_pairs, &other.in_pairs)
+        let (mut reads, mut writes) = (self.0.iter(), write.0.iter());
+        let (mut r, mut w) = (reads.next(), writes.next());
+        while let (Some(a), Some(b)) = (r, w) {
+            match a.cmp(b) {
+                Ordering::Less => r = reads.next(),
+                Ordering::Greater => w = writes.next(),
+                Ordering::Equal => return true,
+            }
+        }
+        false
     }
 }
 
-fn intersect_sets<T: Eq + std::hash::Hash>(a: &FxHashSet<T>, b: &FxHashSet<T>) -> bool {
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small.iter().any(|x| big.contains(x))
+impl FromIterator<Region> for KbFootprint {
+    fn from_iter<I: IntoIterator<Item = Region>>(iter: I) -> Self {
+        Self::from_buf(&mut iter.into_iter().collect())
+    }
 }
 
 #[cfg(test)]
@@ -433,6 +463,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const OPS: [&str; 9] = [
         "insert", "retract", "type+", "type-", "sub+", "sub-", "#", "", "Insert",
@@ -567,53 +599,87 @@ mod tests {
         }
     }
 
+    fn class(i: usize) -> Region {
+        Region::Class(ClassId::from_index(i))
+    }
+
+    fn out(s: usize, p: usize) -> Region {
+        Region::Out(InstanceId::from_index(s), PredId::from_index(p))
+    }
+
     #[test]
     fn footprint_intersection_rules() {
-        let mut read = KbFootprint::new();
-        read.classes.insert(ClassId::from_index(3));
-        read.out_pairs
-            .insert((InstanceId::from_index(1), PredId::from_index(0)));
+        let read: KbFootprint = [class(3), out(1, 0)].into_iter().collect();
 
-        let mut write = KbFootprint::new();
-        assert!(!read.intersects(&write));
-        write.classes.insert(ClassId::from_index(2));
-        assert!(!read.intersects(&write));
-        write.classes.insert(ClassId::from_index(3));
-        assert!(read.intersects(&write));
+        let write = KbFootprint::default();
+        assert!(!read.stale(&write));
+        let write: KbFootprint = [class(2)].into_iter().collect();
+        assert!(!read.stale(&write));
+        let write: KbFootprint = [class(2), class(3)].into_iter().collect();
+        assert!(read.stale(&write));
 
-        let mut tax = KbFootprint::new();
-        tax.all_classes = true;
-        assert!(read.intersects(&tax));
-        assert!(tax.intersects(&read));
-        let pure_edges = KbFootprint {
-            out_pairs: [(InstanceId::from_index(9), PredId::from_index(9))]
-                .into_iter()
-                .collect(),
-            ..KbFootprint::new()
-        };
+        let tax: KbFootprint = [Region::AllClasses].into_iter().collect();
+        assert!(read.stale(&tax));
+        let pure_edges: KbFootprint = [out(9, 9)].into_iter().collect();
         assert!(
-            !pure_edges.intersects(&tax),
+            !pure_edges.stale(&tax),
             "taxonomy edits leave adjacency readers alone"
         );
 
-        let mut lit_read = KbFootprint::new();
-        lit_read.literals = true;
-        let mut lit_write = KbFootprint::new();
-        assert!(!lit_read.intersects(&lit_write));
-        lit_write.literals = true;
-        assert!(lit_read.intersects(&lit_write));
+        let lit_read: KbFootprint = [Region::Literals].into_iter().collect();
+        let lit_write = KbFootprint::default();
+        assert!(!lit_read.stale(&lit_write));
+        let lit_write: KbFootprint = [Region::Literals].into_iter().collect();
+        assert!(lit_read.stale(&lit_write));
     }
 
     #[test]
     fn footprint_merge_and_empty() {
-        let mut a = KbFootprint::new();
+        let a = KbFootprint::default();
         assert!(a.is_empty());
-        let mut b = KbFootprint::new();
-        b.classes.insert(ClassId::from_index(1));
-        b.literals = true;
-        a.merge(&b);
-        assert!(!a.is_empty());
-        assert!(a.touches_class(ClassId::from_index(1)));
-        assert!(a.literals);
+        let b: KbFootprint = [class(1), Region::Literals].into_iter().collect();
+        let union: KbFootprint = a.regions().iter().chain(b.regions()).copied().collect();
+        assert!(!union.is_empty());
+        assert!(union.contains(class(1)));
+        assert!(union.contains(Region::Literals));
+    }
+
+    /// A footprint over a small id space, so random footprints overlap
+    /// often; the all-classes marker and the literal pool come up often too.
+    fn random_footprint(rng: &mut StdRng) -> KbFootprint {
+        (0..rng.gen_range(0..8))
+            .map(|_| match rng.gen_range(0..13) {
+                0..=2 => class(rng.gen_range(0..4)),
+                3 | 4 => Region::AllClasses,
+                5 | 6 => Region::Literals,
+                7..=9 => out(rng.gen_range(0..4), rng.gen_range(0..2)),
+                _ => {
+                    let o = if rng.gen_bool(0.3) {
+                        Node::Literal(crate::LiteralId::from_index(rng.gen_range(0..2)))
+                    } else {
+                        Node::Instance(InstanceId::from_index(rng.gen_range(0..4)))
+                    };
+                    Region::In(o, PredId::from_index(rng.gen_range(0..2)))
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The merge-based overlap test equals the per-region rule applied
+        /// region by region, and every footprint is sorted and
+        /// deduplicated.
+        #[test]
+        fn footprint_staleness_matches_brute_force(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (read, write) = (random_footprint(&mut rng), random_footprint(&mut rng));
+            for fp in [&read, &write] {
+                prop_assert!(fp.regions().windows(2).all(|w| w[0] < w[1]), "{:?}", fp);
+            }
+            let brute = read.regions().iter().any(|&r| r.stale(&write));
+            prop_assert_eq!(read.stale(&write), brute, "{:?} under {:?}", read, write);
+        }
     }
 }

@@ -24,8 +24,8 @@
 //! dictionary if it names something new, the typing if it edits types or
 //! the taxonomy, and the adjacency blocks holding a changed key.
 
-use crate::delta::{DeltaNode, DeltaOp, KbDelta, KbFootprint};
-use crate::hash::FxHashMap;
+use crate::delta::{DeltaNode, DeltaOp, KbDelta, KbFootprint, Region};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ids::{ClassId, InstanceId, LiteralId, Node, PredId};
 use crate::symbol::{Symbol, SymbolTable};
 use crate::taxonomy::Taxonomy;
@@ -1004,8 +1004,8 @@ impl KnowledgeBase {
         // even by retract ops, for id parity with the rebuild oracle); edge
         // ops are collected and merged after the loop. The footprint
         // records only regions that actually changed.
-        let mut fp = KbFootprint::new();
-        let mut types_changed = false;
+        let mut writes: Vec<Region> = Vec::new();
+        let mut typed: FxHashSet<ClassId> = FxHashSet::default();
         let mut edge_ops: Vec<(Triple, bool)> = Vec::new();
         for op in delta.ops() {
             match op {
@@ -1021,7 +1021,7 @@ impl KnowledgeBase {
                 } => {
                     let s = self.intern_instance(subject);
                     let p = self.intern_pred(pred);
-                    let o = self.intern_node(object, &mut fp);
+                    let o = self.intern_node(object, &mut writes);
                     let insert = matches!(op, DeltaOp::InsertTriple { .. });
                     edge_ops.push(((s, p, o), insert));
                 }
@@ -1030,8 +1030,7 @@ impl KnowledgeBase {
                     let c = self.intern_class(class);
                     if !self.types.classes_of(i).contains(&c) {
                         Arc::make_mut(&mut self.types).add(i, c);
-                        types_changed = true;
-                        fp.classes.insert(c);
+                        typed.insert(c);
                     }
                 }
                 DeltaOp::RemoveType { instance, class } => {
@@ -1039,8 +1038,7 @@ impl KnowledgeBase {
                     let c = self.intern_class(class);
                     if self.types.classes_of(i).contains(&c) {
                         Arc::make_mut(&mut self.types).remove(i, c);
-                        types_changed = true;
-                        fp.classes.insert(c);
+                        typed.insert(c);
                     }
                 }
                 DeltaOp::AddSubclass { sub, sup } | DeltaOp::RemoveSubclass { sub, sup } => {
@@ -1054,7 +1052,7 @@ impl KnowledgeBase {
         }
         debug_assert_eq!(self.num_classes(), next_class, "plan/mutation id drift");
 
-        if new_taxonomy.is_some() || types_changed {
+        if new_taxonomy.is_some() || !typed.is_empty() {
             let num_classes = self.num_classes();
             let types = Arc::make_mut(&mut self.types);
             if let Some(t) = new_taxonomy {
@@ -1062,29 +1060,30 @@ impl KnowledgeBase {
             }
             types.recompute_closed(num_classes);
         }
-        self.apply_edge_ops(edge_ops, &mut fp);
+        self.apply_edge_ops(edge_ops, &mut writes);
 
         // Ancestor expansion against the *installed* taxonomy: a type edit
         // on `c` changes the closed extent of `c` and every class above it.
-        fp.all_classes = taxonomy_changed;
-        if !fp.classes.is_empty() {
-            let mut stack: Vec<ClassId> = fp.classes.iter().copied().collect();
-            while let Some(c) = stack.pop() {
-                for &p in self.taxonomy().parents(c) {
-                    if fp.classes.insert(p) {
-                        stack.push(p);
-                    }
+        let mut stack: Vec<ClassId> = typed.iter().copied().collect();
+        while let Some(c) = stack.pop() {
+            for &p in self.taxonomy().parents(c) {
+                if typed.insert(p) {
+                    stack.push(p);
                 }
             }
+        }
+        writes.extend(typed.into_iter().map(Region::Class));
+        if taxonomy_changed {
+            writes.push(Region::AllClasses);
         }
 
         self.generation = alloc_generation();
         self.content_hash = OnceLock::new();
-        Ok(fp)
+        Ok(KbFootprint::from_buf(&mut writes))
     }
 
     /// Lands edge ops, given in op order, as one merge into fresh runs.
-    fn apply_edge_ops(&mut self, mut ops: Vec<(Triple, bool)>, fp: &mut KbFootprint) {
+    fn apply_edge_ops(&mut self, mut ops: Vec<(Triple, bool)>, writes: &mut Vec<Region>) {
         // A stable sort groups the ops on each triple and keeps their order.
         ops.sort_by_key(|&(t, _)| t);
         let mut changes: Vec<(Triple, bool)> = Vec::new();
@@ -1100,8 +1099,7 @@ impl KnowledgeBase {
                 }
             }
             if changed {
-                fp.out_pairs.insert((s, p));
-                fp.in_pairs.insert((o, p));
+                writes.extend([Region::Out(s, p), Region::In(o, p)]);
             }
             if present != before {
                 changes.push((t, present));
@@ -1133,7 +1131,7 @@ impl KnowledgeBase {
         }
     }
 
-    fn intern_node(&mut self, node: &DeltaNode, fp: &mut KbFootprint) -> Node {
+    fn intern_node(&mut self, node: &DeltaNode, writes: &mut Vec<Region>) -> Node {
         match node {
             DeltaNode::Instance(label) => Node::Instance(self.intern_instance(label)),
             DeltaNode::Literal(value) => {
@@ -1142,7 +1140,7 @@ impl KnowledgeBase {
                 }
                 // A reader that resolved this value before the delta saw a
                 // miss; flag literal state as changed.
-                fp.literals = true;
+                writes.push(Region::Literals);
                 Node::Literal(Arc::make_mut(&mut self.names).push_literal(value))
             }
         }
@@ -1184,7 +1182,6 @@ impl fmt::Debug for KnowledgeBase {
 mod tests {
     use super::*;
     use crate::fixtures::figure1_kb;
-    use crate::hash::FxHashSet;
 
     #[test]
     fn figure1_basic_lookups() {
@@ -1360,9 +1357,12 @@ mod tests {
         assert!(kb.has_edge(ada, works_at, Node::Instance(haifa)));
         assert_eq!(kb.subjects(Node::Instance(haifa), works_at), &[ada]);
         assert_eq!(kb.preds_of(ada), &[works_at]);
-        assert!(fp.out_pairs.contains(&(ada, works_at)));
-        assert!(fp.in_pairs.contains(&(Node::Instance(haifa), works_at)));
-        assert!(fp.classes.is_empty() && !fp.all_classes && !fp.literals);
+        assert!(fp.contains(Region::Out(ada, works_at)));
+        assert!(fp.contains(Region::In(Node::Instance(haifa), works_at)));
+        assert!(fp
+            .regions()
+            .iter()
+            .all(|r| matches!(r, Region::Out(..) | Region::In(..))));
 
         let edges = kb.num_edges();
         let mut r = KbDelta::new();
@@ -1389,15 +1389,15 @@ mod tests {
         let fp = kb.apply_delta(&d).unwrap();
         let berg = kb.instances_labeled("Paul Berg")[0];
         assert_eq!(kb.instances_of(person), &[i, berg]);
-        assert!(fp.touches_class(chemist) && fp.touches_class(person));
-        assert!(!fp.all_classes);
+        assert!(fp.contains(Region::Class(chemist)) && fp.contains(Region::Class(person)));
+        assert!(!fp.contains(Region::AllClasses));
 
         let mut r = KbDelta::new();
         r.remove_type("Marie Curie", "chemist");
         let fp = kb.apply_delta(&r).unwrap();
         assert_eq!(kb.instances_of(person), &[berg]);
         assert!(kb.instance_classes(i).is_empty());
-        assert!(fp.touches_class(person));
+        assert!(fp.contains(Region::Class(person)));
     }
 
     #[test]
@@ -1425,7 +1425,7 @@ mod tests {
         let mut d = KbDelta::new();
         d.remove_subclass("chemist", "person");
         let fp = kb.apply_delta(&d).unwrap();
-        assert!(fp.all_classes);
+        assert!(fp.contains(Region::AllClasses));
         assert!(kb.instances_of(person).is_empty());
         assert_eq!(kb.instances_of(chemist), &[i]);
     }
@@ -1457,7 +1457,7 @@ mod tests {
             .add_subclass("port", "place")
             .remove_type("Israel", "country");
         let fp = live.apply_delta(&d).unwrap();
-        assert!(fp.literals, "new literal interned");
+        assert!(fp.contains(Region::Literals), "new literal interned");
 
         let rebuilt = {
             let mut b = KbBuilder::new();
@@ -1535,35 +1535,29 @@ mod tests {
 
         // Every op that changed the edge set marks its pairs, even when a
         // later op undid it; the no-ops mark nothing.
-        let out: FxHashSet<_> = [ada, technion, haifa, karcag]
+        let out = [ada, technion, haifa, karcag]
             .into_iter()
-            .map(|s| (s, if s == ada { works_at } else { located_in }))
-            .collect();
-        assert_eq!(fp.out_pairs, out);
-        let inn: FxHashSet<_> = [
-            (Node::Instance(haifa), works_at),
-            (Node::Instance(haifa), located_in),
-            (Node::Instance(karcag), located_in),
-            (Node::Instance(hungary), located_in),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(fp.in_pairs, inn);
-        assert!(!fp.out_pairs.contains(&(hershko, works_at)));
+            .map(|s| Region::Out(s, if s == ada { works_at } else { located_in }));
+        let inn = [
+            Region::In(Node::Instance(haifa), works_at),
+            Region::In(Node::Instance(haifa), located_in),
+            Region::In(Node::Instance(karcag), located_in),
+            Region::In(Node::Instance(hungary), located_in),
+        ];
+        assert_eq!(fp, out.chain(inn).collect::<KbFootprint>());
+        assert!(!fp.contains(Region::Out(hershko, works_at)));
 
         // The same ops applied one delta at a time reach the same KB and,
-        // merged, the same footprint.
+        // united, the same footprint.
         let mut one_by_one = figure1_kb();
-        let mut merged = KbFootprint::new();
+        let mut united = Vec::new();
         for op in d.ops() {
             let mut single = KbDelta::new();
             single.push(op.clone());
-            merged.merge(&one_by_one.apply_delta(&single).unwrap());
+            united.extend_from_slice(one_by_one.apply_delta(&single).unwrap().regions());
         }
         assert_eq!(one_by_one.content_hash(), kb.content_hash());
-        assert_eq!(merged.out_pairs, fp.out_pairs);
-        assert_eq!(merged.in_pairs, fp.in_pairs);
-        assert_eq!(merged.literals, fp.literals);
+        assert_eq!(KbFootprint::from_buf(&mut united), fp);
     }
 
     #[test]

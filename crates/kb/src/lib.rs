@@ -62,7 +62,7 @@ pub mod taxonomy;
 pub mod view;
 
 pub use content_hash::content_hash_of;
-pub use delta::{DeltaNode, DeltaOp, DeltaParseError, KbDelta, KbFootprint};
+pub use delta::{DeltaNode, DeltaOp, DeltaParseError, KbDelta, KbFootprint, Region};
 pub use graph::{KbBuilder, KbError, KnowledgeBase};
 pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{ClassId, InstanceId, LiteralId, Node, PredId};

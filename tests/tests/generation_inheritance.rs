@@ -8,7 +8,7 @@
 //! 2. A value-cache sweep that reaches entries through its reverse index
 //!    removes exactly the entries a full scan of the cache would, and
 //!    `count_stale` reads zero afterwards — for random class, literal,
-//!    `all_classes` and out-pair footprints.
+//!    all-classes and out-pair footprints.
 //!
 //! Set `DR_QUICK=1` to shrink the property-test case counts.
 
@@ -21,7 +21,7 @@ use dr_core::{
 };
 use dr_datasets::{KbProfile, NobelWorld};
 use dr_integration_tests::differential::{proptest_cases, random_delta};
-use dr_kb::{ClassId, InstanceId, KbFootprint, KnowledgeBase, LiteralId, Node, PredId};
+use dr_kb::{ClassId, InstanceId, KbFootprint, KnowledgeBase, LiteralId, Node, PredId, Region};
 use dr_relation::AttrId;
 use dr_simmatch::SimFn;
 use proptest::prelude::*;
@@ -73,13 +73,18 @@ fn probes(kb: &KnowledgeBase) -> Vec<String> {
     out
 }
 
+/// Whether the footprint names `region`, by a scan of its regions.
+fn names(fp: &KbFootprint, region: Region) -> bool {
+    fp.regions().contains(&region)
+}
+
 /// The staleness rule of DESIGN.md §10, written out independently of the
 /// cache: a type's extent is stale when the footprint names its class (or
-/// the whole taxonomy) or, for the literal pool, any literal.
+/// the whole taxonomy) or, for the literal pool, the literal pool.
 fn ty_stale(fp: &KbFootprint, ty: NodeType) -> bool {
     match ty {
-        NodeType::Class(c) => fp.all_classes || fp.classes.contains(&c),
-        NodeType::Literal => fp.literals,
+        NodeType::Class(c) => names(fp, Region::AllClasses) || names(fp, Region::Class(c)),
+        NodeType::Literal => names(fp, Region::Literals),
     }
 }
 
@@ -115,7 +120,7 @@ fn survivors(payload: &SnapshotPayload, fp: &KbFootprint) -> (HashSet<NodeKey>, 
         .filter(|((from, rel, to), _, _, _, probed)| {
             !ty_stale(fp, from.ty)
                 && !ty_stale(fp, to.ty)
-                && !probed.iter().any(|&i| fp.out_pairs.contains(&(i, *rel)))
+                && !probed.iter().any(|&i| names(fp, Region::Out(i, *rel)))
         })
         .map(|(sig, from, to, _, _)| (*sig, from.clone(), to.clone()))
         .collect();
@@ -180,25 +185,24 @@ fn random_payload(rng: &mut StdRng) -> SnapshotPayload {
 }
 
 fn random_footprint(rng: &mut StdRng) -> KbFootprint {
-    let mut fp = KbFootprint::new();
+    let mut regions = Vec::new();
     match rng.gen_range(0..4) {
-        0 => {
-            fp.classes
-                .insert(ClassId::from_index(rng.gen_range(0..CLASSES)));
-        }
-        1 => fp.literals = true,
-        2 => fp.all_classes = rng.gen_bool(0.5),
+        0 => regions.push(Region::Class(ClassId::from_index(
+            rng.gen_range(0..CLASSES),
+        ))),
+        1 => regions.push(Region::Literals),
+        2 if rng.gen_bool(0.5) => regions.push(Region::AllClasses),
         _ => {}
     }
     for _ in 0..rng.gen_range(0..4) {
-        let pair = (
+        let (s, p) = (
             random_instance(rng),
             PredId::from_index(rng.gen_range(0..PREDS)),
         );
-        fp.out_pairs.insert(pair);
-        fp.in_pairs.insert((Node::Instance(pair.0), pair.1));
+        regions.push(Region::Out(s, p));
+        regions.push(Region::In(Node::Instance(s), p));
     }
-    fp
+    KbFootprint::from_buf(&mut regions)
 }
 
 proptest! {
