@@ -150,11 +150,6 @@ impl SchemaGraph {
         self.nodes.is_empty()
     }
 
-    /// Index of the node describing `col`, if any.
-    pub fn node_for_col(&self, col: AttrId) -> Option<usize> {
-        self.nodes.iter().position(|n| n.col == col)
-    }
-
     /// Validates structural invariants: non-empty, per-column uniqueness,
     /// edge sanity, weak connectivity.
     pub fn validate(&self) -> Result<(), SchemaGraphError> {

@@ -55,7 +55,7 @@ pub use rule::apply::{
     apply_rule, apply_rule_cached, ApplyOptions, Normalization, RuleApplication,
 };
 pub use rule::consistency::{
-    check_consistency, check_consistency_multi, contending_pairs, Consistency, ConsistencyOptions,
+    check_consistency, check_consistency_multi, contending_pairs, Consistency,
 };
 pub use rule::generation::{
     discover_graph, generate_rules, rule_repairs_examples, rule_respects_positives,

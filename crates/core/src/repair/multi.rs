@@ -51,69 +51,65 @@ fn chase(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
     opts: &MultiOptions,
-    start: Tuple,
-    remaining: Vec<usize>,
+    t: Tuple,
+    mut remaining: Vec<usize>,
     out: &mut Vec<Tuple>,
 ) {
-    if out.len() >= opts.max_versions {
+    let fired = remaining.iter().enumerate().find_map(|(pos, &ri)| {
+        let mut probe = t.clone();
+        let application = apply_rule(ctx, &rules[ri], &mut probe, &opts.apply);
+        application.applied().then_some((pos, probe, application))
+    });
+    let Some((pos, probe, application)) = fired else {
+        // Fixpoint.
+        if out.len() < opts.max_versions {
+            out.push(t);
+        }
         return;
-    }
-    let mut t = start;
-    let mut rem = remaining;
-    loop {
-        let mut fired: Option<(usize, Tuple, RuleApplication)> = None;
-        for (pos, &ri) in rem.iter().enumerate() {
-            let mut probe = t.clone();
-            let application = apply_rule(ctx, &rules[ri], &mut probe, &opts.apply);
-            if application.applied() {
-                fired = Some((pos, probe, application));
-                break;
-            }
-        }
-        let Some((pos, probe, application)) = fired else {
-            // Fixpoint.
-            if out.len() < opts.max_versions {
-                out.push(t);
-            }
+    };
+    remaining.remove(pos);
+    for branch in versions(&t, probe, &application) {
+        if out.len() >= opts.max_versions {
             return;
-        };
-        rem.remove(pos);
-        if let RuleApplication::Repaired {
-            col,
-            candidates,
-            newly_marked,
-            normalized,
-            ..
-        } = &application
-        {
-            if candidates.len() > 1 {
-                // Fork one branch per candidate, in sorted candidate order:
-                // the first candidate continues in `probe`, the others
-                // replay the marks and normalizations on the pre-application
-                // state.
-                chase(ctx, rules, opts, probe, rem.clone(), out);
-                for extra in &candidates[1..] {
-                    if out.len() >= opts.max_versions {
-                        break;
-                    }
-                    let mut branch = t.clone();
-                    for n in normalized {
-                        if !branch.is_positive(n.col) {
-                            branch.set(n.col, n.new.clone());
-                        }
-                    }
-                    branch.set(*col, extra.clone());
-                    for &c in newly_marked {
-                        branch.mark_positive(c);
-                    }
-                    chase(ctx, rules, opts, branch, rem.clone(), out);
-                }
-                return;
-            }
         }
-        // Non-forking application: continue in-line.
-        t = probe;
+        chase(ctx, rules, opts, branch, remaining.clone(), out);
     }
+}
+
+/// The states one rule application leads to: `applied`, the tuple after
+/// the application (holding the first candidate), then for a
+/// multi-version repair one state per further candidate, in sorted
+/// candidate order, replaying the application's normalizations, repair and
+/// marks on `before`, the tuple it was applied to.
+pub(crate) fn versions(
+    before: &Tuple,
+    applied: Tuple,
+    application: &RuleApplication,
+) -> Vec<Tuple> {
+    let mut out = vec![applied];
+    if let RuleApplication::Repaired {
+        col,
+        candidates,
+        newly_marked,
+        normalized,
+        ..
+    } = application
+    {
+        for extra in candidates.iter().skip(1) {
+            let mut branch = before.clone();
+            for n in normalized {
+                if !branch.is_positive(n.col) {
+                    branch.set(n.col, n.new.clone());
+                }
+            }
+            branch.set(*col, extra.clone());
+            for &c in newly_marked {
+                branch.mark_positive(c);
+            }
+            out.push(branch);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

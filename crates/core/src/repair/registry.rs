@@ -62,7 +62,7 @@
 //! * [`CacheRegistry::persist`] flushes every entry of every live cache.
 
 use crate::graph::schema::NodeType;
-use crate::repair::snapshot::{self, SnapshotKey, SnapshotPayload};
+use crate::repair::snapshot::{self, SnapshotKey};
 use crate::repair::value_cache::ValueCache;
 use dr_kb::{FxHashMap, KbFootprint, KbRef};
 use dr_obs::{Counter, MetricRegistry};
@@ -714,19 +714,6 @@ impl CacheRegistry {
     /// and never recorded).
     pub fn snapshot_diagnostics(&self) -> Vec<String> {
         self.snapshot_diagnostics.lock().clone()
-    }
-
-    /// Exports the portable payload for `(kb, schema)`'s live cache —
-    /// what [`Self::persist`] would write for it. Mostly for tests and
-    /// tooling; `None` when no live cache exists for the pair.
-    pub fn export_payload<'a>(
-        &self,
-        kb: impl Into<KbRef<'a>>,
-        schema: &Schema,
-    ) -> Option<SnapshotPayload> {
-        let key = (kb.into().generation(), schema.fingerprint());
-        let slots = self.slots.lock();
-        slots.get(&key).map(|s| s.cache.export())
     }
 
     /// Snapshot of the registry counters.

@@ -430,39 +430,30 @@ pub fn apply_rule_cached(
     cache: &mut ElementCache<'_>,
 ) -> RuleApplication {
     // An unbounded meter never exhausts, so the Err arm is unreachable.
-    apply_rule_metered(ctx, rule, tuple, opts, cache, &BudgetMeter::unbounded())
-        .unwrap_or(RuleApplication::NotApplicable)
-}
-
-/// [`apply_rule_cached`] charging the instance-graph searches to `meter`
-/// (the budget pillar of the resilience layer, DESIGN.md §4c).
-///
-/// On exhaustion the application aborts **before mutating the tuple**: a
-/// rule either fully applies (marks, normalizations, repair all written) or
-/// reports `Err` having written nothing — so a degraded tuple is always a
-/// prefix of the fault-free chase, never a torn rule application. Earlier
-/// rules' completed applications stand.
-pub fn apply_rule_metered(
-    ctx: &MatchContext<'_>,
-    rule: &DetectiveRule,
-    tuple: &mut Tuple,
-    opts: &ApplyOptions,
-    cache: &mut ElementCache<'_>,
-    meter: &BudgetMeter,
-) -> Result<RuleApplication, BudgetExhaustion> {
+    let meter = BudgetMeter::unbounded();
     apply_with(
         ctx,
         rule,
         tuple,
         opts,
         cache,
-        meter,
+        &meter,
         &mut Scratch::default(),
     )
+    .unwrap_or(RuleApplication::NotApplicable)
 }
 
-/// [`apply_rule_metered`] with buffers the caller keeps across rule
-/// checks: the repair drivers' per-tuple kernel.
+/// [`apply_rule_cached`] charging the instance-graph searches to `meter`
+/// (the budget pillar of the resilience layer, DESIGN.md §4c), with
+/// buffers the caller keeps across rule checks: the repair drivers'
+/// per-tuple kernel.
+///
+/// A rule that does not apply leaves the tuple untouched. On exhaustion
+/// the application aborts **before mutating the tuple**: a rule either
+/// fully applies (marks, normalizations, repair all written) or reports
+/// `Err` having written nothing — so a degraded tuple is always a prefix
+/// of the fault-free chase, never a torn rule application. Earlier rules'
+/// completed applications stand.
 pub(crate) fn apply_with<'kb>(
     ctx: &MatchContext<'kb>,
     rule: &DetectiveRule,

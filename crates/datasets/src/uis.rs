@@ -411,7 +411,7 @@ impl SemanticSource for UisSemanticSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_core::rule::consistency::{check_consistency, ConsistencyOptions};
+    use dr_core::rule::consistency::check_consistency;
     use dr_core::{fast_repair, ApplyOptions, MatchContext};
     use dr_relation::noise::{inject, NoiseSpec};
     use dr_relation::GroundTruth;
@@ -462,7 +462,7 @@ mod tests {
         let ctx = MatchContext::new(&kb);
         let clean = w.clean_relation();
         let (dirty, _) = inject(&clean, &NoiseSpec::new(0.1, 3), &w.semantic_source());
-        let verdict = check_consistency(&ctx, &rules, &dirty, &ConsistencyOptions::default());
+        let verdict = check_consistency(&ctx, &rules, &dirty, &ApplyOptions::default());
         assert!(verdict.is_consistent(), "{verdict:?}");
     }
 

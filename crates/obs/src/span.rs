@@ -247,11 +247,6 @@ impl ActiveTrace {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Spans recorded so far (finished spans only).
-    pub fn span_count(&self) -> usize {
-        self.spans.lock().len()
-    }
-
     /// Drains the recorded spans (newest-finished last). Call once, after
     /// every guard is finished.
     pub fn take_spans(&self) -> Vec<SpanRecord> {

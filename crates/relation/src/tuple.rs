@@ -9,7 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Correctness state of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Mark {
     /// Correctness unknown (the initial state).
     #[default]
@@ -18,8 +18,8 @@ pub enum Mark {
     Positive,
 }
 
-/// One row of a relation, with marks.
-#[derive(Clone, PartialEq, Eq)]
+/// One row of a relation, with marks. Ordered by cells, then marks.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
     cells: Vec<String>,
     marks: Vec<Mark>,

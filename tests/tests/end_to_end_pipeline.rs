@@ -4,7 +4,7 @@
 
 use dr_core::fast_repair;
 use dr_core::repair::basic::basic_repair;
-use dr_core::rule::consistency::{check_consistency, ConsistencyOptions};
+use dr_core::rule::consistency::check_consistency;
 use dr_core::{ApplyOptions, MatchContext};
 use dr_datasets::{KbFlavor, KbProfile, NobelWorld, UisWorld};
 use dr_eval::{evaluate, RepairExtras};
@@ -59,7 +59,7 @@ fn uis_pipeline_quality_and_consistency() {
     let rules = UisWorld::rules(&kb);
     let ctx = MatchContext::new(&kb);
 
-    let verdict = check_consistency(&ctx, &rules, &dirty, &ConsistencyOptions::default());
+    let verdict = check_consistency(&ctx, &rules, &dirty, &ApplyOptions::default());
     assert!(verdict.is_consistent(), "{verdict:?}");
 
     let mut repaired = dirty.clone();

@@ -5,7 +5,7 @@
 use dr_core::fast_repair;
 use dr_core::fixtures::{figure4_rules, nobel_schema, table1_clean, table1_dirty};
 use dr_core::repair::multi::{multi_repair_tuple, MultiOptions};
-use dr_core::rule::consistency::{check_consistency, ConsistencyOptions};
+use dr_core::rule::consistency::check_consistency;
 use dr_core::{ApplyOptions, MatchContext};
 use dr_eval::{evaluate, RepairExtras};
 use dr_kb::fixtures::nobel_mini_kb;
@@ -36,12 +36,7 @@ fn figure4_rules_are_consistent() {
     let kb = nobel_mini_kb();
     let rules = figure4_rules(&kb);
     let ctx = MatchContext::new(&kb);
-    let verdict = check_consistency(
-        &ctx,
-        &rules,
-        &table1_dirty(),
-        &ConsistencyOptions::default(),
-    );
+    let verdict = check_consistency(&ctx, &rules, &table1_dirty(), &ApplyOptions::default());
     assert!(verdict.is_consistent());
 }
 
