@@ -5,9 +5,10 @@
 //! sim)` pair, built on first use and shared across rules, tuples, and
 //! threads — the "efficient instance matching" machinery of §IV-B(2).
 //!
-//! The context itself records nothing. The KB regions a row reads are
-//! recorded by the repair kernel into a worker-owned `ReadSet`, which
-//! hands the row's sorted [`KbFootprint`] to its report.
+//! The context itself records nothing. On a registry-attached context the
+//! KB regions a row reads are recorded by the repair kernel into a
+//! worker-owned `ReadSet`, which hands the row's sorted [`KbFootprint`] to
+//! its report.
 
 use crate::graph::schema::NodeType;
 use crate::repair::budget::RepairBudget;
@@ -28,8 +29,11 @@ use std::sync::Arc;
 /// and value caches, the solver), and reuses it across rows. Recording
 /// dedups as it goes, so the row end sorts only distinct regions.
 ///
-/// Only [`crate::parallel_repair`]'s workers keep the footprint, so only
-/// they record ([`Self::recording`]); the default set, which single-tuple
+/// Only a footprint a later [`crate::parallel_repair_selective`] can read
+/// is worth recording, so only [`crate::parallel_repair`]'s workers on a
+/// registry-attached context record ([`Self::recording`]): such a context
+/// is what carries a KB from one generation to the next. The default set,
+/// which those workers use without a registry and which single-tuple
 /// repairs, Algorithm 1 and the `Pattern` functions use, ignores reads.
 #[derive(Debug, Default)]
 pub(crate) struct ReadSet {
@@ -61,12 +65,12 @@ impl ReadSet {
         }
     }
 
-    /// The recorded regions as a footprint, leaving the set empty.
-    pub(crate) fn take(&mut self) -> KbFootprint {
-        if let Some(seen) = &mut self.seen {
-            self.buf.extend(seen.drain());
-        }
-        KbFootprint::from_buf(&mut self.buf)
+    /// The recorded regions as a footprint, leaving the set empty; `None`
+    /// for a set that does not record.
+    pub(crate) fn take(&mut self) -> Option<KbFootprint> {
+        let seen = self.seen.as_mut()?;
+        self.buf.extend(seen.drain());
+        Some(KbFootprint::from_buf(&mut self.buf))
     }
 }
 

@@ -123,8 +123,10 @@ pub struct RelationReport {
     pub resilience: ResilienceReport,
     /// Per-row KB read footprints, indexed like [`Self::tuples`] — what
     /// selective re-repair checks against a delta's footprint to decide
-    /// which rows to re-run. Empty for repairers that do not record
-    /// (the basic chase). Read-only once the report has served a selective
+    /// which rows to re-run. Empty, or one per row when the context has a
+    /// registry: only a registry-attached context has a next KB generation
+    /// to re-repair against, so only its passes record (always empty for
+    /// the basic chase). Read-only once the report has served a selective
     /// re-repair: its row index was built from them.
     pub footprints: Vec<dr_kb::KbFootprint>,
     /// `Some(n)` when this report came from

@@ -27,6 +27,14 @@
 //! prior result's own `Arc<Tuple>`. Relations share rows by reference;
 //! the scheduler copies a shared row on the calling thread before the
 //! workers start, so a worker never pays for copy-on-write.
+//!
+//! A pass records only what a successor can read. Footprints are recorded
+//! only on a registry-attached context, the one kind of context that
+//! carries a KB from one generation to the next; a batch pass without a
+//! registry hashes no read and sorts no footprint. Each worker repairs
+//! its untraced rows through one span-free fork of the context, made
+//! before its loop, and forks per row only for a row with a detailed
+//! span, so rule spans exist exactly under row spans.
 
 use crate::context::{MatchContext, ReadSet};
 use crate::repair::basic::{PhaseTimings, RelationReport, TupleReport};
@@ -60,9 +68,9 @@ pub struct ParallelOptions {
     pub fault_plan: Option<std::sync::Arc<crate::repair::fault::FaultPlan>>,
 }
 
-/// One row's scheduler slot: the row's tuple, and its report and footprint
-/// once a worker has repaired it.
-type RowSlot<'t> = (&'t mut Tuple, Option<(TupleReport, KbFootprint)>);
+/// One row's scheduler slot: the row's tuple, and its report (with its
+/// footprint, on a recording pass) once a worker has repaired it.
+type RowSlot<'t> = (&'t mut Tuple, Option<(TupleReport, Option<KbFootprint>)>);
 
 /// The number of cores this process may run on, read once: reading it
 /// opens cgroup files, which costs tens of microseconds per call.
@@ -74,6 +82,11 @@ pub fn available_cores() -> usize {
 /// Repairs `relation` with up to `threads` workers, the calling thread
 /// being worker 0. The result is row for row the same at every thread
 /// count.
+///
+/// The report's `footprints` hold one per row when `ctx` has a
+/// [`CacheRegistry`](crate::CacheRegistry), and are empty otherwise: only
+/// a registry-attached context has a next KB generation for
+/// [`parallel_repair_selective`] to re-repair against.
 pub fn parallel_repair(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
@@ -118,6 +131,9 @@ pub fn parallel_repair(
 
     let shared = ctx.value_cache_for(relation.schema());
     let before = shared.stats();
+    // Only a registry-attached context reaches a next KB generation, so
+    // only its report can meet a selective re-repair: record exactly then.
+    let recording = ctx.registry().is_some();
     // One "repair" phase span covers the scheduler pass; row spans parent
     // onto it through `row_span`.
     let repair_span = relation_span.phase("repair");
@@ -145,11 +161,17 @@ pub fn parallel_repair(
     let next = AtomicUsize::new(0);
     let work = |w: usize| {
         // The worker's reusable state: one element cache (holding the
-        // row's read set, which records for the report's footprints) and
-        // kernel buffers for all the rows it claims.
+        // row's read set, which records for the report's footprints on a
+        // recording pass), kernel buffers, and a span-free context for all
+        // the rows it claims. A detailed row forks its own context to
+        // carry its row span; the pinned `ctx` itself carries the caller's
+        // span, under which no rule span belongs.
         let mut cache = ElementCache::with_shared(&shared);
-        cache.reads = ReadSet::recording();
+        if recording {
+            cache.reads = ReadSet::recording();
+        }
         let mut scratch = TupleScratch::new(cache);
+        let untraced = ctx.fork().with_span_opt(None);
         let (mut won, mut tries) = (0u64, 0u64);
         loop {
             tries += 1;
@@ -162,7 +184,7 @@ pub fn parallel_repair(
             let (tuple, result) = &mut *slot;
             *result = Some(repair_row(
                 &repairer,
-                ctx,
+                &untraced,
                 opts,
                 &mut scratch,
                 tuple,
@@ -193,7 +215,7 @@ pub fn parallel_repair(
     }
 
     let mut tuples = Vec::with_capacity(slots.len());
-    let mut footprints = Vec::with_capacity(slots.len());
+    let mut footprints = Vec::with_capacity(if recording { slots.len() } else { 0 });
     for (row, slot) in slots.into_iter().enumerate() {
         // Every claimed row writes its slot (even a panicked one —
         // `repair_row` converts the panic to a `Failed` report), so
@@ -207,11 +229,11 @@ pub fn parallel_repair(
                     },
                     ..TupleReport::default()
                 },
-                KbFootprint::default(),
+                recording.then(KbFootprint::default),
             )
         });
         tuples.push(Arc::new(tuple_report));
-        footprints.push(fp);
+        footprints.extend(fp);
     }
     let mut report = RelationReport {
         tuples,
@@ -260,10 +282,15 @@ pub fn parallel_repair(
 /// to byte equality.
 ///
 /// `relation` must be the same dirty input (same rows, same order) the
-/// prior run started from; only its selected rows are read. If the shapes
-/// disagree — row count mismatch, or `prior` carries no per-row
-/// footprints — the call degrades to a full [`parallel_repair`],
-/// reporting `selected_rows = Some(len)`.
+/// prior run started from; only its selected rows are read. Splicing
+/// needs a footprint for every row on both sides, so the call degrades to
+/// a full [`parallel_repair`], reporting `selected_rows = Some(len)`, when
+///
+/// - `ctx` has no [`CacheRegistry`](crate::CacheRegistry), so its re-run
+///   rows would record no footprint;
+/// - `prior` carries no per-row footprints (it came from a context
+///   without a registry); or
+/// - the row counts of `relation`, `prior` and `prior_repaired` disagree.
 pub fn parallel_repair_selective(
     ctx: &MatchContext<'_>,
     rules: &[DetectiveRule],
@@ -274,7 +301,11 @@ pub fn parallel_repair_selective(
     delta_fp: &KbFootprint,
 ) -> RelationReport {
     let len = relation.len();
-    if prior.tuples.len() != len || prior.footprints.len() != len || prior_repaired.len() != len {
+    if ctx.registry().is_none()
+        || prior.tuples.len() != len
+        || prior.footprints.len() != len
+        || prior_repaired.len() != len
+    {
         let mut report = parallel_repair(ctx, rules, relation, opts);
         report.selected_rows = Some(len);
         return report;
@@ -315,6 +346,9 @@ pub fn parallel_repair_selective(
 /// converted into a [`TupleOutcome::Failed`] report carrying the payload
 /// message, so the other rows — and the shared caches, whose locks recover
 /// from poisoning (see `vendor/parking_lot`) — continue unharmed.
+///
+/// `ctx` is the worker's span-free context; a row with a detailed span
+/// repairs through a fork of it that carries the span.
 #[allow(clippy::too_many_arguments)] // scheduler plumbing, all call-local
 fn repair_row<'kb>(
     repairer: &FastRepairer<'_>,
@@ -325,13 +359,21 @@ fn repair_row<'kb>(
     row: usize,
     span: Option<&SpanCtx>,
     hist: Option<&(Histogram, WindowHistogram)>,
-) -> (TupleReport, KbFootprint) {
-    // Every KB read the row makes lands in the worker's read set, so the
-    // stitched report carries a per-row footprint for selective re-repair
-    // (a panicked row keeps whatever was recorded before the unwind —
-    // conservative, since failed rows are always re-selected anyway).
+) -> (TupleReport, Option<KbFootprint>) {
+    // On a recording pass every KB read the row makes lands in the
+    // worker's read set, so the stitched report carries a per-row
+    // footprint for selective re-repair (a panicked row keeps whatever was
+    // recorded before the unwind — conservative, since failed rows are
+    // always re-selected anyway).
     let row_span = crate::obs::RowSpan::open(span, row);
-    let row_ctx = ctx.fork().with_span_opt(row_span.ctx());
+    let traced;
+    let row_ctx = match row_span.ctx() {
+        Some(span) => {
+            traced = ctx.fork().with_span(span);
+            &traced
+        }
+        None => ctx,
+    };
     // The closure captures `&mut Tuple`, which is not `UnwindSafe` by type;
     // it is unwind-safe by construction: a fault is injected *before* the
     // tuple is touched, and a genuine mid-repair panic leaves at worst a
@@ -345,7 +387,7 @@ fn repair_row<'kb>(
             plan.trigger(row, &meter);
         }
         let started = hist.map(|_| Instant::now());
-        let report = repairer.repair_tuple_with(&row_ctx, tuple, &opts.apply, scratch, &meter);
+        let report = repairer.repair_tuple_with(row_ctx, tuple, &opts.apply, scratch, &meter);
         // A panicked row unwinds before this sample, so
         // `repair_tuple_seconds_count` is exactly completed + degraded.
         if let (Some((hist, window)), Some(started)) = (hist, started) {
@@ -389,7 +431,14 @@ mod tests {
     use crate::repair::fast::fast_repair;
     use crate::repair::registry::CacheRegistry;
     use dr_kb::fixtures::nobel_mini_kb;
-    use dr_kb::Region;
+    use dr_kb::{DeltaNode, KbDelta, KnowledgeBase, Node, Region};
+    use dr_obs::{ActiveTrace, TraceId};
+
+    /// A context with a fresh registry: the kind whose passes record
+    /// footprints and whose selective calls splice.
+    fn registry_ctx(kb: &KnowledgeBase) -> MatchContext<'_> {
+        MatchContext::with_registry(kb, Arc::new(CacheRegistry::default()))
+    }
 
     #[test]
     fn parallel_matches_sequential_on_table1() {
@@ -524,7 +573,7 @@ mod tests {
     fn selective_with_disjoint_delta_reuses_every_row() {
         let kb = nobel_mini_kb();
         let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
+        let ctx = registry_ctx(&kb);
         let opts = ParallelOptions {
             threads: 4,
             ..Default::default()
@@ -589,7 +638,7 @@ mod tests {
     fn selective_shares_unselected_rows_with_the_prior_result() {
         let kb = nobel_mini_kb();
         let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
+        let ctx = registry_ctx(&kb);
         let opts = ParallelOptions::default();
         let mut prior_repaired = table1_dirty();
         let prior = parallel_repair(&ctx, &rules, &mut prior_repaired, &opts);
@@ -632,7 +681,7 @@ mod tests {
     fn selective_with_global_delta_matches_full_rerepair() {
         let kb = nobel_mini_kb();
         let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
+        let ctx = registry_ctx(&kb);
         let opts = ParallelOptions {
             threads: 4,
             ..Default::default()
@@ -657,6 +706,10 @@ mod tests {
         );
         let selected = report.selected_rows.expect("selective sets the count");
         assert!(selected > 0, "class-reading rows must be re-selected");
+        assert!(
+            report.row_index.shared_with(&prior.row_index),
+            "a splice, not the fallback"
+        );
         assert_eq!(report.tuples, full_report.tuples);
         for cell in full.cell_refs() {
             assert_eq!(selective.value(cell), full.value(cell));
@@ -667,7 +720,8 @@ mod tests {
     /// same whether the row is repaired alone, at any position of a
     /// one-worker pass (where repeated rows hit the value cache), in a
     /// warm registry pass, or at two threads. A worker whose read set kept
-    /// one row's reads into the next would fail this.
+    /// one row's reads into the next would fail this. Every pass runs on
+    /// a registry context, the only kind that records.
     #[test]
     fn a_rows_footprint_depends_only_on_the_row_and_the_kb() {
         let kb = nobel_mini_kb();
@@ -682,15 +736,22 @@ mod tests {
             };
             parallel_repair(ctx, &rules, &mut relation, &opts).footprints
         };
-        let plain = MatchContext::new(&kb);
         let alone: Vec<KbFootprint> = rows
             .iter()
-            .map(|row| footprints(&plain, std::slice::from_ref(row), 1).remove(0))
+            .map(|row| footprints(&registry_ctx(&kb), std::slice::from_ref(row), 1).remove(0))
             .collect();
         assert!(alone.iter().all(|fp| !fp.is_empty()));
-        assert_eq!(footprints(&plain, &rows, 1), alone, "one worker");
-        assert_eq!(footprints(&plain, &rows, 2), alone, "two threads");
-        let warm = MatchContext::with_registry(&kb, Arc::new(CacheRegistry::default()));
+        assert_eq!(
+            footprints(&registry_ctx(&kb), &rows, 1),
+            alone,
+            "one worker"
+        );
+        assert_eq!(
+            footprints(&registry_ctx(&kb), &rows, 2),
+            alone,
+            "two threads"
+        );
+        let warm = registry_ctx(&kb);
         assert_eq!(footprints(&warm, &rows, 1), alone, "cold registry pass");
         assert_eq!(footprints(&warm, &rows, 1), alone, "warm registry pass");
     }
@@ -701,7 +762,7 @@ mod tests {
     fn selective_without_footprints_falls_back_to_full() {
         let kb = nobel_mini_kb();
         let rules = figure4_rules(&kb);
-        let ctx = MatchContext::new(&kb);
+        let ctx = registry_ctx(&kb);
         let opts = ParallelOptions::default();
 
         let mut prior_repaired = table1_dirty();
@@ -720,6 +781,236 @@ mod tests {
         );
         assert_eq!(report.selected_rows, Some(again.len()));
         assert_eq!(report.tuples, prior.tuples);
+    }
+
+    /// Table I's dirty rows, `copies` times over.
+    fn table1_times(copies: usize) -> Relation {
+        let base = table1_dirty();
+        let rows = (0..copies).flat_map(|_| base.tuples().to_vec()).collect();
+        Relation::from_tuples(Arc::clone(base.schema()), rows)
+    }
+
+    /// Asserts two repaired relations agree cell for cell, marks included.
+    fn assert_same_cells(a: &Relation, b: &Relation) {
+        assert_eq!(a.len(), b.len());
+        for cell in a.cell_refs() {
+            assert_eq!(a.value(cell), b.value(cell), "value at {cell:?}");
+            assert_eq!(
+                a.tuple(cell.row).is_positive(cell.attr),
+                b.tuple(cell.row).is_positive(cell.attr),
+                "mark at {cell:?}"
+            );
+        }
+    }
+
+    /// A pass without a registry records no footprint at all, and a
+    /// selective call over its report, on either kind of context, runs
+    /// the full pass instead of splicing rows that recorded nothing.
+    #[test]
+    fn registry_less_pass_records_nothing_and_selective_runs_full() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let opts = ParallelOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let plain = MatchContext::new(&kb);
+        let mut prior_repaired = table1_dirty();
+        let prior = parallel_repair(&plain, &rules, &mut prior_repaired, &opts);
+        assert!(prior.footprints.is_empty());
+
+        let mut full = table1_dirty();
+        let full_report = parallel_repair(&plain, &rules, &mut full, &opts);
+        for ctx in [MatchContext::new(&kb), registry_ctx(&kb)] {
+            let mut again = table1_dirty();
+            // An empty delta would select no row at all on a splice.
+            let report = parallel_repair_selective(
+                &ctx,
+                &rules,
+                &mut again,
+                &opts,
+                &prior,
+                &prior_repaired,
+                &KbFootprint::default(),
+            );
+            assert_eq!(report.selected_rows, Some(again.len()));
+            assert_eq!(report.tuples, full_report.tuples);
+            assert_same_cells(&again, &full);
+        }
+    }
+
+    /// A registry prior does not make a plain context's selective call
+    /// splice: the plain context's re-run rows would record nothing, so it
+    /// runs the full pass, and its report carries no footprints.
+    #[test]
+    fn selective_on_a_plain_context_runs_full_without_footprints() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let opts = ParallelOptions::default();
+        let mut prior_repaired = table1_dirty();
+        let prior = parallel_repair(&registry_ctx(&kb), &rules, &mut prior_repaired, &opts);
+        assert_eq!(prior.footprints.len(), prior_repaired.len());
+
+        let mut again = table1_dirty();
+        let report = parallel_repair_selective(
+            &MatchContext::new(&kb),
+            &rules,
+            &mut again,
+            &opts,
+            &prior,
+            &prior_repaired,
+            &KbFootprint::default(),
+        );
+        assert_eq!(report.selected_rows, Some(again.len()));
+        assert!(report.footprints.is_empty());
+        assert_eq!(report.tuples, prior.tuples);
+        assert_same_cells(&again, &prior_repaired);
+    }
+
+    /// Retracts from `kb` the first edge whose out-pair some row of
+    /// `report` read, returning the next KB and the delta's footprint.
+    fn retract_a_read_edge(
+        kb: &KnowledgeBase,
+        report: &RelationReport,
+    ) -> (KnowledgeBase, KbFootprint) {
+        let read = |s, p| {
+            report
+                .footprints
+                .iter()
+                .any(|fp| fp.regions().contains(&Region::Out(s, p)))
+        };
+        let (s, p, o) = kb
+            .triples()
+            .find(|&(s, p, _)| read(s, p))
+            .expect("some row reads an edge of the KB");
+        let object = match o {
+            Node::Instance(i) => DeltaNode::Instance(kb.instance_label(i).into()),
+            Node::Literal(l) => DeltaNode::Literal(kb.literal_value(l).into()),
+        };
+        let mut delta = KbDelta::new();
+        delta.retract(kb.instance_label(s), kb.pred_name(p), object);
+        let mut next = kb.clone();
+        let fp = next
+            .apply_delta(&delta)
+            .expect("an edge retraction applies");
+        (next, fp)
+    }
+
+    /// Two selective cycles in a row, each retracting one edge a row read,
+    /// on registry contexts that carry the cache across generations: the
+    /// second cycle splices over a report the first one spliced, and
+    /// afterwards every row's footprint is the one the row records when
+    /// repaired alone on the current KB, and every cell is a full pass's.
+    #[test]
+    fn successive_selective_cycles_keep_every_footprint_exact() {
+        let mut kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let registry = Arc::new(CacheRegistry::default());
+        let opts = ParallelOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let dirty = table1_times(4);
+        let mut repaired = dirty.clone();
+        let ctx = MatchContext::with_registry(&kb, Arc::clone(&registry));
+        let mut report = parallel_repair(&ctx, &rules, &mut repaired, &opts);
+        drop(ctx);
+
+        for cycle in 0..2 {
+            let (next, fp) = retract_a_read_edge(&kb, &report);
+            registry.apply_delta(kb.generation(), next.generation(), next.content_hash(), &fp);
+            let ctx = MatchContext::with_registry(&next, Arc::clone(&registry));
+            let mut again = dirty.clone();
+            let next_report =
+                parallel_repair_selective(&ctx, &rules, &mut again, &opts, &report, &repaired, &fp);
+            let selected = next_report.selected_rows.expect("selective sets the count");
+            assert!(
+                selected > 0 && selected < dirty.len(),
+                "cycle {cycle} splices"
+            );
+            drop(ctx);
+            (kb, report, repaired) = (next, next_report, again);
+        }
+
+        assert_eq!(report.footprints.len(), dirty.len());
+        for (row, tuple) in dirty.tuples().iter().enumerate() {
+            let mut alone =
+                Relation::from_tuples(Arc::clone(dirty.schema()), vec![Arc::clone(tuple)]);
+            let fresh = parallel_repair(&registry_ctx(&kb), &rules, &mut alone, &opts);
+            assert_eq!(report.footprints[row], fresh.footprints[0], "row {row}");
+        }
+        let mut full = dirty.clone();
+        let full_report = parallel_repair(&MatchContext::new(&kb), &rules, &mut full, &opts);
+        assert_eq!(report.tuples, full_report.tuples);
+        assert_same_cells(&repaired, &full);
+    }
+
+    /// Repairs Table I ×4 under a context carrying a span of `trace`, and
+    /// returns the trace's spans.
+    fn traced_pass(trace: &Arc<ActiveTrace>, threads: usize) -> Vec<dr_obs::SpanRecord> {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let mut relation = table1_times(4);
+        let request = SpanCtx::root(Arc::clone(trace)).child("request");
+        let ctx = MatchContext::new(&kb).with_span(request.ctx());
+        let opts = ParallelOptions {
+            threads,
+            ..Default::default()
+        };
+        let report = parallel_repair(&ctx, &rules, &mut relation, &opts);
+        assert_eq!(report.tuples.len(), 4 * table1_dirty().len());
+        drop(ctx);
+        request.finish();
+        trace.take_spans()
+    }
+
+    /// The `(name, parent name)` of every span.
+    fn span_parents(spans: &[dr_obs::SpanRecord]) -> Vec<(&str, Option<&str>)> {
+        let names: std::collections::HashMap<_, _> =
+            spans.iter().map(|s| (s.id, &*s.name)).collect();
+        spans
+            .iter()
+            .map(|s| (&*s.name, s.parent.map(|p| names[&p])))
+            .collect()
+    }
+
+    /// A speculative capture (armed on every served request) details no
+    /// row, so it records no rule span: rule checks are the innermost
+    /// loop, and an untraced row must not open them under the caller's
+    /// span. A forced capture gives every row its rule spans, all under
+    /// that row.
+    #[test]
+    fn rule_spans_exist_only_under_row_spans() {
+        for threads in [1, 2] {
+            let speculative = Arc::new(ActiveTrace::new(TraceId(1), usize::MAX, false));
+            assert!(speculative.speculative());
+            let spans = traced_pass(&speculative, threads);
+            for (name, parent) in span_parents(&spans) {
+                assert!(
+                    name != "rule",
+                    "{threads} threads: rule span under {parent:?}"
+                );
+            }
+
+            let forced = Arc::new(ActiveTrace::new(TraceId(2), usize::MAX, true));
+            let spans = traced_pass(&forced, threads);
+            let parents = span_parents(&spans);
+            for &(name, parent) in &parents {
+                if name == "rule" {
+                    assert_eq!(parent, Some("row"), "{threads} threads");
+                }
+            }
+            let rows: Vec<_> = spans.iter().filter(|s| s.name == "row").collect();
+            assert_eq!(rows.len(), 4 * table1_dirty().len(), "{threads} threads");
+            for row in rows {
+                assert!(
+                    spans
+                        .iter()
+                        .any(|s| s.name == "rule" && s.parent == Some(row.id)),
+                    "{threads} threads: a row without rule spans"
+                );
+            }
+        }
     }
 
     /// More workers than rows: the claim counter just runs out early.

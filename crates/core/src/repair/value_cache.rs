@@ -996,7 +996,7 @@ mod tests {
             overlay.reads = ReadSet::recording();
             let _ = overlay.candidates(&ctx, &tuple, &city);
             assert!(overlay.edge_ok(&ctx, &tuple, &name, works_at, &inst));
-            (overlay.reads.take(), overlay.level_stats())
+            (overlay.reads.take().unwrap(), overlay.level_stats())
         };
         let (cold, cold_stats) = footprint();
         let (warm, warm_stats) = footprint();

@@ -8,7 +8,10 @@
 //! 2. `parallel_repair_selective` — re-running only the rows whose prior
 //!    provenance depended on a changed KB region — produces outcomes
 //!    identical to a full re-repair, on the Nobel and UIS fixture worlds,
-//!    at one and four worker threads.
+//!    at one and four worker threads. The prior and the selective pass
+//!    run on registry contexts, the only kind whose passes record
+//!    footprints and whose selective calls splice rather than fall back
+//!    to a full pass; the registry migrates its cache across the delta.
 //!
 //! Set `DR_QUICK=1` to shrink the property-test case counts.
 
@@ -46,7 +49,9 @@ fn warm_cache(
 }
 
 /// Asserts full re-repair and selective re-repair agree cell-for-cell and
-/// report-for-report after `delta` moves `kb` to the next generation.
+/// report-for-report after `delta` moves `kb` to the next generation. The
+/// prior and the selective pass share one registry, which the delta
+/// migrates; the full re-repair runs on a fresh registry-free context.
 fn assert_selective_matches_full(
     kb: &KnowledgeBase,
     rules: &[DetectiveRule],
@@ -59,18 +64,30 @@ fn assert_selective_matches_full(
             ..Default::default()
         };
 
-        let ctx = MatchContext::new(kb);
+        let registry = Arc::new(CacheRegistry::new(RegistryConfig::default()));
+        let ctx = MatchContext::with_registry(kb, Arc::clone(&registry));
         let mut prior_repaired = dirty.clone();
         let prior = parallel_repair(&ctx, rules, &mut prior_repaired, &opts);
+        assert_eq!(
+            prior.footprints.len(),
+            dirty.len(),
+            "a registry pass records a footprint per row, so selective splices"
+        );
 
         let mut next_kb = kb.clone();
         let footprint = next_kb
             .apply_delta(delta)
             .expect("test deltas keep the taxonomy acyclic");
-        let next_ctx = MatchContext::new(&next_kb);
+        registry.apply_delta(
+            kb.generation(),
+            next_kb.generation(),
+            next_kb.content_hash(),
+            &footprint,
+        );
+        let next_ctx = MatchContext::with_registry(&next_kb, Arc::clone(&registry));
 
         let mut full = dirty.clone();
-        let full_report = parallel_repair(&next_ctx, rules, &mut full, &opts);
+        let full_report = parallel_repair(&MatchContext::new(&next_kb), rules, &mut full, &opts);
 
         let mut selective = dirty.clone();
         let selective_report = parallel_repair_selective(
@@ -246,13 +263,21 @@ fn small_edge_delta_selects_a_strict_subset() {
         threads: 2,
         ..Default::default()
     };
-    let ctx = MatchContext::new(&kb);
+    let registry = Arc::new(CacheRegistry::new(RegistryConfig::default()));
+    let ctx = MatchContext::with_registry(&kb, Arc::clone(&registry));
     let mut prior_repaired = dirty.clone();
     let prior = parallel_repair(&ctx, &rules, &mut prior_repaired, &opts);
+    assert_eq!(prior.footprints.len(), dirty.len());
 
     let mut next_kb = kb.clone();
     let footprint = next_kb.apply_delta(&delta).expect("edge delta applies");
-    let next_ctx = MatchContext::new(&next_kb);
+    registry.apply_delta(
+        kb.generation(),
+        next_kb.generation(),
+        next_kb.content_hash(),
+        &footprint,
+    );
+    let next_ctx = MatchContext::with_registry(&next_kb, Arc::clone(&registry));
     let mut selective = dirty.clone();
     let report = parallel_repair_selective(
         &next_ctx,
